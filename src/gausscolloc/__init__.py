@@ -19,7 +19,7 @@ from .problem import (AnalyticSolution, BUILTIN_NAMES, ControlProblem,
                       ControlSet, Dynamics, Linearization, RunningCost,
                       audit_derivatives, augment_bolza, builtin,
                       hager_optimal_cost, linearize_at, map_domain)
-from .transcription import (Residual, ResidualReport, Trajectory,
+from .transcription import (Residual, Trajectory,
                             costate_to_multipliers,
                             eval_residual, full_grid, interpolate_trajectory,
                             kkt_residuals, multipliers_to_costate, omega_norm)
@@ -43,7 +43,7 @@ __all__ = [
     "AnalyticSolution", "Linearization", "augment_bolza", "map_domain",
     "linearize_at", "audit_derivatives", "builtin", "BUILTIN_NAMES",
     "hager_optimal_cost",
-    "Trajectory", "Residual", "ResidualReport", "eval_residual", "omega_norm",
+    "Trajectory", "Residual", "eval_residual", "omega_norm",
     "full_grid", "costate_to_multipliers", "multipliers_to_costate",
     "kkt_residuals", "interpolate_trajectory",
     "SolverConfig", "SolveReport", "solve", "solve_state", "solve_costate",

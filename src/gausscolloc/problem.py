@@ -11,6 +11,13 @@ Every problem carries callbacks for first and second derivatives of the
 dynamics, cost, and Hamiltonian H = lambda . f(x, u); ``audit_derivatives``
 cross-checks the supplied derivatives against central finite differences at
 random points and is run for every built-in problem at construction.
+
+Dynamics and Hamiltonian callbacks are evaluated once per grid: they take
+stacks of K rows, X (K, n), U (K, m) and Lam (K, n), and return one result
+per row: f (K, n), f_x (K, n, n), f_u (K, n, m), H_xx (K, n, n),
+H_ux (K, m, n), H_uu (K, m, m).  A ``RunningCost`` follows the same layout,
+with value (K,).  The terminal cost and its derivatives stay pointwise:
+C(x) is a float, C_x (n,) and C_xx (n, n).
 """
 from __future__ import annotations
 
@@ -73,7 +80,8 @@ class AnalyticSolution:
 
 @dataclass(frozen=True)
 class RunningCost:
-    """Integrand l(x, u) of a Bolza objective, with derivatives."""
+    """Integrand l(x, u) of a Bolza objective, with derivatives, evaluated
+    on stacks like the dynamics callbacks."""
 
     value: Callable
     grad_x: Callable
@@ -123,19 +131,19 @@ class ControlProblem:
     control_set: ControlSet
     analytic: AnalyticSolution | None = None
 
-    def ham_x(self, x, u, lam):
-        """Gradient of H = lambda . f with respect to x."""
-        return np.asarray(self.dynamics_x(x, u), dtype=float).T @ lam
+    def ham_x(self, X, U, Lam):
+        """Gradient of H = lambda . f with respect to x, per row: (K, n)."""
+        return np.einsum("kij,ki->kj", self.dynamics_x(X, U), Lam)
 
-    def ham_u(self, x, u, lam):
-        """Gradient of H = lambda . f with respect to u."""
-        return np.asarray(self.dynamics_u(x, u), dtype=float).T @ lam
+    def ham_u(self, X, U, Lam):
+        """Gradient of H = lambda . f with respect to u, per row: (K, m)."""
+        return np.einsum("kij,ki->kj", self.dynamics_u(X, U), Lam)
 
 
 @dataclass(frozen=True)
 class Linearization:
-    """Pointwise derivative matrices: A = f_x, B = f_u, Q = H_xx,
-    S = H_ux, R = H_uu, T = C_xx."""
+    """Derivative blocks stacked over rows: A = f_x, B = f_u, Q = H_xx,
+    S = H_ux, R = H_uu; T = C_xx is the single terminal cost Hessian."""
 
     A: np.ndarray
     B: np.ndarray
@@ -145,19 +153,19 @@ class Linearization:
     T: np.ndarray
 
 
-def linearize_at(problem, x, u, lam, terminal_x=None):
-    """Evaluate the Linearization matrices at one point.
+def linearize_at(problem, X, U, Lam, terminal_x=None):
+    """Evaluate the Linearization blocks on stacks X, U, Lam.
 
     T is the cost Hessian, evaluated at ``terminal_x`` when given and at
-    ``x`` otherwise.
+    the last row of ``X`` otherwise.
     """
-    xt = x if terminal_x is None else terminal_x
+    xt = X[-1] if terminal_x is None else terminal_x
     return Linearization(
-        A=np.asarray(problem.dynamics_x(x, u), dtype=float),
-        B=np.asarray(problem.dynamics_u(x, u), dtype=float),
-        Q=np.asarray(problem.ham_hess_xx(x, u, lam), dtype=float),
-        S=np.asarray(problem.ham_hess_ux(x, u, lam), dtype=float),
-        R=np.asarray(problem.ham_hess_uu(x, u, lam), dtype=float),
+        A=np.asarray(problem.dynamics_x(X, U), dtype=float),
+        B=np.asarray(problem.dynamics_u(X, U), dtype=float),
+        Q=np.asarray(problem.ham_hess_xx(X, U, Lam), dtype=float),
+        S=np.asarray(problem.ham_hess_ux(X, U, Lam), dtype=float),
+        R=np.asarray(problem.ham_hess_uu(X, U, Lam), dtype=float),
         T=np.asarray(problem.cost_hess(xt), dtype=float),
     )
 
@@ -170,20 +178,19 @@ def augment_bolza(base, running, name=""):
     """
     n, m = base.n, base.m
 
-    def f(x, u):
-        return np.concatenate([np.asarray(base.f(x[:n], u), dtype=float),
-                               [float(running.value(x[:n], u))]])
+    def f(X, U):
+        return np.column_stack([base.f(X[:, :n], U), running.value(X[:, :n], U)])
 
-    def jac_x(x, u):
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = base.jac_x(x[:n], u)
-        J[n, :n] = running.grad_x(x[:n], u)
+    def jac_x(X, U):
+        J = np.zeros((len(X), n + 1, n + 1))
+        J[:, :n, :n] = base.jac_x(X[:, :n], U)
+        J[:, n, :n] = running.grad_x(X[:, :n], U)
         return J
 
-    def jac_u(x, u):
-        J = np.zeros((n + 1, m))
-        J[:n, :] = base.jac_u(x[:n], u)
-        J[n, :] = running.grad_u(x[:n], u)
+    def jac_u(X, U):
+        J = np.zeros((len(X), n + 1, m))
+        J[:, :n, :] = base.jac_u(X[:, :n], U)
+        J[:, n, :] = running.grad_u(X[:, :n], U)
         return J
 
     def cost(x):
@@ -197,21 +204,21 @@ def augment_bolza(base, running, name=""):
     def cost_hess(x):
         return np.zeros((n + 1, n + 1))
 
-    def ham_hess_xx(x, u, lam):
-        H = np.zeros((n + 1, n + 1))
-        H[:n, :n] = np.asarray(base.ham_hess_xx(x[:n], u, lam[:n]), dtype=float) \
-            + lam[n] * np.asarray(running.hess_xx(x[:n], u), dtype=float)
+    def ham_hess_xx(X, U, Lam):
+        H = np.zeros((len(X), n + 1, n + 1))
+        H[:, :n, :n] = base.ham_hess_xx(X[:, :n], U, Lam[:, :n]) \
+            + Lam[:, n, None, None] * running.hess_xx(X[:, :n], U)
         return H
 
-    def ham_hess_ux(x, u, lam):
-        H = np.zeros((m, n + 1))
-        H[:, :n] = np.asarray(base.ham_hess_ux(x[:n], u, lam[:n]), dtype=float) \
-            + lam[n] * np.asarray(running.hess_ux(x[:n], u), dtype=float)
+    def ham_hess_ux(X, U, Lam):
+        H = np.zeros((len(X), m, n + 1))
+        H[:, :, :n] = base.ham_hess_ux(X[:, :n], U, Lam[:, :n]) \
+            + Lam[:, n, None, None] * running.hess_ux(X[:, :n], U)
         return H
 
-    def ham_hess_uu(x, u, lam):
-        return np.asarray(base.ham_hess_uu(x[:n], u, lam[:n]), dtype=float) \
-            + lam[n] * np.asarray(running.hess_uu(x[:n], u), dtype=float)
+    def ham_hess_uu(X, U, Lam):
+        return base.ham_hess_uu(X[:, :n], U, Lam[:, :n]) \
+            + Lam[:, n, None, None] * running.hess_uu(X[:, :n], U)
 
     x0 = np.concatenate([np.asarray(base.x0, dtype=float), [0.0]])
     x0.flags.writeable = False
@@ -237,13 +244,13 @@ def map_domain(problem, a, b):
 
     scaled = ControlProblem(
         name=problem.name, n=problem.n, m=problem.m,
-        dynamics=lambda x, u: s * np.asarray(problem.dynamics(x, u), dtype=float),
-        dynamics_x=lambda x, u: s * np.asarray(problem.dynamics_x(x, u), dtype=float),
-        dynamics_u=lambda x, u: s * np.asarray(problem.dynamics_u(x, u), dtype=float),
+        dynamics=lambda X, U: s * np.asarray(problem.dynamics(X, U), dtype=float),
+        dynamics_x=lambda X, U: s * np.asarray(problem.dynamics_x(X, U), dtype=float),
+        dynamics_u=lambda X, U: s * np.asarray(problem.dynamics_u(X, U), dtype=float),
         cost=problem.cost, cost_grad=problem.cost_grad, cost_hess=problem.cost_hess,
-        ham_hess_xx=lambda x, u, lam: s * np.asarray(problem.ham_hess_xx(x, u, lam), dtype=float),
-        ham_hess_ux=lambda x, u, lam: s * np.asarray(problem.ham_hess_ux(x, u, lam), dtype=float),
-        ham_hess_uu=lambda x, u, lam: s * np.asarray(problem.ham_hess_uu(x, u, lam), dtype=float),
+        ham_hess_xx=lambda X, U, Lam: s * np.asarray(problem.ham_hess_xx(X, U, Lam), dtype=float),
+        ham_hess_ux=lambda X, U, Lam: s * np.asarray(problem.ham_hess_ux(X, U, Lam), dtype=float),
+        ham_hess_uu=lambda X, U, Lam: s * np.asarray(problem.ham_hess_uu(X, U, Lam), dtype=float),
         x0=problem.x0, control_set=problem.control_set)
 
     if problem.analytic is None:
@@ -295,7 +302,8 @@ def _audit_pair(label, exact, fd, rel_tol):
 def audit_derivatives(problem, points=8, seed=2024, rel_tol=1e-6, fd_step=1e-6):
     """Cross-check every derivative callback against central differences.
 
-    Random evaluation points are drawn around the initial state.  Raises
+    Random evaluation points are drawn around the initial state; each is
+    passed to the stacked callbacks as a batch of one row.  Raises
     EvaluationFailure on the first mismatch; returns the number of points
     audited otherwise.
     """
@@ -305,21 +313,27 @@ def audit_derivatives(problem, points=8, seed=2024, rel_tol=1e-6, fd_step=1e-6):
         x = problem.x0 + rng.standard_normal(n)
         u = rng.standard_normal(m)
         lam = rng.standard_normal(n)
+        X, U, L = x[None], u[None], lam[None]
         try:
-            _audit_pair("dynamics_x", problem.dynamics_x(x, u),
-                        _fd_jacobian(lambda v: problem.dynamics(v, u), x, fd_step), rel_tol)
-            _audit_pair("dynamics_u", problem.dynamics_u(x, u),
-                        _fd_jacobian(lambda v: problem.dynamics(x, v), u, fd_step), rel_tol)
+            _audit_pair("dynamics_x", problem.dynamics_x(X, U)[0],
+                        _fd_jacobian(lambda v: problem.dynamics(v[None], U)[0], x, fd_step),
+                        rel_tol)
+            _audit_pair("dynamics_u", problem.dynamics_u(X, U)[0],
+                        _fd_jacobian(lambda v: problem.dynamics(X, v[None])[0], u, fd_step),
+                        rel_tol)
             _audit_pair("cost_grad", problem.cost_grad(x)[None, :],
                         _fd_jacobian(lambda v: problem.cost(v), x, fd_step), rel_tol)
             _audit_pair("cost_hess", problem.cost_hess(x),
                         _fd_jacobian(lambda v: problem.cost_grad(v), x, fd_step), rel_tol)
-            _audit_pair("ham_hess_xx", problem.ham_hess_xx(x, u, lam),
-                        _fd_jacobian(lambda v: problem.ham_x(v, u, lam), x, fd_step), rel_tol)
-            _audit_pair("ham_hess_ux", problem.ham_hess_ux(x, u, lam),
-                        _fd_jacobian(lambda v: problem.ham_u(v, u, lam), x, fd_step), rel_tol)
-            _audit_pair("ham_hess_uu", problem.ham_hess_uu(x, u, lam),
-                        _fd_jacobian(lambda v: problem.ham_u(x, v, lam), u, fd_step), rel_tol)
+            _audit_pair("ham_hess_xx", problem.ham_hess_xx(X, U, L)[0],
+                        _fd_jacobian(lambda v: problem.ham_x(v[None], U, L)[0], x, fd_step),
+                        rel_tol)
+            _audit_pair("ham_hess_ux", problem.ham_hess_ux(X, U, L)[0],
+                        _fd_jacobian(lambda v: problem.ham_u(v[None], U, L)[0], x, fd_step),
+                        rel_tol)
+            _audit_pair("ham_hess_uu", problem.ham_hess_uu(X, U, L)[0],
+                        _fd_jacobian(lambda v: problem.ham_u(X, v[None], L)[0], u, fd_step),
+                        rel_tol)
         except EvaluationFailure:
             raise
         except Exception as exc:  # noqa: BLE001 - surface callback failures uniformly
@@ -395,26 +409,25 @@ def hager_optimal_cost(constrained=True):
 def _hager_base(constrained):
     cset = ControlSet.box(upper=np.array([1.0])) if constrained \
         else ControlSet.unconstrained()
-    zeros11 = np.zeros((1, 1))
     return Dynamics(
         n=1, m=1,
-        f=lambda x, u: np.array([u[0]]),
-        jac_x=lambda x, u: zeros11,
-        jac_u=lambda x, u: np.array([[1.0]]),
-        ham_hess_xx=lambda x, u, lam: zeros11,
-        ham_hess_ux=lambda x, u, lam: zeros11,
-        ham_hess_uu=lambda x, u, lam: zeros11,
+        f=lambda X, U: U[:, [0]],
+        jac_x=lambda X, U: np.zeros((len(X), 1, 1)),
+        jac_u=lambda X, U: np.ones((len(X), 1, 1)),
+        ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
+        ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
+        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([_HAGER_X0]),
         control_set=cset)
 
 
 _HAGER_RUNNING = RunningCost(
-    value=lambda x, u: 0.5 * (x[0] ** 2 + u[0] ** 2),
-    grad_x=lambda x, u: np.array([x[0]]),
-    grad_u=lambda x, u: np.array([u[0]]),
-    hess_xx=lambda x, u: np.array([[1.0]]),
-    hess_ux=lambda x, u: np.array([[0.0]]),
-    hess_uu=lambda x, u: np.array([[1.0]]))
+    value=lambda X, U: 0.5 * (X[:, 0] ** 2 + U[:, 0] ** 2),
+    grad_x=lambda X, U: X[:, [0]],
+    grad_u=lambda X, U: U[:, [0]],
+    hess_xx=lambda X, U: np.ones((len(X), 1, 1)),
+    hess_ux=lambda X, U: np.zeros((len(X), 1, 1)),
+    hess_uu=lambda X, U: np.ones((len(X), 1, 1)))
 
 
 def _stack(*cols):

@@ -104,11 +104,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray | None
 
-    @property
-    def n_colloc(self):
-        """Number of collocation points; alias for order."""
-        return self.order
-
 
 def _newton_roots(eval_fn, guesses):
     """Vectorized Newton iteration with a step-halving safeguard.

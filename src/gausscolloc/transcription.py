@@ -56,20 +56,6 @@ def omega_norm(rule, values):
     return float(np.sqrt(np.sum(rule.weights * sq)))
 
 
-def _eval_nodes(problem, X, U, Lam):
-    """Per-node dynamics and Hamiltonian gradients along a trajectory."""
-    N = U.shape[0]
-    F = np.empty((N, problem.n))
-    Hx = np.empty((N, problem.n))
-    Hu = np.empty((N, problem.m))
-    for i in range(N):
-        x, u, lam = X[i], U[i], Lam[i]
-        F[i] = problem.dynamics(x, u)
-        Hx[i] = problem.ham_x(x, u, lam)
-        Hu[i] = problem.ham_u(x, u, lam)
-    return F, Hx, Hu
-
-
 @dataclass(frozen=True)
 class Residual:
     """First-order optimality residuals of one trajectory.
@@ -77,8 +63,7 @@ class Residual:
     Array fields keep the raw componentwise values; ``norms`` holds the
     scalar contribution of each block and ``y_norm`` their sum, mixing sup
     norms for the endpoint conditions with quadrature-weighted l2 norms
-    for the two collocated blocks.  The short aliases t0..t6 expose the
-    blocks in their conventional stacked order.
+    for the two collocated blocks.
     """
 
     initial: np.ndarray
@@ -91,17 +76,6 @@ class Residual:
     norms: dict
     y_norm: float
 
-    t0 = property(lambda self: self.initial)
-    t1 = property(lambda self: self.state_defect)
-    t2 = property(lambda self: self.endpoint_defect)
-    t3 = property(lambda self: self.costate_endpoint)
-    t4 = property(lambda self: self.costate_defect)
-    t5 = property(lambda self: self.transversality)
-    t6 = property(lambda self: self.control_residual)
-
-
-ResidualReport = Residual
-
 
 def eval_residual(problem, ops, traj):
     """Measure optimality-system violation of a trajectory."""
@@ -111,7 +85,10 @@ def eval_residual(problem, ops, traj):
     if X.shape != (N + 2, problem.n) or Lam.shape != (N + 2, problem.n):
         raise DimensionMismatch("trajectory grid does not match the rule")
 
-    F, Hx, Hu = _eval_nodes(problem, X[1:N + 1], U, Lam[1:N + 1])
+    Xc, Lc = X[1:N + 1], Lam[1:N + 1]
+    F = problem.dynamics(Xc, U)
+    Hx = problem.ham_x(Xc, U, Lc)
+    Hu = problem.ham_u(Xc, U, Lc)
     w = rule.weights
 
     initial = X[0] - problem.x0
@@ -186,11 +163,8 @@ def kkt_residuals(problem, ops, traj, mu):
 
     # Hamiltonian arguments: raw multiplier combination per node
     arg = mu_c + w[:, None] * mu[N + 1]
-    Hx = np.empty((N, problem.n))
-    Hu = np.empty((N, problem.m))
-    for i in range(N):
-        Hx[i] = problem.ham_x(X[1 + i], U[i], arg[i])
-        Hu[i] = problem.ham_u(X[1 + i], U[i], arg[i])
+    Hx = problem.ham_x(X[1:N + 1], U, arg)
+    Hu = problem.ham_u(X[1:N + 1], U, arg)
 
     left_coupling = mu[N + 1] - mu[0] - ops.D[:, 0] @ mu_c
     stationarity_x = ops.D[:, 1:].T @ mu_c - Hx

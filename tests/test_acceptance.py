@@ -202,9 +202,9 @@ def test_criterion_8_residual_decay(acceptance_log):
         res = eval_residual(problem, ops, traj)
         y_norms.append(res.y_norm)
         worst_flat = max(worst_flat,
-                         float(np.max(np.abs(res.t0))),
-                         float(np.max(np.abs(res.t5))),
-                         float(np.max(np.abs(res.t6))))
+                         float(np.max(np.abs(res.initial))),
+                         float(np.max(np.abs(res.transversality))),
+                         float(np.max(np.abs(res.control_residual))))
     slope = fit_rate(orders, y_norms, discard=0).slope
     passed = slope <= -0.8 and worst_flat <= 1e-12
     acceptance_log(8, passed,
@@ -226,9 +226,7 @@ def test_criterion_9_gradient_audit(acceptance_log):
         U = rng.uniform(-0.5, 1.0, size=(N, 1))
         X = solve_state(problem, ops, U)
         Lam = solve_costate(problem, ops, X, U, problem.cost_grad(X[-1]))
-        grad = np.array([
-            rule.weights[i] * problem.ham_u(X[1 + i], U[i], Lam[1 + i])
-            for i in range(N)])
+        grad = rule.weights[:, None] * problem.ham_u(X[1:N + 1], U, Lam[1:N + 1])
         for i in rng.integers(0, N, size=5):
             shifted = []
             for sign in (+1.0, -1.0):

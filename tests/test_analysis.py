@@ -139,15 +139,15 @@ class TestConvergenceStudy:
         from gausscolloc import ControlProblem, ControlSet
         bare = ControlProblem(
             name="bare", n=1, m=1,
-            dynamics=lambda x, u: u.copy(),
-            dynamics_x=lambda x, u: np.zeros((1, 1)),
-            dynamics_u=lambda x, u: np.eye(1),
+            dynamics=lambda X, U: U.copy(),
+            dynamics_x=lambda X, U: np.zeros((len(X), 1, 1)),
+            dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
             cost=lambda x: float(x[0] ** 2),
             cost_grad=lambda x: 2.0 * x,
             cost_hess=lambda x: 2.0 * np.eye(1),
-            ham_hess_xx=lambda x, u, lam: np.zeros((1, 1)),
-            ham_hess_ux=lambda x, u, lam: np.zeros((1, 1)),
-            ham_hess_uu=lambda x, u, lam: np.zeros((1, 1)),
+            ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
+            ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
+            ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
             x0=np.array([1.0]),
             control_set=ControlSet.unconstrained())
         with pytest.raises(ValueError, match="analytic"):

@@ -19,15 +19,15 @@ def _linear_problem():
     B0 = np.array([[1.0], [3.0]])
     return ControlProblem(
         name="linear-2d", n=2, m=1,
-        dynamics=lambda x, u: A0 @ x + B0 @ u,
-        dynamics_x=lambda x, u: A0,
-        dynamics_u=lambda x, u: B0,
+        dynamics=lambda X, U: X @ A0.T + U @ B0.T,
+        dynamics_x=lambda X, U: np.broadcast_to(A0, (len(X), 2, 2)),
+        dynamics_u=lambda X, U: np.broadcast_to(B0, (len(X), 2, 1)),
         cost=lambda x: 0.5 * float(x @ x),
         cost_grad=lambda x: x,
         cost_hess=lambda x: np.eye(2),
-        ham_hess_xx=lambda x, u, lam: np.zeros((2, 2)),
-        ham_hess_ux=lambda x, u, lam: np.zeros((1, 2)),
-        ham_hess_uu=lambda x, u, lam: np.zeros((1, 1)),
+        ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 2, 2)),
+        ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 2)),
+        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([1.0, 0.0]),
         control_set=ControlSet.unconstrained())
 
@@ -79,12 +79,12 @@ class TestAugmentBolza:
     def test_zero_running_cost(self):
         from gausscolloc.problem import RunningCost
         zero = RunningCost(
-            value=lambda x, u: 0.0,
-            grad_x=lambda x, u: np.zeros(1),
-            grad_u=lambda x, u: np.zeros(1),
-            hess_xx=lambda x, u: np.zeros((1, 1)),
-            hess_ux=lambda x, u: np.zeros((1, 1)),
-            hess_uu=lambda x, u: np.zeros((1, 1)))
+            value=lambda X, U: np.zeros(len(X)),
+            grad_x=lambda X, U: np.zeros((len(X), 1)),
+            grad_u=lambda X, U: np.zeros((len(X), 1)),
+            hess_xx=lambda X, U: np.zeros((len(X), 1, 1)),
+            hess_ux=lambda X, U: np.zeros((len(X), 1, 1)),
+            hess_uu=lambda X, U: np.zeros((len(X), 1, 1)))
         prob = augment_bolza(_hager_base(True), zero, name="zero-cost")
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -100,12 +100,12 @@ class TestAugmentBolza:
         from gausscolloc import build_operators, solve_state
         from gausscolloc.problem import RunningCost
         one = RunningCost(
-            value=lambda x, u: 1.0,
-            grad_x=lambda x, u: np.zeros(1),
-            grad_u=lambda x, u: np.zeros(1),
-            hess_xx=lambda x, u: np.zeros((1, 1)),
-            hess_ux=lambda x, u: np.zeros((1, 1)),
-            hess_uu=lambda x, u: np.zeros((1, 1)))
+            value=lambda X, U: np.ones(len(X)),
+            grad_x=lambda X, U: np.zeros((len(X), 1)),
+            grad_u=lambda X, U: np.zeros((len(X), 1)),
+            hess_xx=lambda X, U: np.zeros((len(X), 1, 1)),
+            hess_ux=lambda X, U: np.zeros((len(X), 1, 1)),
+            hess_uu=lambda X, U: np.zeros((len(X), 1, 1)))
         # native domain [0, 1]: integral of 1 is its length
         prob = map_domain(augment_bolza(_hager_base(True), one), 0.0, 1.0)
         ops = build_operators(gauss_rule(8))
@@ -131,14 +131,14 @@ class TestMapDomain:
     def test_identity_interval(self):
         prob = _linear_problem()
         mapped = map_domain(prob, -1.0, 1.0)
-        x, u = np.array([0.3, -0.2]), np.array([0.7])
+        x, u = np.array([[0.3, -0.2]]), np.array([[0.7]])
         np.testing.assert_allclose(mapped.dynamics(x, u),
                                    prob.dynamics(x, u), rtol=1e-15)
 
     def test_unit_interval_halves_dynamics(self):
         prob = _linear_problem()
         mapped = map_domain(prob, 0.0, 1.0)
-        x, u = np.array([0.3, -0.2]), np.array([0.7])
+        x, u = np.array([[0.3, -0.2], [1.5, 0.4]]), np.array([[0.7], [-2.0]])
         np.testing.assert_allclose(mapped.dynamics(x, u),
                                    0.5 * prob.dynamics(x, u), rtol=1e-15)
         np.testing.assert_allclose(mapped.dynamics_x(x, u),
@@ -201,7 +201,7 @@ class TestBuiltin:
                 pts = a + (b - a) * (rule.nodes + 1.0) / 2.0
                 X = prob.analytic.state(pts)
                 U = prob.analytic.control(pts)
-                F = np.stack([prob.dynamics(x, u) for x, u in zip(X, U)])
+                F = prob.dynamics(X, U)
                 integral = (b - a) / 2.0 * (rule.weights @ F)
                 gap = ends[k + 1] - ends[k] - integral
                 assert np.max(np.abs(gap)) <= 1e-12
@@ -218,8 +218,7 @@ class TestBuiltin:
             X = prob.analytic.state(pts)
             U = prob.analytic.control(pts)
             L = prob.analytic.costate(pts)
-            G = np.stack([prob.ham_x(x, u, lam)
-                          for x, u, lam in zip(X, U, L)])
+            G = prob.ham_x(X, U, L)
             assert np.max(np.abs(Dfull @ L + G)) <= 1e-10
 
     @pytest.mark.parametrize("name", ["hager84-constrained",
@@ -230,10 +229,9 @@ class TestBuiltin:
         X = prob.analytic.state(tau)
         U = prob.analytic.control(tau)
         L = prob.analytic.costate(tau)
-        for x, u, lam in zip(X, U, L):
-            g = prob.ham_u(x, u, lam)
-            residual = u - prob.control_set.project(u - g)
-            assert np.max(np.abs(residual)) <= 1e-10
+        g = prob.ham_u(X, U, L)
+        residual = U - prob.control_set.project(U - g)
+        assert np.max(np.abs(residual)) <= 1e-10
 
     def test_terminal_costate_matches_cost_gradient(self):
         prob = builtin("hager84-constrained")
@@ -277,38 +275,33 @@ class TestLinearizeAt:
         # appear in the leading blocks: A=0, B=1, Q=1, S=0, R=1
         prob = augment_bolza(_hager_base(True), _HAGER_RUNNING)
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            x = np.array([rng.uniform(-3.0, 0.0), rng.uniform(0.0, 2.0)])
-            u = np.array([rng.uniform(-1.0, 1.0)])
-            lam = np.array([rng.standard_normal(), 1.0])
-            lin = linearize_at(prob, x, u, lam)
-            assert lin.A[0, 0] == 0.0
-            assert lin.B[0, 0] == 1.0
-            assert lin.Q[0, 0] == 1.0
-            assert lin.S[0, 0] == 0.0
-            assert lin.R[0, 0] == 1.0
+        X = np.column_stack([rng.uniform(-3.0, 0.0, 5), rng.uniform(0.0, 2.0, 5)])
+        U = rng.uniform(-1.0, 1.0, (5, 1))
+        Lam = np.column_stack([rng.standard_normal(5), np.ones(5)])
+        lin = linearize_at(prob, X, U, Lam)
+        assert np.all(lin.A[:, 0, 0] == 0.0)
+        assert np.all(lin.B[:, 0, 0] == 1.0)
+        assert np.all(lin.Q[:, 0, 0] == 1.0)
+        assert np.all(lin.S[:, 0, 0] == 0.0)
+        assert np.all(lin.R[:, 0, 0] == 1.0)
 
     def test_linear_dynamics_constant_jacobians(self):
         prob = _linear_problem()
         rng = np.random.default_rng(6)
-        points = [(rng.standard_normal(2), rng.standard_normal(1))
-                  for _ in range(4)]
-        mats = [linearize_at(prob, x, u, np.zeros(2)) for x, u in points]
-        for lin in mats[1:]:
-            np.testing.assert_array_equal(lin.A, mats[0].A)
-            np.testing.assert_array_equal(lin.B, mats[0].B)
+        lin = linearize_at(prob, rng.standard_normal((4, 2)),
+                           rng.standard_normal((4, 1)), np.zeros((4, 2)))
+        for k in range(1, 4):
+            np.testing.assert_array_equal(lin.A[k], lin.A[0])
+            np.testing.assert_array_equal(lin.B[k], lin.B[0])
 
     def test_hessian_symmetry(self):
         prob = builtin("hager84-constrained")
         rng = np.random.default_rng(7)
-        for _ in range(5):
-            x = rng.standard_normal(2)
-            u = rng.standard_normal(1)
-            lam = rng.standard_normal(2)
-            lin = linearize_at(prob, x, u, lam)
-            np.testing.assert_allclose(lin.Q, lin.Q.T, atol=1e-12)
-            np.testing.assert_allclose(lin.R, lin.R.T, atol=1e-12)
-            np.testing.assert_allclose(lin.T, lin.T.T, atol=1e-12)
+        lin = linearize_at(prob, rng.standard_normal((5, 2)),
+                           rng.standard_normal((5, 1)), rng.standard_normal((5, 2)))
+        np.testing.assert_allclose(lin.Q, lin.Q.transpose(0, 2, 1), atol=1e-12)
+        np.testing.assert_allclose(lin.R, lin.R.transpose(0, 2, 1), atol=1e-12)
+        np.testing.assert_allclose(lin.T, lin.T.T, atol=1e-12)
 
 
 class TestAuditDerivatives:

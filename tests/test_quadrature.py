@@ -61,7 +61,6 @@ class TestGaussRule:
         rule = gauss_rule(6)
         assert rule.kind == "gauss"
         assert rule.order == 6
-        assert rule.n_colloc == 6
         assert not rule.nodes.flags.writeable
 
     @pytest.mark.parametrize("N", [1, 2, 3, 5, 10, 37, 100, 300])

@@ -3,25 +3,25 @@
 import numpy as np
 import pytest
 
-from gausscolloc import (ControlProblem, ControlSet, SolverConfig,
-                         build_operators, builtin, eval_residual, full_grid,
-                         gauss_rule, hager_optimal_cost, solve, solve_costate,
-                         solve_state)
+from gausscolloc import (BUILTIN_NAMES, ControlProblem, ControlSet,
+                         SolverConfig, build_operators, builtin, eval_residual,
+                         full_grid, gauss_rule, hager_optimal_cost, omega_norm,
+                         solve, solve_costate, solve_state)
 from gausscolloc.errors import NewtonDivergence
 
 
 def _frozen_problem():
     return ControlProblem(
         name="frozen", n=2, m=1,
-        dynamics=lambda x, u: np.zeros(2),
-        dynamics_x=lambda x, u: np.zeros((2, 2)),
-        dynamics_u=lambda x, u: np.zeros((2, 1)),
+        dynamics=lambda X, U: np.zeros((len(X), 2)),
+        dynamics_x=lambda X, U: np.zeros((len(X), 2, 2)),
+        dynamics_u=lambda X, U: np.zeros((len(X), 2, 1)),
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.array([1.0, 0.0]),
         cost_hess=lambda x: np.zeros((2, 2)),
-        ham_hess_xx=lambda x, u, lam: np.zeros((2, 2)),
-        ham_hess_ux=lambda x, u, lam: np.zeros((1, 2)),
-        ham_hess_uu=lambda x, u, lam: np.zeros((1, 1)),
+        ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 2, 2)),
+        ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 2)),
+        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([0.4, -1.1]),
         control_set=ControlSet.unconstrained())
 
@@ -30,15 +30,15 @@ def _integrator_problem():
     """Scalar xdot = u with trivial cost, for exact small cases."""
     return ControlProblem(
         name="integrator", n=1, m=1,
-        dynamics=lambda x, u: u.copy(),
-        dynamics_x=lambda x, u: np.zeros((1, 1)),
-        dynamics_u=lambda x, u: np.eye(1),
+        dynamics=lambda X, U: U.copy(),
+        dynamics_x=lambda X, U: np.zeros((len(X), 1, 1)),
+        dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.ones(1),
         cost_hess=lambda x: np.zeros((1, 1)),
-        ham_hess_xx=lambda x, u, lam: np.zeros((1, 1)),
-        ham_hess_ux=lambda x, u, lam: np.zeros((1, 1)),
-        ham_hess_uu=lambda x, u, lam: np.zeros((1, 1)),
+        ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
+        ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
+        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([0.7]),
         control_set=ControlSet.unconstrained())
 
@@ -47,15 +47,15 @@ def _blowup_problem():
     """xdot = x^2 from x(−1) = 10 escapes to infinity inside the interval."""
     return ControlProblem(
         name="blowup", n=1, m=1,
-        dynamics=lambda x, u: x * x,
-        dynamics_x=lambda x, u: np.diag(2 * x),
-        dynamics_u=lambda x, u: np.zeros((1, 1)),
+        dynamics=lambda X, U: X * X,
+        dynamics_x=lambda X, U: 2 * X[:, :, None],
+        dynamics_u=lambda X, U: np.zeros((len(X), 1, 1)),
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.ones(1),
         cost_hess=lambda x: np.zeros((1, 1)),
-        ham_hess_xx=lambda x, u, lam: np.zeros((1, 1)),
-        ham_hess_ux=lambda x, u, lam: np.zeros((1, 1)),
-        ham_hess_uu=lambda x, u, lam: np.zeros((1, 1)),
+        ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
+        ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
+        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([10.0]),
         control_set=ControlSet.unconstrained())
 
@@ -131,8 +131,8 @@ class TestSolveCostate:
         Lam = solve_costate(problem, ops, X, U, problem.cost_grad(X[-1]))
         traj = Trajectory(nodes=full_grid(rule), X=X, U=U, Lambda=Lam)
         res = eval_residual(problem, ops, traj)
-        assert np.max(np.abs(res.t4)) <= 1e-10
-        assert np.max(np.abs(res.t5)) <= 1e-10
+        assert np.max(np.abs(res.costate_defect)) <= 1e-10
+        assert np.max(np.abs(res.transversality)) <= 1e-10
 
     def test_approximates_analytic_costate(self):
         problem = builtin("hager84-constrained")
@@ -179,10 +179,9 @@ class TestSolve:
         problem = builtin("hager84-constrained")
         report = benchmark_n20
         X, U, Lam = report.traj.X, report.traj.U, report.traj.Lambda
-        for i in range(20):
-            g = problem.ham_u(X[1 + i], U[i], Lam[1 + i])
-            residual = U[i] - problem.control_set.project(U[i] - g)
-            assert np.max(np.abs(residual)) <= 1e-10
+        g = problem.ham_u(X[1:21], U, Lam[1:21])
+        residual = U - problem.control_set.project(U - g)
+        assert np.max(np.abs(residual)) <= 1e-10
 
     def test_active_set_covers_the_ceiling_arc(self, benchmark_n20):
         # u* rides the bound on the left half: 10 of 20 nodes
@@ -218,6 +217,17 @@ class TestSolve:
         assert warm.converged
         assert warm.outer_iters < cold.outer_iters
         assert warm.outer_iters <= 2
+
+    @pytest.mark.parametrize("N", [160, 240, 320])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_converges_at_high_order(self, name, N):
+        # the state Newton target is tied to tol_y in the residual's own
+        # norm, so an accepted state never holds the outer test back
+        config = SolverConfig(max_outer=60)
+        report = solve(builtin(name), N, config=config)
+        assert report.converged
+        defect = omega_norm(gauss_rule(N), report.residual.state_defect)
+        assert defect <= max(config.newton_tol, 0.1 * config.tol_y)
 
     def test_exhausted_budget_reported_not_raised(self):
         config = SolverConfig(tol_y=1e-30, max_outer=3)

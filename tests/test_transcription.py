@@ -8,7 +8,7 @@ from gausscolloc import (ControlProblem, ControlSet, build_operators, builtin,
                          gauss_rule, interpolate_trajectory, kkt_residuals,
                          multipliers_to_costate, omega_norm, solve)
 from gausscolloc.errors import DimensionMismatch
-from gausscolloc.transcription import Residual, ResidualReport, Trajectory
+from gausscolloc.transcription import Trajectory
 
 
 def _analytic_trajectory(problem, N):
@@ -25,15 +25,15 @@ def _frozen_problem():
     """f identically zero: any constant state collocates exactly."""
     return ControlProblem(
         name="frozen", n=2, m=1,
-        dynamics=lambda x, u: np.zeros(2),
-        dynamics_x=lambda x, u: np.zeros((2, 2)),
-        dynamics_u=lambda x, u: np.zeros((2, 1)),
+        dynamics=lambda X, U: np.zeros((len(X), 2)),
+        dynamics_x=lambda X, U: np.zeros((len(X), 2, 2)),
+        dynamics_u=lambda X, U: np.zeros((len(X), 2, 1)),
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.array([1.0, 0.0]),
         cost_hess=lambda x: np.zeros((2, 2)),
-        ham_hess_xx=lambda x, u, lam: np.zeros((2, 2)),
-        ham_hess_ux=lambda x, u, lam: np.zeros((1, 2)),
-        ham_hess_uu=lambda x, u, lam: np.zeros((1, 1)),
+        ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 2, 2)),
+        ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 2)),
+        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([0.4, -1.1]),
         control_set=ControlSet.box(lower=[-1.0], upper=[1.0]))
 
@@ -80,9 +80,9 @@ class TestEvalResidual:
         problem = builtin("hager84-constrained")
         ops = build_operators(gauss_rule(10))
         res = eval_residual(problem, ops, _analytic_trajectory(problem, 10))
-        assert np.max(np.abs(res.t0)) <= 1e-12
-        assert np.max(np.abs(res.t5)) <= 1e-12
-        assert np.max(np.abs(res.t6)) <= 1e-12
+        assert np.max(np.abs(res.initial)) <= 1e-12
+        assert np.max(np.abs(res.transversality)) <= 1e-12
+        assert np.max(np.abs(res.control_residual)) <= 1e-12
 
     def test_analytic_sample_norm_decays(self):
         problem = builtin("hager84-constrained")
@@ -104,9 +104,9 @@ class TestEvalResidual:
         res = eval_residual(problem, ops, traj)
         # matmul cannot resum the negative-sum diagonal in the same order,
         # so annihilation of constants holds to rounding, not bitwise
-        assert np.max(np.abs(res.t1)) <= 1e-14
-        np.testing.assert_array_equal(res.t2, np.zeros(2))
-        np.testing.assert_array_equal(res.t0, np.zeros(2))
+        assert np.max(np.abs(res.state_defect)) <= 1e-14
+        np.testing.assert_array_equal(res.endpoint_defect, np.zeros(2))
+        np.testing.assert_array_equal(res.initial, np.zeros(2))
 
     def test_norm_composition(self):
         problem = builtin("hager84-constrained")
@@ -119,19 +119,13 @@ class TestEvalResidual:
                           U=rng.standard_normal((8, 1)),
                           Lambda=rng.standard_normal((10, 2)))
         res = eval_residual(problem, ops, traj)
-        expected = (np.linalg.norm(res.t0) + np.linalg.norm(res.t2)
-                    + np.linalg.norm(res.t3) + np.linalg.norm(res.t5)
-                    + np.max(np.linalg.norm(res.t6, axis=1))
-                    + omega_norm(rule, res.t1) + omega_norm(rule, res.t4))
+        expected = (np.linalg.norm(res.initial) + np.linalg.norm(res.endpoint_defect)
+                    + np.linalg.norm(res.costate_endpoint)
+                    + np.linalg.norm(res.transversality)
+                    + np.max(np.linalg.norm(res.control_residual, axis=1))
+                    + omega_norm(rule, res.state_defect)
+                    + omega_norm(rule, res.costate_defect))
         np.testing.assert_allclose(res.y_norm, expected, rtol=1e-14)
-
-    def test_alias_names(self):
-        assert ResidualReport is Residual
-        problem = builtin("hager84-constrained")
-        ops = build_operators(gauss_rule(4))
-        res = eval_residual(problem, ops, _analytic_trajectory(problem, 4))
-        assert res.t1 is res.state_defect
-        assert res.t4 is res.costate_defect
 
     def test_dimension_check(self):
         problem = builtin("hager84-constrained")
@@ -188,7 +182,7 @@ class TestSolvedOptimum:
         ops = build_operators(gauss_rule(8))
         res = eval_residual(problem, ops, report.traj)
         # Lambda_{N+1} = Lambda_0 - sum_i w_i H_x at the discrete optimum
-        assert np.max(np.abs(res.t3)) <= 1e-9
+        assert np.max(np.abs(res.costate_endpoint)) <= 1e-9
 
     def test_recovered_multipliers_satisfy_kkt(self, solved):
         problem, report = solved
