@@ -10,7 +10,7 @@ Two rectangular operators are built from one Gauss rule:
   fixed by the row-sum condition Ddag_{i,N+1} = -sum_j Ddag_ij.
 
 The trailing square block D[:, 1:] is LU-factored once so repeated linear
-solves against it (and its transpose) stay cheap.
+solves against it (and its transpose) stay cheap; its inverse is formed once.
 """
 from __future__ import annotations
 
@@ -97,6 +97,7 @@ class CollocationOperators:
     D: np.ndarray
     D_dagger: np.ndarray
     lu_D1N: tuple
+    D1N_inv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def _checked_lu(mat):
 
 
 def build_operators(rule):
-    """Build D, D_dagger and the LU factors of D[:, 1:] for a Gauss rule."""
+    """Build D, D_dagger, and the LU factors and inverse of D[:, 1:]."""
     if rule.kind != "gauss":
         raise ValueError("collocation operators require a Gauss rule")
     N = rule.order
@@ -134,9 +135,11 @@ def build_operators(rule):
     Ddag[:, :N] = -(om[None, :] / om[:, None]) * D[:, 1:].T
     Ddag[:, N] = -np.sum(Ddag[:, :N], axis=1)
     lu = _checked_lu(D[:, 1:])
-    D.flags.writeable = False
-    Ddag.flags.writeable = False
-    return CollocationOperators(rule=rule, D=D, D_dagger=Ddag, lu_D1N=lu)
+    inv = lu_solve(lu, np.eye(N), check_finite=False)
+    for arr in (D, Ddag, inv):
+        arr.flags.writeable = False
+    return CollocationOperators(rule=rule, D=D, D_dagger=Ddag, lu_D1N=lu,
+                                D1N_inv=inv)
 
 
 def solve_D1N(ops, rhs, transposed=False):
@@ -152,14 +155,9 @@ def solve_D1N(ops, rhs, transposed=False):
     return lu_solve(ops.lu_D1N, b, trans=1 if transposed else 0, check_finite=False)
 
 
-def _d1n_inverse(ops):
-    return solve_D1N(ops, np.eye(ops.rule.order))
-
-
 def check_P1(ops):
     """Max row sum of |D[:, 1:]^{-1}|; passes when <= 2 (plus slack)."""
-    inv = _d1n_inverse(ops)
-    norm_inf = float(np.max(np.sum(np.abs(inv), axis=1)))
+    norm_inf = float(np.max(np.sum(np.abs(ops.D1N_inv), axis=1)))
     return P1Report(order=ops.rule.order, norm_inf=norm_inf,
                     passed=norm_inf <= 2.0 + TOL_SLACK)
 
@@ -171,7 +169,7 @@ def check_P2(ops):
     row of D[:, 1:]^{-1} sits from the quadrature weights, a gap that
     shrinks as the order grows.
     """
-    inv = _d1n_inverse(ops)
+    inv = ops.D1N_inv
     om = ops.rule.weights
     scaled = inv / np.sqrt(om)[None, :]
     max_row = float(np.max(np.sqrt(np.sum(scaled * scaled, axis=1))))

@@ -1,29 +1,30 @@
 """Collocation solver: projected gradient on the control with exact
 state and costate elimination.
 
-Each outer iteration solves the collocated state equations by Newton's
-method for the current control, solves the collocated adjoint equations
-in one linear pass, and then takes a projected, Hessian-scaled descent
-step on the control with an Armijo backtracking line search.  The loop
-stops when the combined optimality residual drops below ``tol_y``.  The
-state Newton iteration measures its defect in the quadrature-weighted norm
-that the residual uses for the collocated dynamics and stops a decade
-below ``tol_y`` (never below ``newton_tol``), so an accepted state never
-holds the outer test back.
+Each outer iteration solves the collocated state equations for the current
+control and the collocated adjoint equations in one linear pass, then takes
+a projected, Hessian-scaled descent step on the control with an Armijo
+backtracking line search, until the combined optimality residual drops
+below ``tol_y``.
 
-Both linear-algebra kernels reduce to systems preconditioned by the
-inverse of the invertible trailing block of the differentiation matrix,
-whose sup norm stays below 2 at every order, so the iteration matrices
-remain well scaled as the order grows.
+Both eliminations use one Newton matrix M = I - (Dinv x I) blockdiag(f_x),
+preconditioned by the inverse Dinv of the trailing block D[:, 1:] (sup norm
+below 2 at every order) and factored once per accepted iterate.  As the
+collocation Jacobian is J = (D[:, 1:] x I) M, line-search trials run chord
+Newton on those factors and the costate solves with J transposed.  The
+state defect is measured in the residual's quadrature-weighted norm and
+driven a decade below ``tol_y`` (never below ``newton_tol``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .diffmat import build_operators, solve_D1N
-from .errors import NewtonDivergence
+from .errors import DimensionMismatch, NewtonDivergence
 from .quadrature import gauss_rule
 from .transcription import Residual, Trajectory, eval_residual, full_grid, omega_norm
 
@@ -59,16 +60,40 @@ class SolveReport:
     objective_history: list = field(default_factory=list)
 
 
-def solve_state(problem, ops, U, x0=None, X_guess=None, config=SolverConfig()):
-    """Newton solve of the collocated state equations for a fixed control.
+class NewtonFactors(NamedTuple):
+    """f_x (N, n, n) at one state and the LU factors of M built from it."""
+
+    A: np.ndarray
+    lu: tuple
+
+
+def newton_factors(problem, ops, Xc, U):
+    """Evaluate f_x at the collocation states Xc (N, n) and factor M;
+    raises DimensionMismatch unless f_x is an (N, n, n) stack."""
+    N, n = ops.rule.order, problem.n
+    A = problem.dynamics_x(Xc, U)
+    if np.shape(A) != (N, n, n):
+        raise DimensionMismatch(f"dynamics_x gave {np.shape(A)}, expected {(N, n, n)}")
+    # M[(i,k), (j,l)] = delta - Dinv[i, j] A[j, k, l], built as its transpose:
+    # M^T in row-major order is M in the column-major order LAPACK factors in place
+    MT = np.einsum("ij,jkl->jlik", ops.D1N_inv, -A,
+                   out=np.empty((N, n, N, n))).reshape(N * n, N * n)
+    MT.flat[::N * n + 1] += 1.0
+    return NewtonFactors(A, lu_factor(MT.T, overwrite_a=True, check_finite=False))
+
+
+def solve_state(problem, ops, U, x0=None, X_guess=None, config=SolverConfig(),
+                factors=None):
+    """Chord Newton solve of the collocated state equations for a fixed control.
 
     x0 defaults to the problem's initial state.  Returns the state stack
     (N+2, n): initial point, collocation values, and the quadrature
-    endpoint.  Convergence requires the defect G = D X - F(X, U) to fall
-    below max(newton_tol, 0.1 * tol_y) in the norm sqrt(sum_i w_i |G_i|^2)
-    that ``eval_residual`` reports for ``state_defect``.  Raises
-    NewtonDivergence when the iteration exhausts its budget or produces
-    non-finite values.
+    endpoint.  Steps use ``factors`` (by default taken at the first iterate)
+    and refactor whenever the defect fails to halve.  Convergence requires
+    the defect G = D X - F(X, U) to fall below max(newton_tol, 0.1 * tol_y)
+    in the norm sqrt(sum_i w_i |G_i|^2) that ``eval_residual`` reports for
+    ``state_defect``.  Raises NewtonDivergence when the iteration exhausts
+    its budget or produces non-finite values.
     """
     rule = ops.rule
     N, n = rule.order, problem.n
@@ -78,10 +103,8 @@ def solve_state(problem, ops, U, x0=None, X_guess=None, config=SolverConfig()):
     else:
         Xc = np.tile(x0, (N, 1))
 
-    Dinv = _trailing_inverse(ops)
-    eye = np.eye(N * n)
     target = max(config.newton_tol, 0.1 * config.tol_y)
-
+    prev = np.inf
     for _ in range(config.newton_max):
         Xfull = np.vstack([x0[None, :], Xc])
         F = problem.dynamics(Xc, U)
@@ -92,51 +115,44 @@ def solve_state(problem, ops, U, x0=None, X_guess=None, config=SolverConfig()):
         if defect <= target:
             XN1 = x0 + rule.weights @ F
             return np.vstack([Xfull, XN1[None, :]])
-        A = problem.dynamics_x(Xc, U)
+        if factors is None or defect > 0.5 * prev:
+            factors = newton_factors(problem, ops, Xc, U)
+        prev = defect
+        # J delta = -G with J = (D[:, 1:] x I) M
         Y = solve_D1N(ops, -G)
-        # Newton matrix preconditioned by the trailing-block inverse:
-        # (I - Dinv x blockdiag(A)) delta = Dinv (-G)
-        M = eye - np.einsum("ij,jkl->ikjl", Dinv, A).reshape(N * n, N * n)
-        delta = np.linalg.solve(M, Y.ravel()).reshape(N, n)
-        Xc = Xc + delta
+        Xc = Xc + lu_solve(factors.lu, Y.ravel(), check_finite=False).reshape(N, n)
 
     raise NewtonDivergence(
         f"state Newton did not reach its defect target in {config.newton_max} steps")
 
 
-def _trailing_inverse(ops):
-    N = ops.rule.order
-    return solve_D1N(ops, np.eye(N))
-
-
-def solve_costate(problem, ops, X, U, terminal):
+def solve_costate(problem, ops, X, U, terminal, factors=None):
     """Solve the collocated adjoint system for a given trajectory.
 
     The Hamiltonian is linear in the costate, so after scaling each
-    collocation row by its quadrature weight the system becomes a single
-    linear solve against the transposed trailing block.  Returns the
-    costate stack (N+2, n) whose first row satisfies the left endpoint
-    coupling identity and whose last row equals ``terminal``.
+    collocation row by its quadrature weight the system is the transpose of
+    the state Newton system at X, whose ``factors`` are computed when
+    omitted.  Returns the costate stack (N+2, n) whose first row satisfies
+    the left endpoint coupling identity and whose last row equals
+    ``terminal``.
     """
     rule = ops.rule
     N, n = rule.order, problem.n
     w = rule.weights
     terminal = np.asarray(terminal, dtype=float)
-    A = problem.dynamics_x(X[1:N + 1], U)
+    if factors is None:
+        factors = newton_factors(problem, ops, X[1:N + 1], U)
 
-    # row i of the weight-scaled adjoint system:
+    # row i of the weight-scaled adjoint system J^T Y = M^T (D1N^T x I) Y = rhs:
     #   (D1N^T Y)_i - A_i^T Y_i = w_i * Ddag[i, -1] * terminal,  Y_i = w_i Lam_i
     rhs = (w * ops.D_dagger[:, -1])[:, None] * terminal[None, :]
-    Yr = solve_D1N(ops, rhs, transposed=True)
-    DinvT = solve_D1N(ops, np.eye(N), transposed=True)
-    AT = np.transpose(A, (0, 2, 1))
-    M = np.eye(N * n) - np.einsum("ij,jkl->ikjl", DinvT, AT).reshape(N * n, N * n)
-    Y = np.linalg.solve(M, Yr.ravel()).reshape(N, n)
+    Z = lu_solve(factors.lu, rhs.ravel(), trans=1, check_finite=False)
+    Y = solve_D1N(ops, Z.reshape(N, n), transposed=True)
 
     Lam = np.empty((N + 2, n))
     Lam[1:N + 1] = Y / w[:, None]
     Lam[N + 1] = terminal
-    Lam[0] = terminal + w @ np.einsum("kij,ki->kj", A, Lam[1:N + 1])
+    Lam[0] = terminal + w @ np.einsum("kij,ki->kj", factors.A, Lam[1:N + 1])
     return Lam
 
 
@@ -174,7 +190,8 @@ def solve(problem, N, config=None, warm_start=None):
         X_seed = warm_start.X
 
     X = solve_state(problem, ops, U, X_guess=X_seed, config=config)
-    Lam = solve_costate(problem, ops, X, U, problem.cost_grad(X[N + 1]))
+    factors = newton_factors(problem, ops, X[1:N + 1], U)
+    Lam = solve_costate(problem, ops, X, U, problem.cost_grad(X[N + 1]), factors)
 
     history = []
     converged = False
@@ -199,7 +216,8 @@ def solve(problem, N, config=None, warm_start=None):
             U_t = problem.control_set.project(U - step * d)
             pred = float(np.sum(grad * (U_t - U)))
             try:
-                X_t = solve_state(problem, ops, U_t, X_guess=X, config=config)
+                X_t = solve_state(problem, ops, U_t, X_guess=X, config=config,
+                                  factors=factors)
             except NewtonDivergence:
                 step *= config.backtrack
                 continue
@@ -214,7 +232,8 @@ def solve(problem, N, config=None, warm_start=None):
             break
 
         U, X = U_t, X_t
-        Lam = solve_costate(problem, ops, X, U, problem.cost_grad(X[N + 1]))
+        factors = newton_factors(problem, ops, X[1:N + 1], U)
+        Lam = solve_costate(problem, ops, X, U, problem.cost_grad(X[N + 1]), factors)
 
     traj = Trajectory(nodes=nodes, X=X, U=U, Lambda=Lam)
     report = eval_residual(problem, ops, traj)

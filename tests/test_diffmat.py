@@ -61,6 +61,12 @@ class TestBuildOperators:
         p = _support(rule) ** 2
         np.testing.assert_allclose(ops.D @ p, 2 * rule.nodes, atol=1e-13)
 
+    @pytest.mark.parametrize("N", [1, 7, 60])
+    def test_stores_read_only_trailing_inverse(self, N):
+        ops = build_operators(gauss_rule(N))
+        np.testing.assert_allclose(ops.D[:, 1:] @ ops.D1N_inv, np.eye(N), atol=1e-12)
+        assert not ops.D1N_inv.flags.writeable
+
     @pytest.mark.parametrize("N", [1, 2, 5, 20, 80, 300])
     def test_row_sums_vanish(self, N):
         # entries grow like N^2, so allow the summation's own rounding

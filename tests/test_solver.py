@@ -1,13 +1,21 @@
 """State solve, costate solve, and the outer control iteration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import gausscolloc.solver as solver_module
 from gausscolloc import (BUILTIN_NAMES, ControlProblem, ControlSet,
-                         SolverConfig, build_operators, builtin, eval_residual,
-                         full_grid, gauss_rule, hager_optimal_cost, omega_norm,
-                         solve, solve_costate, solve_state)
-from gausscolloc.errors import NewtonDivergence
+                         SolverConfig, Trajectory, build_operators, builtin,
+                         eval_residual, full_grid, gauss_rule,
+                         hager_optimal_cost, omega_norm, solve, solve_costate,
+                         solve_state)
+from gausscolloc.errors import DimensionMismatch, NewtonDivergence
+from gausscolloc.solver import newton_factors
 
 
 def _frozen_problem():
@@ -60,6 +68,34 @@ def _blowup_problem():
         control_set=ControlSet.unconstrained())
 
 
+def _cubic_problem():
+    """Two states with cubic decay and a sin(3 x1) gain: f_x varies strongly."""
+    def dynamics(X, U):
+        return np.stack([-X[:, 0] ** 3 + U[:, 0],
+                         np.sin(3 * X[:, 0]) * X[:, 1]], axis=1)
+
+    def dynamics_x(X, U):
+        A = np.zeros((len(X), 2, 2))
+        A[:, 0, 0] = -3 * X[:, 0] ** 2
+        A[:, 1, 0] = 3 * np.cos(3 * X[:, 0]) * X[:, 1]
+        A[:, 1, 1] = np.sin(3 * X[:, 0])
+        return A
+
+    return ControlProblem(
+        name="cubic", n=2, m=1,
+        dynamics=dynamics,
+        dynamics_x=dynamics_x,
+        dynamics_u=lambda X, U: np.tile([[[1.0], [0.0]]], (len(X), 1, 1)),
+        cost=lambda x: float(x[0]),
+        cost_grad=lambda x: np.array([1.0, 0.0]),
+        cost_hess=lambda x: np.zeros((2, 2)),
+        ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 2, 2)),
+        ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 2)),
+        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
+        x0=np.array([2.0, 1.0]),
+        control_set=ControlSet.unconstrained())
+
+
 class TestSolveState:
     def test_zero_dynamics_keeps_initial_state(self):
         problem = _frozen_problem()
@@ -100,6 +136,35 @@ class TestSolveState:
         with pytest.raises(NewtonDivergence):
             solve_state(problem, ops, np.zeros((12, 1)))
 
+    def test_chord_refactors_away_from_distant_factors(self):
+        # chord steps on factors taken at x = 6 stall; the iteration must
+        # refactor and land on the state a fresh factorization gives
+        problem = _cubic_problem()
+        N = 24
+        ops = build_operators(gauss_rule(N))
+        U = np.linspace(-1.0, 1.0, N)[:, None]
+        config = SolverConfig(tol_y=1e-12)
+        distant = newton_factors(problem, ops, np.full((N, 2), 6.0), U)
+        fresh = solve_state(problem, ops, U, config=config)
+        X = solve_state(problem, ops, U, config=config, factors=distant)
+        assert np.max(np.abs(X - fresh)) <= 1e-12
+
+        blowup = _blowup_problem()
+        factors = newton_factors(blowup, ops, np.full((N, 1), 10.0), np.zeros((N, 1)))
+        with pytest.raises(NewtonDivergence):
+            solve_state(blowup, ops, np.zeros((N, 1)), factors=factors)
+
+    def test_jacobian_of_wrong_shape_is_rejected(self):
+        problem = _integrator_problem()
+        ops = build_operators(gauss_rule(5))
+        flat = replace(problem, dynamics_x=lambda X, U: np.zeros((len(X), 1)))
+        with pytest.raises(DimensionMismatch):
+            solve_state(flat, ops, np.ones((5, 1)))
+        # a non-finite defect is reported first, whatever the shapes
+        nan = replace(flat, dynamics=lambda X, U: np.full(1, np.nan))
+        with pytest.raises(NewtonDivergence):
+            solve_state(nan, ops, np.ones((5, 1)))
+
 
 class TestSolveCostate:
     def test_state_independent_hamiltonian(self):
@@ -120,19 +185,19 @@ class TestSolveCostate:
         Lam = solve_costate(problem, ops, X, U, terminal)
         np.testing.assert_array_equal(Lam[-1], terminal)
 
-    def test_costate_blocks_of_residual_vanish(self):
-        from gausscolloc.transcription import Trajectory
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), N=st.integers(2, 40))
+    def test_costate_blocks_of_residual_vanish(self, data, N):
         problem = builtin("hager84-constrained")
-        rule = gauss_rule(10)
+        rule = gauss_rule(N)
         ops = build_operators(rule)
-        rng = np.random.default_rng(21)
-        U = rng.uniform(-0.5, 1.0, (10, 1))
+        U = data.draw(arrays(float, (N, 1), elements=st.floats(-2.0, 2.0)))
         X = solve_state(problem, ops, U)
         Lam = solve_costate(problem, ops, X, U, problem.cost_grad(X[-1]))
         traj = Trajectory(nodes=full_grid(rule), X=X, U=U, Lambda=Lam)
         res = eval_residual(problem, ops, traj)
-        assert np.max(np.abs(res.costate_defect)) <= 1e-10
-        assert np.max(np.abs(res.transversality)) <= 1e-10
+        for block in (res.costate_defect, res.costate_endpoint, res.transversality):
+            assert np.max(np.abs(block)) <= 1e-10
 
     def test_approximates_analytic_costate(self):
         problem = builtin("hager84-constrained")
@@ -228,6 +293,22 @@ class TestSolve:
         assert report.converged
         defect = omega_norm(gauss_rule(N), report.residual.state_defect)
         assert defect <= max(config.newton_tol, 0.1 * config.tol_y)
+
+    @pytest.mark.parametrize("N", [10, 80, 320])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_one_factorization_per_accepted_iterate(self, name, N, monkeypatch):
+        # one inside the first state solve, then one per accepted iterate:
+        # line-search trials reuse the factors of the iterate they start from
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return newton_factors(*args)
+
+        monkeypatch.setattr(solver_module, "newton_factors", counted)
+        report = solve(builtin(name), N)
+        assert report.converged
+        assert len(calls) == report.outer_iters + 1
 
     def test_exhausted_budget_reported_not_raised(self):
         config = SolverConfig(tol_y=1e-30, max_outer=3)
