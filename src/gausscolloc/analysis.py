@@ -16,7 +16,11 @@ Four study families, each returning plain report objects:
 
 Dense-grid evaluation uses a 2048-panel composite 8-point Gauss rule, so
 singular endpoint weights are only ever evaluated at interior points; sup
-norms additionally sample a uniform grid including both endpoints.
+norms additionally sample a uniform grid including both endpoints.  The
+appendix1 sup walks that grid in blocks of ``SUP_BLOCK`` rows and keeps a
+running per-column maximum of max(v) and -min(v), which is exactly max|v|,
+so memory stays bounded by one block of polynomial values whatever the
+order and sample count.
 """
 from __future__ import annotations
 
@@ -32,6 +36,10 @@ from .solver import SolverConfig, solve
 
 PANELS = 2048
 PANEL_ORDER = 8
+# sup-grid rows evaluated at once by the appendix1 suite
+SUP_BLOCK = 512
+APPENDIX1_ORDERS = (2, 4, 8, 16, 32, 64)
+APPENDIX2_ORDERS = (4, 8, 16, 32, 64)
 
 
 @lru_cache(maxsize=1)
@@ -211,40 +219,62 @@ def _antiderivative_coeffs(a):
     return b
 
 
+def _integrated_coeffs(deriv_nodes, deriv_values):
+    """Legendre coefficients (N+1, cols) of the degree-N antiderivatives,
+    vanishing at -1, of the interpolants of deriv_values (cols, N) given at
+    deriv_nodes."""
+    N = deriv_nodes.size
+    quad = gauss_rule(N)
+    T = barycentric_matrix(deriv_nodes, quad.nodes)
+    Pg = legendre_table(N - 1, quad.nodes)
+    pg = deriv_values @ T.T
+    scale = ((2.0 * np.arange(N) + 1.0) / 2.0)[:, None]
+    a = (Pg * quad.weights[None, :]) @ pg.T * scale
+    return _antiderivative_coeffs(a)
+
+
 def _integrated_sup(deriv_nodes, deriv_values):
     """Sup over [-1,1] of antiderivatives of interpolated derivative data.
 
     deriv_values: (cols, N) prescribed derivative samples at deriv_nodes.
     Returns per-column maxima of |p| on the dense sup grid, where p is the
-    degree-N antiderivative of the interpolant with p(-1) = 0.
+    degree-N antiderivative of the interpolant with p(-1) = 0.  The grid is
+    evaluated SUP_BLOCK rows at a time.
     """
     N = deriv_nodes.size
-    quad = gauss_rule(N)
-    T = barycentric_matrix(deriv_nodes, quad.nodes)
-    Pg = legendre_table(N - 1, quad.nodes)
-    Psup = legendre_table(N, _sup_grid())
-    pg = deriv_values @ T.T
-    scale = ((2.0 * np.arange(N) + 1.0) / 2.0)[:, None]
-    a = (Pg * quad.weights[None, :]) @ pg.T * scale
-    b = _antiderivative_coeffs(a)
-    return np.max(np.abs(Psup.T @ b), axis=0)
+    b = _integrated_coeffs(deriv_nodes, deriv_values)
+    grid = _sup_grid()
+    sup = np.zeros(b.shape[1])
+    for start in range(0, grid.size, SUP_BLOCK):
+        v = legendre_table(N, grid[start:start + SUP_BLOCK]).T @ b
+        np.maximum(sup, v.max(axis=0), out=sup)
+        np.maximum(sup, -v.min(axis=0), out=sup)
+    return sup
 
 
-def verify_appendix1(orders=(2, 4, 8, 16, 32, 64), samples=1000,
-                     kind="gauss", seed=7):
+def _order_list(suite, orders, smallest):
+    """orders as a list of ints; an empty one would certify nothing."""
+    orders = [int(N) for N in orders]
+    if not orders:
+        raise ValueError(f"{suite} has no order to check; its smallest order is {smallest}")
+    return orders
+
+
+def verify_appendix1(orders=APPENDIX1_ORDERS, samples=1000, kind="gauss", seed=7):
     """Certify the uniform bound sup|p| <= 2 on random antiderivatives.
 
     For each order, `samples` random derivative vectors with entries in
     [-1, 1] are prescribed at the chosen node family, interpolated, and
     integrated from -1; the bound is checked on a dense grid.  The
     extremal derivative data (all ones) must attain the bound exactly.
+    An empty `orders` raises ValueError, as it would certify nothing.
     """
+    orders = _order_list("appendix1", orders, APPENDIX1_ORDERS[0])
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
     rows = []
     for N in orders:
-        N = int(N)
         nodes = gauss_rule(N).nodes if kind == "gauss" else radau_rule(N).nodes
         vals = rng.uniform(-1.0, 1.0, size=(samples, N))
         max_abs = float(np.max(_integrated_sup(nodes, vals)))
@@ -339,22 +369,23 @@ def project_psi(u, udot, N, kmax=None):
     return coeffs
 
 
-def verify_appendix2(u, udot, orders=(4, 8, 16, 32, 64), kmax=12):
+def verify_appendix2(u, udot, orders=APPENDIX2_ORDERS, kmax=12):
     """Check the projection inequality err0 <= err1 / N for one function.
 
     u must vanish at both endpoints.  err0 is the endpoint-weighted L2
     error of the projection, err1 the L2 error of its derivative; the
-    report also carries the psi norm table and orthogonality check.
+    report also carries the psi norm table and orthogonality check.  An
+    empty `orders` raises ValueError.
     """
+    orders = _order_list("appendix2", orders, APPENDIX2_ORDERS[0])
     pts, wts = _dense_grid()
-    table_k = max(kmax, max(int(N) for N in orders))
+    table_k = max(kmax, max(orders))
     P, psi, dpsi, one_m = _psi_tables(table_k)
     uvals = u(pts)
     duvals = udot(pts)
 
     rows = []
     for N in orders:
-        N = int(N)
         coeffs = project_psi(u, udot, N, kmax=table_k)
         piN = coeffs @ psi[1:N]
         dpiN = coeffs @ dpsi[1:N]

@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (APPENDIX2_FUNCTIONS, INTERP_FUNCTIONS, convergence_study,
-                       run_interp_suite, verify_appendix1, verify_appendix2)
+from .analysis import (APPENDIX1_ORDERS, APPENDIX2_FUNCTIONS, APPENDIX2_ORDERS,
+                       INTERP_FUNCTIONS, convergence_study, run_interp_suite,
+                       verify_appendix1, verify_appendix2)
 from .diffmat import build_operators, check_P1, check_P2
 from .errors import GaussCollocError, NewtonDivergence, UnknownProblem
 from .problem import BUILTIN_NAMES, builtin
@@ -152,7 +153,7 @@ def cmd_solve(args):
 
 
 def _verify_appendix1(args):
-    orders = [n for n in (2, 4, 8, 16, 32, 64) if n <= args.n_max]
+    orders = [n for n in APPENDIX1_ORDERS if n <= args.n_max]
     report = verify_appendix1(orders=orders, samples=args.samples,
                               kind=args.kind, seed=args.seed)
     return {
@@ -167,7 +168,7 @@ def _verify_appendix1(args):
 
 
 def _verify_appendix2(args):
-    orders = [n for n in (4, 8, 16, 32, 64) if n <= args.n_max]
+    orders = [n for n in APPENDIX2_ORDERS if n <= args.n_max]
     names = list(APPENDIX2_FUNCTIONS) if args.function in (None, "all") \
         else [args.function]
     for name in names:

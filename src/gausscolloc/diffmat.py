@@ -11,13 +11,14 @@ Two rectangular operators are built from one Gauss rule:
 
 The trailing square block D[:, 1:] is LU-factored once so repeated linear
 solves against it (and its transpose) stay cheap; its inverse is formed once.
+``scipy.linalg`` is imported by the functions that factor or solve, so
+importing this module (and the interpolation helpers) does not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import DimensionMismatch, SingularMatrix
 from .quadrature import QuadratureRule
@@ -116,6 +117,8 @@ class P2Report:
 
 
 def _checked_lu(mat):
+    from scipy.linalg import lu_factor
+
     lu, piv = lu_factor(mat, check_finite=False)
     diag = np.abs(np.diag(lu))
     if not np.all(np.isfinite(lu)) or np.any(diag == 0.0):
@@ -125,6 +128,8 @@ def _checked_lu(mat):
 
 def build_operators(rule):
     """Build D, D_dagger, and the LU factors and inverse of D[:, 1:]."""
+    from scipy.linalg import lu_solve
+
     if rule.kind != "gauss":
         raise ValueError("collocation operators require a Gauss rule")
     N = rule.order
@@ -148,6 +153,8 @@ def solve_D1N(ops, rhs, transposed=False):
     rhs has shape (N,) or (N, k); the n state components of a stacked
     system are passed as k right-hand-side columns.
     """
+    from scipy.linalg import lu_solve
+
     b = np.asarray(rhs, dtype=float)
     N = ops.rule.order
     if b.shape[0] != N:

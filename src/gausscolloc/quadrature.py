@@ -48,8 +48,17 @@ def _legendre_body(degree, x):
         return x.copy(), np.ones_like(x)
     pm1 = np.ones_like(x)
     p = x.copy()
+    t = np.empty_like(x)
     for k in range(1, degree):
-        pm1, p = p, ((2 * k + 1) * x * p - k * pm1) / (k + 1)
+        # t = ((2k+1) x p - k pm1) / (k+1) in place, in that operation order;
+        # float scalars hold the integers exactly and dispatch faster
+        c = float(k)
+        np.multiply(2.0 * c + 1.0, x, out=t)
+        t *= p
+        pm1 *= c
+        t -= pm1
+        t /= c + 1.0
+        pm1, p, t = p, t, pm1
     # (1 - t^2) P_n'(t) = n (P_{n-1}(t) - t P_n(t)); closed form at t = +-1
     at_end = np.abs(np.abs(x) - 1.0) < 1e-300
     denom = np.where(at_end, 1.0, (1.0 - x) * (1.0 + x))
@@ -67,8 +76,16 @@ def legendre_table(kmax, t):
     P[0] = 1.0
     if kmax >= 1:
         P[1] = x
+    s = np.empty_like(x)
     for k in range(1, kmax):
-        P[k + 1] = ((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1)
+        # P_{k+1} = ((2k+1) x P_k - k P_{k-1}) / (k+1), as in _legendre_body
+        c = float(k)
+        out = P[k + 1, ...]
+        np.multiply(2.0 * c + 1.0, x, out=out)
+        out *= P[k]
+        np.multiply(c, P[k - 1], out=s)
+        out -= s
+        out /= c + 1.0
     return P
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .diffmat import build_operators, solve_D1N
 from .errors import DimensionMismatch, NewtonDivergence
@@ -70,6 +69,8 @@ class NewtonFactors(NamedTuple):
 def newton_factors(problem, ops, Xc, U):
     """Evaluate f_x at the collocation states Xc (N, n) and factor M;
     raises DimensionMismatch unless f_x is an (N, n, n) stack."""
+    from scipy.linalg import lu_factor
+
     N, n = ops.rule.order, problem.n
     A = problem.dynamics_x(Xc, U)
     if np.shape(A) != (N, n, n):
@@ -95,6 +96,8 @@ def solve_state(problem, ops, U, x0=None, X_guess=None, config=SolverConfig(),
     ``state_defect``.  Raises NewtonDivergence when the iteration exhausts
     its budget or produces non-finite values.
     """
+    from scipy.linalg import lu_solve
+
     rule = ops.rule
     N, n = rule.order, problem.n
     x0 = np.asarray(problem.x0 if x0 is None else x0, dtype=float)
@@ -136,6 +139,8 @@ def solve_costate(problem, ops, X, U, terminal, factors=None):
     the left endpoint coupling identity and whose last row equals
     ``terminal``.
     """
+    from scipy.linalg import lu_solve
+
     rule = ops.rule
     N, n = rule.order, problem.n
     w = rule.weights

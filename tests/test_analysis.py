@@ -1,12 +1,17 @@
 """Rate fitting and the verification studies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gausscolloc import (builtin, convergence_study, fit_rate,
-                         interpolation_study, psi_norm_table, run_interp_suite,
-                         verify_appendix1, verify_appendix2)
-from gausscolloc.analysis import APPENDIX2_FUNCTIONS, INTERP_FUNCTIONS
+from gausscolloc import (builtin, convergence_study, fit_rate, gauss_rule,
+                         interpolation_study, psi_norm_table, radau_rule,
+                         run_interp_suite, verify_appendix1, verify_appendix2)
+from gausscolloc import analysis
+from gausscolloc.analysis import (APPENDIX2_FUNCTIONS, INTERP_FUNCTIONS,
+                                  _integrated_coeffs, _integrated_sup, _sup_grid)
+from gausscolloc.quadrature import legendre_table
 
 
 class TestFitRate:
@@ -90,6 +95,40 @@ class TestAppendix1:
         with pytest.raises(ValueError, match="positive"):
             verify_appendix1(samples=0)
 
+    def test_rejects_empty_orders(self):
+        with pytest.raises(ValueError, match="appendix1 .* smallest order is 2"):
+            verify_appendix1(orders=())
+
+    def test_orders_may_be_an_iterator(self):
+        report = verify_appendix1(orders=iter([2, 4]), samples=8)
+        assert [r.order for r in report.rows] == [2, 4]
+
+    @pytest.mark.parametrize("block", [None, 1000, 18433, 20000])
+    @pytest.mark.parametrize("N, kind", [(3, "radau"), (17, "gauss"), (64, "gauss")])
+    def test_blocked_sup_matches_full_grid(self, monkeypatch, block, N, kind):
+        # the sup grid has 18433 points, so no block size below divides it
+        assert _sup_grid().size == 18433
+        if block is not None:
+            monkeypatch.setattr(analysis, "SUP_BLOCK", block)
+        nodes = (gauss_rule if kind == "gauss" else radau_rule)(N).nodes
+        vals = np.vstack([np.ones(N),
+                          np.random.default_rng(N).uniform(-1.0, 1.0, (40, N))])
+        b = _integrated_coeffs(nodes, vals)
+        full = np.max(np.abs(legendre_table(N, _sup_grid()).T @ b), axis=0)
+        np.testing.assert_allclose(_integrated_sup(nodes, vals), full,
+                                   rtol=0.0, atol=1e-15)
+
+    def test_peak_memory_is_bounded(self):
+        # one block of the sup grid at a time; the full grid took ~300 MB
+        tracemalloc.start()
+        try:
+            report = verify_appendix1(orders=(64,), samples=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 32 * 2**20
+
 
 class TestAppendix2:
     def test_psi_norm_closed_forms(self):
@@ -112,6 +151,17 @@ class TestAppendix2:
         for row in report.rows:
             assert row.err0 <= 1e-11
             assert row.err1 <= 1e-10
+
+    def test_rejects_empty_orders(self):
+        u, udot = APPENDIX2_FUNCTIONS["sinpi"]
+        with pytest.raises(ValueError, match="appendix2 .* smallest order is 4"):
+            verify_appendix2(u, udot, orders=[])
+
+    def test_orders_may_be_an_iterator(self):
+        # max() over the orders used to exhaust an iterator: no rows, a vacuous pass
+        u, udot = APPENDIX2_FUNCTIONS["sinpi"]
+        report = verify_appendix2(u, udot, orders=iter([4, 8]))
+        assert [r.order for r in report.rows] == [4, 8]
 
     @pytest.mark.parametrize("name", sorted(APPENDIX2_FUNCTIONS))
     def test_registered_functions_pass(self, name):

@@ -1,10 +1,17 @@
 """Command-line front end, exercised in process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from gausscolloc.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(capsys, *argv):
@@ -166,6 +173,14 @@ class TestVerify:
         assert code == 3
         assert "sawtooth" in err
 
+    @pytest.mark.parametrize("suite, n_max, smallest",
+                             [("appendix1", "1", 2), ("appendix2", "3", 4)])
+    def test_no_order_below_n_max_is_usage_error(self, capsys, suite, n_max, smallest):
+        code, out, err = _run(capsys, "verify", "--suite", suite, "--n-max", n_max)
+        assert code == 3
+        assert out == ""
+        assert f"{suite} has no order to check; its smallest order is {smallest}" in err
+
     def test_out_writes_payload_and_manifest(self, capsys, tmp_path):
         target = tmp_path / "a1.json"
         code, _, _ = _run(capsys, "verify", "--suite", "appendix1",
@@ -214,3 +229,37 @@ class TestConvergence:
                             "hager84-constrained", "--n-list", "4:40")
         assert code == 3
         assert "start:step:stop" in err
+
+
+def test_scipy_linalg_loads_only_to_factor():
+    # a fresh interpreter: the verify suites never factor, solve does
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from gausscolloc.cli import main
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(list(argv))
+            return code, out.getvalue()
+
+        seen = {"import": "scipy.linalg" in sys.modules}
+        for argv in (["verify", "--suite", "interp"],
+                     ["verify", "--suite", "appendix1", "--n-max", "4", "--samples", "20"],
+                     ["verify", "--suite", "appendix2", "--n-max", "8"]):
+            assert run(*argv)[0] == 0
+            seen[argv[2]] = "scipy.linalg" in sys.modules
+        code, out = run("solve", "--problem", "hager84-constrained", "--N", "10")
+        seen["solve"] = "scipy.linalg" in sys.modules
+        print(json.dumps({"seen": seen, "exit": code,
+                          "converged": json.loads(out)["converged"]}))
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["seen"] == {"import": False, "interp": False, "appendix1": False,
+                              "appendix2": False, "solve": True}
+    assert result["exit"] == 0 and result["converged"] is True

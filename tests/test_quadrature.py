@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import eval_jacobi
 
 from gausscolloc import gauss_rule, integrate, radau_rule
 from gausscolloc.errors import DimensionMismatch
-from gausscolloc.quadrature import (legendre_deriv_table, legendre_eval,
+from gausscolloc.quadrature import (ROOT_MAX_ITER, ROOT_TOL, _legendre_body,
+                                    legendre_deriv_table, legendre_eval,
                                     legendre_table)
 
 
@@ -42,6 +46,56 @@ class TestLegendreEval:
             val, der = legendre_eval(k, t)
             np.testing.assert_allclose(P[k], val, atol=1e-14)
             np.testing.assert_allclose(dP[k], der, atol=2e-13)
+
+
+def _textbook_legendre(degree, x):
+    """P_degree and P_degree' by the plain three-term recurrence."""
+    pm1, p = np.ones_like(x), x.copy()
+    if degree == 0:
+        return pm1, np.zeros_like(x)
+    for k in range(1, degree):
+        pm1, p = p, ((2 * k + 1) * x * p - k * pm1) / (k + 1)
+    if degree == 1:
+        return p, np.ones_like(x)
+    at_end = np.abs(x) == 1.0
+    dp = degree * (pm1 - x * p) / np.where(at_end, 1.0, (1.0 - x) * (1.0 + x))
+    end_val = np.sign(x) ** (degree - 1) * degree * (degree + 1) / 2.0
+    return p, np.where(at_end, end_val, dp)
+
+
+def _textbook_gauss_nodes(N):
+    """Gauss nodes by safeguarded Newton on the textbook recurrence, with the
+    guesses, stopping rule and symmetrization that gauss_rule documents."""
+    i = np.arange(1, N + 1)
+    x = np.cos(np.pi * (4 * i - 1) / (4 * N + 2))
+    for _ in range(ROOT_MAX_ITER):
+        p, dp = _textbook_legendre(N, x)
+        xn = x - p / dp
+        outside = np.abs(xn) >= 1.0
+        while np.any(outside):
+            xn = np.where(outside, 0.5 * (x + xn), xn)
+            outside = np.abs(xn) >= 1.0
+        done = np.max(np.abs(xn - x)) <= ROOT_TOL
+        x = xn
+        if done:
+            break
+    x = np.sort(x)
+    return 0.5 * (x - x[::-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree=st.integers(0, 400),
+       pts=arrays(float, st.integers(0, 30), elements=st.floats(-1.0, 1.0)))
+def test_in_place_recurrences_are_bit_identical_to_textbook(degree, pts):
+    x = np.concatenate([[-1.0, 1.0], pts])
+    p, dp = _textbook_legendre(degree, x)
+    for got_p, got_dp in (legendre_eval(degree, x), _legendre_body(degree, x)):
+        np.testing.assert_array_equal(got_p, p)
+        np.testing.assert_array_equal(got_dp, dp)
+    np.testing.assert_array_equal(legendre_table(degree, x)[-1], p)
+    if degree >= 1:
+        np.testing.assert_array_equal(gauss_rule(degree).nodes,
+                                      _textbook_gauss_nodes(degree))
 
 
 class TestGaussRule:
