@@ -106,7 +106,8 @@ class TestAppendix1:
     @pytest.mark.parametrize("block", [None, 1000, 18433, 20000])
     @pytest.mark.parametrize("N, kind", [(3, "radau"), (17, "gauss"), (64, "gauss")])
     def test_blocked_sup_matches_full_grid(self, monkeypatch, block, N, kind):
-        # the sup grid has 18433 points, so no block size below divides it
+        # 18433 grid points: blocks of 512 and 1000 leave a short last block,
+        # 18433 and 20000 make a single block
         assert _sup_grid().size == 18433
         if block is not None:
             monkeypatch.setattr(analysis, "SUP_BLOCK", block)
@@ -119,7 +120,7 @@ class TestAppendix1:
                                    rtol=0.0, atol=1e-15)
 
     def test_peak_memory_is_bounded(self):
-        # one block of the sup grid at a time; the full grid took ~300 MB
+        # a full-grid table times 1000 columns would be ~150 MB at N = 64
         tracemalloc.start()
         try:
             report = verify_appendix1(orders=(64,), samples=1000)
@@ -158,7 +159,7 @@ class TestAppendix2:
             verify_appendix2(u, udot, orders=[])
 
     def test_orders_may_be_an_iterator(self):
-        # max() over the orders used to exhaust an iterator: no rows, a vacuous pass
+        # the orders are read twice: for the table size, then for the rows
         u, udot = APPENDIX2_FUNCTIONS["sinpi"]
         report = verify_appendix2(u, udot, orders=iter([4, 8]))
         assert [r.order for r in report.rows] == [4, 8]
