@@ -16,9 +16,8 @@ from .diffmat import (CollocationOperators, barycentric_interpolate,
                       build_operators, check_P1, check_P2,
                       differentiation_matrix, solve_D1N)
 from .problem import (AnalyticSolution, BUILTIN_NAMES, ControlProblem,
-                      ControlSet, Dynamics, Linearization, RunningCost,
-                      audit_derivatives, augment_bolza, builtin,
-                      hager_optimal_cost, linearize_at, map_domain)
+                      ControlSet, Dynamics, RunningCost, audit_derivatives,
+                      augment_bolza, builtin, hager_optimal_cost, map_domain)
 from .transcription import (Residual, Trajectory,
                             costate_to_multipliers,
                             eval_residual, full_grid, interpolate_trajectory,
@@ -40,8 +39,8 @@ __all__ = [
     "differentiation_matrix", "barycentric_interpolate",
     "check_P1", "check_P2",
     "ControlProblem", "ControlSet", "Dynamics", "RunningCost",
-    "AnalyticSolution", "Linearization", "augment_bolza", "map_domain",
-    "linearize_at", "audit_derivatives", "builtin", "BUILTIN_NAMES",
+    "AnalyticSolution", "augment_bolza", "map_domain",
+    "audit_derivatives", "builtin", "BUILTIN_NAMES",
     "hager_optimal_cost",
     "Trajectory", "Residual", "eval_residual", "omega_norm",
     "full_grid", "costate_to_multipliers", "multipliers_to_costate",

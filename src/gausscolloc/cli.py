@@ -35,6 +35,8 @@ from .solver import SolverConfig, solve
 
 USAGE_EXIT = 3
 NUMERIC_EXIT = 2
+_ORDERS = range(1, 1001)
+_ORDER_RULE = "order must be between 1 and 1000"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +77,8 @@ def _write_manifest(out, command, args, seed):
 
 
 def _parse_n_list(text):
-    """Accept 'a:step:b' ranges or comma-separated lists of orders."""
+    """Accept 'a:step:b' ranges or comma-separated lists of orders; every
+    listed order, and both ends of a range, must lie in 1..1000."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -83,8 +86,13 @@ def _parse_n_list(text):
         a, s, b = (int(p) for p in parts)
         if s <= 0 or b < a:
             raise ValueError("range needs positive step and stop >= start")
-        return list(range(a, b + 1, s))
-    return [int(p) for p in text.split(",") if p.strip()]
+        orders, ends = range(a, b + 1, s), (a, b)
+    else:
+        orders = ends = [int(p) for p in text.split(",") if p.strip()]
+    for n in ends:
+        if n not in _ORDERS:
+            raise ValueError(f"{_ORDER_RULE}, got {n}")
+    return list(orders)
 
 
 def cmd_nodes(args):
@@ -245,8 +253,8 @@ def cmd_convergence(args):
 
 def _order_in_range(text):
     n = int(text)
-    if not 1 <= n <= 1000:
-        raise argparse.ArgumentTypeError("order must be between 1 and 1000")
+    if n not in _ORDERS:
+        raise argparse.ArgumentTypeError(_ORDER_RULE)
     return n
 
 

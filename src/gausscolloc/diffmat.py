@@ -60,21 +60,24 @@ def barycentric_matrix(nodes, t):
     """Evaluation matrix of interpolation through `nodes` at points t.
 
     Row q of the result holds the Lagrange basis values at t[q]; query
-    points that coincide with a node get a one-hot row.
+    points that coincide with a node, or lie so close to one that the
+    barycentric quotient overflows, get a one-hot row.
     """
     nodes = np.asarray(nodes, dtype=float)
     x = np.atleast_1d(np.asarray(t, dtype=float))
     w = barycentric_weights(nodes)
     diff = np.subtract.outer(x, nodes)
-    hit = diff == 0.0
-    diff = np.where(hit, 1.0, diff)
-    kernel = w[None, :] / diff
-    kernel /= np.sum(kernel, axis=1)[:, None]
+    with np.errstate(divide="ignore", over="ignore"):
+        kernel = w[None, :] / diff
+    # an exact hit divides by zero and a near one can overflow: both rows
+    # become one-hot at that node before the rows are normalized
+    hit = (diff == 0.0) | np.isinf(kernel)
     exact_rows = np.any(hit, axis=1)
     if np.any(exact_rows):
         kernel[exact_rows] = 0.0
         rows = np.where(exact_rows)[0]
         kernel[rows, np.argmax(hit[rows], axis=1)] = 1.0
+    kernel /= np.sum(kernel, axis=1)[:, None]
     return kernel
 
 

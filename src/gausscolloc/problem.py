@@ -7,17 +7,18 @@ through a Euclidean projection.  Helpers convert the two common departures
 from that normal form: ``augment_bolza`` folds a running cost into an extra
 integrator state, and ``map_domain`` rescales a problem posed on [a, b].
 
-Every problem carries callbacks for first and second derivatives of the
-dynamics, cost, and Hamiltonian H = lambda . f(x, u); ``audit_derivatives``
-cross-checks the supplied derivatives against central finite differences at
-random points and is run for every built-in problem at construction.
+Every problem carries the callbacks the solver reads: the dynamics and its
+Jacobians, the terminal cost and its gradient, and the control Hessian
+H_uu of the Hamiltonian H = lambda . f(x, u), whose positive definiteness
+scales the descent step.  ``audit_derivatives`` cross-checks the supplied
+derivatives against central finite differences at random points and is run
+for every built-in problem at construction.
 
 Dynamics and Hamiltonian callbacks are evaluated once per grid: they take
 stacks of K rows, X (K, n), U (K, m) and Lam (K, n), and return one result
-per row: f (K, n), f_x (K, n, n), f_u (K, n, m), H_xx (K, n, n),
-H_ux (K, m, n), H_uu (K, m, m).  A ``RunningCost`` follows the same layout,
-with value (K,).  The terminal cost and its derivatives stay pointwise:
-C(x) is a float, C_x (n,) and C_xx (n, n).
+per row: f (K, n), f_x (K, n, n), f_u (K, n, m), H_uu (K, m, m).  A
+``RunningCost`` follows the same layout, with value (K,).  The terminal
+cost and its gradient stay pointwise: C(x) is a float and C_x (n,).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationFailure, UnknownProblem
+from .errors import DimensionMismatch, EvaluationFailure, UnknownProblem
 
 
 @dataclass(frozen=True)
@@ -86,26 +87,20 @@ class RunningCost:
     value: Callable
     grad_x: Callable
     grad_u: Callable
-    hess_xx: Callable
-    hess_ux: Callable
     hess_uu: Callable
 
 
 @dataclass(frozen=True)
 class Dynamics:
-    """Dynamics block of a problem before a cost is attached.
-
-    ham_hess_* are second derivatives of H = lambda . f(x, u) with respect
-    to the indicated variables, at fixed lambda.
-    """
+    """Dynamics block of a problem before a cost is attached: f, its
+    Jacobians f_x and f_u, and ham_hess_uu, the second derivative of
+    H = lambda . f(x, u) in u at fixed lambda."""
 
     n: int
     m: int
     f: Callable
     jac_x: Callable
     jac_u: Callable
-    ham_hess_xx: Callable
-    ham_hess_ux: Callable
     ham_hess_uu: Callable
     x0: np.ndarray
     control_set: ControlSet
@@ -123,9 +118,6 @@ class ControlProblem:
     dynamics_u: Callable
     cost: Callable
     cost_grad: Callable
-    cost_hess: Callable
-    ham_hess_xx: Callable
-    ham_hess_ux: Callable
     ham_hess_uu: Callable
     x0: np.ndarray
     control_set: ControlSet
@@ -136,38 +128,13 @@ class ControlProblem:
         return np.einsum("kij,ki->kj", self.dynamics_x(X, U), Lam)
 
     def ham_u(self, X, U, Lam):
-        """Gradient of H = lambda . f with respect to u, per row: (K, m)."""
-        return np.einsum("kij,ki->kj", self.dynamics_u(X, U), Lam)
-
-
-@dataclass(frozen=True)
-class Linearization:
-    """Derivative blocks stacked over rows: A = f_x, B = f_u, Q = H_xx,
-    S = H_ux, R = H_uu; T = C_xx is the single terminal cost Hessian."""
-
-    A: np.ndarray
-    B: np.ndarray
-    Q: np.ndarray
-    S: np.ndarray
-    R: np.ndarray
-    T: np.ndarray
-
-
-def linearize_at(problem, X, U, Lam, terminal_x=None):
-    """Evaluate the Linearization blocks on stacks X, U, Lam.
-
-    T is the cost Hessian, evaluated at ``terminal_x`` when given and at
-    the last row of ``X`` otherwise.
-    """
-    xt = X[-1] if terminal_x is None else terminal_x
-    return Linearization(
-        A=np.asarray(problem.dynamics_x(X, U), dtype=float),
-        B=np.asarray(problem.dynamics_u(X, U), dtype=float),
-        Q=np.asarray(problem.ham_hess_xx(X, U, Lam), dtype=float),
-        S=np.asarray(problem.ham_hess_ux(X, U, Lam), dtype=float),
-        R=np.asarray(problem.ham_hess_uu(X, U, Lam), dtype=float),
-        T=np.asarray(problem.cost_hess(xt), dtype=float),
-    )
+        """Gradient of H = lambda . f with respect to u, per row: (K, m);
+        raises DimensionMismatch unless f_u is a (K, n, m) stack."""
+        B = self.dynamics_u(X, U)
+        if np.shape(B) != (len(X), self.n, self.m):
+            raise DimensionMismatch(
+                f"dynamics_u gave {np.shape(B)}, expected {(len(X), self.n, self.m)}")
+        return np.einsum("kij,ki->kj", B, Lam)
 
 
 def augment_bolza(base, running, name=""):
@@ -201,21 +168,6 @@ def augment_bolza(base, running, name=""):
         g[n] = 1.0
         return g
 
-    def cost_hess(x):
-        return np.zeros((n + 1, n + 1))
-
-    def ham_hess_xx(X, U, Lam):
-        H = np.zeros((len(X), n + 1, n + 1))
-        H[:, :n, :n] = base.ham_hess_xx(X[:, :n], U, Lam[:, :n]) \
-            + Lam[:, n, None, None] * running.hess_xx(X[:, :n], U)
-        return H
-
-    def ham_hess_ux(X, U, Lam):
-        H = np.zeros((len(X), m, n + 1))
-        H[:, :, :n] = base.ham_hess_ux(X[:, :n], U, Lam[:, :n]) \
-            + Lam[:, n, None, None] * running.hess_ux(X[:, :n], U)
-        return H
-
     def ham_hess_uu(X, U, Lam):
         return base.ham_hess_uu(X[:, :n], U, Lam[:, :n]) \
             + Lam[:, n, None, None] * running.hess_uu(X[:, :n], U)
@@ -225,9 +177,7 @@ def augment_bolza(base, running, name=""):
     return ControlProblem(
         name=name, n=n + 1, m=m,
         dynamics=f, dynamics_x=jac_x, dynamics_u=jac_u,
-        cost=cost, cost_grad=cost_grad, cost_hess=cost_hess,
-        ham_hess_xx=ham_hess_xx, ham_hess_ux=ham_hess_ux,
-        ham_hess_uu=ham_hess_uu,
+        cost=cost, cost_grad=cost_grad, ham_hess_uu=ham_hess_uu,
         x0=x0, control_set=base.control_set)
 
 
@@ -247,9 +197,7 @@ def map_domain(problem, a, b):
         dynamics=lambda X, U: s * np.asarray(problem.dynamics(X, U), dtype=float),
         dynamics_x=lambda X, U: s * np.asarray(problem.dynamics_x(X, U), dtype=float),
         dynamics_u=lambda X, U: s * np.asarray(problem.dynamics_u(X, U), dtype=float),
-        cost=problem.cost, cost_grad=problem.cost_grad, cost_hess=problem.cost_hess,
-        ham_hess_xx=lambda X, U, Lam: s * np.asarray(problem.ham_hess_xx(X, U, Lam), dtype=float),
-        ham_hess_ux=lambda X, U, Lam: s * np.asarray(problem.ham_hess_ux(X, U, Lam), dtype=float),
+        cost=problem.cost, cost_grad=problem.cost_grad,
         ham_hess_uu=lambda X, U, Lam: s * np.asarray(problem.ham_hess_uu(X, U, Lam), dtype=float),
         x0=problem.x0, control_set=problem.control_set)
 
@@ -270,12 +218,18 @@ def map_domain(problem, a, b):
 # ---------------------------------------------------------------------------
 # derivative audit
 
-def _fd_jacobian(fn, v, h):
+AUDIT_POINTS = 8      # random points per audit
+AUDIT_SEED = 2024
+AUDIT_REL_TOL = 1e-6  # allowed gap, relative to max(1, largest entry)
+FD_STEP = 1e-6        # central-difference step, relative to max(1, |v_j|)
+
+
+def _fd_jacobian(fn, v):
     v = np.asarray(v, dtype=float)
     base = np.atleast_1d(np.asarray(fn(v), dtype=float))
     J = np.empty((base.size, v.size))
     for j in range(v.size):
-        step = h * max(1.0, abs(v[j]))
+        step = FD_STEP * max(1.0, abs(v[j]))
         vp = v.copy()
         vm = v.copy()
         vp[j] += step
@@ -285,7 +239,7 @@ def _fd_jacobian(fn, v, h):
     return J
 
 
-def _audit_pair(label, exact, fd, rel_tol):
+def _audit_pair(label, exact, fd):
     exact = np.atleast_2d(np.asarray(exact, dtype=float))
     fd = np.atleast_2d(fd)
     if exact.shape != fd.shape:
@@ -293,52 +247,41 @@ def _audit_pair(label, exact, fd, rel_tol):
             f"{label}: shape {exact.shape} does not match finite differences {fd.shape}")
     scale = max(1.0, float(np.max(np.abs(exact))))
     gap = float(np.max(np.abs(exact - fd)))
-    if gap > rel_tol * scale:
+    if gap > AUDIT_REL_TOL * scale:
         raise EvaluationFailure(
             f"{label}: supplied derivative differs from finite differences "
-            f"by {gap:.3e} (scale {scale:.3e}, tolerance {rel_tol:g})")
+            f"by {gap:.3e} (scale {scale:.3e}, tolerance {AUDIT_REL_TOL:g})")
 
 
-def audit_derivatives(problem, points=8, seed=2024, rel_tol=1e-6, fd_step=1e-6):
+def audit_derivatives(problem):
     """Cross-check every derivative callback against central differences.
 
-    Random evaluation points are drawn around the initial state; each is
-    passed to the stacked callbacks as a batch of one row.  Raises
-    EvaluationFailure on the first mismatch; returns the number of points
-    audited otherwise.
+    AUDIT_POINTS random evaluation points are drawn around the initial
+    state; each is passed to the stacked callbacks as a batch of one row.
+    Raises EvaluationFailure on the first mismatch; returns the number of
+    points audited otherwise.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(AUDIT_SEED)
     n, m = problem.n, problem.m
-    for _ in range(points):
+    for _ in range(AUDIT_POINTS):
         x = problem.x0 + rng.standard_normal(n)
         u = rng.standard_normal(m)
         lam = rng.standard_normal(n)
         X, U, L = x[None], u[None], lam[None]
         try:
             _audit_pair("dynamics_x", problem.dynamics_x(X, U)[0],
-                        _fd_jacobian(lambda v: problem.dynamics(v[None], U)[0], x, fd_step),
-                        rel_tol)
+                        _fd_jacobian(lambda v: problem.dynamics(v[None], U)[0], x))
             _audit_pair("dynamics_u", problem.dynamics_u(X, U)[0],
-                        _fd_jacobian(lambda v: problem.dynamics(X, v[None])[0], u, fd_step),
-                        rel_tol)
+                        _fd_jacobian(lambda v: problem.dynamics(X, v[None])[0], u))
             _audit_pair("cost_grad", problem.cost_grad(x)[None, :],
-                        _fd_jacobian(lambda v: problem.cost(v), x, fd_step), rel_tol)
-            _audit_pair("cost_hess", problem.cost_hess(x),
-                        _fd_jacobian(lambda v: problem.cost_grad(v), x, fd_step), rel_tol)
-            _audit_pair("ham_hess_xx", problem.ham_hess_xx(X, U, L)[0],
-                        _fd_jacobian(lambda v: problem.ham_x(v[None], U, L)[0], x, fd_step),
-                        rel_tol)
-            _audit_pair("ham_hess_ux", problem.ham_hess_ux(X, U, L)[0],
-                        _fd_jacobian(lambda v: problem.ham_u(v[None], U, L)[0], x, fd_step),
-                        rel_tol)
+                        _fd_jacobian(lambda v: problem.cost(v), x))
             _audit_pair("ham_hess_uu", problem.ham_hess_uu(X, U, L)[0],
-                        _fd_jacobian(lambda v: problem.ham_u(X, v[None], L)[0], u, fd_step),
-                        rel_tol)
+                        _fd_jacobian(lambda v: problem.ham_u(X, v[None], L)[0], u))
         except EvaluationFailure:
             raise
         except Exception as exc:  # noqa: BLE001 - surface callback failures uniformly
             raise EvaluationFailure(f"problem callback raised: {exc!r}") from exc
-    return points
+    return AUDIT_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +357,6 @@ def _hager_base(constrained):
         f=lambda X, U: U[:, [0]],
         jac_x=lambda X, U: np.zeros((len(X), 1, 1)),
         jac_u=lambda X, U: np.ones((len(X), 1, 1)),
-        ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
-        ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([_HAGER_X0]),
         control_set=cset)
@@ -425,8 +366,6 @@ _HAGER_RUNNING = RunningCost(
     value=lambda X, U: 0.5 * (X[:, 0] ** 2 + U[:, 0] ** 2),
     grad_x=lambda X, U: X[:, [0]],
     grad_u=lambda X, U: U[:, [0]],
-    hess_xx=lambda X, U: np.ones((len(X), 1, 1)),
-    hess_ux=lambda X, U: np.zeros((len(X), 1, 1)),
     hess_uu=lambda X, U: np.ones((len(X), 1, 1)))
 
 

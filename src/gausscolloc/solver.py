@@ -13,10 +13,11 @@ below 2 at every order) and factored once per accepted iterate.  As the
 collocation Jacobian is J = (D[:, 1:] x I) M, line-search trials run chord
 Newton on those factors and the costate solves with J transposed.  The
 state defect is measured in the residual's quadrature-weighted norm and
-driven a decade below ``tol_y`` (never below ``newton_tol``).
+driven a decade below ``tol_y`` (never below ``NEWTON_TOL``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -28,19 +29,29 @@ from .quadrature import gauss_rule
 from .transcription import Residual, Trajectory, eval_residual, full_grid, omega_norm
 
 _EPS = float(np.finfo(float).eps)
+_NON_FINITE = "state Newton iteration produced non-finite values"
+
+NEWTON_TOL = 1e-12    # floor of the state Newton defect target
+NEWTON_MAX = 50       # state Newton steps per solve_state call
+ARMIJO_C = 1e-4       # sufficient-decrease fraction of the predicted decrease
+BACKTRACK = 0.5       # line-search step factor per rejected trial
+STEP_INIT = 1.0       # first trial step of every line search
+MAX_HALVINGS = 60     # line-search trials per outer iteration
+ACTIVITY_TOL = 1e-8   # projection gap above which a control is active
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Outer stopping test: residual norm target and iteration budget."""
+
     tol_y: float = 1e-10
     max_outer: int = 200
-    newton_tol: float = 1e-12
-    newton_max: int = 50
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    step_init: float = 1.0
-    max_halvings: int = 60
-    activity_tol: float = 1e-8
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol_y) and self.tol_y > 0):
+            raise ValueError(f"tol_y must be finite and positive, got {self.tol_y!r}")
+        if not self.max_outer >= 1:
+            raise ValueError(f"max_outer must be at least 1, got {self.max_outer!r}")
 
 
 @dataclass(frozen=True)
@@ -83,38 +94,43 @@ def newton_factors(problem, ops, Xc, U):
     return NewtonFactors(A, lu_factor(MT.T, overwrite_a=True, check_finite=False))
 
 
-def solve_state(problem, ops, U, x0=None, X_guess=None, config=SolverConfig(),
-                factors=None):
+def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=None):
     """Chord Newton solve of the collocated state equations for a fixed control.
 
-    x0 defaults to the problem's initial state.  Returns the state stack
-    (N+2, n): initial point, collocation values, and the quadrature
-    endpoint.  Steps use ``factors`` (by default taken at the first iterate)
-    and refactor whenever the defect fails to halve.  Convergence requires
-    the defect G = D X - F(X, U) to fall below max(newton_tol, 0.1 * tol_y)
+    Returns the state stack (N+2, n) from the problem's initial state:
+    initial point, collocation values, and the quadrature endpoint.  Steps
+    use ``factors`` (by default taken at the first iterate) and refactor
+    whenever the defect fails to halve.  Convergence requires
+    the defect G = D X - F(X, U) to fall below max(NEWTON_TOL, 0.1 * tol_y)
     in the norm sqrt(sum_i w_i |G_i|^2) that ``eval_residual`` reports for
     ``state_defect``.  Raises NewtonDivergence when the iteration exhausts
-    its budget or produces non-finite values.
+    its budget or produces non-finite values, and DimensionMismatch when
+    finite dynamics values are not an (N, n) stack.
     """
     from scipy.linalg import lu_solve
 
     rule = ops.rule
     N, n = rule.order, problem.n
-    x0 = np.asarray(problem.x0 if x0 is None else x0, dtype=float)
+    x0 = np.asarray(problem.x0, dtype=float)
     if X_guess is not None:
         Xc = np.array(X_guess[1:N + 1], dtype=float)
     else:
         Xc = np.tile(x0, (N, 1))
 
-    target = max(config.newton_tol, 0.1 * config.tol_y)
+    target = max(NEWTON_TOL, 0.1 * config.tol_y)
     prev = np.inf
-    for _ in range(config.newton_max):
+    for _ in range(NEWTON_MAX):
         Xfull = np.vstack([x0[None, :], Xc])
         F = problem.dynamics(Xc, U)
+        if np.shape(F) != (N, n):
+            # non-finite values are a divergence, whatever their shape
+            if not np.all(np.isfinite(F)):
+                raise NewtonDivergence(_NON_FINITE)
+            raise DimensionMismatch(f"dynamics gave {np.shape(F)}, expected {(N, n)}")
         G = ops.D @ Xfull - F
         defect = omega_norm(rule, G)
         if not np.isfinite(defect):
-            raise NewtonDivergence("state Newton iteration produced non-finite values")
+            raise NewtonDivergence(_NON_FINITE)
         if defect <= target:
             XN1 = x0 + rule.weights @ F
             return np.vstack([Xfull, XN1[None, :]])
@@ -126,7 +142,7 @@ def solve_state(problem, ops, U, x0=None, X_guess=None, config=SolverConfig(),
         Xc = Xc + lu_solve(factors.lu, Y.ravel(), check_finite=False).reshape(N, n)
 
     raise NewtonDivergence(
-        f"state Newton did not reach its defect target in {config.newton_max} steps")
+        f"state Newton did not reach its defect target in {NEWTON_MAX} steps")
 
 
 def solve_costate(problem, ops, X, U, terminal, factors=None):
@@ -165,6 +181,9 @@ def _descent_direction(problem, X, U, Lam, Hu):
     """Per-node direction: Hessian-scaled gradient where the control
     Hessian of the Hamiltonian is positive definite, raw gradient else."""
     R = problem.ham_hess_uu(X[1:-1], U, Lam[1:-1])
+    if np.shape(R) != (len(U), problem.m, problem.m):
+        raise DimensionMismatch(
+            f"ham_hess_uu gave {np.shape(R)}, expected {(len(U), problem.m, problem.m)}")
     pd = np.linalg.eigvalsh(R)[:, 0] > 0.0
     d = Hu.copy()
     d[pd] = np.linalg.solve(R[pd], Hu[pd, :, None])[:, :, 0]
@@ -215,24 +234,24 @@ def solve(problem, N, config=None, warm_start=None):
         grad = w[:, None] * Hu
         d = _descent_direction(problem, X, U, Lam, Hu)
 
-        step = config.step_init
+        step = STEP_INIT
         accepted = False
-        for _ in range(config.max_halvings):
+        for _ in range(MAX_HALVINGS):
             U_t = problem.control_set.project(U - step * d)
             pred = float(np.sum(grad * (U_t - U)))
             try:
                 X_t = solve_state(problem, ops, U_t, X_guess=X, config=config,
                                   factors=factors)
             except NewtonDivergence:
-                step *= config.backtrack
+                step *= BACKTRACK
                 continue
             obj_t = float(problem.cost(X_t[N + 1]))
             # second test: expected decrease is below objective roundoff
-            if obj_t <= obj + config.armijo_c * pred \
+            if obj_t <= obj + ARMIJO_C * pred \
                     or abs(pred) <= 8.0 * _EPS * (1.0 + abs(obj)):
                 accepted = True
                 break
-            step *= config.backtrack
+            step *= BACKTRACK
         if not accepted:
             break
 
@@ -243,7 +262,7 @@ def solve(problem, N, config=None, warm_start=None):
     traj = Trajectory(nodes=nodes, X=X, U=U, Lambda=Lam)
     report = eval_residual(problem, ops, traj)
     pre = U - problem.ham_u(X[1:N + 1], U, Lam[1:N + 1])
-    active = np.abs(pre - problem.control_set.project(pre)) > config.activity_tol
+    active = np.abs(pre - problem.control_set.project(pre)) > ACTIVITY_TOL
 
     return SolveReport(
         name=problem.name, order=N, converged=converged,

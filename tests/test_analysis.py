@@ -195,9 +195,6 @@ class TestConvergenceStudy:
             dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
             cost=lambda x: float(x[0] ** 2),
             cost_grad=lambda x: 2.0 * x,
-            cost_hess=lambda x: 2.0 * np.eye(1),
-            ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
-            ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
             ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
             x0=np.array([1.0]),
             control_set=ControlSet.unconstrained())

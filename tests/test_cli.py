@@ -135,6 +135,15 @@ class TestSolve:
         assert payload["converged"] is False
         assert payload["outer_iters"] == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol", "nan"), ("--tol", "-1"), ("--max-iter", "0"), ("--max-iter", "-3")])
+    def test_invalid_setting_is_usage_error(self, capsys, flag, value):
+        code, out, err = _run(capsys, "solve", "--problem", "hager84-constrained",
+                              "--N", "8", flag, value)
+        assert code == 3
+        assert out == ""
+        assert "must be" in err
+
     def test_max_outer_alias(self, capsys):
         code, out, _ = _run(capsys, "solve", "--problem", "hager84-constrained",
                             "--N", "8", "--max-outer", "50")
@@ -223,6 +232,15 @@ class TestConvergence:
                             "hager84-constrained", "--n-list", "4,8")
         assert code == 3
         assert "at least 3" in err
+
+    @pytest.mark.parametrize("n_list,bad", [
+        ("4,8,12,16,1001", "1001"), ("0:4:40", "0"), ("996:4:1004", "1004")])
+    def test_order_out_of_range_is_usage_error(self, capsys, n_list, bad):
+        code, out, err = _run(capsys, "convergence", "--problem",
+                              "hager84-constrained", "--n-list", n_list)
+        assert code == 3
+        assert out == ""
+        assert f"between 1 and 1000, got {bad}" in err
 
     def test_malformed_range_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "convergence", "--problem",

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.polynomial import legendre
 
 from gausscolloc import build_operators, check_P1, check_P2, gauss_rule, solve_D1N
 from gausscolloc.diffmat import (barycentric_interpolate, barycentric_matrix,
@@ -27,12 +31,38 @@ class TestBarycentric:
         nodes = np.array([-1.0, -0.2, 0.7])
         B = barycentric_matrix(nodes, nodes)
         np.testing.assert_array_equal(B, np.eye(3))
+        # a subnormal distance overflows w_j / (t - x_j): still one-hot
+        B = barycentric_matrix(np.array([-1.0, 0.0]), np.array([5e-324, -0.0]))
+        np.testing.assert_array_equal(B, [[0.0, 1.0], [0.0, 1.0]])
 
     def test_interpolates_quadratic(self):
         nodes = np.array([-1.0, 0.0, 1.0])
         t = np.linspace(-1.0, 1.0, 41)
         vals = barycentric_interpolate(nodes, nodes**2, t)
         np.testing.assert_allclose(vals, t**2, atol=1e-14)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), N=st.integers(1, 60))
+    def test_reproduces_polynomials_on_collocation_support(self, data, N):
+        # a Legendre series of degree <= N is its own interpolant on the
+        # N + 1 points {-1, tau_1..tau_N}.  Bound: the second barycentric
+        # form errs by (3N + 4) u lambda(t) max|f| (Higham 2004), the node
+        # values carry their own Clenshaw error times lambda(t), and the
+        # reference value at t its own; every term is O(N u sum|c|), with
+        # lambda(t) the Lebesgue function sum_j |l_j(t)|; tiny covers
+        # subnormal coefficients
+        support = _support(gauss_rule(N))
+        degree = data.draw(st.integers(0, N))
+        c = data.draw(arrays(float, degree + 1, elements=st.floats(-1.0, 1.0)))
+        t = data.draw(arrays(float, st.integers(1, 20), elements=st.floats(-1.0, 1.0)))
+        node_values = legendre.legval(support, c)
+        got = barycentric_interpolate(support, node_values, t)
+        lebesgue = np.abs(barycentric_matrix(support, t)).sum(axis=1)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        bound = 4 * (N + 2) * eps * (1.0 + lebesgue) * np.sum(np.abs(c)) + tiny
+        assert np.all(np.abs(got - legendre.legval(t, c)) <= bound)
+        np.testing.assert_array_equal(
+            barycentric_interpolate(support, node_values, support), node_values)
 
     def test_matrix_rows_sum_to_one(self):
         rule = gauss_rule(12)

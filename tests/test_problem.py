@@ -7,7 +7,7 @@ import pytest
 
 from gausscolloc import (ControlProblem, ControlSet, audit_derivatives,
                          augment_bolza, builtin, gauss_rule, hager_optimal_cost,
-                         linearize_at, map_domain)
+                         map_domain)
 from gausscolloc.diffmat import differentiation_matrix
 from gausscolloc.errors import EvaluationFailure, UnknownProblem
 from gausscolloc.problem import _HAGER_RUNNING, _hager_base
@@ -24,9 +24,6 @@ def _linear_problem():
         dynamics_u=lambda X, U: np.broadcast_to(B0, (len(X), 2, 1)),
         cost=lambda x: 0.5 * float(x @ x),
         cost_grad=lambda x: x,
-        cost_hess=lambda x: np.eye(2),
-        ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 2, 2)),
-        ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 2)),
         ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([1.0, 0.0]),
         control_set=ControlSet.unconstrained())
@@ -82,8 +79,6 @@ class TestAugmentBolza:
             value=lambda X, U: np.zeros(len(X)),
             grad_x=lambda X, U: np.zeros((len(X), 1)),
             grad_u=lambda X, U: np.zeros((len(X), 1)),
-            hess_xx=lambda X, U: np.zeros((len(X), 1, 1)),
-            hess_ux=lambda X, U: np.zeros((len(X), 1, 1)),
             hess_uu=lambda X, U: np.zeros((len(X), 1, 1)))
         prob = augment_bolza(_hager_base(True), zero, name="zero-cost")
         rng = np.random.default_rng(0)
@@ -103,8 +98,6 @@ class TestAugmentBolza:
             value=lambda X, U: np.ones(len(X)),
             grad_x=lambda X, U: np.zeros((len(X), 1)),
             grad_u=lambda X, U: np.zeros((len(X), 1)),
-            hess_xx=lambda X, U: np.zeros((len(X), 1, 1)),
-            hess_ux=lambda X, U: np.zeros((len(X), 1, 1)),
             hess_uu=lambda X, U: np.zeros((len(X), 1, 1)))
         # native domain [0, 1]: integral of 1 is its length
         prob = map_domain(augment_bolza(_hager_base(True), one), 0.0, 1.0)
@@ -270,38 +263,35 @@ class TestOptimalCost:
 
 
 class TestLinearizeAt:
+    """The derivative blocks the solver reads: A = f_x, B = f_u, R = H_uu."""
+
     def test_benchmark_blocks_before_mapping(self):
         # with unit costate on the integrator state the classic matrices
-        # appear in the leading blocks: A=0, B=1, Q=1, S=0, R=1
+        # appear in the leading blocks: A=0, B=1, R=1
         prob = augment_bolza(_hager_base(True), _HAGER_RUNNING)
         rng = np.random.default_rng(5)
         X = np.column_stack([rng.uniform(-3.0, 0.0, 5), rng.uniform(0.0, 2.0, 5)])
         U = rng.uniform(-1.0, 1.0, (5, 1))
         Lam = np.column_stack([rng.standard_normal(5), np.ones(5)])
-        lin = linearize_at(prob, X, U, Lam)
-        assert np.all(lin.A[:, 0, 0] == 0.0)
-        assert np.all(lin.B[:, 0, 0] == 1.0)
-        assert np.all(lin.Q[:, 0, 0] == 1.0)
-        assert np.all(lin.S[:, 0, 0] == 0.0)
-        assert np.all(lin.R[:, 0, 0] == 1.0)
+        assert np.all(prob.dynamics_x(X, U)[:, 0, 0] == 0.0)
+        assert np.all(prob.dynamics_u(X, U)[:, 0, 0] == 1.0)
+        assert np.all(prob.ham_hess_uu(X, U, Lam)[:, 0, 0] == 1.0)
 
     def test_linear_dynamics_constant_jacobians(self):
         prob = _linear_problem()
         rng = np.random.default_rng(6)
-        lin = linearize_at(prob, rng.standard_normal((4, 2)),
-                           rng.standard_normal((4, 1)), np.zeros((4, 2)))
+        X, U = rng.standard_normal((4, 2)), rng.standard_normal((4, 1))
+        A, B = prob.dynamics_x(X, U), prob.dynamics_u(X, U)
         for k in range(1, 4):
-            np.testing.assert_array_equal(lin.A[k], lin.A[0])
-            np.testing.assert_array_equal(lin.B[k], lin.B[0])
+            np.testing.assert_array_equal(A[k], A[0])
+            np.testing.assert_array_equal(B[k], B[0])
 
     def test_hessian_symmetry(self):
         prob = builtin("hager84-constrained")
         rng = np.random.default_rng(7)
-        lin = linearize_at(prob, rng.standard_normal((5, 2)),
-                           rng.standard_normal((5, 1)), rng.standard_normal((5, 2)))
-        np.testing.assert_allclose(lin.Q, lin.Q.transpose(0, 2, 1), atol=1e-12)
-        np.testing.assert_allclose(lin.R, lin.R.transpose(0, 2, 1), atol=1e-12)
-        np.testing.assert_allclose(lin.T, lin.T.T, atol=1e-12)
+        R = prob.ham_hess_uu(rng.standard_normal((5, 2)),
+                             rng.standard_normal((5, 1)), rng.standard_normal((5, 2)))
+        np.testing.assert_allclose(R, R.transpose(0, 2, 1), atol=1e-12)
 
 
 class TestAuditDerivatives:

@@ -35,8 +35,6 @@ def test_callbacks_return_stacks_equal_to_row_by_row(name, xul):
         (p.dynamics, (X, U), (K, n)),
         (p.dynamics_x, (X, U), (K, n, n)),
         (p.dynamics_u, (X, U), (K, n, m)),
-        (p.ham_hess_xx, (X, U, L), (K, n, n)),
-        (p.ham_hess_ux, (X, U, L), (K, m, n)),
         (p.ham_hess_uu, (X, U, L), (K, m, m)),
     ]
     for fn, args, shape in cases:

@@ -1,5 +1,6 @@
 """State solve, costate solve, and the outer control iteration."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gausscolloc.solver as solver_module
-from gausscolloc import (BUILTIN_NAMES, ControlProblem, ControlSet,
-                         SolverConfig, Trajectory, build_operators, builtin,
-                         eval_residual, full_grid, gauss_rule,
-                         hager_optimal_cost, omega_norm, solve, solve_costate,
-                         solve_state)
+from gausscolloc import (BUILTIN_NAMES, ControlProblem, ControlSet, Dynamics,
+                         RunningCost, SolverConfig, Trajectory, augment_bolza,
+                         build_operators, builtin, eval_residual, full_grid,
+                         gauss_rule, hager_optimal_cost, map_domain, omega_norm,
+                         solve, solve_costate, solve_state)
 from gausscolloc.errors import DimensionMismatch, NewtonDivergence
 from gausscolloc.solver import newton_factors
 
@@ -26,9 +27,6 @@ def _frozen_problem():
         dynamics_u=lambda X, U: np.zeros((len(X), 2, 1)),
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.array([1.0, 0.0]),
-        cost_hess=lambda x: np.zeros((2, 2)),
-        ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 2, 2)),
-        ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 2)),
         ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([0.4, -1.1]),
         control_set=ControlSet.unconstrained())
@@ -43,9 +41,6 @@ def _integrator_problem():
         dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.ones(1),
-        cost_hess=lambda x: np.zeros((1, 1)),
-        ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
-        ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([0.7]),
         control_set=ControlSet.unconstrained())
@@ -60,9 +55,6 @@ def _blowup_problem():
         dynamics_u=lambda X, U: np.zeros((len(X), 1, 1)),
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.ones(1),
-        cost_hess=lambda x: np.zeros((1, 1)),
-        ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
-        ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([10.0]),
         control_set=ControlSet.unconstrained())
@@ -88,12 +80,27 @@ def _cubic_problem():
         dynamics_u=lambda X, U: np.tile([[[1.0], [0.0]]], (len(X), 1, 1)),
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.array([1.0, 0.0]),
-        cost_hess=lambda x: np.zeros((2, 2)),
-        ham_hess_xx=lambda X, U, Lam: np.zeros((len(X), 2, 2)),
-        ham_hess_ux=lambda X, U, Lam: np.zeros((len(X), 1, 2)),
         ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([2.0, 1.0]),
         control_set=ControlSet.unconstrained())
+
+
+def _two_control_problem():
+    """xdot = u1 + u2 / 2 on [0, 1] with running cost (x^2 + |u|^2) / 2."""
+    base = Dynamics(
+        n=1, m=2,
+        f=lambda X, U: U @ np.array([[1.0], [0.5]]),
+        jac_x=lambda X, U: np.zeros((len(X), 1, 1)),
+        jac_u=lambda X, U: np.tile([[[1.0, 0.5]]], (len(X), 1, 1)),
+        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 2, 2)),
+        x0=np.array([1.0]),
+        control_set=ControlSet.unconstrained())
+    running = RunningCost(
+        value=lambda X, U: 0.5 * (X[:, 0] ** 2 + np.sum(U * U, axis=1)),
+        grad_x=lambda X, U: X.copy(),
+        grad_u=lambda X, U: U.copy(),
+        hess_uu=lambda X, U: np.tile(np.eye(2), (len(X), 1, 1)))
+    return map_domain(augment_bolza(base, running, name="two-control"), 0.0, 1.0)
 
 
 class TestSolveState:
@@ -112,9 +119,9 @@ class TestSolveState:
         assert np.max(np.abs(X[:, 0] - expected)) <= 1e-11
 
     def test_initial_state_override(self):
-        problem = _integrator_problem()
+        problem = replace(_integrator_problem(), x0=np.array([-2.0]))
         ops = build_operators(gauss_rule(4))
-        X = solve_state(problem, ops, np.ones((4, 1)), x0=np.array([-2.0]))
+        X = solve_state(problem, ops, np.ones((4, 1)))
         assert X[0, 0] == -2.0
         np.testing.assert_allclose(X[-1, 0], 0.0, atol=1e-12)
 
@@ -292,7 +299,7 @@ class TestSolve:
         report = solve(builtin(name), N, config=config)
         assert report.converged
         defect = omega_norm(gauss_rule(N), report.residual.state_defect)
-        assert defect <= max(config.newton_tol, 0.1 * config.tol_y)
+        assert defect <= max(solver_module.NEWTON_TOL, 0.1 * config.tol_y)
 
     @pytest.mark.parametrize("N", [10, 80, 320])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -317,11 +324,34 @@ class TestSolve:
         assert report.outer_iters == 3
         assert np.isfinite(report.y_norm)
 
+    def test_two_control_problem_converges(self):
+        assert solve(_two_control_problem(), 6).converged
+
+    @pytest.mark.parametrize("callback,cut,shapes", [
+        ("dynamics", lambda F: F[:, :1], "(6, 1), expected (6, 2)"),
+        ("dynamics_u", lambda B: B[:, :, :1], "(6, 2, 1), expected (6, 2, 2)"),
+        ("ham_hess_uu", lambda R: R[:, :1, :1], "(6, 1, 1), expected (6, 2, 2)"),
+    ])
+    def test_callback_of_wrong_shape_is_rejected(self, callback, cut, shapes):
+        good = _two_control_problem()
+        fn = getattr(good, callback)
+        bad = replace(good, **{callback: lambda *args: cut(fn(*args))})
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{callback} gave {shapes}")):
+            solve(bad, 6)
+
+    @pytest.mark.parametrize("settings", [
+        {"tol_y": float("nan")}, {"tol_y": float("inf")}, {"tol_y": -1.0},
+        {"tol_y": 0.0}, {"max_outer": 0}, {"max_outer": -3},
+    ])
+    def test_invalid_config_is_rejected(self, settings):
+        with pytest.raises(ValueError, match=next(iter(settings))):
+            SolverConfig(**settings)
+
     def test_config_defaults(self):
         config = SolverConfig()
         assert config.tol_y == 1e-10
         assert config.max_outer == 200
-        assert config.armijo_c == 1e-4
-        assert config.backtrack == 0.5
-        assert config.newton_tol == 1e-12
-        assert config.newton_max == 50
+        assert solver_module.ARMIJO_C == 1e-4
+        assert solver_module.BACKTRACK == 0.5
+        assert solver_module.NEWTON_TOL == 1e-12
+        assert solver_module.NEWTON_MAX == 50
