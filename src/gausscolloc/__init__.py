@@ -8,8 +8,7 @@ studies for the operator norm bounds, interpolation rates, projection
 inequalities, and solver convergence order.
 """
 from .errors import (DimensionMismatch, EvaluationFailure, GaussCollocError,
-                     IterationFailure, NewtonDivergence, SingularMatrix,
-                     UnknownProblem)
+                     IterationFailure, NewtonDivergence, UnknownProblem)
 from .quadrature import (QuadratureRule, gauss_rule, integrate, legendre_eval,
                          radau_rule)
 from .diffmat import (CollocationOperators, barycentric_interpolate,
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GaussCollocError", "IterationFailure", "DimensionMismatch",
-    "SingularMatrix", "EvaluationFailure", "UnknownProblem",
+    "EvaluationFailure", "UnknownProblem",
     "NewtonDivergence",
     "QuadratureRule", "gauss_rule", "radau_rule", "integrate", "legendre_eval",
     "CollocationOperators", "build_operators", "solve_D1N",

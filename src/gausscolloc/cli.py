@@ -230,6 +230,9 @@ def cmd_verify(args):
 def cmd_convergence(args):
     problem = builtin(args.problem)
     orders = _parse_n_list(args.n_list)
+    if len(orders) < 5:
+        raise ValueError("rate fit needs at least 3 usable points after discarding 2, "
+                         f"so convergence needs at least 5 orders, got {len(orders)}")
     rows, fits = convergence_study(problem, orders)
     lines = ["N,err_x,err_u,err_lambda,residual_y,iters,wall_ms"]
     for r in rows:

@@ -9,10 +9,10 @@ Two rectangular operators are built from one Gauss rule:
   the algebraic identity D_ij = -(w_j / w_i) Ddag_ji with the last column
   fixed by the row-sum condition Ddag_{i,N+1} = -sum_j Ddag_ij.
 
-The trailing square block D[:, 1:] is LU-factored once so repeated linear
-solves against it (and its transpose) stay cheap; its inverse is formed once.
-``scipy.linalg`` is imported by the functions that factor or solve, so
-importing this module (and the interpolation helpers) does not load it.
+The inverse of the trailing square block D[:, 1:] is formed once with
+``np.linalg.inv`` and stored read-only: the P1 and P2 certificates read
+it, and linear solves against the block (or its transpose) are products
+with it.  This module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch
 from .quadrature import QuadratureRule
 
 # slack added to every analytic pass/fail threshold before comparison
@@ -100,7 +100,6 @@ class CollocationOperators:
     rule: QuadratureRule
     D: np.ndarray
     D_dagger: np.ndarray
-    lu_D1N: tuple
     D1N_inv: np.ndarray
 
 
@@ -119,20 +118,8 @@ class P2Report:
     last_row_gap: float
 
 
-def _checked_lu(mat):
-    from scipy.linalg import lu_factor
-
-    lu, piv = lu_factor(mat, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or np.any(diag == 0.0):
-        raise SingularMatrix("LU factorization hit a zero pivot")
-    return lu, piv
-
-
 def build_operators(rule):
-    """Build D, D_dagger, and the LU factors and inverse of D[:, 1:]."""
-    from scipy.linalg import lu_solve
-
+    """Build D, D_dagger, and the inverse of D[:, 1:]."""
     if rule.kind != "gauss":
         raise ValueError("collocation operators require a Gauss rule")
     N = rule.order
@@ -142,27 +129,23 @@ def build_operators(rule):
     Ddag = np.empty((N, N + 1))
     Ddag[:, :N] = -(om[None, :] / om[:, None]) * D[:, 1:].T
     Ddag[:, N] = -np.sum(Ddag[:, :N], axis=1)
-    lu = _checked_lu(D[:, 1:])
-    inv = lu_solve(lu, np.eye(N), check_finite=False)
+    inv = np.linalg.inv(D[:, 1:])
     for arr in (D, Ddag, inv):
         arr.flags.writeable = False
-    return CollocationOperators(rule=rule, D=D, D_dagger=Ddag, lu_D1N=lu,
-                                D1N_inv=inv)
+    return CollocationOperators(rule=rule, D=D, D_dagger=Ddag, D1N_inv=inv)
 
 
 def solve_D1N(ops, rhs, transposed=False):
-    """Solve D[:, 1:] x = rhs (or its transpose) using the stored LU factors.
+    """Solve D[:, 1:] x = rhs (or its transpose) with the stored inverse.
 
     rhs has shape (N,) or (N, k); the n state components of a stacked
     system are passed as k right-hand-side columns.
     """
-    from scipy.linalg import lu_solve
-
     b = np.asarray(rhs, dtype=float)
     N = ops.rule.order
     if b.shape[0] != N:
         raise DimensionMismatch(f"rhs has leading dimension {b.shape[0]}, expected {N}")
-    return lu_solve(ops.lu_D1N, b, trans=1 if transposed else 0, check_finite=False)
+    return (ops.D1N_inv.T if transposed else ops.D1N_inv) @ b
 
 
 def check_P1(ops):

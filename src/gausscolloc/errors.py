@@ -13,10 +13,6 @@ class DimensionMismatch(GaussCollocError):
     """An array argument has a shape incompatible with the operator."""
 
 
-class SingularMatrix(GaussCollocError):
-    """A matrix factorization detected an exactly singular pivot."""
-
-
 class EvaluationFailure(GaussCollocError):
     """A user-supplied callback raised, returned a bad shape, or failed
     the finite-difference derivative audit."""

@@ -153,7 +153,8 @@ def solve_costate(problem, ops, X, U, terminal, factors=None):
     the state Newton system at X, whose ``factors`` are computed when
     omitted.  Returns the costate stack (N+2, n) whose first row satisfies
     the left endpoint coupling identity and whose last row equals
-    ``terminal``.
+    ``terminal``, the terminal cost gradient; raises DimensionMismatch
+    unless it has shape (n,).
     """
     from scipy.linalg import lu_solve
 
@@ -161,6 +162,8 @@ def solve_costate(problem, ops, X, U, terminal, factors=None):
     N, n = rule.order, problem.n
     w = rule.weights
     terminal = np.asarray(terminal, dtype=float)
+    if terminal.shape != (n,):
+        raise DimensionMismatch(f"cost_grad gave {terminal.shape}, expected {(n,)}")
     if factors is None:
         factors = newton_factors(problem, ops, X[1:N + 1], U)
 

@@ -233,6 +233,17 @@ class TestConvergence:
         assert code == 3
         assert "at least 3" in err
 
+    def test_too_few_orders_is_rejected_before_solving(self, capsys, monkeypatch):
+        def no_study(*args, **kwargs):
+            raise AssertionError("convergence_study called")
+
+        monkeypatch.setattr("gausscolloc.cli.convergence_study", no_study)
+        code, out, err = _run(capsys, "convergence", "--problem",
+                              "hager84-constrained", "--n-list", "4,8,12,16")
+        assert code == 3
+        assert out == ""
+        assert "at least 5 orders, got 4" in err
+
     @pytest.mark.parametrize("n_list,bad", [
         ("4,8,12,16,1001", "1001"), ("0:4:40", "0"), ("996:4:1004", "1004")])
     def test_order_out_of_range_is_usage_error(self, capsys, n_list, bad):
@@ -250,7 +261,7 @@ class TestConvergence:
 
 
 def test_scipy_linalg_loads_only_to_factor():
-    # a fresh interpreter: the verify suites never factor, solve does
+    # a fresh interpreter: props and the verify suites never factor, solve does
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from gausscolloc.cli import main
@@ -261,11 +272,14 @@ def test_scipy_linalg_loads_only_to_factor():
             return code, out.getvalue()
 
         seen = {"import": "scipy.linalg" in sys.modules}
-        for argv in (["verify", "--suite", "interp"],
-                     ["verify", "--suite", "appendix1", "--n-max", "4", "--samples", "20"],
-                     ["verify", "--suite", "appendix2", "--n-max", "8"]):
+        for key, argv in (
+                ("interp", ["verify", "--suite", "interp"]),
+                ("appendix1", ["verify", "--suite", "appendix1", "--n-max", "4",
+                               "--samples", "20"]),
+                ("appendix2", ["verify", "--suite", "appendix2", "--n-max", "8"]),
+                ("props", ["props", "--n-max", "8"])):
             assert run(*argv)[0] == 0
-            seen[argv[2]] = "scipy.linalg" in sys.modules
+            seen[key] = "scipy.linalg" in sys.modules
         code, out = run("solve", "--problem", "hager84-constrained", "--N", "10")
         seen["solve"] = "scipy.linalg" in sys.modules
         print(json.dumps({"seen": seen, "exit": code,
@@ -279,5 +293,5 @@ def test_scipy_linalg_loads_only_to_factor():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["seen"] == {"import": False, "interp": False, "appendix1": False,
-                              "appendix2": False, "solve": True}
+                              "appendix2": False, "props": False, "solve": True}
     assert result["exit"] == 0 and result["converged"] is True

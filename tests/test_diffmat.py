@@ -91,11 +91,19 @@ class TestBuildOperators:
         p = _support(rule) ** 2
         np.testing.assert_allclose(ops.D @ p, 2 * rule.nodes, atol=1e-13)
 
-    @pytest.mark.parametrize("N", [1, 7, 60])
+    @pytest.mark.parametrize("N", [1, 7, 60, 320])
     def test_stores_read_only_trailing_inverse(self, N):
+        # both sides: solve_D1N multiplies by the inverse and by its transpose
         ops = build_operators(gauss_rule(N))
-        np.testing.assert_allclose(ops.D[:, 1:] @ ops.D1N_inv, np.eye(N), atol=1e-12)
+        block = ops.D[:, 1:]
+        np.testing.assert_allclose(block @ ops.D1N_inv, np.eye(N), atol=1e-12)
+        np.testing.assert_allclose(block.T @ ops.D1N_inv.T, np.eye(N), atol=1e-12)
         assert not ops.D1N_inv.flags.writeable
+
+    def test_inverse_at_largest_cli_order_is_finite_and_bounded(self):
+        ops = build_operators(gauss_rule(1000))
+        assert np.all(np.isfinite(ops.D1N_inv))
+        assert check_P1(ops).passed
 
     @pytest.mark.parametrize("N", [1, 2, 5, 20, 80, 300])
     def test_row_sums_vanish(self, N):

@@ -331,6 +331,7 @@ class TestSolve:
         ("dynamics", lambda F: F[:, :1], "(6, 1), expected (6, 2)"),
         ("dynamics_u", lambda B: B[:, :, :1], "(6, 2, 1), expected (6, 2, 2)"),
         ("ham_hess_uu", lambda R: R[:, :1, :1], "(6, 1, 1), expected (6, 2, 2)"),
+        ("cost_grad", lambda g: g[:1], "(1,), expected (2,)"),
     ])
     def test_callback_of_wrong_shape_is_rejected(self, callback, cut, shapes):
         good = _two_control_problem()
