@@ -15,7 +15,7 @@ from .diffmat import (CollocationOperators, barycentric_interpolate,
                       build_operators, check_P1, check_P2,
                       differentiation_matrix, solve_D1N)
 from .problem import (AnalyticSolution, BUILTIN_NAMES, ControlProblem,
-                      ControlSet, Dynamics, RunningCost, audit_derivatives,
+                      ControlSet, RunningCost, audit_derivatives,
                       augment_bolza, builtin, hager_optimal_cost, map_domain)
 from .transcription import (Residual, Trajectory,
                             costate_to_multipliers,
@@ -37,7 +37,7 @@ __all__ = [
     "CollocationOperators", "build_operators", "solve_D1N",
     "differentiation_matrix", "barycentric_interpolate",
     "check_P1", "check_P2",
-    "ControlProblem", "ControlSet", "Dynamics", "RunningCost",
+    "ControlProblem", "ControlSet", "RunningCost",
     "AnalyticSolution", "augment_bolza", "map_domain",
     "audit_derivatives", "builtin", "BUILTIN_NAMES",
     "hager_optimal_cost",

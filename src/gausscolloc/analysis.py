@@ -440,7 +440,8 @@ def convergence_study(problem, orders, config=None):
 
     Returns (rows, fits) with one RateFit per error series, fitted on
     converged rows only; the two smallest orders are discarded as
-    pre-asymptotic.  Requires problem.analytic.
+    pre-asymptotic, and fits is empty when too few converged rows remain
+    for ``fit_rate``.  Requires problem.analytic.
     """
     if problem.analytic is None:
         raise ValueError("convergence study requires an attached analytic solution")
@@ -467,8 +468,9 @@ def convergence_study(problem, orders, config=None):
             converged=rep.converged))
 
     good = [r for r in rows if r.converged]
-    fits = {}
-    for series in ("err_x", "err_u", "err_lambda"):
-        fits[series] = fit_rate([r.N for r in good],
-                                [getattr(r, series) for r in good])
+    try:
+        fits = {series: fit_rate([r.N for r in good], [getattr(r, series) for r in good])
+                for series in ("err_x", "err_u", "err_lambda")}
+    except ValueError:
+        fits = {}
     return rows, fits

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .analysis import (APPENDIX1_ORDERS, APPENDIX2_FUNCTIONS, APPENDIX2_ORDERS,
                        INTERP_FUNCTIONS, convergence_study, run_interp_suite,
                        verify_appendix1, verify_appendix2)
 from .diffmat import build_operators, check_P1, check_P2
-from .errors import GaussCollocError, NewtonDivergence, UnknownProblem
+from .errors import GaussCollocError, UnknownProblem
 from .problem import BUILTIN_NAMES, builtin
 from .quadrature import gauss_rule, radau_rule
 from .solver import SolverConfig, solve
@@ -55,21 +55,14 @@ def _flag(b):
     return "true" if b else "false"
 
 
-def _emit(text, out):
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_manifest(out, command, args, seed):
+def _write_manifest(out, args):
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "seed", "out", "command") and v is not None}
     manifest = {
-        "command": command,
+        "command": args.command,
         "parameters": {k: (list(v) if isinstance(v, (tuple, range)) else v)
                        for k, v in params.items()},
-        "seed": seed,
+        "seed": args.seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -101,10 +94,7 @@ def cmd_nodes(args):
     for i in range(args.n):
         weight = _g17(rule.weights[i]) if rule.weights is not None else ""
         lines.append(f"{i + 1},{_g17(rule.nodes[i])},{weight}")
-    _emit("\n".join(lines) + "\n", args.out)
-    if args.out:
-        _write_manifest(args.out, "nodes", args, args.seed)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 def cmd_props(args):
@@ -116,10 +106,7 @@ def cmd_props(args):
         lines.append(",".join([
             str(N), _g17(p1.norm_inf), _flag(p1.passed),
             _g17(p2.max_row_norm), _flag(p2.passed), _g17(p2.last_row_gap)]))
-    _emit("\n".join(lines) + "\n", args.out)
-    if args.out:
-        _write_manifest(args.out, "props", args, args.seed)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 def cmd_solve(args):
@@ -139,25 +126,23 @@ def cmd_solve(args):
     }
     if args.dump_residual:
         res = report.residual
-        arrays = {
-            "initial": res.initial.tolist(),
-            "state_defect": res.state_defect.tolist(),
-            "endpoint_defect": res.endpoint_defect.tolist(),
-            "costate_endpoint": res.costate_endpoint.tolist(),
-            "costate_defect": res.costate_defect.tolist(),
-            "transversality": res.transversality.tolist(),
-            "control_residual": res.control_residual.tolist(),
-            "norms": res.norms,
-            "y_norm": res.y_norm,
-        }
-        with open(args.dump_residual, "w") as fh:
-            json.dump(arrays, fh, indent=2)
-            fh.write("\n")
-        _write_manifest(args.dump_residual, "solve", args, args.seed)
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    if args.out:
-        _write_manifest(args.out, "solve", args, args.seed)
-    return 0 if report.converged else NUMERIC_EXIT
+        blocks = {f.name: getattr(res, f.name) for f in fields(res)}
+        Path(args.dump_residual).write_text(json.dumps(
+            {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in blocks.items()},
+            indent=2) + "\n")
+        _write_manifest(args.dump_residual, args)
+    return json.dumps(payload, indent=2) + "\n", 0 if report.converged else NUMERIC_EXIT
+
+
+def _function_names(requested, registry):
+    """Names of the test functions to run: all for None or "all", else the
+    one requested, which must be registered (UnknownProblem otherwise)."""
+    if requested in (None, "all"):
+        return list(registry)
+    if requested not in registry:
+        raise UnknownProblem(f"unknown test function {requested!r}; "
+                             f"available: {', '.join(registry)}")
+    return [requested]
 
 
 def _verify_appendix1(args):
@@ -177,16 +162,9 @@ def _verify_appendix1(args):
 
 def _verify_appendix2(args):
     orders = [n for n in APPENDIX2_ORDERS if n <= args.n_max]
-    names = list(APPENDIX2_FUNCTIONS) if args.function in (None, "all") \
-        else [args.function]
-    for name in names:
-        if name not in APPENDIX2_FUNCTIONS:
-            raise UnknownProblem(
-                f"unknown test function {name!r}; "
-                f"available: {', '.join(APPENDIX2_FUNCTIONS)}")
     per_fn = {}
     passed = True
-    for name in names:
+    for name in _function_names(args.function, APPENDIX2_FUNCTIONS):
         u, du = APPENDIX2_FUNCTIONS[name]
         rep = verify_appendix2(u, du, orders=orders)
         per_fn[name] = {
@@ -200,16 +178,9 @@ def _verify_appendix2(args):
 
 
 def _verify_interp(args):
-    names = list(INTERP_FUNCTIONS) if args.function in (None, "all") \
-        else [args.function]
-    for name in names:
-        if name not in INTERP_FUNCTIONS:
-            raise UnknownProblem(
-                f"unknown test function {name!r}; "
-                f"available: {', '.join(INTERP_FUNCTIONS)}")
     per_fn = {}
     passed = True
-    for name in names:
+    for name in _function_names(args.function, INTERP_FUNCTIONS):
         rows, ok, criterion = run_interp_suite(name)
         per_fn[name] = {"rows": rows, "criterion": criterion, "passed": ok}
         passed = passed and ok
@@ -221,10 +192,7 @@ def cmd_verify(args):
               "appendix2": _verify_appendix2,
               "interp": _verify_interp}[args.suite]
     payload, passed = runner(args)
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    if args.out:
-        _write_manifest(args.out, "verify", args, args.seed)
-    return 0 if passed else NUMERIC_EXIT
+    return json.dumps(payload, indent=2) + "\n", 0 if passed else NUMERIC_EXIT
 
 
 def cmd_convergence(args):
@@ -239,19 +207,18 @@ def cmd_convergence(args):
         lines.append(",".join([
             str(r.N), _g17(r.err_x), _g17(r.err_u), _g17(r.err_lambda),
             _g17(r.residual_y), str(r.iters), _g17(r.wall_ms)]))
-    fit_payload = {series: asdict(f) for series, f in fits.items()}
     if args.out:
-        _emit("\n".join(lines) + "\n", args.out)
-        Path(str(args.out) + ".fit.json").write_text(
-            json.dumps(fit_payload, indent=2) + "\n")
-        _write_manifest(args.out, "convergence", args, args.seed)
+        Path(str(args.out) + ".fit.json").write_text(json.dumps(
+            {series: asdict(f) for series, f in fits.items()}, indent=2) + "\n")
     else:
-        comment = "\n".join(
+        lines.extend(
             f"# {series}: slope={_g17(f.slope)} r_squared={_g17(f.r_squared)} "
             f"n_range={f.n_range[0]}..{f.n_range[1]}"
             for series, f in fits.items())
-        _emit("\n".join(lines) + "\n" + comment + "\n", None)
-    return 0
+    if not fits:
+        print(f"gausscolloc: numerical failure: {sum(r.converged for r in rows)} of "
+              f"{len(rows)} orders converged, too few to fit a rate", file=sys.stderr)
+    return "\n".join(lines) + "\n", 0 if fits else NUMERIC_EXIT
 
 
 def _order_in_range(text):
@@ -287,10 +254,10 @@ def build_parser():
     p.add_argument("--problem", required=True,
                    help=f"one of: {', '.join(BUILTIN_NAMES)}")
     p.add_argument("--N", "--n", dest="n", type=_order_in_range, required=True)
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="residual norm target (default 1e-10)")
+    p.add_argument("--tol", type=float, default=SolverConfig.tol_y,
+                   help=f"residual norm target (default {SolverConfig.tol_y:g})")
     p.add_argument("--max-iter", "--max-outer", dest="max_iter",
-                   type=int, default=200)
+                   type=int, default=SolverConfig.max_outer)
     p.add_argument("--dump-residual", metavar="PATH", default=None,
                    help="write residual arrays to this JSON file")
     p.set_defaults(func=cmd_solve)
@@ -318,22 +285,21 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UnknownProblem as exc:
+        text, code = args.func(args)
+    except (UnknownProblem, ValueError) as exc:
         print(f"gausscolloc: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except ValueError as exc:
-        print(f"gausscolloc: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except NewtonDivergence as exc:
-        print(f"gausscolloc: numerical failure: {exc}", file=sys.stderr)
-        return NUMERIC_EXIT
     except GaussCollocError as exc:
         print(f"gausscolloc: numerical failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
+    if args.out:
+        Path(args.out).write_text(text)
+        _write_manifest(args.out, args)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

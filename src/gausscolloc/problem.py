@@ -3,9 +3,11 @@
 Problems are kept in Mayer form on the reference interval [-1, 1]: minimize
 a terminal cost C(x(1)) subject to autonomous dynamics xdot = f(x, u), a
 fixed initial state, and a pointwise control constraint u(t) in U expressed
-through a Euclidean projection.  Helpers convert the two common departures
-from that normal form: ``augment_bolza`` folds a running cost into an extra
-integrator state, and ``map_domain`` rescales a problem posed on [a, b].
+through a Euclidean projection.  Every problem, built-in or custom, is one
+``ControlProblem``.  Helpers convert the two common departures from that
+normal form: ``augment_bolza`` adds the integral of a ``RunningCost`` to a
+problem's terminal cost through an extra integrator state, which makes it a
+Bolza problem, and ``map_domain`` rescales a problem posed on [a, b].
 
 Every problem carries the callbacks the solver reads: the dynamics and its
 Jacobians, the terminal cost and its gradient, and the control Hessian
@@ -22,7 +24,7 @@ cost and its gradient stay pointwise: C(x) is a float and C_x (n,).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -91,22 +93,6 @@ class RunningCost:
 
 
 @dataclass(frozen=True)
-class Dynamics:
-    """Dynamics block of a problem before a cost is attached: f, its
-    Jacobians f_x and f_u, and ham_hess_uu, the second derivative of
-    H = lambda . f(x, u) in u at fixed lambda."""
-
-    n: int
-    m: int
-    f: Callable
-    jac_x: Callable
-    jac_u: Callable
-    ham_hess_uu: Callable
-    x0: np.ndarray
-    control_set: ControlSet
-
-
-@dataclass(frozen=True)
 class ControlProblem:
     """Mayer-form optimal control problem on a fixed interval."""
 
@@ -141,32 +127,31 @@ def augment_bolza(base, running, name=""):
     """Fold a running cost into an extra integrator state.
 
     The returned Mayer problem has n+1 states: the appended component obeys
-    zdot = l(x, u), starts at zero, and supplies the objective C = z(end).
+    zdot = l(x, u) and starts at zero, and the objective is the base
+    problem's terminal cost plus z(end).
     """
     n, m = base.n, base.m
 
     def f(X, U):
-        return np.column_stack([base.f(X[:, :n], U), running.value(X[:, :n], U)])
+        return np.column_stack([base.dynamics(X[:, :n], U), running.value(X[:, :n], U)])
 
     def jac_x(X, U):
         J = np.zeros((len(X), n + 1, n + 1))
-        J[:, :n, :n] = base.jac_x(X[:, :n], U)
+        J[:, :n, :n] = base.dynamics_x(X[:, :n], U)
         J[:, n, :n] = running.grad_x(X[:, :n], U)
         return J
 
     def jac_u(X, U):
         J = np.zeros((len(X), n + 1, m))
-        J[:, :n, :] = base.jac_u(X[:, :n], U)
+        J[:, :n, :] = base.dynamics_u(X[:, :n], U)
         J[:, n, :] = running.grad_u(X[:, :n], U)
         return J
 
     def cost(x):
-        return float(x[n])
+        return float(base.cost(x[:n]) + x[n])
 
     def cost_grad(x):
-        g = np.zeros(n + 1)
-        g[n] = 1.0
-        return g
+        return np.append(base.cost_grad(x[:n]), 1.0)
 
     def ham_hess_uu(X, U, Lam):
         return base.ham_hess_uu(X[:, :n], U, Lam[:, :n]) \
@@ -192,27 +177,20 @@ def map_domain(problem, a, b):
     if s <= 0:
         raise ValueError("domain must have positive length")
 
-    scaled = ControlProblem(
-        name=problem.name, n=problem.n, m=problem.m,
-        dynamics=lambda X, U: s * np.asarray(problem.dynamics(X, U), dtype=float),
-        dynamics_x=lambda X, U: s * np.asarray(problem.dynamics_x(X, U), dtype=float),
-        dynamics_u=lambda X, U: s * np.asarray(problem.dynamics_u(X, U), dtype=float),
-        cost=problem.cost, cost_grad=problem.cost_grad,
-        ham_hess_uu=lambda X, U, Lam: s * np.asarray(problem.ham_hess_uu(X, U, Lam), dtype=float),
-        x0=problem.x0, control_set=problem.control_set)
-
-    if problem.analytic is None:
-        return scaled
-
     def to_native(tau):
         return a + (b - a) * (np.asarray(tau, dtype=float) + 1.0) / 2.0
 
     old = problem.analytic
-    remapped = AnalyticSolution(
-        state=lambda tau: old.state(to_native(tau)),
-        control=lambda tau: old.control(to_native(tau)),
-        costate=lambda tau: old.costate(to_native(tau)))
-    return replace(scaled, analytic=remapped)
+    return replace(
+        problem,
+        dynamics=lambda X, U: s * np.asarray(problem.dynamics(X, U), dtype=float),
+        dynamics_x=lambda X, U: s * np.asarray(problem.dynamics_x(X, U), dtype=float),
+        dynamics_u=lambda X, U: s * np.asarray(problem.dynamics_u(X, U), dtype=float),
+        ham_hess_uu=lambda X, U, Lam: s * np.asarray(problem.ham_hess_uu(X, U, Lam), dtype=float),
+        analytic=None if old is None else AnalyticSolution(
+            state=lambda tau: old.state(to_native(tau)),
+            control=lambda tau: old.control(to_native(tau)),
+            costate=lambda tau: old.costate(to_native(tau))))
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +330,13 @@ def hager_optimal_cost(constrained=True):
 def _hager_base(constrained):
     cset = ControlSet.box(upper=np.array([1.0])) if constrained \
         else ControlSet.unconstrained()
-    return Dynamics(
-        n=1, m=1,
-        f=lambda X, U: U[:, [0]],
-        jac_x=lambda X, U: np.zeros((len(X), 1, 1)),
-        jac_u=lambda X, U: np.ones((len(X), 1, 1)),
+    return ControlProblem(
+        name="", n=1, m=1,
+        dynamics=lambda X, U: U[:, [0]],
+        dynamics_x=lambda X, U: np.zeros((len(X), 1, 1)),
+        dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
+        cost=lambda x: 0.0,
+        cost_grad=lambda x: np.zeros(1),
         ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([_HAGER_X0]),
         control_set=cset)

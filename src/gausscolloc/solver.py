@@ -196,10 +196,11 @@ def _descent_direction(problem, X, U, Lam, Hu):
 def solve(problem, N, config=None, warm_start=None):
     """Drive the control iteration to a stationary point.
 
-    N is the number of collocation points.  A warm_start Trajectory seeds
-    the control and the state guess.  Returns a SolveReport whose
-    converged flag reports an exhausted outer loop honestly (never an
-    exception), with the last iterate and its residual attached.
+    N is the number of collocation points.  A warm_start Trajectory of
+    order N seeds the control and the state guess; any other shape raises
+    DimensionMismatch.  Returns a SolveReport whose converged flag reports
+    an exhausted outer loop honestly (never an exception), with the last
+    iterate and its residual attached.
     """
     if config is None:
         config = SolverConfig()
@@ -213,6 +214,11 @@ def solve(problem, N, config=None, warm_start=None):
         U = problem.control_set.project(np.zeros((N, m)))
         X_seed = None
     else:
+        shapes = (np.shape(warm_start.U), np.shape(warm_start.X))
+        if shapes != ((N, m), (N + 2, problem.n)):
+            raise DimensionMismatch(
+                f"warm start has U {shapes[0]} and X {shapes[1]}, "
+                f"expected U {(N, m)} and X {(N + 2, problem.n)}")
         U = problem.control_set.project(np.array(warm_start.U, dtype=float))
         X_seed = warm_start.X
 

@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import gausscolloc.analysis as analysis_module
 from gausscolloc.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -18,6 +20,23 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nodes", "--N", "4"],
+    ["props", "--n-max", "4"],
+    ["solve", "--problem", "hager84-constrained", "--N", "8"],
+    ["verify", "--suite", "interp"],
+], ids=lambda argv: argv[0])
+def test_out_holds_what_stdout_would(capsys, tmp_path, argv):
+    _, printed, _ = _run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    code, out, _ = _run(capsys, *argv, "--out", str(target))
+    assert code == 0
+    assert out == ""
+    assert target.read_text() == printed
+    manifest = json.loads((tmp_path / "out.txt.manifest.json").read_text())
+    assert manifest["command"] == argv[0]
 
 
 class TestNodes:
@@ -226,6 +245,29 @@ class TestConvergence:
         fits = json.loads((tmp_path / "study.csv.fit.json").read_text())
         assert fits["err_x"]["slope"] < -1.0
         assert (tmp_path / "study.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_rows_survive_too_few_converged_orders(self, capsys, monkeypatch, tmp_path,
+                                                    to_file):
+        # orders above 12 report no convergence: 3 converge, 1 is left to fit
+        real_solve = analysis_module.solve
+
+        def solve_failing_above_12(problem, N, config=None):
+            report = real_solve(problem, N, config=config)
+            return replace(report, converged=report.converged and N <= 12)
+
+        monkeypatch.setattr(analysis_module, "solve", solve_failing_above_12)
+        target = tmp_path / "study.csv"
+        argv = ["convergence", "--problem", "hager84-constrained", "--n-list", "4:4:24"]
+        code, out, err = _run(capsys, *argv, *(["--out", str(target)] if to_file else []))
+        assert code == 2
+        assert "3 of 6 orders converged" in err
+        rows = (target.read_text() if to_file else out).splitlines()
+        assert rows[0] == "N,err_x,err_u,err_lambda,residual_y,iters,wall_ms"
+        assert [int(r.split(",")[0]) for r in rows[1:]] == [4, 8, 12, 16, 20, 24]
+        if to_file:
+            assert out == ""
+            assert json.loads((tmp_path / "study.csv.fit.json").read_text()) == {}
 
     def test_too_few_orders_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "convergence", "--problem",

@@ -86,6 +86,18 @@ class TestAugmentBolza:
             x = rng.standard_normal(2)
             assert prob.cost(x * np.array([1.0, 0.0])) == 0.0
 
+    def test_base_terminal_cost_is_kept(self):
+        # C(x) = x^2 / 2 on the base: the augmented objective is C + z
+        base = dataclasses.replace(_hager_base(True), cost=lambda x: 0.5 * x[0] * x[0],
+                                   cost_grad=lambda x: np.array([x[0]]))
+        prob = augment_bolza(base, _HAGER_RUNNING, name="bolza")
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            x, z = rng.standard_normal(2)
+            assert prob.cost(np.array([x, z])) == 0.5 * x * x + z
+            np.testing.assert_array_equal(prob.cost_grad(np.array([x, z])), [x, 1.0])
+        assert audit_derivatives(prob) > 0
+
     def test_benchmark_has_two_states(self):
         prob = augment_bolza(_hager_base(True), _HAGER_RUNNING)
         assert prob.n == 2 and prob.m == 1

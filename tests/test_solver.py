@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gausscolloc.solver as solver_module
-from gausscolloc import (BUILTIN_NAMES, ControlProblem, ControlSet, Dynamics,
-                         RunningCost, SolverConfig, Trajectory, augment_bolza,
+from gausscolloc import (BUILTIN_NAMES, ControlProblem, ControlSet, RunningCost,
+                         SolverConfig, Trajectory, augment_bolza,
                          build_operators, builtin, eval_residual, full_grid,
                          gauss_rule, hager_optimal_cost, map_domain, omega_norm,
                          solve, solve_costate, solve_state)
@@ -87,11 +87,13 @@ def _cubic_problem():
 
 def _two_control_problem():
     """xdot = u1 + u2 / 2 on [0, 1] with running cost (x^2 + |u|^2) / 2."""
-    base = Dynamics(
-        n=1, m=2,
-        f=lambda X, U: U @ np.array([[1.0], [0.5]]),
-        jac_x=lambda X, U: np.zeros((len(X), 1, 1)),
-        jac_u=lambda X, U: np.tile([[[1.0, 0.5]]], (len(X), 1, 1)),
+    base = ControlProblem(
+        name="", n=1, m=2,
+        dynamics=lambda X, U: U @ np.array([[1.0], [0.5]]),
+        dynamics_x=lambda X, U: np.zeros((len(X), 1, 1)),
+        dynamics_u=lambda X, U: np.tile([[[1.0, 0.5]]], (len(X), 1, 1)),
+        cost=lambda x: 0.0,
+        cost_grad=lambda x: np.zeros(1),
         ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 2, 2)),
         x0=np.array([1.0]),
         control_set=ControlSet.unconstrained())
@@ -289,6 +291,19 @@ class TestSolve:
         assert warm.converged
         assert warm.outer_iters < cold.outer_iters
         assert warm.outer_iters <= 2
+
+    @pytest.mark.parametrize("N,field,cut,shapes", [
+        (12, "U", lambda A: A, "U (8, 1) and X (10, 2), expected U (12, 1) and X (14, 2)"),
+        (8, "U", lambda A: A[:, 0], "U (8,) and X (10, 2), expected U (8, 1) and X (10, 2)"),
+        (8, "X", lambda A: A[:-1], "U (8, 1) and X (9, 2), expected U (8, 1) and X (10, 2)"),
+    ], ids=["other-order", "flat-U", "short-X"])
+    def test_warm_start_of_wrong_shape_is_rejected(self, N, field, cut, shapes):
+        # the first case seeds order 12 with an untouched order-8 trajectory
+        problem = builtin("hager84-constrained")
+        traj = solve(problem, 8).traj
+        warm = replace(traj, **{field: cut(getattr(traj, field))})
+        with pytest.raises(DimensionMismatch, match=re.escape(f"warm start has {shapes}")):
+            solve(problem, N, warm_start=warm)
 
     @pytest.mark.parametrize("N", [160, 240, 320])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
