@@ -7,15 +7,19 @@ output always uses 17 significant digits so binary64 values round-trip.
 
 Exit codes: 0 on success or a passing check, 2 on a numerical failure
 (non-convergence, failed verification), 3 on usage errors including
-unknown problem or suite names.  When ``--out`` is given, a JSON manifest
-describing the run is written next to the output file; rerunning with the
-same command line and seed reproduces payloads bit for bit apart from
+unknown problem or suite names and an output path whose directory does not
+exist.  When ``--out`` is given, a JSON manifest describing the run and its
+numeric environment (Python, numpy and scipy versions, BLAS thread
+variables) is written next to the output file; rerunning with the same
+command line and seed reproduces payloads bit for bit apart from
 timestamps and wall-clock fields.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
@@ -37,6 +41,7 @@ USAGE_EXIT = 3
 NUMERIC_EXIT = 2
 _ORDERS = range(1, 1001)
 _ORDER_RULE = "order must be between 1 and 1000"
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,6 +61,8 @@ def _flag(b):
 
 
 def _write_manifest(out, args):
+    from importlib.metadata import version  # costs more to import than to use
+
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "seed", "out", "command") and v is not None}
     manifest = {
@@ -65,6 +72,13 @@ def _write_manifest(out, args):
         "seed": args.seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        # read from metadata, not by import: props and verify never load scipy
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": version("scipy"),
+            **{var: os.environ.get(var) for var in _THREAD_VARS},
+        },
     }
     Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -287,6 +301,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        # a missing output directory is a usage error, found before any work
+        for target in (args.out, getattr(args, "dump_residual", None)):
+            if target and not Path(target).parent.is_dir():
+                raise ValueError(f"directory of {target!r} does not exist")
         text, code = args.func(args)
     except (UnknownProblem, ValueError) as exc:
         print(f"gausscolloc: error: {exc}", file=sys.stderr)

@@ -14,6 +14,13 @@ collocation Jacobian is J = (D[:, 1:] x I) M, line-search trials run chord
 Newton on those factors and the costate solves with J transposed.  The
 state defect is measured in the residual's quadrature-weighted norm and
 driven a decade below ``tol_y`` (never below ``NEWTON_TOL``).
+
+A state that no dynamics read, such as the integrator of a running cost
+that ``augment_bolza`` appends, has a zero column of f_x at every node.
+Its block of M is the identity, so M is block lower triangular and only
+the block of the other ("live") states is LU-factored; the rest of a
+solve is one product with Dinv.  For the built-ins this halves the order
+of the factored matrix.
 """
 from __future__ import annotations
 
@@ -71,27 +78,68 @@ class SolveReport:
 
 
 class NewtonFactors(NamedTuple):
-    """f_x (N, n, n) at one state and the LU factors of M built from it."""
+    """f_x (N, n, n) at one state and M factored by blocks.
+
+    ``live`` indexes the states whose column of f_x is nonzero at some
+    node and ``dead`` those whose column is zero at every node.  ``lu``
+    holds the LU factors of the live block M_LL (None when no state is
+    live).  ``coupling`` is f_x[:, dead][:, :, live], through which the dead
+    states follow the live ones: over the live and dead columns, the dead
+    rows of M are [-(Dinv x I) blockdiag(coupling), I].
+    """
 
     A: np.ndarray
-    lu: tuple
+    lu: tuple | None
+    live: np.ndarray
+    dead: np.ndarray
+    coupling: np.ndarray
 
 
 def newton_factors(problem, ops, Xc, U):
     """Evaluate f_x at the collocation states Xc (N, n) and factor M;
-    raises DimensionMismatch unless f_x is an (N, n, n) stack."""
+    raises DimensionMismatch unless f_x is an (N, n, n) stack.
+
+    Only the live block of M is factored: a dead state's column of M is
+    the identity's, so it never needs an LU (see ``NewtonFactors``).
+    """
     from scipy.linalg import lu_factor
 
     N, n = ops.rule.order, problem.n
     A = problem.dynamics_x(Xc, U)
     if np.shape(A) != (N, n, n):
         raise DimensionMismatch(f"dynamics_x gave {np.shape(A)}, expected {(N, n, n)}")
-    # M[(i,k), (j,l)] = delta - Dinv[i, j] A[j, k, l], built as its transpose:
-    # M^T in row-major order is M in the column-major order LAPACK factors in place
-    MT = np.einsum("ij,jkl->jlik", ops.D1N_inv, -A,
-                   out=np.empty((N, n, N, n))).reshape(N * n, N * n)
-    MT.flat[::N * n + 1] += 1.0
-    return NewtonFactors(A, lu_factor(MT.T, overwrite_a=True, check_finite=False))
+    read = np.any(A != 0.0, axis=(0, 1))
+    live, dead = np.flatnonzero(read), np.flatnonzero(~read)
+    L = live.size
+    lu = None
+    if L:
+        # M_LL[(i,k), (j,l)] = delta - Dinv[i, j] A[j, k, l], built as its transpose:
+        # M^T in row-major order is M in the column-major order LAPACK factors in place
+        MT = np.einsum("ij,jkl->jlik", ops.D1N_inv, -A[:, live[:, None], live],
+                       out=np.empty((N, L, N, L))).reshape(N * L, N * L)
+        MT.flat[::N * L + 1] += 1.0
+        lu = lu_factor(MT.T, overwrite_a=True, check_finite=False)
+    return NewtonFactors(A, lu, live, dead, A[:, dead[:, None], live])
+
+
+def _newton_solve(ops, factors, R, transposed=False):
+    """Solve M Z = R, or M^T Z = R, for a right-hand side R (N, n).
+
+    Forward, Z_L = M_LL^-1 R_L and then Z_D = R_D + Dinv (coupling Z_L);
+    transposed, Z_D = R_D and Z_L = M_LL^-T (R_L + coupling^T (Dinv^T Z_D)).
+    """
+    from scipy.linalg import lu_solve
+
+    live, dead, C = factors.live, factors.dead, factors.coupling
+    Z = np.array(R, dtype=float)
+    if transposed and dead.size:
+        Z[:, live] += np.einsum("jkl,jk->jl", C, ops.D1N_inv.T @ Z[:, dead])
+    if factors.lu is not None:
+        Z[:, live] = lu_solve(factors.lu, Z[:, live].ravel(), trans=int(transposed),
+                              check_finite=False).reshape(len(Z), live.size)
+    if not transposed and dead.size:
+        Z[:, dead] += ops.D1N_inv @ np.einsum("jkl,jl->jk", C, Z[:, live])
+    return Z
 
 
 def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=None):
@@ -107,8 +155,6 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
     its budget or produces non-finite values, and DimensionMismatch when
     finite dynamics values are not an (N, n) stack.
     """
-    from scipy.linalg import lu_solve
-
     rule = ops.rule
     N, n = rule.order, problem.n
     x0 = np.asarray(problem.x0, dtype=float)
@@ -138,8 +184,7 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
             factors = newton_factors(problem, ops, Xc, U)
         prev = defect
         # J delta = -G with J = (D[:, 1:] x I) M
-        Y = solve_D1N(ops, -G)
-        Xc = Xc + lu_solve(factors.lu, Y.ravel(), check_finite=False).reshape(N, n)
+        Xc = Xc + _newton_solve(ops, factors, solve_D1N(ops, -G))
 
     raise NewtonDivergence(
         f"state Newton did not reach its defect target in {NEWTON_MAX} steps")
@@ -156,8 +201,6 @@ def solve_costate(problem, ops, X, U, terminal, factors=None):
     ``terminal``, the terminal cost gradient; raises DimensionMismatch
     unless it has shape (n,).
     """
-    from scipy.linalg import lu_solve
-
     rule = ops.rule
     N, n = rule.order, problem.n
     w = rule.weights
@@ -170,8 +213,8 @@ def solve_costate(problem, ops, X, U, terminal, factors=None):
     # row i of the weight-scaled adjoint system J^T Y = M^T (D1N^T x I) Y = rhs:
     #   (D1N^T Y)_i - A_i^T Y_i = w_i * Ddag[i, -1] * terminal,  Y_i = w_i Lam_i
     rhs = (w * ops.D_dagger[:, -1])[:, None] * terminal[None, :]
-    Z = lu_solve(factors.lu, rhs.ravel(), trans=1, check_finite=False)
-    Y = solve_D1N(ops, Z.reshape(N, n), transposed=True)
+    Z = _newton_solve(ops, factors, rhs, transposed=True)
+    Y = solve_D1N(ops, Z, transposed=True)
 
     Lam = np.empty((N + 2, n))
     Lam[1:N + 1] = Y / w[:, None]

@@ -2,13 +2,16 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 import textwrap
 from dataclasses import replace
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 import gausscolloc.analysis as analysis_module
 from gausscolloc.cli import main
@@ -37,6 +40,25 @@ def test_out_holds_what_stdout_would(capsys, tmp_path, argv):
     assert target.read_text() == printed
     manifest = json.loads((tmp_path / "out.txt.manifest.json").read_text())
     assert manifest["command"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["nodes", "--N", "3", "--out"],
+    ["solve", "--problem", "hager84-constrained", "--N", "8", "--dump-residual"],
+], ids=lambda argv: argv[-1])
+def test_missing_output_directory_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # reported before the command runs, not as a traceback once its work is done
+    def no_work(args):
+        raise AssertionError(f"{args.command} ran")
+
+    monkeypatch.setattr("gausscolloc.cli.cmd_nodes", no_work)
+    monkeypatch.setattr("gausscolloc.cli.cmd_solve", no_work)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, *argv, str(target))
+    assert code == 3
+    assert out == ""
+    assert f"directory of {str(target)!r} does not exist" in err
+    assert not target.parent.exists()
 
 
 class TestNodes:
@@ -337,3 +359,26 @@ def test_scipy_linalg_loads_only_to_factor():
     assert result["seen"] == {"import": False, "interp": False, "appendix1": False,
                               "appendix2": False, "props": False, "solve": True}
     assert result["exit"] == 0 and result["converged"] is True
+
+
+def test_manifest_records_numeric_environment(tmp_path):
+    # a fresh interpreter, so the scipy version is seen to come without scipy
+    script = textwrap.dedent("""
+        import json, sys
+        from gausscolloc.cli import main
+        code = main(["props", "--n-max", "4", "--out", sys.argv[1]])
+        print(json.dumps({"exit": code, "scipy_loaded": "scipy" in sys.modules}))
+    """)
+    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    env.update(OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p))
+    target = tmp_path / "props.csv"
+    proc = subprocess.run([sys.executable, "-c", script, str(target)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"exit": 0, "scipy_loaded": False}
+    manifest = json.loads((tmp_path / "props.csv.manifest.json").read_text())
+    assert manifest["environment"] == {
+        "python": platform.python_version(), "numpy": numpy.__version__,
+        "scipy": scipy.__version__, "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2"}

@@ -222,6 +222,79 @@ class TestSolveCostate:
         assert errs[16] < errs[8] < errs[4]
 
 
+def _dense_newton_matrix(ops, A):
+    """M[(i,k), (j,l)] = delta - Dinv[i, j] A[j, k, l], built densely."""
+    N, n = A.shape[:2]
+    return np.eye(N * n) - np.einsum("ij,jkl->ikjl", ops.D1N_inv, A).reshape(N * n, N * n)
+
+
+class TestNewtonFactors:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), N=st.integers(1, 12), n=st.integers(1, 4))
+    def test_block_solve_matches_dense_solve(self, data, N, n):
+        ops = build_operators(gauss_rule(N))
+        # entries within 0.1 / n keep |(Dinv x I) blockdiag(A)| below 0.2 (P1
+        # bounds Dinv by 2), so M is well conditioned for any right-hand side
+        A = data.draw(arrays(float, (N, n, n), elements=st.floats(-1.0, 1.0))) * (0.1 / n)
+        zeroed = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        A[:, :, zeroed] = 0.0
+        R = data.draw(arrays(float, (N, n), elements=st.floats(-1.0, 1.0)))
+        problem = replace(_frozen_problem(), n=n, dynamics_x=lambda X, U: A)
+        factors = newton_factors(problem, ops, np.zeros((N, n)), np.zeros((N, 1)))
+
+        live = np.any(A != 0.0, axis=(0, 1))
+        assert set(factors.dead) == set(np.flatnonzero(~live)) >= set(np.flatnonzero(zeroed))
+        if live.any():
+            assert factors.lu[0].shape == (N * live.sum(),) * 2
+        else:
+            assert factors.lu is None
+        M = _dense_newton_matrix(ops, A)
+        for transposed, dense in ((False, M), (True, M.T)):
+            Z = solver_module._newton_solve(ops, factors, R, transposed=transposed)
+            ref = np.linalg.solve(dense, R.ravel()).reshape(N, n)
+            assert np.max(np.abs(Z - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_factors_only_the_state_block(self, name):
+        # no dynamics read the running-cost integrator, so it enters no LU
+        problem = builtin(name)
+        N = 16
+        rule = gauss_rule(N)
+        ops = build_operators(rule)
+        U = problem.analytic.control(rule.nodes)
+        X = solve_state(problem, ops, U)
+        factors = newton_factors(problem, ops, X[1:N + 1], U)
+        assert factors.lu[0].shape == (N, N)
+        np.testing.assert_array_equal(factors.dead, [problem.n - 1])
+
+    def test_integrator_needs_no_factorization(self):
+        problem = _integrator_problem()
+        ops = build_operators(gauss_rule(5))
+        factors = newton_factors(problem, ops, np.zeros((5, 1)), np.ones((5, 1)))
+        assert factors.lu is None
+        Lam = solve_costate(problem, ops, np.zeros((7, 1)), np.ones((5, 1)), np.ones(1))
+        np.testing.assert_allclose(Lam, np.ones((7, 1)), atol=1e-12)
+
+    def test_fully_coupled_problem_factors_all_of_M(self):
+        # every column of the cubic problem's f_x is read: the whole M is
+        # factored, and the state matches plain dense Newton
+        problem = _cubic_problem()
+        N, n = 24, 2
+        rule = gauss_rule(N)
+        ops = build_operators(rule)
+        U = np.linspace(-1.0, 1.0, N)[:, None]
+        X = solve_state(problem, ops, U, config=SolverConfig(tol_y=1e-12))
+        assert newton_factors(problem, ops, X[1:N + 1], U).lu[0].shape == (N * n, N * n)
+
+        Xc = np.tile(problem.x0, (N, 1))
+        for _ in range(12):  # steps reach rounding level by the eighth
+            G = ops.D @ np.vstack([problem.x0, Xc]) - problem.dynamics(Xc, U)
+            blocks = np.einsum("ij,ikl->ikjl", np.eye(N), problem.dynamics_x(Xc, U))
+            J = np.kron(ops.D[:, 1:], np.eye(n)) - blocks.reshape(N * n, N * n)
+            Xc = Xc + np.linalg.solve(J, -G.ravel()).reshape(N, n)
+        assert np.max(np.abs(X[1:N + 1] - Xc)) <= 1e-12
+
+
 @pytest.fixture(scope="module")
 def benchmark_n20():
     return solve(builtin("hager84-constrained"), 20)
