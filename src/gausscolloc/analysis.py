@@ -4,13 +4,18 @@ Four study families, each returning plain report objects:
 
 * ``interpolation_study`` measures the derivative-space (H1 seminorm)
   interpolation error over the support {-1, tau_1..tau_N}.
-* ``verify_appendix1`` samples random polynomials with p(-1) = 0 built by
-  integrating interpolated derivative data and certifies sup|p| <= 2, the
-  bound behind the trailing-block inverse estimate.
+* ``verify_appendix1`` samples random polynomials p of degree N with
+  p(-1) = 0 and prescribed derivative data at the N nodes, and certifies
+  sup|p| <= 2, the bound behind the trailing-block inverse estimate.  The
+  values of p on {-1, tau_1..tau_N} solve one linear system with the
+  trailing block of that support's differentiation matrix, and
+  barycentric interpolation evaluates p on the sup grid.
 * ``verify_appendix2`` works in the basis psi_k = (1 - t^2) P_k' of
   polynomials vanishing at both endpoints: it reproduces the closed-form
   norms, checks orthogonality, and tests the projection inequality
-  ||u - pi_N u||_0 <= |u - pi_N u|_1 / N.
+  ||u - pi_N u||_0 <= |u - pi_N u|_1 / N.  The projection is orthogonal in
+  the derivative inner product, so one product against the Legendre rows
+  gives the coefficients of every order at once.
 * ``convergence_study`` reruns the solver across orders against an
   attached analytic solution and fits log-log error slopes.
 
@@ -20,7 +25,7 @@ norms additionally sample a uniform grid including both endpoints.  The
 appendix1 sup walks that grid in blocks of ``SUP_BLOCK`` rows and keeps a
 running per-column maximum of max(v) and -min(v), which is exactly max|v|,
 so memory stays bounded by one block of polynomial values whatever the
-order and sample count.
+order and sample count.  The suites need numpy alone.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diffmat import barycentric_matrix, differentiation_matrix
-from .quadrature import gauss_rule, legendre_deriv_table, legendre_table, radau_rule
+from .quadrature import gauss_rule, legendre_table, radau_rule
 from .solver import SolverConfig, solve
 
 PANELS = 2048
@@ -202,51 +207,30 @@ class Appendix1Report:
     passed: bool
 
 
-def _antiderivative_coeffs(a):
-    """Legendre coefficients of the antiderivative vanishing at -1.
+def _integrated_values(deriv_nodes, deriv_values):
+    """Support {-1, deriv_nodes} and the values on it, shape (N+1, cols), of
+    the degree-N polynomials p with p(-1) = 0 and p'(deriv_nodes) =
+    deriv_values (cols, N).
 
-    a has shape (N, cols) over degrees 0..N-1; the result has shape
-    (N+1, cols).  Uses the three-term integral identity and fixes the
-    constant so every column vanishes at -1.
+    The differentiation matrix of the support maps the values of p to those
+    of p'.  p(-1) = 0 drops its first column and p'(-1) is not prescribed,
+    which drops its first row; the trailing block is then solved for p.
     """
-    N = a.shape[0]
-    b = np.zeros((N + 1, a.shape[1]))
-    b[1] += a[0]
-    b[0] += a[0]
-    for k in range(1, N):
-        b[k + 1] += a[k] / (2 * k + 1)
-        b[k - 1] -= a[k] / (2 * k + 1)
-    return b
-
-
-def _integrated_coeffs(deriv_nodes, deriv_values):
-    """Legendre coefficients (N+1, cols) of the degree-N antiderivatives,
-    vanishing at -1, of the interpolants of deriv_values (cols, N) given at
-    deriv_nodes."""
-    N = deriv_nodes.size
-    quad = gauss_rule(N)
-    T = barycentric_matrix(deriv_nodes, quad.nodes)
-    Pg = legendre_table(N - 1, quad.nodes)
-    pg = deriv_values @ T.T
-    scale = ((2.0 * np.arange(N) + 1.0) / 2.0)[:, None]
-    a = (Pg * quad.weights[None, :]) @ pg.T * scale
-    return _antiderivative_coeffs(a)
+    support = np.concatenate([[-1.0], deriv_nodes])
+    vals = np.zeros((support.size, deriv_values.shape[0]))
+    vals[1:] = np.linalg.solve(differentiation_matrix(support)[1:, 1:], deriv_values.T)
+    return support, vals
 
 
 def _integrated_sup(deriv_nodes, deriv_values):
-    """Sup over [-1,1] of antiderivatives of interpolated derivative data.
-
-    deriv_values: (cols, N) prescribed derivative samples at deriv_nodes.
-    Returns per-column maxima of |p| on the dense sup grid, where p is the
-    degree-N antiderivative of the interpolant with p(-1) = 0.  The grid is
-    evaluated SUP_BLOCK rows at a time.
-    """
-    N = deriv_nodes.size
-    b = _integrated_coeffs(deriv_nodes, deriv_values)
+    """Per-column maxima of |p| on the dense sup grid for the polynomials p
+    of ``_integrated_values``, evaluated SUP_BLOCK grid rows at a time by
+    barycentric interpolation through the support."""
+    support, vals = _integrated_values(deriv_nodes, deriv_values)
     grid = _sup_grid()
-    sup = np.zeros(b.shape[1])
+    sup = np.zeros(vals.shape[1])
     for start in range(0, grid.size, SUP_BLOCK):
-        v = legendre_table(N, grid[start:start + SUP_BLOCK]).T @ b
+        v = barycentric_matrix(support, grid[start:start + SUP_BLOCK]) @ vals
         np.maximum(sup, v.max(axis=0), out=sup)
         np.maximum(sup, -v.min(axis=0), out=sup)
     return sup
@@ -317,86 +301,77 @@ class Appendix2Report:
     passed: bool
 
 
-@lru_cache(maxsize=4)
-def _psi_tables(kmax=12):
-    """Dense-grid tables of P_k, psi_k = (1-t^2)P_k', and psi_k' for k <= kmax."""
+def _l0_weights():
+    """Dense-grid weights of the endpoint-weighted norm: w / (1 - t^2)."""
+    pts, wts = _dense_grid()
+    return wts / ((1.0 - pts) * (1.0 + pts))
+
+
+def _psi_table(kmax):
+    """Dense-grid rows k = 1..kmax of P_k and of psi_k = (1 - t^2) P_k',
+    the latter by the identity (1 - t^2) P_k' = k (P_{k-1} - t P_k)."""
     pts, _ = _dense_grid()
-    P, dP = legendre_deriv_table(kmax, pts)
-    one_m = (1.0 - pts) * (1.0 + pts)
-    psi = one_m * dP
-    ks = np.arange(kmax + 1)
-    dpsi = -(ks * (ks + 1))[:, None] * P
-    return P, psi, dpsi, one_m
+    P = legendre_table(kmax, pts)
+    ks = np.arange(1, kmax + 1)[:, None]
+    return P[1:], ks * (P[:-1] - pts * P[1:])
 
 
 def psi_norm_table(kmax=12):
     """Numeric vs closed-form norms of the psi basis: (rows, max_offdiag).
 
-    h1 is the seminorm integral of (psi_k')^2; l0 weights psi_k^2 by
-    1/(1-t^2).  Off-diagonal h1 inner products measure orthogonality.
+    h1 is the seminorm integral of (psi_k')^2, with psi_k' = -k(k+1) P_k;
+    l0 weights psi_k^2 by 1/(1-t^2).  Off-diagonal entries of the h1 Gram
+    matrix measure orthogonality.
     """
-    pts, wts = _dense_grid()
-    P, psi, dpsi, one_m = _psi_tables(max(kmax, 12))
-    rows = []
-    for k in range(1, kmax + 1):
-        h1 = float(wts @ dpsi[k] ** 2)
-        l0 = float(wts @ (psi[k] ** 2 / one_m))
-        rows.append(PsiNormRow(
-            k=k,
-            h1_num=h1, h1_exact=2.0 * k * k * (k + 1) * (k + 1) / (2 * k + 1),
-            l0_num=l0, l0_exact=2.0 * k * (k + 1) / (2 * k + 1)))
-    worst = 0.0
-    for j in range(1, kmax + 1):
-        for k in range(j + 1, kmax + 1):
-            worst = max(worst, abs(float(wts @ (dpsi[j] * dpsi[k]))))
-    return rows, worst
+    _, wts = _dense_grid()
+    P, psi = _psi_table(kmax)
+    ks = np.arange(1, kmax + 1)
+    dpsi = -(ks * (ks + 1))[:, None] * P
+    gram = (dpsi * wts) @ dpsi.T
+    l0 = (psi * psi) @ _l0_weights()
+    rows = [PsiNormRow(
+        k=k,
+        h1_num=float(gram[k - 1, k - 1]), h1_exact=2.0 * k * k * (k + 1) * (k + 1) / (2 * k + 1),
+        l0_num=float(l0[k - 1]), l0_exact=2.0 * k * (k + 1) / (2 * k + 1))
+        for k in range(1, kmax + 1)]
+    offdiag = np.abs(gram[np.triu_indices(kmax, 1)])
+    return rows, float(offdiag.max(initial=0.0))
 
 
-def project_psi(u, udot, N, kmax=None):
-    """Coefficients of the order-N projection of u onto span{psi_1..psi_{N-1}}.
-
-    Projection is orthogonal in the derivative inner product, so each
-    coefficient is an independent integral against psi_k' = -k(k+1)P_k.
-    """
-    pts, wts = _dense_grid()
-    kmax = max(N, 12) if kmax is None else kmax
-    P, _, _, _ = _psi_tables(kmax)
-    du = udot(pts)
-    ks = np.arange(1, N)
-    coeffs = np.array([
-        -(k * (k + 1)) * float(wts @ (du * P[k]))
-        / (2.0 * k * k * (k + 1) * (k + 1) / (2 * k + 1))
-        for k in ks])
-    return coeffs
-
-
-def verify_appendix2(u, udot, orders=APPENDIX2_ORDERS, kmax=12):
+def verify_appendix2(u, udot, orders=APPENDIX2_ORDERS):
     """Check the projection inequality err0 <= err1 / N for one function.
 
-    u must vanish at both endpoints.  err0 is the endpoint-weighted L2
-    error of the projection, err1 the L2 error of its derivative; the
-    report also carries the psi norm table and orthogonality check.  An
-    empty `orders` raises ValueError.
+    u must vanish at both endpoints.  The order-N projection onto
+    span{psi_1..psi_{N-1}} is orthogonal in the derivative inner product,
+    so its coefficients <u', psi_k'> / |psi_k|_1^2 do not depend on N: one
+    product against the P_k rows gives them for the largest order, and
+    each order takes a prefix.  err0 is the endpoint-weighted L2 error of
+    the projection, err1 the L2 error of its derivative; the report also
+    carries the psi norm table and orthogonality check.  An empty `orders`
+    raises ValueError.
     """
     orders = _order_list("appendix2", orders, APPENDIX2_ORDERS[0])
     pts, wts = _dense_grid()
-    table_k = max(kmax, max(orders))
-    P, psi, dpsi, one_m = _psi_tables(table_k)
+    P, psi = _psi_table(max(orders) - 1)
+    ks = np.arange(1, P.shape[0] + 1)
+    l0_wts = _l0_weights()
     uvals = u(pts)
     duvals = udot(pts)
+    # psi_k' = -k(k+1) P_k and |psi_k|_1^2 = 2 k^2 (k+1)^2 / (2k+1)
+    coeffs = -(2 * ks + 1) / (2.0 * ks * (ks + 1)) * (P @ (wts * duvals))
+    dcoeffs = -(ks * (ks + 1)) * coeffs
 
     rows = []
     for N in orders:
-        coeffs = project_psi(u, udot, N, kmax=table_k)
-        piN = coeffs @ psi[1:N]
-        dpiN = coeffs @ dpsi[1:N]
-        err0 = float(np.sqrt(wts @ ((uvals - piN) ** 2 / one_m)))
+        piN = coeffs[:N - 1] @ psi[:N - 1]
+        dpiN = dcoeffs[:N - 1] @ P[:N - 1]
+        err0 = float(np.sqrt(l0_wts @ (uvals - piN) ** 2))
         err1 = float(np.sqrt(wts @ (duvals - dpiN) ** 2))
         rows.append(Appendix2Row(
             order=N, err0=err0, err1=err1,
             bound_ok=err0 <= err1 / N + 1e-10))
 
-    norm_rows, worst = psi_norm_table(kmax)
+    norm_rows, worst = psi_norm_table()
     norms_ok = all(
         abs(r.h1_num - r.h1_exact) <= 1e-12 * r.h1_exact
         and abs(r.l0_num - r.l0_exact) <= 1e-12 * r.l0_exact

@@ -7,9 +7,10 @@ output always uses 17 significant digits so binary64 values round-trip.
 
 Exit codes: 0 on success or a passing check, 2 on a numerical failure
 (non-convergence, failed verification), 3 on usage errors including
-unknown problem or suite names and an output path whose directory does not
-exist.  When ``--out`` is given, a JSON manifest describing the run and its
-numeric environment (Python, numpy and scipy versions, BLAS thread
+unknown problem or suite names, an output path that is a directory or
+whose directory does not exist, and an output file that cannot be
+written.  When ``--out`` is given, a JSON manifest describing the run and
+its numeric environment (Python, numpy and scipy versions, BLAS thread
 variables) is written next to the output file; rerunning with the same
 command line and seed reproduces payloads bit for bit apart from
 timestamps and wall-clock fields.
@@ -301,21 +302,27 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        # a missing output directory is a usage error, found before any work
-        for target in (args.out, getattr(args, "dump_residual", None)):
-            if target and not Path(target).parent.is_dir():
+        # an output target that cannot be a file is a usage error, found
+        # before any work
+        for target in filter(None, (args.out, getattr(args, "dump_residual", None))):
+            if not Path(target).parent.is_dir():
                 raise ValueError(f"directory of {target!r} does not exist")
+            if Path(target).is_dir():
+                raise ValueError(f"{target!r} is a directory")
         text, code = args.func(args)
+        if args.out:
+            Path(args.out).write_text(text)
+            _write_manifest(args.out, args)
     except (UnknownProblem, ValueError) as exc:
         print(f"gausscolloc: error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except OSError as exc:
+        print(f"gausscolloc: error: cannot write output: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except GaussCollocError as exc:
         print(f"gausscolloc: numerical failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
-    if args.out:
-        Path(args.out).write_text(text)
-        _write_manifest(args.out, args)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

@@ -349,24 +349,22 @@ _HAGER_RUNNING = RunningCost(
     hess_uu=lambda X, U: np.ones((len(X), 1, 1)))
 
 
-def _stack(*cols):
-    return np.column_stack([np.atleast_1d(np.asarray(c, dtype=float)) for c in cols])
+def _columns(*fns):
+    """Analytic callable: converts t once, then stacks one column per fn."""
+    def evaluate(t):
+        x = np.atleast_1d(np.asarray(t, dtype=float))
+        return np.column_stack([fn(x) for fn in fns])
+    return evaluate
 
 
 def _hager_analytic(constrained):
     if constrained:
-        return AnalyticSolution(
-            state=lambda t: _stack(_hager_x(np.atleast_1d(np.asarray(t, float))),
-                                   _hager_z(np.atleast_1d(np.asarray(t, float)))),
-            control=lambda t: _stack(_hager_u(np.atleast_1d(np.asarray(t, float)))),
-            costate=lambda t: _stack(_hager_lam(np.atleast_1d(np.asarray(t, float))),
-                                     np.ones_like(np.atleast_1d(np.asarray(t, float)))))
-    return AnalyticSolution(
-        state=lambda t: _stack(_uncon_x(np.atleast_1d(np.asarray(t, float))),
-                               _uncon_z(np.atleast_1d(np.asarray(t, float)))),
-        control=lambda t: _stack(_uncon_u(np.atleast_1d(np.asarray(t, float)))),
-        costate=lambda t: _stack(-_uncon_u(np.atleast_1d(np.asarray(t, float))),
-                                 np.ones_like(np.atleast_1d(np.asarray(t, float)))))
+        return AnalyticSolution(state=_columns(_hager_x, _hager_z),
+                                control=_columns(_hager_u),
+                                costate=_columns(_hager_lam, np.ones_like))
+    return AnalyticSolution(state=_columns(_uncon_x, _uncon_z),
+                            control=_columns(_uncon_u),
+                            costate=_columns(lambda x: -_uncon_u(x), np.ones_like))
 
 
 def _build_hager(name, constrained):

@@ -89,24 +89,6 @@ def legendre_table(kmax, t):
     return P
 
 
-def legendre_deriv_table(kmax, t):
-    """Values and derivatives of P_0 .. P_kmax at t.
-
-    Returns (P, dP), each of shape (kmax+1,) + t.shape.  The derivative
-    recurrence dP_{k+1} = dP_{k-1} + (2k+1) P_k is used, which is stable
-    on the closed interval including the endpoints.
-    """
-    x = np.asarray(t, dtype=float)
-    P = legendre_table(kmax, x)
-    dP = np.empty_like(P)
-    dP[0] = 0.0
-    if kmax >= 1:
-        dP[1] = 1.0
-    for k in range(1, kmax):
-        dP[k + 1] = dP[k - 1] + (2 * k + 1) * P[k]
-    return P, dP
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """A quadrature rule on [-1, 1].

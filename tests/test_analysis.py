@@ -4,14 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import legendre
 
 from gausscolloc import (builtin, convergence_study, fit_rate, gauss_rule,
                          interpolation_study, psi_norm_table, radau_rule,
                          run_interp_suite, verify_appendix1, verify_appendix2)
 from gausscolloc import analysis
 from gausscolloc.analysis import (APPENDIX2_FUNCTIONS, INTERP_FUNCTIONS,
-                                  _integrated_coeffs, _integrated_sup, _sup_grid)
-from gausscolloc.quadrature import legendre_table
+                                  _dense_grid, _integrated_sup, _integrated_values,
+                                  _psi_table, _sup_grid)
+from gausscolloc.diffmat import barycentric_matrix
+from gausscolloc.quadrature import legendre_eval
 
 
 class TestFitRate:
@@ -114,10 +119,28 @@ class TestAppendix1:
         nodes = (gauss_rule if kind == "gauss" else radau_rule)(N).nodes
         vals = np.vstack([np.ones(N),
                           np.random.default_rng(N).uniform(-1.0, 1.0, (40, N))])
-        b = _integrated_coeffs(nodes, vals)
-        full = np.max(np.abs(legendre_table(N, _sup_grid()).T @ b), axis=0)
+        support, pvals = _integrated_values(nodes, vals)
+        full = np.max(np.abs(barycentric_matrix(support, _sup_grid()) @ pvals), axis=0)
         np.testing.assert_allclose(_integrated_sup(nodes, vals), full,
                                    rtol=0.0, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+           kind=st.sampled_from(["gauss", "radau"]))
+    def test_integrated_polynomial_matches_legendre_antiderivative(self, a, kind):
+        # derivative data of a Legendre series of degree N-1 at N nodes fixes
+        # its antiderivative from -1, which numpy integrates independently
+        a = np.array(a)
+        N = a.size
+        nodes = (gauss_rule if kind == "gauss" else radau_rule)(N).nodes
+        exact = legendre.legint(a, lbnd=-1)
+        support, pvals = _integrated_values(nodes, legendre.legval(nodes, a)[None, :])
+        tol = 1e-13 * (1.0 + np.sum(np.abs(a)))
+        np.testing.assert_allclose(pvals[:, 0], legendre.legval(support, exact),
+                                   rtol=0.0, atol=tol)
+        sup = _integrated_sup(nodes, legendre.legval(nodes, a)[None, :])
+        np.testing.assert_allclose(sup[0], np.max(np.abs(legendre.legval(_sup_grid(), exact))),
+                                   rtol=0.0, atol=tol)
 
     def test_peak_memory_is_bounded(self):
         # a full-grid table times 1000 columns would be ~150 MB at N = 64
@@ -132,6 +155,15 @@ class TestAppendix1:
 
 
 class TestAppendix2:
+    def test_psi_rows_match_pointwise_derivative(self):
+        pts, _ = _dense_grid()
+        P, psi = _psi_table(64)
+        for k in range(1, 65):
+            val, der = legendre_eval(k, pts)
+            np.testing.assert_array_equal(P[k - 1], val)
+            np.testing.assert_allclose(psi[k - 1], (1.0 - pts) * (1.0 + pts) * der,
+                                       rtol=0.0, atol=1e-14)
+
     def test_psi_norm_closed_forms(self):
         rows, worst = psi_norm_table(kmax=12)
         first = rows[0]

@@ -61,6 +61,35 @@ def test_missing_output_directory_is_usage_error(capsys, monkeypatch, tmp_path, 
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["nodes", "--N", "3", "--out"],
+    ["solve", "--problem", "hager84-constrained", "--N", "8", "--dump-residual"],
+], ids=lambda argv: argv[-1])
+def test_directory_output_target_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    def no_work(args):
+        raise AssertionError(f"{args.command} ran")
+
+    monkeypatch.setattr("gausscolloc.cli.cmd_nodes", no_work)
+    monkeypatch.setattr("gausscolloc.cli.cmd_solve", no_work)
+    code, out, err = _run(capsys, *argv, str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert f"{str(tmp_path)!r} is a directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_output_write_is_usage_error(capsys, monkeypatch, tmp_path):
+    def refuse(out, args):
+        raise PermissionError(13, "Permission denied", str(out) + ".manifest.json")
+
+    monkeypatch.setattr("gausscolloc.cli._write_manifest", refuse)
+    code, out, err = _run(capsys, "nodes", "--N", "3", "--out", str(tmp_path / "n.csv"))
+    assert code == 3
+    assert out == ""
+    assert "gausscolloc: error: cannot write output:" in err
+    assert "Permission denied" in err
+
+
 class TestNodes:
     def test_single_point_rule(self, capsys):
         code, out, _ = _run(capsys, "nodes", "--N", "1")
