@@ -347,13 +347,19 @@ def verify_appendix2(u, udot, orders=APPENDIX2_ORDERS):
     product against the P_k rows gives them for the largest order, and
     each order takes a prefix.  err0 is the endpoint-weighted L2 error of
     the projection, err1 the L2 error of its derivative; the report also
-    carries the psi norm table and orthogonality check.  An empty `orders`
-    raises ValueError.
+    carries the psi norm table and orthogonality check for k <= 12, and
+    ``norms_ok`` also covers every psi_k the projections use.  An empty
+    `orders` raises ValueError.
     """
     orders = _order_list("appendix2", orders, APPENDIX2_ORDERS[0])
     pts, wts = _dense_grid()
     P, psi = _psi_table(max(orders) - 1)
     ks = np.arange(1, P.shape[0] + 1)
+    # past the k <= 12 table: every psi_k the projections use, orthogonal
+    # relative to the h1 norms, which grow like k^3, and with exact norms
+    kk = ks * (ks + 1.0)
+    h1, l0 = 2.0 * kk * kk / (2 * ks + 1), 2.0 * kk / (2 * ks + 1)
+    gap = np.abs(((P * wts) @ P.T) * np.outer(kk, kk) - np.diag(h1)) / np.sqrt(np.outer(h1, h1))
     l0_wts = _l0_weights()
     uvals = u(pts)
     duvals = udot(pts)
@@ -375,7 +381,9 @@ def verify_appendix2(u, udot, orders=APPENDIX2_ORDERS):
     norms_ok = all(
         abs(r.h1_num - r.h1_exact) <= 1e-12 * r.h1_exact
         and abs(r.l0_num - r.l0_exact) <= 1e-12 * r.l0_exact
-        for r in norm_rows) and worst <= 1e-10
+        for r in norm_rows) and worst <= 1e-10 and bool(
+        np.all(gap <= np.where(np.eye(len(ks), dtype=bool), 1e-12, 1e-13))
+        and np.all(np.abs(np.einsum("kp,kp,p->k", psi, psi, l0_wts) - l0) <= 1e-12 * l0))
     return Appendix2Report(
         norm_rows=norm_rows, max_offdiag=worst, norms_ok=norms_ok,
         rows=rows, passed=norms_ok and all(r.bound_ok for r in rows))

@@ -185,6 +185,30 @@ class TestAppendix2:
             assert row.err0 <= 1e-11
             assert row.err1 <= 1e-10
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda P, psi: P[19].__iadd__(1e-9 * P[3]),
+        lambda P, psi: psi[19].__imul__(1.0 + 1e-9),
+    ], ids=["psi-derivative-not-orthogonal", "psi-l0-norm"])
+    def test_corrupt_basis_row_above_twelve_fails(self, monkeypatch, corrupt):
+        # the k <= 12 table never sees row k = 20; the check over the rows
+        # the order-32 projection uses does
+        u, udot = APPENDIX2_FUNCTIONS["sinpi"]
+        clean = verify_appendix2(u, udot, orders=(4, 8, 32))
+        table = analysis._psi_table
+
+        def corrupted(kmax):
+            P, psi = (a.copy() for a in table(kmax))
+            if kmax >= 20:
+                corrupt(P, psi)
+            return P, psi
+
+        monkeypatch.setattr(analysis, "_psi_table", corrupted)
+        report = verify_appendix2(u, udot, orders=(4, 8, 32))
+        assert clean.passed and clean.norms_ok
+        assert (report.norm_rows, report.max_offdiag) == (clean.norm_rows, clean.max_offdiag)
+        assert all(r.bound_ok for r in report.rows)
+        assert not report.norms_ok and not report.passed
+
     def test_rejects_empty_orders(self):
         u, udot = APPENDIX2_FUNCTIONS["sinpi"]
         with pytest.raises(ValueError, match="appendix2 .* smallest order is 4"):

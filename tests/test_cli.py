@@ -354,9 +354,12 @@ class TestConvergence:
 
 
 def test_scipy_linalg_loads_only_to_factor():
-    # a fresh interpreter: props and the verify suites never factor, solve does
+    # a fresh interpreter: props, the verify suites and the built-in solves
+    # factor nothing; a state that reads itself needs an LU
     script = textwrap.dedent("""
         import contextlib, io, json, sys
+        import numpy as np
+        from gausscolloc import ControlProblem, ControlSet, solve
         from gausscolloc.cli import main
 
         def run(*argv):
@@ -364,19 +367,33 @@ def test_scipy_linalg_loads_only_to_factor():
                 code = main(list(argv))
             return code, out.getvalue()
 
-        seen = {"import": "scipy.linalg" in sys.modules}
+        seen, outs = {"import": "scipy.linalg" in sys.modules}, {}
         for key, argv in (
                 ("interp", ["verify", "--suite", "interp"]),
                 ("appendix1", ["verify", "--suite", "appendix1", "--n-max", "4",
                                "--samples", "20"]),
                 ("appendix2", ["verify", "--suite", "appendix2", "--n-max", "8"]),
-                ("props", ["props", "--n-max", "8"])):
-            assert run(*argv)[0] == 0
+                ("props", ["props", "--n-max", "8"]),
+                ("solve", ["solve", "--problem", "hager84-constrained", "--N", "10"]),
+                ("unconstrained", ["solve", "--problem", "hager84-unconstrained",
+                                   "--N", "10"])):
+            code, outs[key] = run(*argv)
+            assert code == 0
             seen[key] = "scipy.linalg" in sys.modules
-        code, out = run("solve", "--problem", "hager84-constrained", "--N", "10")
-        seen["solve"] = "scipy.linalg" in sys.modules
-        print(json.dumps({"seen": seen, "exit": code,
-                          "converged": json.loads(out)["converged"]}))
+        decay = ControlProblem(
+            name="decay", n=1, m=1,
+            dynamics=lambda X, U: U - X,
+            dynamics_x=lambda X, U: -np.ones((len(X), 1, 1)),
+            dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
+            cost=lambda x: float(x[0] ** 2),
+            cost_grad=lambda x: 2.0 * x,
+            ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
+            x0=np.array([1.0]),
+            control_set=ControlSet.box(-1.0, 1.0))
+        converged = [json.loads(outs[key])["converged"] for key in ("solve", "unconstrained")]
+        converged.append(solve(decay, 8).converged)
+        seen["self-reading"] = "scipy.linalg" in sys.modules
+        print(json.dumps({"seen": seen, "converged": converged}))
     """)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
@@ -386,8 +403,9 @@ def test_scipy_linalg_loads_only_to_factor():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["seen"] == {"import": False, "interp": False, "appendix1": False,
-                              "appendix2": False, "props": False, "solve": True}
-    assert result["exit"] == 0 and result["converged"] is True
+                              "appendix2": False, "props": False, "solve": False,
+                              "unconstrained": False, "self-reading": True}
+    assert result["converged"] == [True, True, True]
 
 
 def test_manifest_records_numeric_environment(tmp_path):
