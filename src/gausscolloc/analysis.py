@@ -316,6 +316,20 @@ def _psi_table(kmax):
     return P[1:], ks * (P[:-1] - pts * P[1:])
 
 
+def _psi_norms(kmax):
+    """h1 Gram matrix and l0 norms of psi_1..psi_kmax, with their closed
+    forms: (gram, l0, h1_exact, l0_exact)."""
+    _, wts = _dense_grid()
+    P, psi = _psi_table(kmax)
+    l0 = (psi * psi) @ _l0_weights()
+    ks = np.arange(1, kmax + 1)
+    dpsi = -(ks * (ks + 1))[:, None] * P
+    # at most three grid-sized tables are alive at once, as in _psi_table
+    del P, psi
+    return ((dpsi * wts) @ dpsi.T, l0,
+            2.0 * ks * ks * (ks + 1) * (ks + 1) / (2 * ks + 1), 2.0 * ks * (ks + 1) / (2 * ks + 1))
+
+
 def psi_norm_table(kmax=12):
     """Numeric vs closed-form norms of the psi basis: (rows, max_offdiag).
 
@@ -323,16 +337,11 @@ def psi_norm_table(kmax=12):
     l0 weights psi_k^2 by 1/(1-t^2).  Off-diagonal entries of the h1 Gram
     matrix measure orthogonality.
     """
-    _, wts = _dense_grid()
-    P, psi = _psi_table(kmax)
-    ks = np.arange(1, kmax + 1)
-    dpsi = -(ks * (ks + 1))[:, None] * P
-    gram = (dpsi * wts) @ dpsi.T
-    l0 = (psi * psi) @ _l0_weights()
+    gram, l0, h1_exact, l0_exact = _psi_norms(kmax)
     rows = [PsiNormRow(
         k=k,
-        h1_num=float(gram[k - 1, k - 1]), h1_exact=2.0 * k * k * (k + 1) * (k + 1) / (2 * k + 1),
-        l0_num=float(l0[k - 1]), l0_exact=2.0 * k * (k + 1) / (2 * k + 1))
+        h1_num=float(gram[k - 1, k - 1]), h1_exact=float(h1_exact[k - 1]),
+        l0_num=float(l0[k - 1]), l0_exact=float(l0_exact[k - 1]))
         for k in range(1, kmax + 1)]
     offdiag = np.abs(gram[np.triu_indices(kmax, 1)])
     return rows, float(offdiag.max(initial=0.0))
@@ -352,14 +361,17 @@ def verify_appendix2(u, udot, orders=APPENDIX2_ORDERS):
     `orders` raises ValueError.
     """
     orders = _order_list("appendix2", orders, APPENDIX2_ORDERS[0])
+    # past the k <= 12 table: every psi_k the projections use has the
+    # closed-form norms and is orthogonal relative to the h1 norms, which
+    # grow like k^3
+    gram, l0, h1, l0_exact = _psi_norms(max(orders) - 1)
+    off = ~np.eye(len(h1), dtype=bool)
+    basis_ok = bool(np.all(np.abs(np.diag(gram) - h1) <= 1e-12 * h1)
+                    and np.all(np.abs(l0 - l0_exact) <= 1e-12 * l0_exact)
+                    and np.all(np.abs(gram[off]) <= 1e-13 * np.sqrt(np.outer(h1, h1))[off]))
     pts, wts = _dense_grid()
     P, psi = _psi_table(max(orders) - 1)
     ks = np.arange(1, P.shape[0] + 1)
-    # past the k <= 12 table: every psi_k the projections use, orthogonal
-    # relative to the h1 norms, which grow like k^3, and with exact norms
-    kk = ks * (ks + 1.0)
-    h1, l0 = 2.0 * kk * kk / (2 * ks + 1), 2.0 * kk / (2 * ks + 1)
-    gap = np.abs(((P * wts) @ P.T) * np.outer(kk, kk) - np.diag(h1)) / np.sqrt(np.outer(h1, h1))
     l0_wts = _l0_weights()
     uvals = u(pts)
     duvals = udot(pts)
@@ -381,9 +393,7 @@ def verify_appendix2(u, udot, orders=APPENDIX2_ORDERS):
     norms_ok = all(
         abs(r.h1_num - r.h1_exact) <= 1e-12 * r.h1_exact
         and abs(r.l0_num - r.l0_exact) <= 1e-12 * r.l0_exact
-        for r in norm_rows) and worst <= 1e-10 and bool(
-        np.all(gap <= np.where(np.eye(len(ks), dtype=bool), 1e-12, 1e-13))
-        and np.all(np.abs(np.einsum("kp,kp,p->k", psi, psi, l0_wts) - l0) <= 1e-12 * l0))
+        for r in norm_rows) and worst <= 1e-10 and basis_ok
     return Appendix2Report(
         norm_rows=norm_rows, max_offdiag=worst, norms_ok=norms_ok,
         rows=rows, passed=norms_ok and all(r.bound_ok for r in rows))

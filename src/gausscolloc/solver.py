@@ -15,12 +15,13 @@ Newton on those factors and the costate solves with J transposed.  The
 state defect is measured in the residual's quadrature-weighted norm and
 driven a decade below ``tol_y`` (never below ``NEWTON_TOL``).
 
-M is block lower triangular once the states are ordered by the strongly
-connected components of their f_x sparsity graph, each after the ones it
-reads (Tarjan, 1972; Duff & Reid, 1978).  Only a component that reads itself
-needs an LU of its diagonal block; the others are identity blocks, solved by
-substitution.  The built-ins have none (x reads nothing, the running-cost
-integrator z reads x), so they factor nothing and never load ``scipy.linalg``.
+A state that no dynamics read, such as the integrator of a running cost
+that ``augment_bolza`` appends, has a zero column of f_x at every node.
+Its block of M is the identity, so M is block lower triangular and only
+the block of the other ("live") states can need an LU; the rest of a
+solve is one product with Dinv.  When no live state reads a live state
+(the built-ins: x reads nothing), the live block is the identity too, so
+nothing is factored and ``scipy.linalg`` is never loaded.
 """
 from __future__ import annotations
 
@@ -80,79 +81,68 @@ class SolveReport:
 class NewtonFactors(NamedTuple):
     """f_x (N, n, n) at one state and M factored by blocks.
 
-    ``blocks`` is a sequence of (states, lu): the strongly connected
-    components of the graph in which state k reads state l when f_x[:, k, l]
-    is nonzero at some node, each after every component it reads, so that M
-    is block lower triangular in that order.  ``lu`` holds the LU factors of
-    the component's diagonal block of M when its block of f_x is nonzero,
-    and is None when that block of M is the identity.
+    ``live`` indexes the states whose column of f_x is nonzero at some
+    node and ``dead`` those whose column is zero at every node.  ``lu``
+    holds the LU factors of the live block M_LL, or None when that block
+    is the identity (no live state reads a live one).  ``coupling`` is
+    f_x[:, dead][:, :, live], through which the dead states follow the live
+    ones: over the live and dead columns, the dead rows of M are
+    [-(Dinv x I) blockdiag(coupling), I].
     """
 
     A: np.ndarray
-    blocks: tuple
-
-
-def _components(S):
-    """Strongly connected components of adjacency S, each after those it reaches."""
-    reach = S | np.eye(len(S), dtype=bool)
-    for _ in range(len(S).bit_length()):
-        reach |= reach @ reach
-    mutual = reach & reach.T
-    first = mutual.argmax(axis=1)
-    # a component reaches more states than any other component it reaches
-    return [np.flatnonzero(mutual[k]) for k in np.lexsort((first, reach.sum(axis=1)))
-            if first[k] == k]
+    lu: tuple | None
+    live: np.ndarray
+    dead: np.ndarray
+    coupling: np.ndarray
 
 
 def newton_factors(problem, ops, Xc, U):
     """Evaluate f_x at the collocation states Xc (N, n) and factor M;
     raises DimensionMismatch unless f_x is an (N, n, n) stack.
 
-    Only the diagonal blocks of the components that read themselves are
-    LU-factored (see ``NewtonFactors``); the pattern is read from the
-    values of f_x, so the blocks are exact for this M.
+    Only the live block of M is factored, and only when f_x has a nonzero
+    entry in it: a dead state's column of M is the identity's, and so is
+    the live block when no live state reads a live one (see
+    ``NewtonFactors``).
     """
     N, n = ops.rule.order, problem.n
     A = problem.dynamics_x(Xc, U)
     if np.shape(A) != (N, n, n):
         raise DimensionMismatch(f"dynamics_x gave {np.shape(A)}, expected {(N, n, n)}")
-    blocks = []
-    for c in _components(np.any(A != 0.0, axis=0)):
-        A_cc, lu = A[:, c[:, None], c], None
-        if np.any(A_cc != 0.0):
-            from scipy.linalg import lu_factor
-            L = c.size
-            # M_cc[(i,k), (j,l)] = delta - Dinv[i, j] A[j, k, l], built as its transpose:
-            # M^T in row-major order is M in the column-major order LAPACK factors in place
-            MT = np.einsum("ij,jkl->jlik", ops.D1N_inv, -A_cc,
-                           out=np.empty((N, L, N, L))).reshape(N * L, N * L)
-            MT.flat[::N * L + 1] += 1.0
-            lu = lu_factor(MT.T, overwrite_a=True, check_finite=False)
-        blocks.append((c, lu))
-    return NewtonFactors(A, tuple(blocks))
+    read = np.any(A != 0.0, axis=(0, 1))
+    live, dead = np.flatnonzero(read), np.flatnonzero(~read)
+    L = live.size
+    A_LL, lu = A[:, live[:, None], live], None
+    if np.any(A_LL != 0.0):
+        from scipy.linalg import lu_factor
+
+        # M_LL[(i,k), (j,l)] = delta - Dinv[i, j] A[j, k, l], built as its transpose:
+        # M^T in row-major order is M in the column-major order LAPACK factors in place
+        MT = np.einsum("ij,jkl->jlik", ops.D1N_inv, -A_LL,
+                       out=np.empty((N, L, N, L))).reshape(N * L, N * L)
+        MT.flat[::N * L + 1] += 1.0
+        lu = lu_factor(MT.T, overwrite_a=True, check_finite=False)
+    return NewtonFactors(A, lu, live, dead, A[:, dead[:, None], live])
 
 
 def _newton_solve(ops, factors, R, transposed=False):
     """Solve M Z = R, or M^T Z = R, for a right-hand side R (N, n).
 
-    Block substitution over ``factors.blocks``, forward for M and backward
-    for M^T.  With P the states of the blocks already solved, block c takes
-    R_c + Dinv (A_cP Z_P) forward and R_c + A_Pc^T (Dinv^T Z_P) backward,
-    then solves with its diagonal block when that block has LU factors.
+    Forward, Z_L = M_LL^-1 R_L and then Z_D = R_D + Dinv (coupling Z_L);
+    transposed, Z_D = R_D and Z_L = M_LL^-T (R_L + coupling^T (Dinv^T Z_D)).
     """
-    A, blocks = factors
+    live, dead, C = factors.live, factors.dead, factors.coupling
     Z = np.array(R, dtype=float)
-    P = np.empty(0, dtype=int)
-    for c, lu in (blocks[::-1] if transposed else blocks):
-        if P.size and transposed:
-            Z[:, c] += np.einsum("jkl,jk->jl", A[:, P[:, None], c], ops.D1N_inv.T @ Z[:, P])
-        elif P.size:
-            Z[:, c] += ops.D1N_inv @ np.einsum("jkl,jl->jk", A[:, c[:, None], P], Z[:, P])
-        if lu is not None:
-            from scipy.linalg import lu_solve
-            Z[:, c] = lu_solve(lu, Z[:, c].ravel(), trans=int(transposed),
-                               check_finite=False).reshape(len(Z), c.size)
-        P = np.concatenate([P, c])
+    if transposed and dead.size:
+        Z[:, live] += np.einsum("jkl,jk->jl", C, ops.D1N_inv.T @ Z[:, dead])
+    if factors.lu is not None:
+        from scipy.linalg import lu_solve
+
+        Z[:, live] = lu_solve(factors.lu, Z[:, live].ravel(), trans=int(transposed),
+                              check_finite=False).reshape(len(Z), live.size)
+    if not transposed and dead.size:
+        Z[:, dead] += ops.D1N_inv @ np.einsum("jkl,jl->jk", C, Z[:, live])
     return Z
 
 

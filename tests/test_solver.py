@@ -105,13 +105,13 @@ def _two_control_problem():
     return map_domain(augment_bolza(base, running, name="two-control"), 0.0, 1.0)
 
 
-def _second_order_problem(name, a):
-    """x1' = x2, x2' = a x1 + u on [0, 1] from x(0) = (1, 0), with running
+def _oscillator_problem():
+    """x1' = x2, x2' = -x1 + u on [0, 1] from x(0) = (1, 0), with running
     cost (x1^2 + u^2) / 2 through augment_bolza."""
     base = ControlProblem(
         name="", n=2, m=1,
-        dynamics=lambda X, U: np.stack([X[:, 1], a * X[:, 0] + U[:, 0]], axis=1),
-        dynamics_x=lambda X, U: np.tile([[0.0, 1.0], [a, 0.0]], (len(X), 1, 1)),
+        dynamics=lambda X, U: np.stack([X[:, 1], U[:, 0] - X[:, 0]], axis=1),
+        dynamics_x=lambda X, U: np.tile([[0.0, 1.0], [-1.0, 0.0]], (len(X), 1, 1)),
         dynamics_u=lambda X, U: np.tile([[0.0], [1.0]], (len(X), 1, 1)),
         cost=lambda x: 0.0,
         cost_grad=lambda x: np.zeros(2),
@@ -123,15 +123,7 @@ def _second_order_problem(name, a):
         grad_x=lambda X, U: X * [1.0, 0.0],
         grad_u=lambda X, U: U.copy(),
         hess_uu=lambda X, U: np.ones((len(X), 1, 1)))
-    return map_domain(augment_bolza(base, running, name=name), 0.0, 1.0)
-
-
-def _double_integrator_problem():
-    return _second_order_problem("double-integrator", 0.0)
-
-
-def _oscillator_problem():
-    return _second_order_problem("oscillator", -1.0)
+    return map_domain(augment_bolza(base, running, name="oscillator"), 0.0, 1.0)
 
 
 class TestSolveState:
@@ -257,14 +249,6 @@ def _dense_newton_matrix(ops, A):
     return np.eye(N * n) - np.einsum("ij,jkl->ikjl", ops.D1N_inv, A).reshape(N * n, N * n)
 
 
-def _reach(S):
-    """Transitive closure of the adjacency S, with every state reaching itself."""
-    reach = S | np.eye(len(S), dtype=bool)
-    for k in range(len(S)):
-        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
-    return reach
-
-
 class TestNewtonFactors:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), N=st.integers(1, 12), n=st.integers(1, 5))
@@ -280,20 +264,15 @@ class TestNewtonFactors:
         problem = replace(_frozen_problem(), n=n, dynamics_x=lambda X, U: A)
         factors = newton_factors(problem, ops, np.zeros((N, n)), np.zeros((N, 1)))
 
-        S = np.any(A != 0.0, axis=0)
-        reach = _reach(S)
-        states = [c for c, _ in factors.blocks]
-        assert sorted(np.concatenate(states)) == list(range(n))
-        for b, (c, lu) in enumerate(factors.blocks):
-            # a block is one strongly connected component and reads only
-            # itself and the blocks before it
-            assert reach[np.ix_(c, c)].all()
-            later = np.concatenate([np.empty(0, dtype=int), *states[b + 1:]])
-            assert not S[np.ix_(c, later)].any()
-            if S[np.ix_(c, c)].any():
-                assert lu[0].shape == (N * c.size,) * 2
-            else:
-                assert lu is None
+        # every state is live or dead, and dead exactly when no state reads it;
+        # the live block has an LU exactly when some live state reads a live one
+        read = np.any(A != 0.0, axis=(0, 1))
+        np.testing.assert_array_equal(factors.live, np.flatnonzero(read))
+        np.testing.assert_array_equal(factors.dead, np.flatnonzero(~read))
+        if np.any(A[:, factors.live[:, None], factors.live] != 0.0):
+            assert factors.lu[0].shape == (N * factors.live.size,) * 2
+        else:
+            assert factors.lu is None
         M = _dense_newton_matrix(ops, A)
         for transposed, dense in ((False, M), (True, M.T)):
             Z = solver_module._newton_solve(ops, factors, R, transposed=transposed)
@@ -302,8 +281,8 @@ class TestNewtonFactors:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtin_factors_only_the_state_block(self, name):
-        # x reads nothing and the running-cost integrator z reads only x:
-        # both diagonal blocks of M are the identity, so nothing is factored
+        # no dynamics read the running-cost integrator, so it enters no LU,
+        # and x reads nothing, so its block of M is the identity: no LU at all
         problem = builtin(name)
         N = 16
         rule = gauss_rule(N)
@@ -311,29 +290,28 @@ class TestNewtonFactors:
         U = problem.analytic.control(rule.nodes)
         X = solve_state(problem, ops, U)
         factors = newton_factors(problem, ops, X[1:N + 1], U)
-        assert [(list(c), lu) for c, lu in factors.blocks] == [([0], None), ([1], None)]
+        assert factors.lu is None
+        np.testing.assert_array_equal(factors.live, [0])
+        np.testing.assert_array_equal(factors.dead, [problem.n - 1])
 
     def test_integrator_needs_no_factorization(self):
         problem = _integrator_problem()
         ops = build_operators(gauss_rule(5))
         factors = newton_factors(problem, ops, np.zeros((5, 1)), np.ones((5, 1)))
-        assert [(list(c), lu) for c, lu in factors.blocks] == [([0], None)]
+        assert factors.lu is None
         Lam = solve_costate(problem, ops, np.zeros((7, 1)), np.ones((5, 1)), np.ones(1))
         np.testing.assert_allclose(Lam, np.ones((7, 1)), atol=1e-12)
 
     def test_fully_coupled_problem_factors_all_of_M(self):
-        # both states of the cubic problem read themselves and x1 does not
-        # read x2: two N x N blocks are factored, and the state matches
-        # plain dense Newton
+        # every column of the cubic problem's f_x is read: the whole M is
+        # factored, and the state matches plain dense Newton
         problem = _cubic_problem()
         N, n = 24, 2
         rule = gauss_rule(N)
         ops = build_operators(rule)
         U = np.linspace(-1.0, 1.0, N)[:, None]
         X = solve_state(problem, ops, U, config=SolverConfig(tol_y=1e-12))
-        factors = newton_factors(problem, ops, X[1:N + 1], U)
-        assert [list(c) for c, _ in factors.blocks] == [[0], [1]]
-        assert [lu[0].shape for _, lu in factors.blocks] == [(N, N), (N, N)]
+        assert newton_factors(problem, ops, X[1:N + 1], U).lu[0].shape == (N * n, N * n)
 
         Xc = np.tile(problem.x0, (N, 1))
         for _ in range(12):  # steps reach rounding level by the eighth
@@ -343,21 +321,17 @@ class TestNewtonFactors:
             Xc = Xc + np.linalg.solve(J, -G.ravel()).reshape(N, n)
         assert np.max(np.abs(X[1:N + 1] - Xc)) <= 1e-12
 
-    @pytest.mark.parametrize("problem,states,lu_shapes", [
-        (_double_integrator_problem(), [[1], [0], [2]], [None, None, None]),
-        (_oscillator_problem(), [[0, 1], [2]], [(32, 32), None]),
-    ], ids=["double-integrator", "oscillator"])
-    def test_second_order_problem_blocks(self, problem, states, lu_shapes):
-        # the double integrator's x1 reads x2 and the running cost reads x1,
-        # so nothing is factored; the oscillator's x1 and x2 read each other,
-        # so their joint 2N x 2N block is
+    def test_oscillator_factors_its_live_block(self):
+        # x1 and x2 read each other: their 2N x 2N block is factored, the
+        # running-cost integrator is not, and the whole solve converges
+        problem = _oscillator_problem()
         N = 16
         ops = build_operators(gauss_rule(N))
         U = np.linspace(-1.0, 1.0, N)[:, None]
         X = solve_state(problem, ops, U)
-        blocks = newton_factors(problem, ops, X[1:N + 1], U).blocks
-        assert [list(c) for c, _ in blocks] == states
-        assert [None if lu is None else lu[0].shape for _, lu in blocks] == lu_shapes
+        factors = newton_factors(problem, ops, X[1:N + 1], U)
+        np.testing.assert_array_equal(factors.dead, [2])
+        assert factors.lu[0].shape == (2 * N, 2 * N)
         assert solve(problem, N).converged
 
 
