@@ -360,6 +360,11 @@ def verify_appendix2(u, udot, orders=APPENDIX2_ORDERS):
     ``norms_ok`` also covers every psi_k the projections use.  An empty
     `orders` raises ValueError.
     """
+    return next(_appendix2_reports([(u, udot)], orders))
+
+
+def _appendix2_reports(functions, orders):
+    """Yield ``verify_appendix2`` per (u, udot), building the psi basis once."""
     orders = _order_list("appendix2", orders, APPENDIX2_ORDERS[0])
     # past the k <= 12 table: every psi_k the projections use has the
     # closed-form norms and is orthogonal relative to the h1 norms, which
@@ -373,30 +378,28 @@ def verify_appendix2(u, udot, orders=APPENDIX2_ORDERS):
     P, psi = _psi_table(max(orders) - 1)
     ks = np.arange(1, P.shape[0] + 1)
     l0_wts = _l0_weights()
-    uvals = u(pts)
-    duvals = udot(pts)
-    # psi_k' = -k(k+1) P_k and |psi_k|_1^2 = 2 k^2 (k+1)^2 / (2k+1)
-    coeffs = -(2 * ks + 1) / (2.0 * ks * (ks + 1)) * (P @ (wts * duvals))
-    dcoeffs = -(ks * (ks + 1)) * coeffs
-
-    rows = []
-    for N in orders:
-        piN = coeffs[:N - 1] @ psi[:N - 1]
-        dpiN = dcoeffs[:N - 1] @ P[:N - 1]
-        err0 = float(np.sqrt(l0_wts @ (uvals - piN) ** 2))
-        err1 = float(np.sqrt(wts @ (duvals - dpiN) ** 2))
-        rows.append(Appendix2Row(
-            order=N, err0=err0, err1=err1,
-            bound_ok=err0 <= err1 / N + 1e-10))
-
     norm_rows, worst = psi_norm_table()
     norms_ok = all(
         abs(r.h1_num - r.h1_exact) <= 1e-12 * r.h1_exact
         and abs(r.l0_num - r.l0_exact) <= 1e-12 * r.l0_exact
         for r in norm_rows) and worst <= 1e-10 and basis_ok
-    return Appendix2Report(
-        norm_rows=norm_rows, max_offdiag=worst, norms_ok=norms_ok,
-        rows=rows, passed=norms_ok and all(r.bound_ok for r in rows))
+    for u, udot in functions:
+        uvals, duvals = u(pts), udot(pts)
+        # psi_k' = -k(k+1) P_k and |psi_k|_1^2 = 2 k^2 (k+1)^2 / (2k+1)
+        coeffs = -(2 * ks + 1) / (2.0 * ks * (ks + 1)) * (P @ (wts * duvals))
+        dcoeffs = -(ks * (ks + 1)) * coeffs
+        rows = []
+        for N in orders:
+            piN = coeffs[:N - 1] @ psi[:N - 1]
+            dpiN = dcoeffs[:N - 1] @ P[:N - 1]
+            err0 = float(np.sqrt(l0_wts @ (uvals - piN) ** 2))
+            err1 = float(np.sqrt(wts @ (duvals - dpiN) ** 2))
+            rows.append(Appendix2Row(
+                order=N, err0=err0, err1=err1,
+                bound_ok=err0 <= err1 / N + 1e-10))
+        yield Appendix2Report(
+            norm_rows=norm_rows, max_offdiag=worst, norms_ok=norms_ok,
+            rows=rows, passed=norms_ok and all(r.bound_ok for r in rows))
 
 
 APPENDIX2_FUNCTIONS = {

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (APPENDIX1_ORDERS, APPENDIX2_FUNCTIONS, APPENDIX2_ORDERS,
-                       INTERP_FUNCTIONS, convergence_study, run_interp_suite,
-                       verify_appendix1, verify_appendix2)
+                       INTERP_FUNCTIONS, _appendix2_reports, convergence_study,
+                       run_interp_suite, verify_appendix1)
 from .diffmat import build_operators, check_P1, check_P2
 from .errors import GaussCollocError, UnknownProblem
 from .problem import BUILTIN_NAMES, builtin
@@ -179,9 +179,8 @@ def _verify_appendix2(args):
     orders = [n for n in APPENDIX2_ORDERS if n <= args.n_max]
     per_fn = {}
     passed = True
-    for name in _function_names(args.function, APPENDIX2_FUNCTIONS):
-        u, du = APPENDIX2_FUNCTIONS[name]
-        rep = verify_appendix2(u, du, orders=orders)
+    names = _function_names(args.function, APPENDIX2_FUNCTIONS)
+    for name, rep in zip(names, _appendix2_reports(map(APPENDIX2_FUNCTIONS.get, names), orders)):
         per_fn[name] = {
             "rows": [asdict(r) for r in rep.rows],
             "norms_ok": rep.norms_ok,

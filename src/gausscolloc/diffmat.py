@@ -9,14 +9,15 @@ Two rectangular operators are built from one Gauss rule:
   the algebraic identity D_ij = -(w_j / w_i) Ddag_ji with the last column
   fixed by the row-sum condition Ddag_{i,N+1} = -sum_j Ddag_ij.
 
-The inverse of the trailing square block D[:, 1:] is formed once with
+The inverse of the trailing square block D[:, 1:] is formed with
 ``np.linalg.inv`` and stored read-only: the P1 and P2 certificates read
-it, and linear solves against the block (or its transpose) are products
-with it.  This module needs numpy alone.
+it, and solves against the block (or its transpose) are products with it.
+``build_operators`` caches four orders per process.  The module needs numpy alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,8 +119,10 @@ class P2Report:
     last_row_gap: float
 
 
+@lru_cache(maxsize=4)
 def build_operators(rule):
-    """Build D, D_dagger, and the inverse of D[:, 1:]."""
+    """Build D, D_dagger, and the inverse of D[:, 1:], read-only and cached
+    for the last four rules, which hash by identity (one per order)."""
     if rule.kind != "gauss":
         raise ValueError("collocation operators require a Gauss rule")
     N = rule.order

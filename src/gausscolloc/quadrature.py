@@ -89,13 +89,13 @@ def legendre_table(kmax, t):
     return P
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """A quadrature rule on [-1, 1].
 
     kind is "gauss" (interior Legendre roots, weights set) or "radau"
     (right-sided: interior Jacobi(1,0) roots plus the endpoint +1, weights
-    left unset).  Node arrays are ascending and marked read-only.
+    left unset).  Node arrays are ascending and read-only; rules hash by identity.
     """
 
     kind: str

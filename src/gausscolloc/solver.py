@@ -13,7 +13,10 @@ below 2 at every order) and factored once per accepted iterate.  As the
 collocation Jacobian is J = (D[:, 1:] x I) M, line-search trials run chord
 Newton on those factors and the costate solves with J transposed.  The
 state defect is measured in the residual's quadrature-weighted norm and
-driven a decade below ``tol_y`` (never below ``NEWTON_TOL``).
+driven a decade below ``tol_y`` (never below ``NEWTON_TOL``).  Nothing an
+order or an iterate fixes is computed twice: the operators are cached per
+order, and an accepted iterate's f comes from its state solve, its H_x from
+the factors' f_x, and one H_u serves step, residual and report.
 
 A state that no dynamics read, such as the integrator of a running cost
 that ``augment_bolza`` appends, has a zero column of f_x at every node.
@@ -26,7 +29,7 @@ nothing is factored and ``scipy.linalg`` is never loaded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +37,7 @@ import numpy as np
 from .diffmat import build_operators, solve_D1N
 from .errors import DimensionMismatch, NewtonDivergence
 from .quadrature import gauss_rule
-from .transcription import Residual, Trajectory, eval_residual, full_grid, omega_norm
+from .transcription import Residual, Trajectory, _residual, full_grid, omega_norm
 
 _EPS = float(np.finfo(float).eps)
 _NON_FINITE = "state Newton iteration produced non-finite values"
@@ -269,24 +272,35 @@ def solve(problem, N, config=None, warm_start=None):
         U = problem.control_set.project(np.array(warm_start.U, dtype=float))
         X_seed = warm_start.X
 
+    f, last = problem.dynamics, {}
+
+    def dynamics(X, U):
+        # f at a state solve_state returns is the value its last defect check read
+        last["F"] = f(X, U)
+        return last["F"]
+
+    problem = replace(problem, dynamics=dynamics)
     X = solve_state(problem, ops, U, X_guess=X_seed, config=config)
-    factors = newton_factors(problem, ops, X[1:N + 1], U)
-    Lam = solve_costate(problem, ops, X, U, problem.cost_grad(X[N + 1]), factors)
+    F, obj = last["F"], float(problem.cost(X[N + 1]))
 
     history = []
     converged = False
-    outer = 0
-    report = None
-    for outer in range(1, config.max_outer + 1):
+    # one more pass than steps: the iterate the last step accepts is evaluated too
+    for outer in range(1, config.max_outer + 2):
+        factors = newton_factors(problem, ops, X[1:N + 1], U)
+        g = problem.cost_grad(X[N + 1])
+        Lam = solve_costate(problem, ops, X, U, g, factors)
+        Hx = np.einsum("kij,ki->kj", factors.A, Lam[1:N + 1])
+        Hu = problem.ham_u(X[1:N + 1], U, Lam[1:N + 1])
         traj = Trajectory(nodes=nodes, X=X, U=U, Lambda=Lam)
-        report = eval_residual(problem, ops, traj)
-        obj = float(problem.cost(X[N + 1]))
+        report = _residual(problem, ops, traj, F, Hx, Hu, g)
+        if outer > config.max_outer:
+            break
         history.append(obj)
         if report.y_norm <= config.tol_y:
             converged = True
             break
 
-        Hu = problem.ham_u(X[1:N + 1], U, Lam[1:N + 1])
         grad = w[:, None] * Hu
         d = _descent_direction(problem, X, U, Lam, Hu)
 
@@ -301,7 +315,7 @@ def solve(problem, N, config=None, warm_start=None):
             except NewtonDivergence:
                 step *= BACKTRACK
                 continue
-            obj_t = float(problem.cost(X_t[N + 1]))
+            F_t, obj_t = last["F"], float(problem.cost(X_t[N + 1]))
             # second test: expected decrease is below objective roundoff
             if obj_t <= obj + ARMIJO_C * pred \
                     or abs(pred) <= 8.0 * _EPS * (1.0 + abs(obj)):
@@ -311,18 +325,13 @@ def solve(problem, N, config=None, warm_start=None):
         if not accepted:
             break
 
-        U, X = U_t, X_t
-        factors = newton_factors(problem, ops, X[1:N + 1], U)
-        Lam = solve_costate(problem, ops, X, U, problem.cost_grad(X[N + 1]), factors)
+        U, X, F, obj = U_t, X_t, F_t, obj_t
 
-    traj = Trajectory(nodes=nodes, X=X, U=U, Lambda=Lam)
-    report = eval_residual(problem, ops, traj)
-    pre = U - problem.ham_u(X[1:N + 1], U, Lam[1:N + 1])
+    pre = U - Hu
     active = np.abs(pre - problem.control_set.project(pre)) > ACTIVITY_TOL
 
     return SolveReport(
         name=problem.name, order=N, converged=converged,
-        outer_iters=outer, y_norm=report.y_norm,
-        objective=float(problem.cost(X[N + 1])),
+        outer_iters=min(outer, config.max_outer), y_norm=report.y_norm, objective=obj,
         traj=traj, active_set=active, residual=report,
         objective_history=history)

@@ -78,17 +78,22 @@ class Residual:
 
 
 def eval_residual(problem, ops, traj):
-    """Measure optimality-system violation of a trajectory."""
-    rule = ops.rule
-    N = rule.order
+    """Measure optimality-system violation of a trajectory; the solver calls
+    ``_residual`` directly with the f, H_x, H_u and C_x it already holds."""
+    N = ops.rule.order
     X, U, Lam = traj.X, traj.U, traj.Lambda
     if X.shape != (N + 2, problem.n) or Lam.shape != (N + 2, problem.n):
         raise DimensionMismatch("trajectory grid does not match the rule")
-
     Xc, Lc = X[1:N + 1], Lam[1:N + 1]
-    F = problem.dynamics(Xc, U)
-    Hx = problem.ham_x(Xc, U, Lc)
-    Hu = problem.ham_u(Xc, U, Lc)
+    return _residual(problem, ops, traj, problem.dynamics(Xc, U), problem.ham_x(Xc, U, Lc),
+                     problem.ham_u(Xc, U, Lc), problem.cost_grad(X[N + 1]))
+
+
+def _residual(problem, ops, traj, F, Hx, Hu, g):
+    """Residual from f, H_x, H_u at the collocation points and C_x = g."""
+    rule = ops.rule
+    N = rule.order
+    X, U, Lam = traj.X, traj.U, traj.Lambda
     w = rule.weights
 
     initial = X[0] - problem.x0
@@ -96,7 +101,7 @@ def eval_residual(problem, ops, traj):
     endpoint_defect = X[N + 1] - X[0] - w @ F
     costate_endpoint = Lam[N + 1] - Lam[0] + w @ Hx
     costate_defect = ops.D_dagger @ Lam[1:] + Hx
-    transversality = Lam[N + 1] - problem.cost_grad(X[N + 1])
+    transversality = Lam[N + 1] - g
     pre = U - Hu
     control_residual = U - problem.control_set.project(pre)
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial import legendre
 
-from gausscolloc import build_operators, check_P1, check_P2, gauss_rule, solve_D1N
+from gausscolloc import (build_operators, builtin, check_P1, check_P2, gauss_rule,
+                         radau_rule, solve, solve_D1N)
 from gausscolloc.diffmat import (barycentric_interpolate, barycentric_matrix,
                                  barycentric_weights, differentiation_matrix)
 from gausscolloc.errors import DimensionMismatch
@@ -157,6 +158,49 @@ class TestBuildOperators:
         lhs = ops.D[:, 1:]
         rhs = -(w[None, :] / w[:, None]) * ops.D_dagger[:, :9].T
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * np.max(np.abs(lhs)))
+
+
+class TestOperatorCache:
+    @settings(max_examples=30, deadline=None)
+    @given(N=st.integers(1, 64))
+    def test_one_shared_read_only_build_per_order(self, N):
+        ops = build_operators(gauss_rule(N))
+        assert build_operators(gauss_rule(N)) is ops
+        for arr in (ops.D, ops.D_dagger, ops.D1N_inv):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(orders=st.lists(st.integers(1, 64), min_size=5, max_size=5, unique=True))
+    def test_evicted_order_is_rebuilt_equal(self, orders):
+        first = build_operators(gauss_rule(orders[0]))
+        for N in orders[1:]:
+            build_operators(gauss_rule(N))
+        # four later orders fill the cache, so the first is built again
+        again = build_operators(gauss_rule(orders[0]))
+        assert again is not first and again.rule is first.rule
+        for name in ("D", "D_dagger", "D1N_inv"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+
+    @settings(max_examples=10, deadline=None)
+    @given(N=st.integers(1, 64))
+    def test_radau_rule_is_still_rejected(self, N):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="Gauss rule"):
+                build_operators(radau_rule(N))
+
+    @pytest.mark.parametrize("name", ["hager84-constrained", "hager84-unconstrained"])
+    def test_cold_and_warm_cache_solve_agree_bit_for_bit(self, name):
+        problem = builtin(name)
+        build_operators.cache_clear()
+        cold = solve(problem, 12)
+        warm = solve(problem, 12)
+        assert build_operators.cache_info().hits >= 1
+        for field in ("X", "U", "Lambda"):
+            assert np.array_equal(getattr(cold.traj, field), getattr(warm.traj, field))
+        assert (cold.y_norm, cold.objective, cold.outer_iters, cold.objective_history) \
+            == (warm.y_norm, warm.objective, warm.outer_iters, warm.objective_history)
 
 
 class TestSolveD1N:

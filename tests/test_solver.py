@@ -445,6 +445,44 @@ class TestSolve:
         assert report.converged
         assert len(calls) == report.outer_iters + 1
 
+    @pytest.mark.parametrize("N", [10, 80])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_each_callback_once_per_accepted_iterate(self, name, N):
+        # f_x feeds the first state solve and then each accepted iterate's
+        # factors; f_u and C_x are read once per iterate, and H_uu once per
+        # step taken
+        problem = builtin(name)
+        calls = dict.fromkeys(("dynamics_x", "dynamics_u", "cost_grad", "ham_hess_uu"), 0)
+
+        def counted(key):
+            fn = getattr(problem, key)
+
+            def call(*args):
+                calls[key] += 1
+                return fn(*args)
+            return call
+
+        report = solve(replace(problem, **{key: counted(key) for key in calls}), N)
+        k = report.outer_iters
+        assert report.converged
+        assert calls == {"dynamics_x": k + 1, "dynamics_u": k, "cost_grad": k,
+                         "ham_hess_uu": k - 1}
+
+    @pytest.mark.parametrize("N", [10, 80])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_reported_residual_is_eval_residual(self, name, N):
+        # the solver hands the residual values it already holds; evaluating
+        # every callback afresh on the final trajectory gives the same bits
+        problem = builtin(name)
+        report = solve(problem, N)
+        fresh = eval_residual(problem, build_operators(gauss_rule(N)), report.traj)
+        for block in ("initial", "state_defect", "endpoint_defect", "costate_endpoint",
+                      "costate_defect", "transversality", "control_residual"):
+            np.testing.assert_array_equal(getattr(fresh, block),
+                                          getattr(report.residual, block))
+        assert fresh.norms == report.residual.norms
+        assert fresh.y_norm == report.y_norm
+
     def test_exhausted_budget_reported_not_raised(self):
         config = SolverConfig(tol_y=1e-30, max_outer=3)
         report = solve(builtin("hager84-constrained"), 8, config=config)
