@@ -37,7 +37,7 @@ import numpy as np
 
 from .diffmat import barycentric_matrix, differentiation_matrix
 from .quadrature import gauss_rule, legendre_table, radau_rule
-from .solver import SolverConfig, solve
+from .solver import solve
 
 PANELS = 2048
 PANEL_ORDER = 8
@@ -431,7 +431,7 @@ class ConvergenceRow:
     converged: bool
 
 
-def convergence_study(problem, orders, config=None):
+def convergence_study(problem, orders):
     """Solve across orders and fit error slopes against the analytic answer.
 
     Returns (rows, fits) with one RateFit per error series, fitted on
@@ -441,13 +441,11 @@ def convergence_study(problem, orders, config=None):
     """
     if problem.analytic is None:
         raise ValueError("convergence study requires an attached analytic solution")
-    if config is None:
-        config = SolverConfig()
     rows = []
     for N in orders:
         N = int(N)
         t0 = time.perf_counter()
-        rep = solve(problem, N, config=config)
+        rep = solve(problem, N)
         wall_ms = (time.perf_counter() - t0) * 1e3
         nodes = rep.traj.nodes
         X_star = problem.analytic.state(nodes)

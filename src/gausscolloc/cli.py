@@ -271,7 +271,8 @@ def build_parser():
     p.add_argument("--tol", type=float, default=SolverConfig.tol_y,
                    help=f"residual norm target (default {SolverConfig.tol_y:g})")
     p.add_argument("--max-iter", "--max-outer", dest="max_iter",
-                   type=int, default=SolverConfig.max_outer)
+                   type=int, default=SolverConfig.max_outer,
+                   help=f"iterates to evaluate at most (default {SolverConfig.max_outer})")
     p.add_argument("--dump-residual", metavar="PATH", default=None,
                    help="write residual arrays to this JSON file")
     p.set_defaults(func=cmd_solve)

@@ -14,8 +14,8 @@ class DimensionMismatch(GaussCollocError):
 
 
 class EvaluationFailure(GaussCollocError):
-    """A user-supplied callback raised, returned a bad shape, or failed
-    the finite-difference derivative audit."""
+    """A user-supplied callback raised, returned a bad shape or made a solver
+    iterate non-finite, or failed the finite-difference derivative audit."""
 
 
 class UnknownProblem(GaussCollocError):

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diffmat import build_operators, solve_D1N
-from .errors import DimensionMismatch, NewtonDivergence
+from .errors import DimensionMismatch, EvaluationFailure, NewtonDivergence
 from .quadrature import gauss_rule
 from .transcription import Residual, Trajectory, _residual, full_grid, omega_norm
 
@@ -53,7 +53,7 @@ ACTIVITY_TOL = 1e-8   # projection gap above which a control is active
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Outer stopping test: residual norm target and iteration budget."""
+    """Outer stopping test: residual norm target and budget of evaluated iterates."""
 
     tol_y: float = 1e-10
     max_outer: int = 200
@@ -61,13 +61,15 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol_y) and self.tol_y > 0):
             raise ValueError(f"tol_y must be finite and positive, got {self.tol_y!r}")
-        if not self.max_outer >= 1:
-            raise ValueError(f"max_outer must be at least 1, got {self.max_outer!r}")
+        n = self.max_outer
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"max_outer must be an integer of at least 1, got {n!r}")
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve: converged flag, iterate, and diagnostics."""
+    """Outcome of one solve: the last of ``outer_iters`` (at most ``max_outer``)
+    evaluated iterates, and ``objective_history`` with one objective per iterate."""
 
     name: str
     order: int
@@ -248,9 +250,10 @@ def solve(problem, N, config=None, warm_start=None):
 
     N is the number of collocation points.  A warm_start Trajectory of
     order N seeds the control and the state guess; any other shape raises
-    DimensionMismatch.  Returns a SolveReport whose converged flag reports
-    an exhausted outer loop honestly (never an exception), with the last
-    iterate and its residual attached.
+    DimensionMismatch.  Evaluates at most ``config.max_outer`` iterates,
+    stopping at the first within ``tol_y`` or when no step is accepted, and
+    reports the last; raises EvaluationFailure if its objective or residual
+    norm is not finite.
     """
     if config is None:
         config = SolverConfig()
@@ -284,9 +287,7 @@ def solve(problem, N, config=None, warm_start=None):
     F, obj = last["F"], float(problem.cost(X[N + 1]))
 
     history = []
-    converged = False
-    # one more pass than steps: the iterate the last step accepts is evaluated too
-    for outer in range(1, config.max_outer + 2):
+    for outer in range(1, config.max_outer + 1):
         factors = newton_factors(problem, ops, X[1:N + 1], U)
         g = problem.cost_grad(X[N + 1])
         Lam = solve_costate(problem, ops, X, U, g, factors)
@@ -294,18 +295,17 @@ def solve(problem, N, config=None, warm_start=None):
         Hu = problem.ham_u(X[1:N + 1], U, Lam[1:N + 1])
         traj = Trajectory(nodes=nodes, X=X, U=U, Lambda=Lam)
         report = _residual(problem, ops, traj, F, Hx, Hu, g)
-        if outer > config.max_outer:
-            break
+        if not (math.isfinite(obj) and math.isfinite(report.y_norm)):
+            raise EvaluationFailure(f"iterate {outer}: objective {obj}, y_norm {report.y_norm}")
         history.append(obj)
-        if report.y_norm <= config.tol_y:
-            converged = True
+        converged = report.y_norm <= config.tol_y
+        if converged or outer == config.max_outer:
             break
 
         grad = w[:, None] * Hu
         d = _descent_direction(problem, X, U, Lam, Hu)
 
         step = STEP_INIT
-        accepted = False
         for _ in range(MAX_HALVINGS):
             U_t = problem.control_set.project(U - step * d)
             pred = float(np.sum(grad * (U_t - U)))
@@ -319,10 +319,9 @@ def solve(problem, N, config=None, warm_start=None):
             # second test: expected decrease is below objective roundoff
             if obj_t <= obj + ARMIJO_C * pred \
                     or abs(pred) <= 8.0 * _EPS * (1.0 + abs(obj)):
-                accepted = True
                 break
             step *= BACKTRACK
-        if not accepted:
+        else:
             break
 
         U, X, F, obj = U_t, X_t, F_t, obj_t
@@ -332,6 +331,6 @@ def solve(problem, N, config=None, warm_start=None):
 
     return SolveReport(
         name=problem.name, order=N, converged=converged,
-        outer_iters=min(outer, config.max_outer), y_norm=report.y_norm, objective=obj,
+        outer_iters=outer, y_norm=report.y_norm, objective=obj,
         traj=traj, active_set=active, residual=report,
         objective_history=history)

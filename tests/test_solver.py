@@ -15,7 +15,7 @@ from gausscolloc import (BUILTIN_NAMES, ControlProblem, ControlSet, RunningCost,
                          build_operators, builtin, eval_residual, full_grid,
                          gauss_rule, hager_optimal_cost, map_domain, omega_norm,
                          solve, solve_costate, solve_state)
-from gausscolloc.errors import DimensionMismatch, NewtonDivergence
+from gausscolloc.errors import DimensionMismatch, EvaluationFailure, NewtonDivergence
 from gausscolloc.solver import newton_factors
 
 
@@ -490,6 +490,29 @@ class TestSolve:
         assert report.outer_iters == 3
         assert np.isfinite(report.y_norm)
 
+    @pytest.mark.parametrize("max_outer", [3, 10, 11, 12, 13])
+    def test_budget_edge_reports_the_last_tested_iterate(self, max_outer):
+        # hager84-constrained at N=10 converges on its 12th iterate; on either
+        # side of that budget the report is the last iterate evaluated, and
+        # the stopping test has judged it
+        config = SolverConfig(max_outer=max_outer)
+        report = solve(builtin("hager84-constrained"), 10, config=config)
+        assert report.converged == (report.y_norm <= config.tol_y)
+        assert report.outer_iters == len(report.objective_history) <= max_outer
+        assert report.objective == report.objective_history[-1]
+
+    @pytest.mark.parametrize("callback,error", [
+        ("cost", EvaluationFailure), ("cost_grad", EvaluationFailure),
+        ("dynamics_u", EvaluationFailure), ("dynamics", NewtonDivergence)])
+    def test_non_finite_callback_raises(self, callback, error):
+        # a NaN from C, C_x or f_u reaches the first iterate's objective or
+        # residual norm; a NaN from f stops the state solve before that
+        good = builtin("hager84-constrained")
+        fn = getattr(good, callback)
+        bad = replace(good, **{callback: lambda *args: np.full_like(fn(*args), np.nan)})
+        with pytest.raises(error):
+            solve(bad, 10)
+
     def test_two_control_problem_converges(self):
         assert solve(_two_control_problem(), 6).converged
 
@@ -509,10 +532,14 @@ class TestSolve:
     @pytest.mark.parametrize("settings", [
         {"tol_y": float("nan")}, {"tol_y": float("inf")}, {"tol_y": -1.0},
         {"tol_y": 0.0}, {"max_outer": 0}, {"max_outer": -3},
+        {"max_outer": 2.5}, {"max_outer": True},
     ])
     def test_invalid_config_is_rejected(self, settings):
         with pytest.raises(ValueError, match=next(iter(settings))):
             SolverConfig(**settings)
+
+    def test_numpy_integer_budget_is_accepted(self):
+        assert SolverConfig(max_outer=np.int64(3)).max_outer == 3
 
     def test_config_defaults(self):
         config = SolverConfig()
