@@ -35,7 +35,7 @@ from .analysis import (APPENDIX1_ORDERS, APPENDIX2_FUNCTIONS, APPENDIX2_ORDERS,
 from .diffmat import build_operators, check_P1, check_P2
 from .errors import GaussCollocError, UnknownProblem
 from .problem import BUILTIN_NAMES, builtin
-from .quadrature import gauss_rule, radau_rule
+from .quadrature import gauss_rule, gauss_rules, radau_rule
 from .solver import SolverConfig, solve
 
 USAGE_EXIT = 3
@@ -114,12 +114,12 @@ def cmd_nodes(args):
 
 def cmd_props(args):
     lines = ["N,p1_norm,p1_pass,p2_max_row_norm,p2_pass,last_row_gap"]
-    for N in range(1, args.n_max + 1):
-        ops = build_operators(gauss_rule(N))
+    for rule in gauss_rules(range(1, args.n_max + 1)):
+        ops = build_operators(rule)
         p1 = check_P1(ops)
         p2 = check_P2(ops)
         lines.append(",".join([
-            str(N), _g17(p1.norm_inf), _flag(p1.passed),
+            str(rule.order), _g17(p1.norm_inf), _flag(p1.passed),
             _g17(p2.max_row_norm), _flag(p2.passed), _g17(p2.last_row_gap)]))
     return "\n".join(lines) + "\n", 0
 

@@ -3,10 +3,15 @@
 Nodes are computed by Newton's method started from Chebyshev-type guesses,
 with a step-halving safeguard that keeps every iterate inside (-1, 1).
 No eigenvalue solver is involved, so rules stay cheap and deterministic
-up to four-digit orders.
+up to four-digit orders.  ``gauss_rules`` builds any set of Gauss orders in
+one Newton sweep over all their nodes: recurrence step k touches only the
+nodes of orders above k, and each order stops on its own test, so every
+node sees the operations a one-order build would apply and the rules are
+bit-identical to it.  Rules are built once per process and shared.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,6 +21,8 @@ from .errors import DimensionMismatch, IterationFailure
 
 ROOT_TOL = 1e-15
 ROOT_MAX_ITER = 100
+
+_GAUSS_RULES = {}   # order -> QuadratureRule, filled by gauss_rules
 
 
 def legendre_eval(degree, t):
@@ -33,39 +40,61 @@ def legendre_eval(degree, t):
     (value, derivative) matching the shape of ``t``.
     """
     arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    x = np.atleast_1d(arr)
-    p, dp = _legendre_body(degree, x)
-    if scalar:
+    p, dp = _legendre_body(degree, arr.ravel())
+    if arr.ndim == 0:
         return float(p[0]), float(dp[0])
-    return p, dp
+    return p.reshape(arr.shape), dp.reshape(arr.shape)
 
 
 def _legendre_body(degree, x):
-    if degree == 0:
-        return np.ones_like(x), np.zeros_like(x)
-    if degree == 1:
-        return x.copy(), np.ones_like(x)
-    pm1 = np.ones_like(x)
-    p = x.copy()
-    t = np.empty_like(x)
-    for k in range(1, degree):
-        # t = ((2k+1) x p - k pm1) / (k+1) in place, in that operation order;
-        # float scalars hold the integers exactly and dispatch faster
-        c = float(k)
-        np.multiply(2.0 * c + 1.0, x, out=t)
-        t *= p
-        pm1 *= c
-        t -= pm1
-        t /= c + 1.0
-        pm1, p, t = p, t, pm1
-    # (1 - t^2) P_n'(t) = n (P_{n-1}(t) - t P_n(t)); closed form at t = +-1
-    at_end = np.abs(np.abs(x) - 1.0) < 1e-300
-    denom = np.where(at_end, 1.0, (1.0 - x) * (1.0 + x))
+    """P_n and P_n' at the points of the 1-d array x, where n is ``degree``,
+    or the point's entry of ``degree`` when that is an ascending integer
+    array as long as x.
+
+    Recurrence step k updates only the points with n > k.  Three buffers
+    rotate roles without copying, so a point's P_n is left in buffer n % 3
+    and its P_{n-1} in buffer (n - 1) % 3.
+    """
+    buf = np.zeros((3, x.size))
+    buf[0] = 1.0
+    buf[1] = x
+    if isinstance(degree, np.ndarray):
+        starts = np.flatnonzero(np.diff(degree, prepend=-1))
+        runs = zip(starts.tolist(), degree[starts].tolist())
+        cols, low = np.arange(x.size), degree[0]
+    else:
+        runs, cols, low = [(0, degree)], slice(None), degree
+    k = 1
+    for s, n in runs:
+        if n <= k:
+            continue
+        xs = x[s:]
+        rows = buf[0, s:], buf[1, s:], buf[2, s:]
+        pm1, p, t = rows[(k - 1) % 3], rows[k % 3], rows[(k + 1) % 3]
+        for k in range(k, n):
+            # t = ((2k+1) x p - k pm1) / (k+1) in place, in that operation order;
+            # float scalars hold the integers exactly and dispatch faster
+            c = float(k)
+            np.multiply(2.0 * c + 1.0, xs, out=t)
+            t *= p
+            pm1 *= c
+            t -= pm1
+            t /= c + 1.0
+            pm1, p, t = p, t, pm1
+        k = n
+    p, pm1 = buf[degree % 3, cols], buf[(degree - 1) % 3, cols]
+    # (1 - t^2) P_n'(t) = n (P_{n-1}(t) - t P_n(t)); closed form at t = +-1,
+    # the only points of [-1, 1] where 1 - t^2 is zero
+    denom = (1.0 - x) * (1.0 + x)
+    at_end = denom == 0.0
+    denom[at_end] = 1.0
     dp = degree * (pm1 - x * p) / denom
-    if np.any(at_end):
-        end_val = np.sign(x) ** (degree - 1) * degree * (degree + 1) / 2.0
-        dp = np.where(at_end, end_val, dp)
+    if at_end.any():
+        n = np.broadcast_to(degree, x.shape)[at_end]
+        dp[at_end] = np.sign(x[at_end]) ** (n - 1) * n * (n + 1) / 2.0
+    if low < 2:
+        # P_0' = 0 and P_1' = 1 exactly
+        dp = np.where(degree < 2, degree, dp)
     return p, dp
 
 
@@ -104,50 +133,90 @@ class QuadratureRule:
     weights: np.ndarray | None
 
 
-def _newton_roots(eval_fn, guesses):
-    """Vectorized Newton iteration with a step-halving safeguard.
+def _newton_roots(body, degrees, guesses):
+    """Vectorized Newton iteration with a step-halving safeguard on the
+    roots of polynomials of the given ascending degrees: the roots of the
+    j-th are the next degrees[j] guesses, and ``body(n, x)`` evaluates the
+    polynomials and their derivatives at x, where n is the degree or an
+    array of one degree per point.
 
     Any step that would leave (-1, 1) is halved back toward the previous
     iterate until it lands inside, which keeps the recurrence evaluations
-    well defined.  Raises IterationFailure if the largest step does not
-    fall below ROOT_TOL within ROOT_MAX_ITER sweeps.
+    well defined.  A polynomial's roots stop, and leave the sweep, once
+    their largest step falls below ROOT_TOL.  Raises IterationFailure if
+    some have not stopped within ROOT_MAX_ITER sweeps.
     """
-    x = guesses
+    x, roots, pos = guesses, np.empty_like(guesses), np.arange(guesses.size)
+    degrees = np.asarray(degrees)
+    starts = degrees.cumsum() - degrees
     for _ in range(ROOT_MAX_ITER):
-        p, dp = eval_fn(x)
+        deg = int(degrees[0]) if degrees.size == 1 else degrees.repeat(degrees)
+        p, dp = body(deg, x)
         xn = x - p / dp
         outside = np.abs(xn) >= 1.0
-        while np.any(outside):
+        while outside.any():
             xn = np.where(outside, 0.5 * (x + xn), xn)
             outside = np.abs(xn) >= 1.0
-        done = np.max(np.abs(xn - x)) <= ROOT_TOL
+        done = np.maximum.reduceat(np.abs(xn - x), starts) <= ROOT_TOL
+        if done.all():
+            roots[pos] = xn
+            return roots
+        if done.any():
+            stop = done.repeat(degrees)
+            roots[pos[stop]] = xn[stop]
+            keep = ~stop
+            xn, pos, degrees = xn[keep], pos[keep], degrees[~done]
+            starts = degrees.cumsum() - degrees
         x = xn
-        if done:
-            return x
     raise IterationFailure(
         f"root iteration did not reach {ROOT_TOL:g} in {ROOT_MAX_ITER} sweeps")
 
 
-@lru_cache(maxsize=None)
+def gauss_rules(orders):
+    """Gauss rules of the given orders (any iterable of integers >= 1, in
+    any order, repeats allowed), one per entry; see ``gauss_rule``.
+
+    The orders not built yet in this process are built together: one
+    Newton sweep over all their nodes, one sort and symmetrization, and
+    one more sweep for all their weights.  Raises ValueError for an empty
+    set or an order below 1.
+    """
+    orders = [int(operator.index(N)) for N in orders]
+    if not orders:
+        raise ValueError("at least one order is required")
+    if min(orders) < 1:
+        raise ValueError("order must be >= 1")
+    new = sorted(set(orders).difference(_GAUSS_RULES))
+    if new:
+        n = np.array(new)
+        first = n.cumsum() - n                    # offset of each order's nodes
+        deg, head = n.repeat(n), first.repeat(n)
+        j = np.arange(deg.size) - head            # index within its order
+        guesses = np.cos(np.pi * (4 * j + 3) / (4 * deg + 2))
+        x = _newton_roots(_legendre_body, n, guesses)
+        # ascending within each order, then nodes[i] == -nodes[N-1-i] exactly
+        x = x[np.lexsort((x, deg))]
+        x = 0.5 * (x - x[head + (deg - 1 - j)])
+        _, dp = _legendre_body(new[0] if len(new) == 1 else deg, x)
+        w = 2.0 / (((1.0 - x) * (1.0 + x)) * dp * dp)
+        x.flags.writeable = False
+        w.flags.writeable = False
+        for N, s in zip(new, first.tolist()):
+            _GAUSS_RULES[N] = QuadratureRule(kind="gauss", order=N,
+                                             nodes=x[s:s + N], weights=w[s:s + N])
+    return [_GAUSS_RULES[N] for N in orders]
+
+
 def gauss_rule(N):
     """Gauss rule of order N: the N roots of P_N with weights
     w_i = 2 / ((1 - tau_i^2) P_N'(tau_i)^2).
 
     Nodes are symmetrized about the origin after Newton converges, so the
-    returned array satisfies nodes[i] == -nodes[N-1-i] exactly.
+    returned array satisfies nodes[i] == -nodes[N-1-i] exactly.  The rule
+    is built once per process: every call for N, here or through
+    ``gauss_rules``, returns the same object.
     """
-    if N < 1:
-        raise ValueError("order must be >= 1")
-    i = np.arange(1, N + 1)
-    guesses = np.cos(np.pi * (4 * i - 1) / (4 * N + 2))
-    x = _newton_roots(lambda v: _legendre_body(N, v), guesses)
-    x = np.sort(x)
-    x = 0.5 * (x - x[::-1])
-    _, dp = _legendre_body(N, x)
-    w = 2.0 / (((1.0 - x) * (1.0 + x)) * dp * dp)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return QuadratureRule(kind="gauss", order=N, nodes=x, weights=w)
+    return gauss_rules([N])[0]
 
 
 def _jacobi10_body(degree, x):
@@ -186,7 +255,7 @@ def radau_rule(N):
         deg = N - 1
         k = np.arange(1, deg + 1)
         guesses = np.cos(np.pi * (k + 0.25) / (deg + 1))
-        interior = np.sort(_newton_roots(lambda v: _jacobi10_body(deg, v), guesses))
+        interior = np.sort(_newton_roots(_jacobi10_body, [deg], guesses))
     nodes = np.concatenate([interior, [1.0]])
     nodes.flags.writeable = False
     return QuadratureRule(kind="radau", order=N, nodes=nodes, weights=None)

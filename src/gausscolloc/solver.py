@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -59,8 +60,9 @@ class SolverConfig:
     max_outer: int = 200
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol_y) and self.tol_y > 0):
-            raise ValueError(f"tol_y must be finite and positive, got {self.tol_y!r}")
+        t = self.tol_y
+        if isinstance(t, bool) or not isinstance(t, Real) or not (math.isfinite(t) and t > 0):
+            raise ValueError(f"tol_y must be a finite positive real number, got {t!r}")
         n = self.max_outer
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"max_outer must be an integer of at least 1, got {n!r}")
@@ -234,11 +236,14 @@ def solve_costate(problem, ops, X, U, terminal, factors=None):
 
 def _descent_direction(problem, X, U, Lam, Hu):
     """Per-node direction: Hessian-scaled gradient where the control
-    Hessian of the Hamiltonian is positive definite, raw gradient else."""
+    Hessian of the Hamiltonian is positive definite, raw gradient else;
+    raises EvaluationFailure when that Hessian is not finite."""
     R = problem.ham_hess_uu(X[1:-1], U, Lam[1:-1])
     if np.shape(R) != (len(U), problem.m, problem.m):
         raise DimensionMismatch(
             f"ham_hess_uu gave {np.shape(R)}, expected {(len(U), problem.m, problem.m)}")
+    if not np.isfinite(R).all():
+        raise EvaluationFailure("ham_hess_uu gave non-finite values")
     pd = np.linalg.eigvalsh(R)[:, 0] > 0.0
     d = Hu.copy()
     d[pd] = np.linalg.solve(R[pd], Hu[pd, :, None])[:, :, 0]
@@ -253,7 +258,7 @@ def solve(problem, N, config=None, warm_start=None):
     DimensionMismatch.  Evaluates at most ``config.max_outer`` iterates,
     stopping at the first within ``tol_y`` or when no step is accepted, and
     reports the last; raises EvaluationFailure if its objective or residual
-    norm is not finite.
+    norm, or the control Hessian a step uses, is not finite.
     """
     if config is None:
         config = SolverConfig()

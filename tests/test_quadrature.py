@@ -1,16 +1,19 @@
 """Quadrature rules: Legendre evaluation, Gauss/Radau nodes, integration."""
 
+from functools import lru_cache
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import eval_jacobi
 
-from gausscolloc import gauss_rule, integrate, radau_rule
-from gausscolloc.errors import DimensionMismatch
+from gausscolloc import gauss_rule, integrate, quadrature, radau_rule
+from gausscolloc.errors import DimensionMismatch, IterationFailure
 from gausscolloc.quadrature import (ROOT_MAX_ITER, ROOT_TOL, _legendre_body,
-                                    legendre_eval, legendre_table)
+                                    gauss_rules, legendre_eval, legendre_table)
 
 
 class TestLegendreEval:
@@ -78,6 +81,16 @@ def _textbook_gauss_nodes(N):
     return 0.5 * (x - x[::-1])
 
 
+@lru_cache(maxsize=None)
+def _textbook_gauss_rule(N):
+    """Textbook nodes with weights 2 / ((1 - x^2) P_N'(x)^2), read-only."""
+    x = _textbook_gauss_nodes(N)
+    _, dp = _textbook_legendre(N, x)
+    w = 2.0 / (((1.0 - x) * (1.0 + x)) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @settings(max_examples=40, deadline=None)
 @given(degree=st.integers(0, 400),
        pts=arrays(float, st.integers(0, 30), elements=st.floats(-1.0, 1.0)))
@@ -91,6 +104,51 @@ def test_in_place_recurrences_are_bit_identical_to_textbook(degree, pts):
     if degree >= 1:
         np.testing.assert_array_equal(gauss_rule(degree).nodes,
                                       _textbook_gauss_nodes(degree))
+
+
+@settings(max_examples=40, deadline=None)
+@given(degrees=st.lists(st.integers(0, 60), min_size=1, max_size=12),
+       data=st.data())
+def test_recurrence_with_one_degree_per_point_matches_textbook(degrees, data):
+    # points of several degrees in one sweep, degree 0 and 1 and both ends included
+    deg = np.sort(np.array(degrees))
+    x = data.draw(arrays(float, deg.size, elements=st.floats(-1.0, 1.0)))
+    x[:2] = [-1.0, 1.0][:deg.size]
+    p, dp = _legendre_body(deg, x)
+    for i, n in enumerate(deg):
+        want_p, want_dp = _textbook_legendre(int(n), x[i:i + 1])
+        assert (p[i], dp[i]) == (want_p[0], want_dp[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(orders=st.lists(st.integers(1, 400), min_size=1, max_size=8))
+@example(orders=[400, 5, 400])
+def test_batched_rules_are_bit_identical_to_textbook(orders):
+    # a fresh cache, so every distinct order is built in the one batched sweep;
+    # in the example, order 400 stops a sweep before order 5 does
+    with mock.patch.dict(quadrature._GAUSS_RULES, clear=True):
+        rules = gauss_rules(orders)
+        assert [rule.order for rule in rules] == orders
+        for N, rule in zip(orders, rules):
+            nodes, weights = _textbook_gauss_rule(N)
+            np.testing.assert_array_equal(rule.nodes, nodes)
+            np.testing.assert_array_equal(rule.weights, weights)
+            assert rule is gauss_rule(N)
+            assert not (rule.nodes.flags.writeable or rule.weights.flags.writeable)
+
+
+class TestGaussRules:
+    @pytest.mark.parametrize("orders", [[], [0], [3, 0, 5], [-2]])
+    def test_rejects_an_empty_set_or_an_order_below_one(self, orders):
+        with pytest.raises(ValueError):
+            gauss_rules(orders)
+
+    def test_sweep_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_GAUSS_RULES", {})
+        monkeypatch.setattr(quadrature, "ROOT_MAX_ITER", 1)
+        with pytest.raises(IterationFailure):
+            gauss_rules([5, 40])
+        assert quadrature._GAUSS_RULES == {}
 
 
 class TestGaussRule:

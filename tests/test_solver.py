@@ -418,11 +418,12 @@ class TestSolve:
         with pytest.raises(DimensionMismatch, match=re.escape(f"warm start has {shapes}")):
             solve(problem, N, warm_start=warm)
 
-    @pytest.mark.parametrize("N", [160, 240, 320])
+    @pytest.mark.parametrize("N", [1, 2, 3, 160, 240, 320, 500, 1000])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_converges_at_high_order(self, name, N):
         # the state Newton target is tied to tol_y in the residual's own
-        # norm, so an accepted state never holds the outer test back
+        # norm, so an accepted state never holds the outer test back; the
+        # orders span the whole range the CLI accepts
         config = SolverConfig(max_outer=60)
         report = solve(builtin(name), N, config=config)
         assert report.converged
@@ -503,10 +504,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("callback,error", [
         ("cost", EvaluationFailure), ("cost_grad", EvaluationFailure),
-        ("dynamics_u", EvaluationFailure), ("dynamics", NewtonDivergence)])
+        ("dynamics_u", EvaluationFailure), ("dynamics", NewtonDivergence),
+        ("ham_hess_uu", EvaluationFailure)])
     def test_non_finite_callback_raises(self, callback, error):
         # a NaN from C, C_x or f_u reaches the first iterate's objective or
-        # residual norm; a NaN from f stops the state solve before that
+        # residual norm; a NaN from f stops the state solve before that, and
+        # one from H_uu stops the first descent step
         good = builtin("hager84-constrained")
         fn = getattr(good, callback)
         bad = replace(good, **{callback: lambda *args: np.full_like(fn(*args), np.nan)})
@@ -533,6 +536,7 @@ class TestSolve:
         {"tol_y": float("nan")}, {"tol_y": float("inf")}, {"tol_y": -1.0},
         {"tol_y": 0.0}, {"max_outer": 0}, {"max_outer": -3},
         {"max_outer": 2.5}, {"max_outer": True},
+        {"tol_y": "1e-10"}, {"tol_y": None}, {"tol_y": True},
     ])
     def test_invalid_config_is_rejected(self, settings):
         with pytest.raises(ValueError, match=next(iter(settings))):
