@@ -132,6 +132,7 @@ def cmd_solve(args):
         "problem": report.name,
         "order": report.order,
         "converged": report.converged,
+        "termination": report.termination,
         "outer_iters": report.outer_iters,
         "y_norm": report.y_norm,
         "objective": report.objective,

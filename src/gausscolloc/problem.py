@@ -133,7 +133,17 @@ def augment_bolza(base, running, name=""):
     n, m = base.n, base.m
 
     def f(X, U):
-        return np.column_stack([base.dynamics(X[:, :n], U), running.value(X[:, :n], U)])
+        # filled in place, so a wrong shape is caught here and not broadcast
+        K = len(X)
+        Fb, value = base.dynamics(X[:, :n], U), running.value(X[:, :n], U)
+        if np.shape(Fb) != (K, n) or np.shape(value) != (K,):
+            raise DimensionMismatch(
+                f"base dynamics gave {np.shape(Fb)} and running cost {np.shape(value)}, "
+                f"expected {(K, n)} and {(K,)}")
+        F = np.empty((K, n + 1))
+        F[:, :n] = Fb
+        F[:, n] = value
+        return F
 
     def jac_x(X, U):
         J = np.zeros((len(X), n + 1, n + 1))
@@ -151,7 +161,13 @@ def augment_bolza(base, running, name=""):
         return float(base.cost(x[:n]) + x[n])
 
     def cost_grad(x):
-        return np.append(base.cost_grad(x[:n]), 1.0)
+        gb = base.cost_grad(x[:n])
+        if np.shape(gb) != (n,):
+            raise DimensionMismatch(f"base cost_grad gave {np.shape(gb)}, expected {(n,)}")
+        g = np.empty(n + 1)
+        g[:n] = gb
+        g[n] = 1.0
+        return g
 
     def ham_hess_uu(X, U, Lam):
         return base.ham_hess_uu(X[:, :n], U, Lam[:, :n]) \

@@ -25,6 +25,14 @@ the block of the other ("live") states can need an LU; the rest of a
 solve is one product with Dinv.  When no live state reads a live state
 (the built-ins: x reads nothing), the live block is the identity too, so
 nothing is factored and ``scipy.linalg`` is never loaded.
+
+Each ``solve_state`` call writes into one (N+2, n) buffer: the initial
+point, the collocation iterates, which each Newton step updates in place,
+and at convergence the quadrature endpoint.  The defect reads the first N+1
+rows through a view, so no step stacks or copies the state.  A callback
+result that is a view of the iterate (f handing back its input, f_x a view
+of it) is read only before the update: the chord steps use the coupling
+block and the LU factors, which are copies.
 """
 from __future__ import annotations
 
@@ -71,11 +79,17 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one solve: the last of ``outer_iters`` (at most ``max_outer``)
-    evaluated iterates, and ``objective_history`` with one objective per iterate."""
+    evaluated iterates, and ``objective_history`` with one objective per iterate.
+
+    ``termination`` names the exit the iteration took: "converged" (the last
+    iterate is within ``tol_y``), "max_iter" (``max_outer`` iterates were
+    evaluated) or "line_search_failed" (no trial step was accepted).
+    """
 
     name: str
     order: int
     converged: bool
+    termination: str
     outer_iters: int
     y_norm: float
     objective: float
@@ -117,16 +131,16 @@ def newton_factors(problem, ops, Xc, U):
     A = problem.dynamics_x(Xc, U)
     if np.shape(A) != (N, n, n):
         raise DimensionMismatch(f"dynamics_x gave {np.shape(A)}, expected {(N, n, n)}")
-    read = np.any(A != 0.0, axis=(0, 1))
-    live, dead = np.flatnonzero(read), np.flatnonzero(~read)
-    L = live.size
-    A_LL, lu = A[:, live[:, None], live], None
-    if np.any(A_LL != 0.0):
+    nonzero = A != 0.0
+    read = nonzero.any(axis=(0, 1))
+    live, dead = read.nonzero()[0], (~read).nonzero()[0]
+    L, lu = live.size, None
+    if nonzero[:, live[:, None], live].any():
         from scipy.linalg import lu_factor
 
         # M_LL[(i,k), (j,l)] = delta - Dinv[i, j] A[j, k, l], built as its transpose:
         # M^T in row-major order is M in the column-major order LAPACK factors in place
-        MT = np.einsum("ij,jkl->jlik", ops.D1N_inv, -A_LL,
+        MT = np.einsum("ij,jkl->jlik", ops.D1N_inv, -A[:, live[:, None], live],
                        out=np.empty((N, L, N, L))).reshape(N * L, N * L)
         MT.flat[::N * L + 1] += 1.0
         lu = lu_factor(MT.T, overwrite_a=True, check_finite=False)
@@ -164,20 +178,29 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
     in the norm sqrt(sum_i w_i |G_i|^2) that ``eval_residual`` reports for
     ``state_defect``.  Raises NewtonDivergence when the iteration exhausts
     its budget or produces non-finite values, and DimensionMismatch when
-    finite dynamics values are not an (N, n) stack.
+    finite dynamics values are not an (N, n) stack, x0 is not of shape
+    (n,), or the guess's collocation rows X_guess[1:N+1] are not (N, n).
     """
     rule = ops.rule
     N, n = rule.order, problem.n
     x0 = np.asarray(problem.x0, dtype=float)
-    if X_guess is not None:
-        Xc = np.array(X_guess[1:N + 1], dtype=float)
+    if x0.shape != (n,):
+        raise DimensionMismatch(f"x0 has shape {x0.shape}, expected {(n,)}")
+    X = np.empty((N + 2, n))
+    X[0] = x0
+    if X_guess is None:
+        X[1:N + 1] = x0
     else:
-        Xc = np.tile(x0, (N, 1))
+        guess = np.asarray(X_guess)[1:N + 1]
+        if guess.shape != (N, n):
+            raise DimensionMismatch(f"state guess has collocation rows {guess.shape}, "
+                                    f"expected {(N, n)}")
+        X[1:N + 1] = guess
+    Xfull, Xc = X[:N + 1], X[1:N + 1]
 
     target = max(NEWTON_TOL, 0.1 * config.tol_y)
-    prev = np.inf
+    prev = math.inf
     for _ in range(NEWTON_MAX):
-        Xfull = np.vstack([x0[None, :], Xc])
         F = problem.dynamics(Xc, U)
         if np.shape(F) != (N, n):
             # non-finite values are a divergence, whatever their shape
@@ -186,16 +209,16 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
             raise DimensionMismatch(f"dynamics gave {np.shape(F)}, expected {(N, n)}")
         G = ops.D @ Xfull - F
         defect = omega_norm(rule, G)
-        if not np.isfinite(defect):
+        if not math.isfinite(defect):
             raise NewtonDivergence(_NON_FINITE)
         if defect <= target:
-            XN1 = x0 + rule.weights @ F
-            return np.vstack([Xfull, XN1[None, :]])
+            X[N + 1] = x0 + rule.weights @ F
+            return X
         if factors is None or defect > 0.5 * prev:
             factors = newton_factors(problem, ops, Xc, U)
         prev = defect
         # J delta = -G with J = (D[:, 1:] x I) M
-        Xc = Xc + _newton_solve(ops, factors, solve_D1N(ops, -G))
+        Xc += _newton_solve(ops, factors, solve_D1N(ops, -G))
 
     raise NewtonDivergence(
         f"state Newton did not reach its defect target in {NEWTON_MAX} steps")
@@ -245,6 +268,9 @@ def _descent_direction(problem, X, U, Lam, Hu):
     if not np.isfinite(R).all():
         raise EvaluationFailure("ham_hess_uu gave non-finite values")
     pd = np.linalg.eigvalsh(R)[:, 0] > 0.0
+    if pd.all():
+        # LAPACK solves each matrix of a stack on its own: same bits as masked
+        return np.linalg.solve(R, Hu[:, :, None])[:, :, 0]
     d = Hu.copy()
     d[pd] = np.linalg.solve(R[pd], Hu[pd, :, None])[:, :, 0]
     return d
@@ -259,6 +285,11 @@ def solve(problem, N, config=None, warm_start=None):
     stopping at the first within ``tol_y`` or when no step is accepted, and
     reports the last; raises EvaluationFailure if its objective or residual
     norm, or the control Hessian a step uses, is not finite.
+
+    The first projection of the control is checked: it must be a finite
+    (N, m) stack (else DimensionMismatch or EvaluationFailure), and
+    projecting it again must move it by at most ACTIVITY_TOL (else
+    EvaluationFailure), the gap at which a control counts as active.
     """
     if config is None:
         config = SolverConfig()
@@ -269,16 +300,25 @@ def solve(problem, N, config=None, warm_start=None):
     w = rule.weights
 
     if warm_start is None:
-        U = problem.control_set.project(np.zeros((N, m)))
-        X_seed = None
+        U, X_seed = np.zeros((N, m)), None
     else:
         shapes = (np.shape(warm_start.U), np.shape(warm_start.X))
         if shapes != ((N, m), (N + 2, problem.n)):
             raise DimensionMismatch(
                 f"warm start has U {shapes[0]} and X {shapes[1]}, "
                 f"expected U {(N, m)} and X {(N + 2, problem.n)}")
-        U = problem.control_set.project(np.array(warm_start.U, dtype=float))
-        X_seed = warm_start.X
+        U, X_seed = np.array(warm_start.U, dtype=float), warm_start.X
+    project = problem.control_set.project
+    U = project(U)
+    if np.shape(U) != (N, m):
+        raise DimensionMismatch(f"control_set.project gave {np.shape(U)}, expected {(N, m)}")
+    if not np.isfinite(U).all():
+        raise EvaluationFailure("control_set.project gave non-finite values")
+    moved = np.abs(project(U) - U).max()
+    if not moved <= ACTIVITY_TOL:
+        raise EvaluationFailure(
+            f"control_set.project is not a projection: projecting its result again "
+            f"moved it by {moved:.3g}, more than {ACTIVITY_TOL:g}")
 
     f, last = problem.dynamics, {}
 
@@ -312,8 +352,8 @@ def solve(problem, N, config=None, warm_start=None):
 
         step = STEP_INIT
         for _ in range(MAX_HALVINGS):
-            U_t = problem.control_set.project(U - step * d)
-            pred = float(np.sum(grad * (U_t - U)))
+            U_t = project(U - step * d)
+            pred = float((grad * (U_t - U)).sum())
             try:
                 X_t = solve_state(problem, ops, U_t, X_guess=X, config=config,
                                   factors=factors)
@@ -332,10 +372,12 @@ def solve(problem, N, config=None, warm_start=None):
         U, X, F, obj = U_t, X_t, F_t, obj_t
 
     pre = U - Hu
-    active = np.abs(pre - problem.control_set.project(pre)) > ACTIVITY_TOL
+    active = np.abs(pre - project(pre)) > ACTIVITY_TOL
+    termination = ("converged" if converged else
+                   "max_iter" if outer == config.max_outer else "line_search_failed")
 
     return SolveReport(
         name=problem.name, order=N, converged=converged,
-        outer_iters=outer, y_norm=report.y_norm, objective=obj,
+        termination=termination, outer_iters=outer, y_norm=report.y_norm, objective=obj,
         traj=traj, active_set=active, residual=report,
         objective_history=history)

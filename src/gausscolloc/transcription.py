@@ -15,6 +15,7 @@ the two formulations vanish together.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +48,20 @@ def full_grid(rule):
 
 
 def omega_norm(rule, values):
-    """Quadrature-weighted l2 norm: sqrt(sum_i w_i |row_i|^2)."""
+    """Quadrature-weighted l2 norm: sqrt(sum_i w_i |row_i|^2).
+
+    The operations, in order: square every entry, sum each row with
+    ``np.add.reduce``, multiply by the weights, sum those products with
+    ``np.add.reduce`` and take ``math.sqrt``.  That is the order of
+    ``np.sqrt(np.sum(w * np.sum(z * z, axis=1)))``, so both give the same
+    bits; a BLAS dot product in place of the last sum would not.
+    """
     z = np.asarray(values, dtype=float)
     if z.shape[0] != rule.order:
         raise DimensionMismatch(
             f"expected {rule.order} rows to match the rule, got {z.shape[0]}")
-    sq = z * z if z.ndim == 1 else np.sum(z * z, axis=1)
-    return float(np.sqrt(np.sum(rule.weights * sq)))
+    sq = z * z if z.ndim == 1 else np.add.reduce(z * z, axis=1)
+    return math.sqrt(np.add.reduce(rule.weights * sq))
 
 
 @dataclass(frozen=True)
@@ -107,15 +115,17 @@ def _residual(problem, ops, traj, F, Hx, Hu, g):
 
     # endpoint blocks enter with their Euclidean length, collocated blocks
     # with the quadrature-weighted l2 norm, the control block with the
-    # largest per-node Euclidean length
+    # largest per-node Euclidean length; each is the operation sequence
+    # np.linalg.norm runs for that case
     norms = {
-        "initial": float(np.linalg.norm(initial)),
+        "initial": math.sqrt(initial.dot(initial)),
         "state_defect": omega_norm(rule, state_defect),
-        "endpoint_defect": float(np.linalg.norm(endpoint_defect)),
-        "costate_endpoint": float(np.linalg.norm(costate_endpoint)),
+        "endpoint_defect": math.sqrt(endpoint_defect.dot(endpoint_defect)),
+        "costate_endpoint": math.sqrt(costate_endpoint.dot(costate_endpoint)),
         "costate_defect": omega_norm(rule, costate_defect),
-        "transversality": float(np.linalg.norm(transversality)),
-        "control_residual": float(np.max(np.linalg.norm(control_residual, axis=1))),
+        "transversality": math.sqrt(transversality.dot(transversality)),
+        "control_residual": float(np.sqrt(np.add.reduce(
+            control_residual * control_residual, axis=1)).max()),
     }
     return Residual(
         initial=initial, state_defect=state_defect,

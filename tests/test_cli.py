@@ -160,6 +160,7 @@ class TestSolve:
         assert payload["problem"] == "hager84-constrained"
         assert payload["order"] == 16
         assert payload["converged"] is True
+        assert payload["termination"] == "converged"
         assert payload["y_norm"] <= 1e-10
         assert abs(payload["objective"] - 2.7939778111277835) <= 1e-4
         assert payload["active_nodes"] == 8
@@ -203,6 +204,7 @@ class TestSolve:
         assert code == 2
         payload = json.loads(out)
         assert payload["converged"] is False
+        assert payload["termination"] == "max_iter"
         assert payload["outer_iters"] == 2
 
     @pytest.mark.parametrize("flag,value", [

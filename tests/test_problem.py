@@ -1,15 +1,19 @@
 """Problem definitions: control sets, augmentation, mapping, builtins."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gausscolloc import (ControlProblem, ControlSet, audit_derivatives,
                          augment_bolza, builtin, gauss_rule, hager_optimal_cost,
                          map_domain)
 from gausscolloc.diffmat import differentiation_matrix
-from gausscolloc.errors import EvaluationFailure, UnknownProblem
+from gausscolloc.errors import DimensionMismatch, EvaluationFailure, UnknownProblem
 from gausscolloc.problem import _HAGER_RUNNING, _hager_base
 
 
@@ -97,6 +101,36 @@ class TestAugmentBolza:
             assert prob.cost(np.array([x, z])) == 0.5 * x * x + z
             np.testing.assert_array_equal(prob.cost_grad(np.array([x, z])), [x, 1.0])
         assert audit_derivatives(prob) > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), K=st.integers(1, 30), n=st.integers(1, 4))
+    def test_dynamics_and_cost_grad_match_stacking(self, data, K, n):
+        # f and C_x are filled in place: the bits of column_stack and append
+        floats = st.floats(allow_nan=True, allow_infinity=True)
+        Fb, value, gb = (data.draw(arrays(float, shape, elements=floats))
+                         for shape in ((K, n), (K,), (n,)))
+        base = dataclasses.replace(_linear_problem(), n=n, dynamics=lambda X, U: Fb,
+                                   cost_grad=lambda x: gb, x0=np.zeros(n))
+        running = dataclasses.replace(_HAGER_RUNNING, value=lambda X, U: value)
+        prob = augment_bolza(base, running)
+        F = prob.dynamics(np.zeros((K, n + 1)), np.zeros((K, 1)))
+        np.testing.assert_array_equal(F, np.column_stack([Fb, value]))
+        np.testing.assert_array_equal(prob.cost_grad(np.zeros(n + 1)), np.append(gb, 1.0))
+
+    @pytest.mark.parametrize("base_change,value,message", [
+        ({"dynamics": lambda X, U: np.ones((len(X), 1))}, None,
+         "base dynamics gave (4, 1) and running cost (4,)"),
+        ({}, lambda X, U: np.ones((len(X), 1)),
+         "base dynamics gave (4, 2) and running cost (4, 1)"),
+        ({"cost_grad": lambda x: 0.0}, None, "base cost_grad gave (), expected (2,)"),
+    ], ids=["narrow-base-dynamics", "column-running-cost", "scalar-cost-grad"])
+    def test_wrong_shape_is_rejected_not_broadcast(self, base_change, value, message):
+        running = _HAGER_RUNNING if value is None \
+            else dataclasses.replace(_HAGER_RUNNING, value=value)
+        prob = augment_bolza(dataclasses.replace(_linear_problem(), **base_change), running)
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            prob.dynamics(np.zeros((4, 3)), np.zeros((4, 1)))
+            prob.cost_grad(np.zeros(3))
 
     def test_benchmark_has_two_states(self):
         prob = augment_bolza(_hager_base(True), _HAGER_RUNNING)

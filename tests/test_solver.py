@@ -85,13 +85,14 @@ def _cubic_problem():
         control_set=ControlSet.unconstrained())
 
 
-def _two_control_problem():
-    """xdot = u1 + u2 / 2 on [0, 1] with running cost (x^2 + |u|^2) / 2."""
+def _two_control_bolza(gain, name):
+    """xdot = u1 + gain u2 on [-1, 1] from x = 1, with running cost
+    (x^2 + |u|^2) / 2 through augment_bolza."""
     base = ControlProblem(
         name="", n=1, m=2,
-        dynamics=lambda X, U: U @ np.array([[1.0], [0.5]]),
+        dynamics=lambda X, U: U @ np.array([[1.0], [gain]]),
         dynamics_x=lambda X, U: np.zeros((len(X), 1, 1)),
-        dynamics_u=lambda X, U: np.tile([[[1.0, 0.5]]], (len(X), 1, 1)),
+        dynamics_u=lambda X, U: np.tile([[[1.0, gain]]], (len(X), 1, 1)),
         cost=lambda x: 0.0,
         cost_grad=lambda x: np.zeros(1),
         ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 2, 2)),
@@ -102,7 +103,12 @@ def _two_control_problem():
         grad_x=lambda X, U: X.copy(),
         grad_u=lambda X, U: U.copy(),
         hess_uu=lambda X, U: np.tile(np.eye(2), (len(X), 1, 1)))
-    return map_domain(augment_bolza(base, running, name="two-control"), 0.0, 1.0)
+    return augment_bolza(base, running, name=name)
+
+
+def _two_control_problem():
+    """xdot = u1 + u2 / 2 on [0, 1] with running cost (x^2 + |u|^2) / 2."""
+    return map_domain(_two_control_bolza(0.5, "two-control"), 0.0, 1.0)
 
 
 def _oscillator_problem():
@@ -126,7 +132,70 @@ def _oscillator_problem():
     return map_domain(augment_bolza(base, running, name="oscillator"), 0.0, 1.0)
 
 
+def _copying(problem):
+    """The problem with the output of every stacked callback copied."""
+    def copied(fn):
+        return lambda *args: np.array(fn(*args))
+    return replace(problem, **{key: copied(getattr(problem, key)) for key in
+                               ("dynamics", "dynamics_x", "dynamics_u", "ham_hess_uu")})
+
+
+def _input_returning_problems():
+    """Callbacks that hand back an input array or a view of one: f = X
+    (xdot = x), f = U (xdot = u), and f_x = X[:, :, None] (xdot = x^2 / 2 + u)."""
+    common = dict(cost=lambda x: 0.5 * float(x[0]) ** 2, cost_grad=lambda x: x.copy(),
+                  ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)), n=1, m=1)
+    grow = ControlProblem(
+        name="grow", dynamics=lambda X, U: X,
+        dynamics_x=lambda X, U: np.ones((len(X), 1, 1)),
+        dynamics_u=lambda X, U: np.zeros((len(X), 1, 1)),
+        x0=np.array([0.5]), control_set=ControlSet.unconstrained(), **common)
+    steer = ControlProblem(
+        name="steer", dynamics=lambda X, U: U,
+        dynamics_x=lambda X, U: np.zeros((len(X), 1, 1)),
+        dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
+        x0=np.array([0.3]), control_set=ControlSet.box(upper=[0.2]), **common)
+    riccati = ControlProblem(
+        name="riccati", dynamics=lambda X, U: 0.5 * X * X + U,
+        dynamics_x=lambda X, U: X[:, :, None],
+        dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
+        x0=np.array([0.3]), control_set=ControlSet.box(lower=[-1.0], upper=[1.0]),
+        **common)
+    return grow, steer, riccati
+
+
 class TestSolveState:
+    @pytest.mark.parametrize("problem", _input_returning_problems(), ids=lambda p: p.name)
+    def test_callbacks_returning_their_input_change_no_bit(self, problem):
+        # the iterates are updated in place in one buffer per call, which an
+        # f or f_x that aliases its input X must not see; solves from a
+        # distant guess and whole solves give the bits of copying callbacks
+        N = 12
+        ops = build_operators(gauss_rule(N))
+        U = np.linspace(-0.5, 0.5, N)[:, None]
+        guess = np.full((N + 2, 1), 2.0)
+        for X_guess in (None, guess):
+            np.testing.assert_array_equal(
+                solve_state(problem, ops, U, X_guess=X_guess),
+                solve_state(_copying(problem), ops, U, X_guess=X_guess))
+        config = SolverConfig(max_outer=20)
+        alias, copy = solve(problem, N, config=config), solve(_copying(problem), N, config=config)
+        for a, b in ((alias.traj.X, copy.traj.X), (alias.traj.U, copy.traj.U),
+                     (alias.traj.Lambda, copy.traj.Lambda)):
+            np.testing.assert_array_equal(a, b)
+        assert (alias.y_norm, alias.objective_history) == (copy.y_norm, copy.objective_history)
+
+    @pytest.mark.parametrize("x0,guess,message", [
+        ([0.4, -1.1, 2.0], None, "x0 has shape (3,), expected (2,)"),
+        ([0.4], None, "x0 has shape (1,), expected (2,)"),
+        ([0.4, -1.1], np.zeros((7, 1)), "state guess has collocation rows (5, 1), expected (5, 2)"),
+    ], ids=["long-x0", "short-x0", "narrow-guess"])
+    def test_malformed_start_is_rejected(self, x0, guess, message):
+        problem = replace(_frozen_problem(), x0=np.array(x0))
+        ops = build_operators(gauss_rule(5))
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            solve_state(problem, ops, np.zeros((5, 1)), X_guess=guess)
+
     def test_zero_dynamics_keeps_initial_state(self):
         problem = _frozen_problem()
         ops = build_operators(gauss_rule(6))
@@ -243,6 +312,34 @@ class TestSolveCostate:
         assert errs[16] < errs[8] < errs[4]
 
 
+def _masked_direction(R, Hu):
+    """Descent direction with one masked solve over the positive definite nodes."""
+    pd = np.linalg.eigvalsh(R)[:, 0] > 0.0
+    d = Hu.copy()
+    d[pd] = np.linalg.solve(R[pd], Hu[pd, :, None])[:, :, 0]
+    return d
+
+
+class TestDescentDirection:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), K=st.integers(1, 24), m=st.integers(1, 4))
+    def test_same_bits_as_the_masked_solve(self, data, K, m):
+        # R = B B^T + s I is positive definite for s > 0 and may not be for
+        # s < 0; every node positive definite takes the unmasked path
+        floats = st.floats(-2.0, 2.0)
+        B = data.draw(arrays(float, (K, m, m), elements=floats))
+        if data.draw(st.booleans()):
+            shift = np.full(K, 0.1)
+        else:
+            shift = data.draw(arrays(float, K, elements=st.sampled_from([-1.0, 0.1])))
+        R = B @ B.transpose(0, 2, 1) + shift[:, None, None] * np.eye(m)
+        Hu = data.draw(arrays(float, (K, m), elements=floats))
+        problem = replace(_frozen_problem(), m=m, ham_hess_uu=lambda X, U, Lam: R)
+        X = np.zeros((K + 2, 2))
+        d = solver_module._descent_direction(problem, X, np.zeros((K, m)), X, Hu)
+        np.testing.assert_array_equal(d, _masked_direction(R, Hu))
+
+
 def _dense_newton_matrix(ops, A):
     """M[(i,k), (j,l)] = delta - Dinv[i, j] A[j, k, l], built densely."""
     N, n = A.shape[:2]
@@ -344,6 +441,7 @@ class TestSolve:
     def test_converges(self, benchmark_n20):
         report = benchmark_n20
         assert report.converged
+        assert report.termination == "converged"
         assert report.y_norm <= 1e-10
         assert report.order == 20
 
@@ -488,6 +586,7 @@ class TestSolve:
         config = SolverConfig(tol_y=1e-30, max_outer=3)
         report = solve(builtin("hager84-constrained"), 8, config=config)
         assert not report.converged
+        assert report.termination == "max_iter"
         assert report.outer_iters == 3
         assert np.isfinite(report.y_norm)
 
@@ -499,6 +598,7 @@ class TestSolve:
         config = SolverConfig(max_outer=max_outer)
         report = solve(builtin("hager84-constrained"), 10, config=config)
         assert report.converged == (report.y_norm <= config.tol_y)
+        assert report.termination == ("converged" if report.converged else "max_iter")
         assert report.outer_iters == len(report.objective_history) <= max_outer
         assert report.objective == report.objective_history[-1]
 
@@ -518,6 +618,43 @@ class TestSolve:
 
     def test_two_control_problem_converges(self):
         assert solve(_two_control_problem(), 6).converged
+
+    @pytest.mark.xfail(strict=True, reason="the H_uu-scaled gradient step stalls at "
+                       "y = 2.6e-7 after 200 iterates; a semismooth Newton step should fix it")
+    def test_two_control_stall(self):
+        # xdot = u1 + 2 u2: the control gain is large against H_uu = I
+        assert solve(_two_control_bolza(2.0, "stall"), 10).converged
+
+    def test_termination_line_search_failed(self, monkeypatch):
+        # the cold start's state solve succeeds; every trial diverges
+        real = solve_state
+
+        def diverging_trials(problem, ops, U, X_guess=None, **kwargs):
+            if X_guess is not None:
+                raise NewtonDivergence("trial diverged")
+            return real(problem, ops, U, **kwargs)
+
+        monkeypatch.setattr(solver_module, "solve_state", diverging_trials)
+        report = solve(builtin("hager84-constrained"), 10)
+        assert (report.termination, report.converged, report.outer_iters) \
+            == ("line_search_failed", False, 1)
+
+    @pytest.mark.parametrize("change,error,message", [
+        ({"x0": np.array([1.0, 0.0, 2.0])}, DimensionMismatch,
+         "x0 has shape (3,), expected (2,)"),
+        ({"control_set": ControlSet.box(upper=[1.0, 2.0])}, DimensionMismatch,
+         "control_set.project gave (10, 2), expected (10, 1)"),
+        ({"control_set": ControlSet.custom(lambda v: v[:, :0])}, DimensionMismatch,
+         "control_set.project gave (10, 0), expected (10, 1)"),
+        ({"control_set": ControlSet.custom(lambda v: v + np.nan)}, EvaluationFailure,
+         "control_set.project gave non-finite values"),
+        ({"control_set": ControlSet.custom(lambda v: 0.5 * v + 0.1)}, EvaluationFailure,
+         "projecting its result again moved it by 0.05"),
+    ], ids=["x0-shape", "wide-box", "empty-projection", "nan-projection", "not-idempotent"])
+    def test_malformed_problem_is_rejected_where_first_read(self, change, error, message):
+        problem = replace(builtin("hager84-constrained"), **change)
+        with pytest.raises(error, match=re.escape(message)):
+            solve(problem, 10)
 
     @pytest.mark.parametrize("callback,cut,shapes", [
         ("dynamics", lambda F: F[:, :1], "(6, 1), expected (6, 2)"),

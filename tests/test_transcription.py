@@ -1,5 +1,7 @@
 """Trajectories, optimality residuals, and multiplier conversions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,15 @@ from gausscolloc import (ControlProblem, ControlSet, build_operators, builtin,
                          gauss_rule, interpolate_trajectory, kkt_residuals,
                          multipliers_to_costate, omega_norm, solve)
 from gausscolloc.errors import DimensionMismatch
-from gausscolloc.transcription import Trajectory
+from gausscolloc.transcription import Trajectory, _residual
+
+# mostly finite entries, with the odd overflow, infinity and NaN
+_ENTRIES = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e200, 1e200),
+                     st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
 
 
 def _analytic_trajectory(problem, N):
@@ -63,6 +73,16 @@ class TestOmegaNorm:
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatch):
             omega_norm(gauss_rule(7), np.ones((6, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), N=st.integers(1, 64), n=st.integers(0, 4))
+    def test_same_bits_as_the_textbook_form(self, data, N, n):
+        # n == 0 stands for a 1-D stack of N values
+        rule, w = gauss_rule(N), gauss_rule(N).weights
+        z = data.draw(arrays(float, (N, n) if n else (N,), elements=_ENTRIES))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = np.sum(z * z, axis=1) if n else z * z
+            assert _bits(omega_norm(rule, z)) == _bits(float(np.sqrt(np.sum(w * sq))))
 
     @pytest.mark.parametrize("N", [2, 9, 33])
     def test_sup_norm_bound(self, N):
@@ -126,6 +146,37 @@ class TestEvalResidual:
                     + omega_norm(rule, res.state_defect)
                     + omega_norm(rule, res.costate_defect))
         np.testing.assert_allclose(res.y_norm, expected, rtol=1e-14)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), N=st.integers(1, 40), n=st.integers(1, 4), m=st.integers(1, 3))
+    def test_norms_are_the_textbook_forms(self, data, N, n, m):
+        # every block norm has the bits of its np.linalg.norm form
+        rule = gauss_rule(N)
+        ops = build_operators(rule)
+
+        def draw(shape):
+            return data.draw(arrays(float, shape, elements=st.floats(-1e3, 1e3)))
+
+        problem = replace(_frozen_problem(), n=n, m=m, x0=draw(n),
+                          control_set=ControlSet.box(upper=np.zeros(m)))
+        traj = Trajectory(nodes=full_grid(rule), X=draw((N + 2, n)), U=draw((N, m)),
+                          Lambda=draw((N + 2, n)))
+        res = _residual(problem, ops, traj, draw((N, n)), draw((N, n)), draw((N, m)), draw(n))
+
+        def weighted(z):
+            return float(np.sqrt(np.sum(rule.weights * np.sum(z * z, axis=1))))
+
+        expected = {
+            "initial": float(np.linalg.norm(res.initial)),
+            "state_defect": weighted(res.state_defect),
+            "endpoint_defect": float(np.linalg.norm(res.endpoint_defect)),
+            "costate_endpoint": float(np.linalg.norm(res.costate_endpoint)),
+            "costate_defect": weighted(res.costate_defect),
+            "transversality": float(np.linalg.norm(res.transversality)),
+            "control_residual": float(np.max(np.linalg.norm(res.control_residual, axis=1))),
+        }
+        assert res.norms == expected
+        assert _bits(res.y_norm) == _bits(float(sum(expected.values())))
 
     def test_dimension_check(self):
         problem = builtin("hager84-constrained")
