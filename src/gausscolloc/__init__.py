@@ -24,7 +24,7 @@ from .transcription import (Residual, Trajectory,
 from .solver import SolveReport, SolverConfig, solve, solve_costate, solve_state
 from .analysis import (Appendix1Report, Appendix2Report, ConvergenceRow,
                        RateFit, convergence_study, fit_rate,
-                       interpolation_study, psi_norm_table, run_interp_suite,
+                       interpolation_study, run_interp_suite,
                        verify_appendix1, verify_appendix2)
 
 __version__ = "0.1.0"
@@ -47,7 +47,7 @@ __all__ = [
     "SolverConfig", "SolveReport", "solve", "solve_state", "solve_costate",
     "RateFit", "fit_rate", "interpolation_study", "run_interp_suite",
     "verify_appendix1",
-    "verify_appendix2", "psi_norm_table", "convergence_study",
+    "verify_appendix2", "convergence_study",
     "ConvergenceRow", "Appendix1Report", "Appendix2Report",
     "__version__",
 ]

@@ -11,11 +11,13 @@ Four study families, each returning plain report objects:
   trailing block of that support's differentiation matrix, and
   barycentric interpolation evaluates p on the sup grid.
 * ``verify_appendix2`` works in the basis psi_k = (1 - t^2) P_k' of
-  polynomials vanishing at both endpoints: it reproduces the closed-form
+  polynomials vanishing at both endpoints: for a mapping of test
+  functions it builds the basis once (one Legendre table, from which the
+  Gram matrix, the norms and psi all come), reproduces the closed-form
   norms, checks orthogonality, and tests the projection inequality
-  ||u - pi_N u||_0 <= |u - pi_N u|_1 / N.  The projection is orthogonal in
-  the derivative inner product, so one product against the Legendre rows
-  gives the coefficients of every order at once.
+  ||u - pi_N u||_0 <= |u - pi_N u|_1 / N for each function.  The
+  projection is orthogonal in the derivative inner product, so one product
+  against the Legendre rows gives the coefficients of every order at once.
 * ``convergence_study`` reruns the solver across orders against an
   attached analytic solution and fits log-log error slopes.
 
@@ -132,7 +134,6 @@ def interpolation_study(u, udot, orders):
 
 @dataclass(frozen=True)
 class InterpFunction:
-    name: str
     u: callable
     udot: callable
     orders: tuple
@@ -155,21 +156,18 @@ def _monotone_tail(rows, beyond=6):
 
 INTERP_FUNCTIONS = {
     "cospi": InterpFunction(
-        name="cospi",
         u=lambda t: np.cos(np.pi * t),
         udot=lambda t: -np.pi * np.sin(np.pi * t),
         orders=(4, 8, 16, 32),
         passes=lambda rows: _monotone_tail(rows) and rows[-1][1] <= 1e-10,
         criterion="errors decrease monotonically beyond N=6 and bottom out below 1e-10"),
     "abs52": InterpFunction(
-        name="abs52",
         u=lambda t: np.abs(t) ** 2.5,
         udot=lambda t: 2.5 * np.sign(t) * np.abs(t) ** 1.5,
         orders=(8, 16, 32, 64),
         passes=lambda rows: fit_rate(*zip(*rows), discard=0).slope <= -1.0,
         criterion="fitted slope <= -1.0 across all listed orders"),
     "poly5": InterpFunction(
-        name="poly5",
         u=_poly5,
         udot=_poly5_dot,
         orders=(5, 8),
@@ -251,15 +249,19 @@ def verify_appendix1(orders=APPENDIX1_ORDERS, samples=1000, kind="gauss", seed=7
     [-1, 1] are prescribed at the chosen node family, interpolated, and
     integrated from -1; the bound is checked on a dense grid.  The
     extremal derivative data (all ones) must attain the bound exactly.
-    An empty `orders` raises ValueError, as it would certify nothing.
+    An empty `orders` raises ValueError, as it would certify nothing, and
+    so does a `kind` other than "gauss" or "radau".
     """
     orders = _order_list("appendix1", orders, APPENDIX1_ORDERS[0])
     if samples < 1:
         raise ValueError("samples must be positive")
+    rule = {"gauss": gauss_rule, "radau": radau_rule}.get(kind)
+    if rule is None:
+        raise ValueError(f"unknown node kind {kind!r}; expected 'gauss' or 'radau'")
     rng = np.random.default_rng(seed)
     rows = []
     for N in orders:
-        nodes = gauss_rule(N).nodes if kind == "gauss" else radau_rule(N).nodes
+        nodes = rule(N).nodes
         # the extremal all-ones row rides in the last column of one grid walk
         vals = np.vstack([rng.uniform(-1.0, 1.0, size=(samples, N)), np.ones((1, N))])
         sup = _integrated_sup(nodes, vals)
@@ -301,89 +303,67 @@ class Appendix2Report:
     passed: bool
 
 
-def _l0_weights():
-    """Dense-grid weights of the endpoint-weighted norm: w / (1 - t^2)."""
+def _psi_basis(kmax):
+    """Dense-grid rows k = 1..kmax of P_k and of psi_k = (1 - t^2) P_k', the
+    h1 Gram matrix and l0 norms of psi_1..psi_kmax, and their closed forms:
+    (P, psi, gram, l0, h1_exact, l0_exact).
+
+    h1 is the seminorm integral of (psi_k')^2, with psi_k' = -k(k+1) P_k;
+    l0 weights psi_k^2 by 1/(1-t^2).  psi comes from the identity
+    (1 - t^2) P_k' = k (P_{k-1} - t P_k) after the Gram matrix is formed, so
+    at most three grid-sized tables are alive at once.
+    """
     pts, wts = _dense_grid()
-    return wts / ((1.0 - pts) * (1.0 + pts))
-
-
-def _psi_table(kmax):
-    """Dense-grid rows k = 1..kmax of P_k and of psi_k = (1 - t^2) P_k',
-    the latter by the identity (1 - t^2) P_k' = k (P_{k-1} - t P_k)."""
-    pts, _ = _dense_grid()
     P = legendre_table(kmax, pts)
-    ks = np.arange(1, kmax + 1)[:, None]
-    return P[1:], ks * (P[:-1] - pts * P[1:])
-
-
-def _psi_norms(kmax):
-    """h1 Gram matrix and l0 norms of psi_1..psi_kmax, with their closed
-    forms: (gram, l0, h1_exact, l0_exact)."""
-    _, wts = _dense_grid()
-    P, psi = _psi_table(kmax)
-    l0 = (psi * psi) @ _l0_weights()
     ks = np.arange(1, kmax + 1)
-    dpsi = -(ks * (ks + 1))[:, None] * P
-    # at most three grid-sized tables are alive at once, as in _psi_table
-    del P, psi
-    return ((dpsi * wts) @ dpsi.T, l0,
+    dpsi = -(ks * (ks + 1))[:, None] * P[1:]
+    gram = (dpsi * wts) @ dpsi.T
+    del dpsi
+    psi = ks[:, None] * (P[:-1] - pts * P[1:])
+    l0 = (psi * psi) @ (wts / ((1.0 - pts) * (1.0 + pts)))
+    return (P[1:], psi, gram, l0,
             2.0 * ks * ks * (ks + 1) * (ks + 1) / (2 * ks + 1), 2.0 * ks * (ks + 1) / (2 * ks + 1))
 
 
-def psi_norm_table(kmax=12):
-    """Numeric vs closed-form norms of the psi basis: (rows, max_offdiag).
+def verify_appendix2(functions, orders=APPENDIX2_ORDERS):
+    """Check the projection inequality err0 <= err1 / N for each function.
 
-    h1 is the seminorm integral of (psi_k')^2, with psi_k' = -k(k+1) P_k;
-    l0 weights psi_k^2 by 1/(1-t^2).  Off-diagonal entries of the h1 Gram
-    matrix measure orthogonality.
+    `functions` maps a name to (u, udot), u vanishing at both endpoints;
+    the result maps each name to its Appendix2Report.  The order-N
+    projection onto span{psi_1..psi_{N-1}} is orthogonal in the derivative
+    inner product, so its coefficients <u', psi_k'> / |psi_k|_1^2 do not
+    depend on N: one product against the P_k rows gives them for the
+    largest order, and each order takes a prefix.  err0 is the
+    endpoint-weighted L2 error of the projection, err1 the L2 error of its
+    derivative.
+
+    The psi basis is built once per call, for k up to max(12, largest
+    order - 1).  Every report carries the norm table and the absolute
+    orthogonality check of its 12 x 12 prefix; ``norms_ok`` also requires
+    the closed-form norms for every k built and, for every psi_k the
+    projections use, orthogonality relative to the h1 norms, which grow
+    like k^3.  An empty `orders` raises ValueError.
     """
-    gram, l0, h1_exact, l0_exact = _psi_norms(kmax)
-    rows = [PsiNormRow(
-        k=k,
-        h1_num=float(gram[k - 1, k - 1]), h1_exact=float(h1_exact[k - 1]),
-        l0_num=float(l0[k - 1]), l0_exact=float(l0_exact[k - 1]))
-        for k in range(1, kmax + 1)]
-    offdiag = np.abs(gram[np.triu_indices(kmax, 1)])
-    return rows, float(offdiag.max(initial=0.0))
-
-
-def verify_appendix2(u, udot, orders=APPENDIX2_ORDERS):
-    """Check the projection inequality err0 <= err1 / N for one function.
-
-    u must vanish at both endpoints.  The order-N projection onto
-    span{psi_1..psi_{N-1}} is orthogonal in the derivative inner product,
-    so its coefficients <u', psi_k'> / |psi_k|_1^2 do not depend on N: one
-    product against the P_k rows gives them for the largest order, and
-    each order takes a prefix.  err0 is the endpoint-weighted L2 error of
-    the projection, err1 the L2 error of its derivative; the report also
-    carries the psi norm table and orthogonality check for k <= 12, and
-    ``norms_ok`` also covers every psi_k the projections use.  An empty
-    `orders` raises ValueError.
-    """
-    return next(_appendix2_reports([(u, udot)], orders))
-
-
-def _appendix2_reports(functions, orders):
-    """Yield ``verify_appendix2`` per (u, udot), building the psi basis once."""
     orders = _order_list("appendix2", orders, APPENDIX2_ORDERS[0])
-    # past the k <= 12 table: every psi_k the projections use has the
-    # closed-form norms and is orthogonal relative to the h1 norms, which
-    # grow like k^3
-    gram, l0, h1, l0_exact = _psi_norms(max(orders) - 1)
-    off = ~np.eye(len(h1), dtype=bool)
-    basis_ok = bool(np.all(np.abs(np.diag(gram) - h1) <= 1e-12 * h1)
+    K = max(orders) - 1
+    P, psi, gram, l0, h1, l0_exact = _psi_basis(max(12, K))
+    norm_rows = [PsiNormRow(
+        k=k,
+        h1_num=float(gram[k - 1, k - 1]), h1_exact=float(h1[k - 1]),
+        l0_num=float(l0[k - 1]), l0_exact=float(l0_exact[k - 1]))
+        for k in range(1, 13)]
+    worst = float(np.abs(gram[np.triu_indices(12, 1)]).max())
+    off = ~np.eye(K, dtype=bool)
+    norms_ok = bool(np.all(np.abs(np.diag(gram) - h1) <= 1e-12 * h1)
                     and np.all(np.abs(l0 - l0_exact) <= 1e-12 * l0_exact)
-                    and np.all(np.abs(gram[off]) <= 1e-13 * np.sqrt(np.outer(h1, h1))[off]))
+                    and worst <= 1e-10
+                    and np.all(np.abs(gram[:K, :K][off])
+                               <= 1e-13 * np.sqrt(np.outer(h1[:K], h1[:K]))[off]))
     pts, wts = _dense_grid()
-    P, psi = _psi_table(max(orders) - 1)
-    ks = np.arange(1, P.shape[0] + 1)
-    l0_wts = _l0_weights()
-    norm_rows, worst = psi_norm_table()
-    norms_ok = all(
-        abs(r.h1_num - r.h1_exact) <= 1e-12 * r.h1_exact
-        and abs(r.l0_num - r.l0_exact) <= 1e-12 * r.l0_exact
-        for r in norm_rows) and worst <= 1e-10 and basis_ok
-    for u, udot in functions:
+    l0_wts = wts / ((1.0 - pts) * (1.0 + pts))
+    P, psi, ks = P[:K], psi[:K], np.arange(1, K + 1)
+    reports = {}
+    for name, (u, udot) in functions.items():
         uvals, duvals = u(pts), udot(pts)
         # psi_k' = -k(k+1) P_k and |psi_k|_1^2 = 2 k^2 (k+1)^2 / (2k+1)
         coeffs = -(2 * ks + 1) / (2.0 * ks * (ks + 1)) * (P @ (wts * duvals))
@@ -397,9 +377,10 @@ def _appendix2_reports(functions, orders):
             rows.append(Appendix2Row(
                 order=N, err0=err0, err1=err1,
                 bound_ok=err0 <= err1 / N + 1e-10))
-        yield Appendix2Report(
+        reports[name] = Appendix2Report(
             norm_rows=norm_rows, max_offdiag=worst, norms_ok=norms_ok,
             rows=rows, passed=norms_ok and all(r.bound_ok for r in rows))
+    return reports
 
 
 APPENDIX2_FUNCTIONS = {

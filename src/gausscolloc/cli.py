@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (APPENDIX1_ORDERS, APPENDIX2_FUNCTIONS, APPENDIX2_ORDERS,
-                       INTERP_FUNCTIONS, _appendix2_reports, convergence_study,
-                       run_interp_suite, verify_appendix1)
+                       INTERP_FUNCTIONS, convergence_study, run_interp_suite,
+                       verify_appendix1, verify_appendix2)
 from .diffmat import build_operators, check_P1, check_P2
 from .errors import GaussCollocError, UnknownProblem
 from .problem import BUILTIN_NAMES, builtin
@@ -178,17 +178,15 @@ def _verify_appendix1(args):
 
 def _verify_appendix2(args):
     orders = [n for n in APPENDIX2_ORDERS if n <= args.n_max]
-    per_fn = {}
-    passed = True
     names = _function_names(args.function, APPENDIX2_FUNCTIONS)
-    for name, rep in zip(names, _appendix2_reports(map(APPENDIX2_FUNCTIONS.get, names), orders)):
-        per_fn[name] = {
-            "rows": [asdict(r) for r in rep.rows],
-            "norms_ok": rep.norms_ok,
-            "max_offdiag": rep.max_offdiag,
-            "passed": rep.passed,
-        }
-        passed = passed and rep.passed
+    reports = verify_appendix2({name: APPENDIX2_FUNCTIONS[name] for name in names}, orders)
+    per_fn = {name: {
+        "rows": [asdict(r) for r in rep.rows],
+        "norms_ok": rep.norms_ok,
+        "max_offdiag": rep.max_offdiag,
+        "passed": rep.passed,
+    } for name, rep in reports.items()}
+    passed = all(rep.passed for rep in reports.values())
     return {"suite": "appendix2", "functions": per_fn, "passed": passed}, passed
 
 

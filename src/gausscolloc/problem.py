@@ -187,11 +187,12 @@ def map_domain(problem, a, b):
 
     Dynamics and Hamiltonian derivatives pick up the factor (b - a) / 2;
     cost, initial state, control set, and costate values are unchanged.
-    An attached analytic solution is re-parametrized accordingly.
+    An attached analytic solution is re-parametrized accordingly.  The
+    bounds must be finite with a < b, or ValueError is raised.
     """
     s = (b - a) / 2.0
-    if s <= 0:
-        raise ValueError("domain must have positive length")
+    if not (np.isfinite(s) and s > 0):
+        raise ValueError(f"domain [{a}, {b}] must be finite with positive length")
 
     def to_native(tau):
         return a + (b - a) * (np.asarray(tau, dtype=float) + 1.0) / 2.0

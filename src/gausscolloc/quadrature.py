@@ -39,6 +39,8 @@ def legendre_eval(degree, t):
     -------
     (value, derivative) matching the shape of ``t``.
     """
+    if degree < 0:
+        raise ValueError(f"Legendre degree must be >= 0, got {degree}")
     arr = np.asarray(t, dtype=float)
     p, dp = _legendre_body(degree, arr.ravel())
     if arr.ndim == 0:

@@ -167,13 +167,17 @@ def kkt_residuals(problem, ops, traj, mu):
     Uses only the forward matrix D (its column 0 covers the left endpoint)
     and never the scaled costate, so agreement of its zero set with the
     eval_residual blocks checks the multiplier transform end to end.
-    Returns a dict of sup norms keyed by condition.
+    Returns a dict of sup norms keyed by condition; mu must have shape
+    (N+2, n), or DimensionMismatch is raised.
     """
     rule = ops.rule
     N = rule.order
     w = rule.weights
     X, U = traj.X, traj.U
     mu = np.asarray(mu, dtype=float)
+    if mu.shape != (N + 2, problem.n):
+        raise DimensionMismatch(f"expected multipliers of shape {(N + 2, problem.n)}, "
+                                f"got {mu.shape}")
     mu_c = mu[1:N + 1]
 
     # Hamiltonian arguments: raw multiplier combination per node

@@ -15,9 +15,8 @@ import pytest
 from gausscolloc import (build_operators, builtin, check_P1, check_P2,
                          costate_to_multipliers, eval_residual, fit_rate,
                          full_grid, gauss_rule, integrate, kkt_residuals,
-                         multipliers_to_costate, psi_norm_table, solve,
-                         solve_costate, solve_state, verify_appendix1,
-                         verify_appendix2)
+                         multipliers_to_costate, solve, solve_costate,
+                         solve_state, verify_appendix1, verify_appendix2)
 from gausscolloc.analysis import APPENDIX2_FUNCTIONS
 from gausscolloc.transcription import Trajectory
 
@@ -114,9 +113,8 @@ def test_criterion_4_uniform_bound(acceptance_log):
 
 
 def test_criterion_5_projection_inequality(acceptance_log):
-    reports = {name: verify_appendix2(u, du)
-               for name, (u, du) in APPENDIX2_FUNCTIONS.items()}
-    norm_rows, _ = psi_norm_table(kmax=12)
+    reports = verify_appendix2(APPENDIX2_FUNCTIONS)
+    norm_rows = reports["sinpi"].norm_rows
     norm_gap = max(max(abs(r.h1_num - r.h1_exact) / r.h1_exact,
                        abs(r.l0_num - r.l0_exact) / r.l0_exact)
                    for r in norm_rows)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre
 
 from gausscolloc import (builtin, convergence_study, fit_rate, gauss_rule,
-                         interpolation_study, psi_norm_table, radau_rule,
-                         run_interp_suite, verify_appendix1, verify_appendix2)
+                         interpolation_study, radau_rule, run_interp_suite,
+                         verify_appendix1, verify_appendix2)
 from gausscolloc import analysis
 from gausscolloc.analysis import (APPENDIX2_FUNCTIONS, INTERP_FUNCTIONS,
                                   _dense_grid, _integrated_sup, _integrated_values,
-                                  _psi_table, _sup_grid)
+                                  _psi_basis, _sup_grid)
 from gausscolloc.diffmat import barycentric_matrix
 from gausscolloc.quadrature import legendre_eval
 
@@ -91,6 +91,10 @@ class TestAppendix1:
             assert row.max_abs <= 2.0 + 1e-9
             assert abs(row.extremal_max - 2.0) <= 1e-12
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="'lobatto'"):
+            verify_appendix1(orders=(4,), samples=8, kind="lobatto")
+
     def test_seed_reproducibility(self):
         a = verify_appendix1(orders=(4,), samples=64, seed=11)
         b = verify_appendix1(orders=(4,), samples=64, seed=11)
@@ -154,10 +158,21 @@ class TestAppendix1:
         assert peak < 32 * 2**20
 
 
+def _bump_gram(gram, l0, h1):
+    # psi_20 and psi_4 no longer orthogonal, 1e4 times past the tolerance
+    bump = 1e-9 * np.sqrt(h1[19] * h1[3])
+    gram[19, 3] += bump
+    gram[3, 19] += bump
+
+
+def _bump_l0(gram, l0, h1):
+    l0[19] *= 1.0 + 1e-9
+
+
 class TestAppendix2:
     def test_psi_rows_match_pointwise_derivative(self):
         pts, _ = _dense_grid()
-        P, psi = _psi_table(64)
+        P, psi = _psi_basis(64)[:2]
         for k in range(1, 65):
             val, der = legendre_eval(k, pts)
             np.testing.assert_array_equal(P[k - 1], val)
@@ -165,65 +180,96 @@ class TestAppendix2:
                                        rtol=0.0, atol=1e-14)
 
     def test_psi_norm_closed_forms(self):
-        rows, worst = psi_norm_table(kmax=12)
+        functions = {"sinpi": APPENDIX2_FUNCTIONS["sinpi"]}
+        report = verify_appendix2(functions, orders=(4,))["sinpi"]
+        rows = report.norm_rows
+        assert [r.k for r in rows] == list(range(1, 13))
         first = rows[0]
-        assert first.k == 1
         np.testing.assert_allclose(first.h1_exact, 8.0 / 3.0, rtol=1e-15)
         np.testing.assert_allclose(first.l0_exact, 4.0 / 3.0, rtol=1e-15)
         for row in rows:
             np.testing.assert_allclose(row.h1_num, row.h1_exact, rtol=1e-12)
             np.testing.assert_allclose(row.l0_num, row.l0_exact, rtol=1e-12)
-        assert worst <= 1e-10
+        assert report.max_offdiag <= 1e-10
+
+    def test_norm_table_is_the_prefix_of_the_basis_built(self):
+        # the k <= 12 table is the same whatever order sizes the basis
+        small, large = (verify_appendix2({"sinpi": APPENDIX2_FUNCTIONS["sinpi"]}, orders)["sinpi"]
+                        for orders in ((4,), (4, 64)))
+        assert (small.norm_rows, small.max_offdiag) == (large.norm_rows, large.max_offdiag)
+
+    def test_one_legendre_table_per_call(self, monkeypatch):
+        sizes = []
+        table = analysis.legendre_table
+
+        def counted(kmax, t):
+            sizes.append(kmax)
+            return table(kmax, t)
+
+        monkeypatch.setattr(analysis, "legendre_table", counted)
+        reports = verify_appendix2(APPENDIX2_FUNCTIONS)
+        assert sizes == [max(analysis.APPENDIX2_ORDERS) - 1]
+        verify_appendix2(APPENDIX2_FUNCTIONS, orders=(4, 8))
+        assert sizes[1:] == [12]
+        assert list(reports) == list(APPENDIX2_FUNCTIONS)
+        assert all(r.passed for r in reports.values())
+
+    def test_peak_memory_is_bounded(self):
+        # three grid-sized tables of 63 rows (7.9 MiB each) at the default
+        # orders; a fourth would show here and in the CLI process's RSS
+        _dense_grid(), _sup_grid()
+        tracemalloc.start()
+        try:
+            reports = verify_appendix2(APPENDIX2_FUNCTIONS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in reports.values())
+        assert peak < 28 * 2**20
 
     def test_basis_member_projects_onto_itself(self):
         # psi_3 = (1-t^2)(15t^2-3)/2 lies in span{psi_1..psi_4}
         u = lambda t: (1.0 - t * t) * (15.0 * t * t - 3.0) / 2.0
         udot = lambda t: -12.0 * (5.0 * t ** 3 - 3.0 * t) / 2.0
-        report = verify_appendix2(u, udot, orders=(5, 9))
+        report = verify_appendix2({"psi3": (u, udot)}, orders=(5, 9))["psi3"]
         assert report.passed
         for row in report.rows:
             assert row.err0 <= 1e-11
             assert row.err1 <= 1e-10
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda P, psi: P[19].__iadd__(1e-9 * P[3]),
-        lambda P, psi: psi[19].__imul__(1.0 + 1e-9),
-    ], ids=["psi-derivative-not-orthogonal", "psi-l0-norm"])
+    @pytest.mark.parametrize("corrupt", [_bump_gram, _bump_l0],
+                             ids=["psi-derivative-not-orthogonal", "psi-l0-norm"])
     def test_corrupt_basis_row_above_twelve_fails(self, monkeypatch, corrupt):
         # the k <= 12 table never sees row k = 20; the check over the rows
         # the order-32 projection uses does
-        u, udot = APPENDIX2_FUNCTIONS["sinpi"]
-        clean = verify_appendix2(u, udot, orders=(4, 8, 32))
-        table = analysis._psi_table
+        functions = {"sinpi": APPENDIX2_FUNCTIONS["sinpi"]}
+        clean = verify_appendix2(functions, orders=(4, 8, 32))["sinpi"]
+        basis = analysis._psi_basis
 
         def corrupted(kmax):
-            P, psi = (a.copy() for a in table(kmax))
-            if kmax >= 20:
-                corrupt(P, psi)
-            return P, psi
+            P, psi, gram, l0, h1, l0_exact = basis(kmax)
+            corrupt(gram, l0, h1)
+            return P, psi, gram, l0, h1, l0_exact
 
-        monkeypatch.setattr(analysis, "_psi_table", corrupted)
-        report = verify_appendix2(u, udot, orders=(4, 8, 32))
+        monkeypatch.setattr(analysis, "_psi_basis", corrupted)
+        report = verify_appendix2(functions, orders=(4, 8, 32))["sinpi"]
         assert clean.passed and clean.norms_ok
         assert (report.norm_rows, report.max_offdiag) == (clean.norm_rows, clean.max_offdiag)
-        assert all(r.bound_ok for r in report.rows)
+        assert report.rows == clean.rows
         assert not report.norms_ok and not report.passed
 
     def test_rejects_empty_orders(self):
-        u, udot = APPENDIX2_FUNCTIONS["sinpi"]
         with pytest.raises(ValueError, match="appendix2 .* smallest order is 4"):
-            verify_appendix2(u, udot, orders=[])
+            verify_appendix2(APPENDIX2_FUNCTIONS, orders=[])
 
     def test_orders_may_be_an_iterator(self):
         # the orders are read twice: for the table size, then for the rows
-        u, udot = APPENDIX2_FUNCTIONS["sinpi"]
-        report = verify_appendix2(u, udot, orders=iter([4, 8]))
+        report = verify_appendix2(APPENDIX2_FUNCTIONS, orders=iter([4, 8]))["sinpi"]
         assert [r.order for r in report.rows] == [4, 8]
 
     @pytest.mark.parametrize("name", sorted(APPENDIX2_FUNCTIONS))
     def test_registered_functions_pass(self, name):
-        u, udot = APPENDIX2_FUNCTIONS[name]
-        report = verify_appendix2(u, udot, orders=(4, 8, 16))
+        report = verify_appendix2(APPENDIX2_FUNCTIONS, orders=(4, 8, 16))[name]
         assert report.norms_ok
         assert report.passed
         for row in report.rows:

@@ -189,6 +189,12 @@ class TestMapDomain:
         with pytest.raises(ValueError):
             map_domain(_linear_problem(), 2.0, -1.0)
 
+    @pytest.mark.parametrize("a, b", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf),
+                                      (-np.inf, 0.0), (-np.inf, np.inf)])
+    def test_rejects_non_finite_bounds(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            map_domain(builtin("hager84-constrained"), a, b)
+
     def test_analytic_control_remap(self):
         # ceiling arc of the benchmark occupies the left half after mapping
         prob = builtin("hager84-constrained")

@@ -33,6 +33,11 @@ class TestLegendreEval:
         assert val == 1.0
         assert der == degree * (degree + 1) / 2.0
 
+    @pytest.mark.parametrize("degree, t", [(-1, 0.3), (-2, [0.3, 1.0])])
+    def test_rejects_negative_degree(self, degree, t):
+        with pytest.raises(ValueError, match=f"got {degree}"):
+            legendre_eval(degree, t)
+
     def test_vector_argument(self):
         t = np.linspace(-1.0, 1.0, 7)
         val, der = legendre_eval(2, t)

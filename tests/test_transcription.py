@@ -267,6 +267,17 @@ class TestSolvedOptimum:
         residuals = kkt_residuals(problem, ops, report.traj, mu)
         assert max(residuals.values()) <= 1e-9
 
+    @pytest.mark.parametrize("shape", [(11, 2), (9, 2), (10, 1), (10,)])
+    def test_kkt_rejects_misshapen_multipliers(self, solved, shape):
+        # N + 2 = 10 rows and n = 2 columns are required; an extra row used
+        # to pass with clean residuals and a missing one raised IndexError
+        problem, report = solved
+        rule = gauss_rule(8)
+        mu = costate_to_multipliers(report.traj.Lambda, rule)
+        bad = np.resize(mu, shape)
+        with pytest.raises(DimensionMismatch, match="shape"):
+            kkt_residuals(problem, build_operators(rule), report.traj, bad)
+
     def test_state_polynomial_endpoint(self, solved):
         _, report = solved
         x_end, _ = interpolate_trajectory(report.traj, 1.0)
