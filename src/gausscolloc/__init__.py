@@ -9,9 +9,8 @@ inequalities, and solver convergence order.
 """
 from .errors import (DimensionMismatch, EvaluationFailure, GaussCollocError,
                      IterationFailure, NewtonDivergence, UnknownProblem)
-from .quadrature import (QuadratureRule, gauss_rule, integrate, legendre_eval,
-                         radau_rule)
-from .diffmat import (CollocationOperators, barycentric_interpolate,
+from .quadrature import QuadratureRule, gauss_rule, radau_rule
+from .diffmat import (CollocationOperators,
                       build_operators, check_P1, check_P2,
                       differentiation_matrix, solve_D1N)
 from .problem import (AnalyticSolution, BUILTIN_NAMES, ControlProblem,
@@ -33,9 +32,9 @@ __all__ = [
     "GaussCollocError", "IterationFailure", "DimensionMismatch",
     "EvaluationFailure", "UnknownProblem",
     "NewtonDivergence",
-    "QuadratureRule", "gauss_rule", "radau_rule", "integrate", "legendre_eval",
+    "QuadratureRule", "gauss_rule", "radau_rule",
     "CollocationOperators", "build_operators", "solve_D1N",
-    "differentiation_matrix", "barycentric_interpolate",
+    "differentiation_matrix",
     "check_P1", "check_P2",
     "ControlProblem", "ControlSet", "RunningCost",
     "AnalyticSolution", "augment_bolza", "map_domain",

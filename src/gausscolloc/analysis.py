@@ -205,26 +205,18 @@ class Appendix1Report:
     passed: bool
 
 
-def _integrated_values(deriv_nodes, deriv_values):
-    """Support {-1, deriv_nodes} and the values on it, shape (N+1, cols), of
-    the degree-N polynomials p with p(-1) = 0 and p'(deriv_nodes) =
-    deriv_values (cols, N).
+def _integrated_sup(deriv_nodes, deriv_values):
+    """Per-column maxima of |p| on the dense sup grid for the degree-N
+    polynomials p with p(-1) = 0 and p'(deriv_nodes) = deriv_values (cols, N).
 
-    The differentiation matrix of the support maps the values of p to those
-    of p'.  p(-1) = 0 drops its first column and p'(-1) is not prescribed,
-    which drops its first row; the trailing block is then solved for p.
-    """
+    The differentiation matrix of the support {-1, deriv_nodes} maps the
+    values of p to those of p'.  p(-1) = 0 drops its first column and p'(-1)
+    is not prescribed, which drops its first row; the trailing block is solved
+    for p, then evaluated SUP_BLOCK grid rows at a time by barycentric
+    interpolation through the support."""
     support = np.concatenate([[-1.0], deriv_nodes])
     vals = np.zeros((support.size, deriv_values.shape[0]))
     vals[1:] = np.linalg.solve(differentiation_matrix(support)[1:, 1:], deriv_values.T)
-    return support, vals
-
-
-def _integrated_sup(deriv_nodes, deriv_values):
-    """Per-column maxima of |p| on the dense sup grid for the polynomials p
-    of ``_integrated_values``, evaluated SUP_BLOCK grid rows at a time by
-    barycentric interpolation through the support."""
-    support, vals = _integrated_values(deriv_nodes, deriv_values)
     grid = _sup_grid()
     sup = np.zeros(vals.shape[1])
     for start in range(0, grid.size, SUP_BLOCK):
@@ -234,11 +226,13 @@ def _integrated_sup(deriv_nodes, deriv_values):
     return sup
 
 
-def _order_list(suite, orders, smallest):
-    """orders as a list of ints; an empty one would certify nothing."""
+def _order_list(suite, orders, smallest, floor):
+    """orders as a list of ints; an empty one, or one below floor, certifies nothing."""
     orders = [int(N) for N in orders]
     if not orders:
         raise ValueError(f"{suite} has no order to check; its smallest order is {smallest}")
+    if min(orders) < floor:
+        raise ValueError(f"{suite} order {min(orders)} is below {floor}")
     return orders
 
 
@@ -252,7 +246,7 @@ def verify_appendix1(orders=APPENDIX1_ORDERS, samples=1000, kind="gauss", seed=7
     An empty `orders` raises ValueError, as it would certify nothing, and
     so does a `kind` other than "gauss" or "radau".
     """
-    orders = _order_list("appendix1", orders, APPENDIX1_ORDERS[0])
+    orders = _order_list("appendix1", orders, APPENDIX1_ORDERS[0], 1)
     if samples < 1:
         raise ValueError("samples must be positive")
     rule = {"gauss": gauss_rule, "radau": radau_rule}.get(kind)
@@ -342,9 +336,9 @@ def verify_appendix2(functions, orders=APPENDIX2_ORDERS):
     orthogonality check of its 12 x 12 prefix; ``norms_ok`` also requires
     the closed-form norms for every k built and, for every psi_k the
     projections use, orthogonality relative to the h1 norms, which grow
-    like k^3.  An empty `orders` raises ValueError.
+    like k^3.  An empty `orders` or an order below 2 raises ValueError.
     """
-    orders = _order_list("appendix2", orders, APPENDIX2_ORDERS[0])
+    orders = _order_list("appendix2", orders, APPENDIX2_ORDERS[0], 2)
     K = max(orders) - 1
     P, psi, gram, l0, h1, l0_exact = _psi_basis(max(12, K))
     norm_rows = [PsiNormRow(

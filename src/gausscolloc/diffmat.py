@@ -82,18 +82,6 @@ def barycentric_matrix(nodes, t):
     return kernel
 
 
-def barycentric_interpolate(nodes, values, t):
-    """Evaluate the interpolant through (nodes, values) at points t.
-
-    values may be (M,) or (M, d); the result has shape t.shape (+ (d,)).
-    """
-    vals = np.asarray(values, dtype=float)
-    out = barycentric_matrix(nodes, t) @ vals
-    if np.asarray(t).ndim == 0:
-        return out[0]
-    return out
-
-
 @dataclass(frozen=True)
 class CollocationOperators:
     """Differentiation operators bound to one Gauss rule."""

@@ -17,35 +17,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, IterationFailure
+from .errors import IterationFailure
 
 ROOT_TOL = 1e-15
 ROOT_MAX_ITER = 100
 
 _GAUSS_RULES = {}   # order -> QuadratureRule, filled by gauss_rules
-
-
-def legendre_eval(degree, t):
-    """Evaluate the Legendre polynomial P_degree and its derivative at t.
-
-    Parameters
-    ----------
-    degree : int
-        Polynomial degree, >= 0.
-    t : float or ndarray
-        Evaluation points in [-1, 1].
-
-    Returns
-    -------
-    (value, derivative) matching the shape of ``t``.
-    """
-    if degree < 0:
-        raise ValueError(f"Legendre degree must be >= 0, got {degree}")
-    arr = np.asarray(t, dtype=float)
-    p, dp = _legendre_body(degree, arr.ravel())
-    if arr.ndim == 0:
-        return float(p[0]), float(dp[0])
-    return p.reshape(arr.shape), dp.reshape(arr.shape)
 
 
 def _legendre_body(degree, x):
@@ -262,18 +239,3 @@ def radau_rule(N):
     nodes.flags.writeable = False
     return QuadratureRule(kind="radau", order=N, nodes=nodes, weights=None)
 
-
-def integrate(rule, samples):
-    """Apply a Gauss rule to function samples taken at its nodes.
-
-    samples has shape (N,) or (N, k); the weighted sum is taken over the
-    first axis.  Raises DimensionMismatch when the sample count differs
-    from the rule order, and ValueError for rules without weights.
-    """
-    if rule.weights is None:
-        raise ValueError(f"rule of kind {rule.kind!r} carries no weights")
-    vals = np.asarray(samples, dtype=float)
-    if vals.shape[0] != rule.order:
-        raise DimensionMismatch(
-            f"expected {rule.order} samples, got {vals.shape[0]}")
-    return rule.weights @ vals

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmat import barycentric_interpolate
+from .diffmat import barycentric_matrix
 from .errors import DimensionMismatch
 
 
@@ -208,6 +208,8 @@ def interpolate_trajectory(traj, t):
     (len(t), n) for an array.
     """
     N = traj.N
-    x = barycentric_interpolate(traj.nodes[:N + 1], traj.X[:N + 1], t)
-    lam = barycentric_interpolate(traj.nodes[1:], traj.Lambda[1:], t)
+    x = barycentric_matrix(traj.nodes[:N + 1], t) @ traj.X[:N + 1]
+    lam = barycentric_matrix(traj.nodes[1:], t) @ traj.Lambda[1:]
+    if np.ndim(t) == 0:
+        return x[0], lam[0]
     return x, lam

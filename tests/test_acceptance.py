@@ -14,7 +14,7 @@ import pytest
 
 from gausscolloc import (build_operators, builtin, check_P1, check_P2,
                          costate_to_multipliers, eval_residual, fit_rate,
-                         full_grid, gauss_rule, integrate, kkt_residuals,
+                         full_grid, gauss_rule, kkt_residuals,
                          multipliers_to_costate, solve, solve_costate,
                          solve_state, verify_appendix1, verify_appendix2)
 from gausscolloc.analysis import APPENDIX2_FUNCTIONS

@@ -13,10 +13,10 @@ from gausscolloc import (builtin, convergence_study, fit_rate, gauss_rule,
                          verify_appendix1, verify_appendix2)
 from gausscolloc import analysis
 from gausscolloc.analysis import (APPENDIX2_FUNCTIONS, INTERP_FUNCTIONS,
-                                  _dense_grid, _integrated_sup, _integrated_values,
-                                  _psi_basis, _sup_grid)
-from gausscolloc.diffmat import barycentric_matrix
-from gausscolloc.quadrature import legendre_eval
+                                  _dense_grid, _integrated_sup, _psi_basis,
+                                  _sup_grid)
+from gausscolloc.diffmat import barycentric_matrix, differentiation_matrix
+from gausscolloc.quadrature import _legendre_body
 
 
 class TestFitRate:
@@ -83,7 +83,8 @@ class TestInterpolationStudy:
 class TestAppendix1:
     @pytest.mark.parametrize("kind", ["gauss", "radau"])
     def test_bound_holds_on_small_sample(self, kind):
-        report = verify_appendix1(orders=(2, 4, 8), samples=200, kind=kind,
+        # order 1 is a valid check here, where appendix2 needs order 2
+        report = verify_appendix1(orders=(1, 2, 4, 8), samples=200, kind=kind,
                                   seed=3)
         assert report.passed
         assert report.kind == kind
@@ -123,7 +124,11 @@ class TestAppendix1:
         nodes = (gauss_rule if kind == "gauss" else radau_rule)(N).nodes
         vals = np.vstack([np.ones(N),
                           np.random.default_rng(N).uniform(-1.0, 1.0, (40, N))])
-        support, pvals = _integrated_values(nodes, vals)
+        # the values on {-1, nodes} by the trailing-block solve, then one
+        # evaluation over the whole grid
+        support = np.concatenate([[-1.0], nodes])
+        pvals = np.zeros((N + 1, vals.shape[0]))
+        pvals[1:] = np.linalg.solve(differentiation_matrix(support)[1:, 1:], vals.T)
         full = np.max(np.abs(barycentric_matrix(support, _sup_grid()) @ pvals), axis=0)
         np.testing.assert_allclose(_integrated_sup(nodes, vals), full,
                                    rtol=0.0, atol=1e-15)
@@ -138,10 +143,7 @@ class TestAppendix1:
         N = a.size
         nodes = (gauss_rule if kind == "gauss" else radau_rule)(N).nodes
         exact = legendre.legint(a, lbnd=-1)
-        support, pvals = _integrated_values(nodes, legendre.legval(nodes, a)[None, :])
         tol = 1e-13 * (1.0 + np.sum(np.abs(a)))
-        np.testing.assert_allclose(pvals[:, 0], legendre.legval(support, exact),
-                                   rtol=0.0, atol=tol)
         sup = _integrated_sup(nodes, legendre.legval(nodes, a)[None, :])
         np.testing.assert_allclose(sup[0], np.max(np.abs(legendre.legval(_sup_grid(), exact))),
                                    rtol=0.0, atol=tol)
@@ -174,7 +176,7 @@ class TestAppendix2:
         pts, _ = _dense_grid()
         P, psi = _psi_basis(64)[:2]
         for k in range(1, 65):
-            val, der = legendre_eval(k, pts)
+            val, der = _legendre_body(k, pts)
             np.testing.assert_array_equal(P[k - 1], val)
             np.testing.assert_allclose(psi[k - 1], (1.0 - pts) * (1.0 + pts) * der,
                                        rtol=0.0, atol=1e-14)
@@ -261,6 +263,14 @@ class TestAppendix2:
     def test_rejects_empty_orders(self):
         with pytest.raises(ValueError, match="appendix2 .* smallest order is 4"):
             verify_appendix2(APPENDIX2_FUNCTIONS, orders=[])
+
+    @pytest.mark.parametrize("orders, low", [((0,), 0), ((1,), 1), ((16, 1), 1),
+                                             ((16, 0, 1), 0)],
+                             ids=["0", "1", "16,1", "16,0,1"])
+    def test_rejects_an_order_below_two(self, orders, low):
+        # order 1 projects onto the empty span of psi_1..psi_0, a vacuous pass
+        with pytest.raises(ValueError, match=f"appendix2 order {low} is below 2"):
+            verify_appendix2(APPENDIX2_FUNCTIONS, orders=orders)
 
     def test_orders_may_be_an_iterator(self):
         # the orders are read twice: for the table size, then for the rows

@@ -10,37 +10,35 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import eval_jacobi
 
-from gausscolloc import gauss_rule, integrate, quadrature, radau_rule
-from gausscolloc.errors import DimensionMismatch, IterationFailure
+from gausscolloc import gauss_rule, quadrature, radau_rule
+from gausscolloc.errors import IterationFailure
 from gausscolloc.quadrature import (ROOT_MAX_ITER, ROOT_TOL, _legendre_body,
-                                    gauss_rules, legendre_eval, legendre_table)
+                                    gauss_rules, legendre_table)
 
 
 class TestLegendreEval:
     def test_degree_zero(self):
-        assert legendre_eval(0, 0.3) == (1.0, 0.0)
+        val, der = _legendre_body(0, np.array([0.3]))
+        assert (val[0], der[0]) == (1.0, 0.0)
 
     def test_degree_one(self):
-        assert legendre_eval(1, 0.3) == (0.3, 1.0)
+        val, der = _legendre_body(1, np.array([0.3]))
+        assert (val[0], der[0]) == (0.3, 1.0)
 
     def test_degree_two_at_right_endpoint(self):
         # P_2 = (3t^2 - 1)/2, P_2' = 3t
-        assert legendre_eval(2, 1.0) == (1.0, 3.0)
+        val, der = _legendre_body(2, np.array([1.0]))
+        assert (val[0], der[0]) == (1.0, 3.0)
 
     @pytest.mark.parametrize("degree", [1, 2, 5, 17, 40])
     def test_endpoint_identities(self, degree):
-        val, der = legendre_eval(degree, 1.0)
-        assert val == 1.0
-        assert der == degree * (degree + 1) / 2.0
-
-    @pytest.mark.parametrize("degree, t", [(-1, 0.3), (-2, [0.3, 1.0])])
-    def test_rejects_negative_degree(self, degree, t):
-        with pytest.raises(ValueError, match=f"got {degree}"):
-            legendre_eval(degree, t)
+        val, der = _legendre_body(degree, np.array([1.0]))
+        assert val[0] == 1.0
+        assert der[0] == degree * (degree + 1) / 2.0
 
     def test_vector_argument(self):
         t = np.linspace(-1.0, 1.0, 7)
-        val, der = legendre_eval(2, t)
+        val, der = _legendre_body(2, t)
         np.testing.assert_allclose(val, (3 * t**2 - 1) / 2, atol=1e-15)
         np.testing.assert_allclose(der, 3 * t, atol=1e-15)
 
@@ -48,7 +46,7 @@ class TestLegendreEval:
         t = np.linspace(-1.0, 1.0, 11)
         P = legendre_table(8, t)
         for k in range(9):
-            np.testing.assert_allclose(P[k], legendre_eval(k, t)[0], atol=1e-14)
+            np.testing.assert_allclose(P[k], _legendre_body(k, t)[0], atol=1e-14)
 
 
 def _textbook_legendre(degree, x):
@@ -102,9 +100,9 @@ def _textbook_gauss_rule(N):
 def test_in_place_recurrences_are_bit_identical_to_textbook(degree, pts):
     x = np.concatenate([[-1.0, 1.0], pts])
     p, dp = _textbook_legendre(degree, x)
-    for got_p, got_dp in (legendre_eval(degree, x), _legendre_body(degree, x)):
-        np.testing.assert_array_equal(got_p, p)
-        np.testing.assert_array_equal(got_dp, dp)
+    got_p, got_dp = _legendre_body(degree, x)
+    np.testing.assert_array_equal(got_p, p)
+    np.testing.assert_array_equal(got_dp, dp)
     np.testing.assert_array_equal(legendre_table(degree, x)[-1], p)
     if degree >= 1:
         np.testing.assert_array_equal(gauss_rule(degree).nodes,
@@ -189,13 +187,13 @@ class TestGaussRule:
         # Newton correction |P_N / P_N'| measures distance to the true root;
         # the raw residual P_N(tau_i) scales with P_N' and is not O(eps).
         rule = gauss_rule(N)
-        val, der = legendre_eval(N, rule.nodes)
+        val, der = _textbook_legendre(N, rule.nodes)
         assert np.max(np.abs(val / der)) <= 1e-13
 
     @pytest.mark.parametrize("N", [2, 5, 20, 100])
     def test_weight_formula(self, N):
         rule = gauss_rule(N)
-        _, der = legendre_eval(N, rule.nodes)
+        _, der = _textbook_legendre(N, rule.nodes)
         expected = 2.0 / ((1.0 - rule.nodes) * (1.0 + rule.nodes) * der**2)
         np.testing.assert_allclose(rule.weights, expected, rtol=1e-14)
 
@@ -228,20 +226,15 @@ class TestRadauRule:
 class TestIntegrate:
     def test_constant(self):
         rule = gauss_rule(3)
-        assert abs(integrate(rule, np.ones(3)) - 2.0) <= 1e-13
+        assert abs(rule.weights @ np.ones(3) - 2.0) <= 1e-13
 
     def test_odd_quintic(self):
         rule = gauss_rule(3)
-        assert abs(integrate(rule, rule.nodes**5)) <= 1e-15
+        assert abs(rule.weights @ rule.nodes**5) <= 1e-15
 
     def test_quadratic(self):
         rule = gauss_rule(2)
-        assert abs(integrate(rule, rule.nodes**2) - 2.0 / 3.0) <= 1e-15
-
-    def test_dimension_check(self):
-        rule = gauss_rule(3)
-        with pytest.raises(DimensionMismatch):
-            integrate(rule, np.ones(4))
+        assert abs(rule.weights @ rule.nodes**2 - 2.0 / 3.0) <= 1e-15
 
     @pytest.mark.parametrize("N", [1, 2, 4, 9, 16])
     def test_polynomial_exactness(self, N):
@@ -254,5 +247,5 @@ class TestIntegrate:
             coeff = rng.uniform(-1.0, 1.0, 2 * N)
             samples = np.polynomial.polynomial.polyval(rule.nodes, coeff)
             exact = coeff @ exact_monomials
-            err = abs(integrate(rule, samples) - exact)
+            err = abs(rule.weights @ samples - exact)
             assert err <= 1e-12 * max(1.0, abs(exact))

@@ -303,6 +303,13 @@ class TestInterpolateTrajectory:
         np.testing.assert_allclose(lam, np.tile(c, (17, 1)), atol=1e-13)
 
     def test_scalar_time_shape(self):
+        # a Python float and a 0-d float64 give (n,), a length-1 array (1, n),
+        # and all three the same bits
         traj = _analytic_trajectory(builtin("hager84-constrained"), 5)
-        x, lam = interpolate_trajectory(traj, 0.123)
-        assert x.shape == (2,) and lam.shape == (2,)
+        x0, lam0 = interpolate_trajectory(traj, 0.123)
+        for t, shape in [(0.123, (2,)), (np.float64(0.123), (2,)),
+                         (np.array([0.123]), (1, 2))]:
+            x, lam = interpolate_trajectory(traj, t)
+            assert x.shape == shape and lam.shape == shape
+            np.testing.assert_array_equal(x.reshape(-1, 2), x0[None, :])
+            np.testing.assert_array_equal(lam.reshape(-1, 2), lam0[None, :])
