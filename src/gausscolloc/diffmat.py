@@ -58,7 +58,7 @@ def differentiation_matrix(points):
 
 
 def barycentric_matrix(nodes, t):
-    """Evaluation matrix of interpolation through `nodes` at points t.
+    """Evaluation matrix of interpolation through `nodes` at a scalar or 1-d t.
 
     Row q of the result holds the Lagrange basis values at t[q]; query
     points that coincide with a node, or lie so close to one that the
@@ -66,6 +66,8 @@ def barycentric_matrix(nodes, t):
     """
     nodes = np.asarray(nodes, dtype=float)
     x = np.atleast_1d(np.asarray(t, dtype=float))
+    if x.ndim > 1:
+        raise DimensionMismatch(f"query points t must be a scalar or 1-d, got shape {x.shape}")
     w = barycentric_weights(nodes)
     diff = np.subtract.outer(x, nodes)
     with np.errstate(divide="ignore", over="ignore"):

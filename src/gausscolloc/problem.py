@@ -67,7 +67,10 @@ class ControlSet:
         if self.kind == "unconstrained":
             return v.copy()
         if self.kind == "box":
-            return np.clip(v, self.lower, self.upper)
+            lo, hi = self.lower, self.upper
+            if (lo is None) != (hi is None):  # what np.clip runs, without its slower dispatch
+                return np.minimum(v, hi) if lo is None else np.maximum(v, lo)
+            return np.clip(v, lo, hi)
         return np.asarray(self.projector(v), dtype=float)
 
 

@@ -15,8 +15,9 @@ Newton on those factors and the costate solves with J transposed.  The
 state defect is measured in the residual's quadrature-weighted norm and
 driven a decade below ``tol_y`` (never below ``NEWTON_TOL``).  Nothing an
 order or an iterate fixes is computed twice: the operators are cached per
-order, and an accepted iterate's f comes from its state solve, its H_x from
-the factors' f_x, and one H_u serves step, residual and report.
+order; an accepted iterate's f, defect G and its norm come from its state
+solve, its H_x from its costate solve, and one H_u serves step, residual
+and report.
 
 A state that no dynamics read, such as the integrator of a running cost
 that ``augment_bolza`` appends, has a zero column of f_x at every node.
@@ -37,7 +38,7 @@ block and the LU factors, which are copies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Real
 from typing import NamedTuple
 
@@ -46,7 +47,7 @@ import numpy as np
 from .diffmat import build_operators, solve_D1N
 from .errors import DimensionMismatch, EvaluationFailure, NewtonDivergence
 from .quadrature import gauss_rule
-from .transcription import Residual, Trajectory, _residual, full_grid, omega_norm
+from .transcription import Residual, Trajectory, _residual, _state_defect, full_grid
 
 _EPS = float(np.finfo(float).eps)
 _NON_FINITE = "state Newton iteration produced non-finite values"
@@ -108,7 +109,8 @@ class NewtonFactors(NamedTuple):
     is the identity (no live state reads a live one).  ``coupling`` is
     f_x[:, dead][:, :, live], through which the dead states follow the live
     ones: over the live and dead columns, the dead rows of M are
-    [-(Dinv x I) blockdiag(coupling), I].
+    [-(Dinv x I) blockdiag(coupling), I].  ``cols`` selects the live and
+    the dead columns, by slices (views, not gathers) when the live come first.
     """
 
     A: np.ndarray
@@ -116,6 +118,7 @@ class NewtonFactors(NamedTuple):
     live: np.ndarray
     dead: np.ndarray
     coupling: np.ndarray
+    cols: tuple
 
 
 def newton_factors(problem, ops, Xc, U):
@@ -131,11 +134,12 @@ def newton_factors(problem, ops, Xc, U):
     A = problem.dynamics_x(Xc, U)
     if np.shape(A) != (N, n, n):
         raise DimensionMismatch(f"dynamics_x gave {np.shape(A)}, expected {(N, n, n)}")
-    nonzero = A != 0.0
-    read = nonzero.any(axis=(0, 1))
+    # reads[k, l]: k reads l at some node; a live state reads a live one iff it reads any
+    reads = (A != 0.0).any(axis=0)
+    read = reads.any(axis=0)
     live, dead = read.nonzero()[0], (~read).nonzero()[0]
     L, lu = live.size, None
-    if nonzero[:, live[:, None], live].any():
+    if reads[live].any():
         from scipy.linalg import lu_factor
 
         # M_LL[(i,k), (j,l)] = delta - Dinv[i, j] A[j, k, l], built as its transpose:
@@ -144,7 +148,8 @@ def newton_factors(problem, ops, Xc, U):
                        out=np.empty((N, L, N, L))).reshape(N * L, N * L)
         MT.flat[::N * L + 1] += 1.0
         lu = lu_factor(MT.T, overwrite_a=True, check_finite=False)
-    return NewtonFactors(A, lu, live, dead, A[:, dead[:, None], live])
+    cols = (slice(0, L), slice(L, n)) if L == 0 or live[-1] == L - 1 else (live, dead)
+    return NewtonFactors(A, lu, live, dead, A[:, dead[:, None], live], cols)
 
 
 def _newton_solve(ops, factors, R, transposed=False):
@@ -152,22 +157,23 @@ def _newton_solve(ops, factors, R, transposed=False):
 
     Forward, Z_L = M_LL^-1 R_L and then Z_D = R_D + Dinv (coupling Z_L);
     transposed, Z_D = R_D and Z_L = M_LL^-T (R_L + coupling^T (Dinv^T Z_D)).
+    Product operands have the column-major layout of a gather; a view would change bits.
     """
-    live, dead, C = factors.live, factors.dead, factors.coupling
+    (live, dead), C = factors.cols, factors.coupling
     Z = np.array(R, dtype=float)
-    if transposed and dead.size:
-        Z[:, live] += np.einsum("jkl,jk->jl", C, ops.D1N_inv.T @ Z[:, dead])
+    if transposed and factors.dead.size:
+        Z[:, live] += np.einsum("jkl,jk->jl", C, ops.D1N_inv.T @ np.asfortranarray(Z[:, dead]))
     if factors.lu is not None:
         from scipy.linalg import lu_solve
 
         Z[:, live] = lu_solve(factors.lu, Z[:, live].ravel(), trans=int(transposed),
-                              check_finite=False).reshape(len(Z), live.size)
-    if not transposed and dead.size:
-        Z[:, dead] += ops.D1N_inv @ np.einsum("jkl,jl->jk", C, Z[:, live])
+                              check_finite=False).reshape(len(Z), factors.live.size)
+    if not transposed and factors.dead.size:
+        Z[:, dead] += ops.D1N_inv @ np.einsum("jkl,jl->jk", C, np.asfortranarray(Z[:, live]))
     return Z
 
 
-def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=None):
+def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=None, record=None):
     """Chord Newton solve of the collocated state equations for a fixed control.
 
     Returns the state stack (N+2, n) from the problem's initial state:
@@ -180,6 +186,7 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
     its budget or produces non-finite values, and DimensionMismatch when
     finite dynamics values are not an (N, n) stack, x0 is not of shape
     (n,), or the guess's collocation rows X_guess[1:N+1] are not (N, n).
+    A dict ``record`` receives the converged check's "F", "G" and its norm "defect".
     """
     rule = ops.rule
     N, n = rule.order, problem.n
@@ -207,12 +214,13 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
             if not np.all(np.isfinite(F)):
                 raise NewtonDivergence(_NON_FINITE)
             raise DimensionMismatch(f"dynamics gave {np.shape(F)}, expected {(N, n)}")
-        G = ops.D @ Xfull - F
-        defect = omega_norm(rule, G)
+        G, defect = _state_defect(ops, Xfull, F)
         if not math.isfinite(defect):
             raise NewtonDivergence(_NON_FINITE)
         if defect <= target:
             X[N + 1] = x0 + rule.weights @ F
+            if record is not None:
+                record.update(F=F, G=G, defect=defect)
             return X
         if factors is None or defect > 0.5 * prev:
             factors = newton_factors(problem, ops, Xc, U)
@@ -224,7 +232,7 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
         f"state Newton did not reach its defect target in {NEWTON_MAX} steps")
 
 
-def solve_costate(problem, ops, X, U, terminal, factors=None):
+def solve_costate(problem, ops, X, U, terminal, factors=None, record=None):
     """Solve the collocated adjoint system for a given trajectory.
 
     The Hamiltonian is linear in the costate, so after scaling each
@@ -233,7 +241,7 @@ def solve_costate(problem, ops, X, U, terminal, factors=None):
     omitted.  Returns the costate stack (N+2, n) whose first row satisfies
     the left endpoint coupling identity and whose last row equals
     ``terminal``, the terminal cost gradient; raises DimensionMismatch
-    unless it has shape (n,).
+    unless it has shape (n,).  A dict ``record`` receives H_x as "Hx".
     """
     rule = ops.rule
     N, n = rule.order, problem.n
@@ -253,7 +261,10 @@ def solve_costate(problem, ops, X, U, terminal, factors=None):
     Lam = np.empty((N + 2, n))
     Lam[1:N + 1] = Y / w[:, None]
     Lam[N + 1] = terminal
-    Lam[0] = terminal + w @ np.einsum("kij,ki->kj", factors.A, Lam[1:N + 1])
+    Hx = np.einsum("kij,ki->kj", factors.A, Lam[1:N + 1])
+    Lam[0] = terminal + w @ Hx
+    if record is not None:
+        record["Hx"] = Hx
     return Lam
 
 
@@ -267,6 +278,10 @@ def _descent_direction(problem, X, U, Lam, Hu):
             f"ham_hess_uu gave {np.shape(R)}, expected {(len(U), problem.m, problem.m)}")
     if not np.isfinite(R).all():
         raise EvaluationFailure("ham_hess_uu gave non-finite values")
+    if problem.m == 1:  # a 1x1 block is its eigenvalue, and LAPACK solves it by division
+        r = np.asarray(R)[:, 0]
+        with np.errstate(over="ignore"):  # as LAPACK, which raises no overflow flag
+            return np.divide(Hu, r, out=Hu.copy(), where=r > 0.0)
     pd = np.linalg.eigvalsh(R)[:, 0] > 0.0
     if pd.all():
         # LAPACK solves each matrix of a stack on its own: same bits as masked
@@ -320,26 +335,18 @@ def solve(problem, N, config=None, warm_start=None):
             f"control_set.project is not a projection: projecting its result again "
             f"moved it by {moved:.3g}, more than {ACTIVITY_TOL:g}")
 
-    f, last = problem.dynamics, {}
-
-    def dynamics(X, U):
-        # f at a state solve_state returns is the value its last defect check read
-        last["F"] = f(X, U)
-        return last["F"]
-
-    problem = replace(problem, dynamics=dynamics)
-    X = solve_state(problem, ops, U, X_guess=X_seed, config=config)
-    F, obj = last["F"], float(problem.cost(X[N + 1]))
+    held = {}  # F, G, defect and Hx of the accepted iterate, as its solves computed them
+    X = solve_state(problem, ops, U, X_guess=X_seed, config=config, record=held)
+    obj = float(problem.cost(X[N + 1]))
 
     history = []
     for outer in range(1, config.max_outer + 1):
         factors = newton_factors(problem, ops, X[1:N + 1], U)
         g = problem.cost_grad(X[N + 1])
-        Lam = solve_costate(problem, ops, X, U, g, factors)
-        Hx = np.einsum("kij,ki->kj", factors.A, Lam[1:N + 1])
+        Lam = solve_costate(problem, ops, X, U, g, factors, record=held)
         Hu = problem.ham_u(X[1:N + 1], U, Lam[1:N + 1])
         traj = Trajectory(nodes=nodes, X=X, U=U, Lambda=Lam)
-        report = _residual(problem, ops, traj, F, Hx, Hu, g)
+        report = _residual(problem, ops, traj, Hu=Hu, g=g, **held)
         if not (math.isfinite(obj) and math.isfinite(report.y_norm)):
             raise EvaluationFailure(f"iterate {outer}: objective {obj}, y_norm {report.y_norm}")
         history.append(obj)
@@ -354,13 +361,14 @@ def solve(problem, N, config=None, warm_start=None):
         for _ in range(MAX_HALVINGS):
             U_t = project(U - step * d)
             pred = float((grad * (U_t - U)).sum())
+            held_t = {}
             try:
                 X_t = solve_state(problem, ops, U_t, X_guess=X, config=config,
-                                  factors=factors)
+                                  factors=factors, record=held_t)
             except NewtonDivergence:
                 step *= BACKTRACK
                 continue
-            F_t, obj_t = last["F"], float(problem.cost(X_t[N + 1]))
+            obj_t = float(problem.cost(X_t[N + 1]))
             # second test: expected decrease is below objective roundoff
             if obj_t <= obj + ARMIJO_C * pred \
                     or abs(pred) <= 8.0 * _EPS * (1.0 + abs(obj)):
@@ -369,7 +377,7 @@ def solve(problem, N, config=None, warm_start=None):
         else:
             break
 
-        U, X, F, obj = U_t, X_t, F_t, obj_t
+        U, X, held, obj = U_t, X_t, held_t, obj_t
 
     pre = U - Hu
     active = np.abs(pre - project(pre)) > ACTIVITY_TOL

@@ -64,6 +64,12 @@ def omega_norm(rule, values):
     return math.sqrt(np.add.reduce(rule.weights * sq))
 
 
+def _state_defect(ops, X, F):
+    """G = D X - F on the first N+1 rows X, and its omega_norm bits without its checks."""
+    G = ops.D @ X - F
+    return G, math.sqrt(np.add.reduce(ops.rule.weights * np.add.reduce(G * G, axis=1)))
+
+
 @dataclass(frozen=True)
 class Residual:
     """First-order optimality residuals of one trajectory.
@@ -87,25 +93,25 @@ class Residual:
 
 def eval_residual(problem, ops, traj):
     """Measure optimality-system violation of a trajectory; the solver calls
-    ``_residual`` directly with the f, H_x, H_u and C_x it already holds."""
+    ``_residual`` directly with the f, G, H_x, H_u and C_x it already holds."""
     N = ops.rule.order
     X, U, Lam = traj.X, traj.U, traj.Lambda
     if X.shape != (N + 2, problem.n) or Lam.shape != (N + 2, problem.n):
         raise DimensionMismatch("trajectory grid does not match the rule")
     Xc, Lc = X[1:N + 1], Lam[1:N + 1]
-    return _residual(problem, ops, traj, problem.dynamics(Xc, U), problem.ham_x(Xc, U, Lc),
-                     problem.ham_u(Xc, U, Lc), problem.cost_grad(X[N + 1]))
+    F = problem.dynamics(Xc, U)
+    Hx, Hu, g = problem.ham_x(Xc, U, Lc), problem.ham_u(Xc, U, Lc), problem.cost_grad(X[N + 1])
+    return _residual(problem, ops, traj, F, *_state_defect(ops, X[:N + 1], F), Hx, Hu, g)
 
 
-def _residual(problem, ops, traj, F, Hx, Hu, g):
-    """Residual from f, H_x, H_u at the collocation points and C_x = g."""
+def _residual(problem, ops, traj, F, G, defect, Hx, Hu, g):
+    """Residual from f, G = D X - F with its ``defect`` norm, H_x, H_u and C_x = g."""
     rule = ops.rule
     N = rule.order
     X, U, Lam = traj.X, traj.U, traj.Lambda
     w = rule.weights
 
     initial = X[0] - problem.x0
-    state_defect = ops.D @ X[:N + 1] - F
     endpoint_defect = X[N + 1] - X[0] - w @ F
     costate_endpoint = Lam[N + 1] - Lam[0] + w @ Hx
     costate_defect = ops.D_dagger @ Lam[1:] + Hx
@@ -119,7 +125,7 @@ def _residual(problem, ops, traj, F, Hx, Hu, g):
     # np.linalg.norm runs for that case
     norms = {
         "initial": math.sqrt(initial.dot(initial)),
-        "state_defect": omega_norm(rule, state_defect),
+        "state_defect": defect,
         "endpoint_defect": math.sqrt(endpoint_defect.dot(endpoint_defect)),
         "costate_endpoint": math.sqrt(costate_endpoint.dot(costate_endpoint)),
         "costate_defect": omega_norm(rule, costate_defect),
@@ -128,7 +134,7 @@ def _residual(problem, ops, traj, F, Hx, Hu, g):
             control_residual * control_residual, axis=1)).max()),
     }
     return Residual(
-        initial=initial, state_defect=state_defect,
+        initial=initial, state_defect=G,
         endpoint_defect=endpoint_defect, costate_endpoint=costate_endpoint,
         costate_defect=costate_defect, transversality=transversality,
         control_residual=control_residual,
@@ -205,7 +211,7 @@ def interpolate_trajectory(traj, t):
     The degree-N state polynomial interpolates the grid values at
     {-1, tau_1..tau_N}; the costate polynomial interpolates those at
     {tau_1..tau_N, +1}.  Returns (x, lam): shape (n,) for scalar t, and
-    (len(t), n) for an array.
+    (len(t), n) for a 1-d array; raises DimensionMismatch for more dims.
     """
     N = traj.N
     x = barycentric_matrix(traj.nodes[:N + 1], t) @ traj.X[:N + 1]

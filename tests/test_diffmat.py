@@ -36,6 +36,13 @@ class TestBarycentric:
         B = barycentric_matrix(np.array([-1.0, 0.0]), np.array([5e-324, -0.0]))
         np.testing.assert_array_equal(B, [[0.0, 1.0], [0.0, 1.0]])
 
+    def test_rejects_times_of_two_dimensions(self):
+        # row sums over the wrong axis gave wrong values, and a node hit an IndexError
+        nodes = np.array([-1.0, -0.2, 0.7])
+        for t in (np.linspace(-0.9, 0.9, 6).reshape(2, 3), np.array([[-1.0, 0.0], [0.7, 0.2]])):
+            with pytest.raises(DimensionMismatch, match=r"scalar or 1-d, got shape \(2, "):
+                barycentric_matrix(nodes, t)
+
     def test_interpolates_quadratic(self):
         nodes = np.array([-1.0, 0.0, 1.0])
         t = np.linspace(-1.0, 1.0, 41)

@@ -55,6 +55,26 @@ class TestControlSet:
         U = np.array([[-1.0], [0.5], [2.0]])
         np.testing.assert_array_equal(cs.project(U), [[0.0], [0.5], [1.0]])
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 3), sides=st.sampled_from(
+        ["lower", "upper", "both", "neither"]))
+    def test_box_has_the_bytes_of_clip(self, data, m, sides):
+        # a one-sided box takes np.minimum or np.maximum, which np.clip itself
+        # calls for one bound: signed zeros, NaN and infinities come out alike
+        entries = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        v = data.draw(arrays(float, data.draw(st.sampled_from([(m,), (4, m)])),
+                             elements=entries))
+        lo = hi = None
+        if sides in ("lower", "both"):
+            lo = data.draw(arrays(float, m, elements=st.floats(-5.0, 0.0)))
+        if sides in ("upper", "both"):
+            hi = data.draw(arrays(float, m, elements=st.floats(0.0, 5.0, exclude_min=True)))
+        out = ControlSet.box(lower=lo, upper=hi).project(v)
+        ref = np.clip(v, lo, hi)
+        assert out.shape == ref.shape and out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
+        assert not np.shares_memory(out, v)
+
     def test_box_rejects_empty_interior(self):
         with pytest.raises(ValueError):
             ControlSet.box(lower=[1.0], upper=[1.0])

@@ -325,7 +325,9 @@ class TestDescentDirection:
     @given(data=st.data(), K=st.integers(1, 24), m=st.integers(1, 4))
     def test_same_bits_as_the_masked_solve(self, data, K, m):
         # R = B B^T + s I is positive definite for s > 0 and may not be for
-        # s < 0; every node positive definite takes the unmasked path
+        # s < 0; every node positive definite takes the unmasked path.  A
+        # 1x1 R is also drawn from all finite floats, zero and subnormals
+        # included: its step is a division, with the bits of LAPACK's solve
         floats = st.floats(-2.0, 2.0)
         B = data.draw(arrays(float, (K, m, m), elements=floats))
         if data.draw(st.booleans()):
@@ -334,10 +336,32 @@ class TestDescentDirection:
             shift = data.draw(arrays(float, K, elements=st.sampled_from([-1.0, 0.1])))
         R = B @ B.transpose(0, 2, 1) + shift[:, None, None] * np.eye(m)
         Hu = data.draw(arrays(float, (K, m), elements=floats))
+        if m == 1 and data.draw(st.booleans()):
+            wide = st.floats(allow_nan=False, allow_infinity=False)
+            R = data.draw(arrays(float, (K, 1, 1), elements=st.one_of(wide, st.just(0.0))))
+            Hu = data.draw(arrays(float, (K, 1), elements=wide))
         problem = replace(_frozen_problem(), m=m, ham_hess_uu=lambda X, U, Lam: R)
         X = np.zeros((K + 2, 2))
         d = solver_module._descent_direction(problem, X, np.zeros((K, m)), X, Hu)
-        np.testing.assert_array_equal(d, _masked_direction(R, Hu))
+        assert d.shape == (K, m) and d.tobytes() == _masked_direction(R, Hu).tobytes()
+        if m == 1:
+            pd = R[:, 0, 0] > 0.0
+            solved = np.linalg.solve(R[pd], Hu[pd, :, None])[:, :, 0]
+            assert d[pd].tobytes() == solved.tobytes()
+            assert d[~pd].tobytes() == Hu[~pd].tobytes()
+
+    @pytest.mark.parametrize("R, error", [
+        (np.full((5, 1, 1), np.nan), EvaluationFailure),
+        (np.full((5, 1, 1), np.inf), EvaluationFailure),
+        (np.ones((5, 1)), DimensionMismatch),
+        (np.ones((6, 1, 1)), DimensionMismatch),
+    ], ids=["nan", "inf", "missing-axis", "extra-node"])
+    def test_malformed_one_control_hessian_is_rejected(self, R, error):
+        # the 1x1 division keeps the checks of the LAPACK path
+        problem = replace(_frozen_problem(), ham_hess_uu=lambda X, U, Lam: R)
+        X = np.zeros((7, 2))
+        with pytest.raises(error, match="ham_hess_uu gave"):
+            solver_module._descent_direction(problem, X, np.zeros((5, 1)), X, np.ones((5, 1)))
 
 
 def _dense_newton_matrix(ops, A):
@@ -371,9 +395,58 @@ class TestNewtonFactors:
         else:
             assert factors.lu is None
         M = _dense_newton_matrix(ops, A)
+        gathered = factors._replace(cols=(factors.live, factors.dead))
         for transposed, dense in ((False, M), (True, M.T)):
             Z = solver_module._newton_solve(ops, factors, R, transposed=transposed)
             ref = np.linalg.solve(dense, R.ravel()).reshape(N, n)
+            assert np.max(np.abs(Z - ref)) <= 1e-12 * np.max(np.abs(ref))
+            # consecutive columns are selected by slices, with the bits of a gather
+            Zg = solver_module._newton_solve(ops, gathered, R, transposed=transposed)
+            assert Z.tobytes() == Zg.tobytes()
+
+    @pytest.mark.parametrize("N", [10, 23])
+    @pytest.mark.parametrize("n, L", [(2, 1), (5, 3)])
+    def test_consecutive_columns_keep_the_bits_of_a_gather(self, n, L, N):
+        # L live states, then the dead ones: both sets are selected by slices,
+        # and a column-major copy of each keeps the bits of a gather (a
+        # strided view of one dead column moves the costate at these orders)
+        rng = np.random.default_rng(N)
+        A = np.zeros((N, n, n))
+        A[:, :, :L] = 0.05 * rng.standard_normal((N, n, L))
+        problem = replace(_frozen_problem(), n=n, dynamics_x=lambda X, U: A)
+        ops = build_operators(gauss_rule(N))
+        factors = newton_factors(problem, ops, np.zeros((N, n)), np.zeros((N, 1)))
+        assert factors.cols == (slice(0, L), slice(L, n))
+        gathered = factors._replace(cols=(factors.live, factors.dead))
+        for transposed in (False, True):
+            for _ in range(20):
+                R = rng.standard_normal((N, n))
+                Z = solver_module._newton_solve(ops, factors, R, transposed=transposed)
+                Zg = solver_module._newton_solve(ops, gathered, R, transposed=transposed)
+                assert Z.tobytes() == Zg.tobytes()
+
+    def test_dead_state_between_live_ones(self):
+        # states (x, z, y): z integrates x^2 and nothing reads it, so the
+        # live columns 0 and 2 are not consecutive, and both sets are gathered
+        def dynamics_x(X, U):
+            A = np.zeros((len(X), 3, 3))
+            A[:, 0, 2], A[:, 1, 0], A[:, 2, 0] = 1.0, X[:, 0], -1.0
+            return A
+
+        problem = replace(_frozen_problem(), n=3, dynamics_x=dynamics_x)
+        N = 9
+        ops = build_operators(gauss_rule(N))
+        Xc = np.linspace(-1.0, 1.0, 3 * N).reshape(N, 3)
+        factors = newton_factors(problem, ops, Xc, np.zeros((N, 1)))
+        live, dead = factors.cols
+        np.testing.assert_array_equal(live, [0, 2])
+        np.testing.assert_array_equal(dead, [1])
+        assert factors.lu[0].shape == (2 * N, 2 * N)
+        R = np.cos(np.arange(3 * N)).reshape(N, 3)
+        M = _dense_newton_matrix(ops, dynamics_x(Xc, None))
+        for transposed, dense in ((False, M), (True, M.T)):
+            Z = solver_module._newton_solve(ops, factors, R, transposed=transposed)
+            ref = np.linalg.solve(dense, R.ravel()).reshape(N, 3)
             assert np.max(np.abs(Z - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -568,12 +641,14 @@ class TestSolve:
                          "ham_hess_uu": k - 1}
 
     @pytest.mark.parametrize("N", [10, 80])
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + ("oscillator", "two-control"))
     def test_reported_residual_is_eval_residual(self, name, N):
         # the solver hands the residual values it already holds; evaluating
-        # every callback afresh on the final trajectory gives the same bits
-        problem = builtin(name)
-        report = solve(problem, N)
+        # every callback afresh on the final trajectory gives the same bits,
+        # on the oscillator's factored live block and with two controls too
+        built = {"oscillator": _oscillator_problem, "two-control": _two_control_problem}
+        problem = built[name]() if name in built else builtin(name)
+        report = solve(problem, N, SolverConfig(max_outer=20 if name == "two-control" else 200))
         fresh = eval_residual(problem, build_operators(gauss_rule(N)), report.traj)
         for block in ("initial", "state_defect", "endpoint_defect", "costate_endpoint",
                       "costate_defect", "transversality", "control_residual"):

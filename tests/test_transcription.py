@@ -13,7 +13,7 @@ from gausscolloc import (ControlProblem, ControlSet, build_operators, builtin,
                          gauss_rule, interpolate_trajectory, kkt_residuals,
                          multipliers_to_costate, omega_norm, solve)
 from gausscolloc.errors import DimensionMismatch
-from gausscolloc.transcription import Trajectory, _residual
+from gausscolloc.transcription import Trajectory, _residual, _state_defect
 
 # mostly finite entries, with the odd overflow, infinity and NaN
 _ENTRIES = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e200, 1e200),
@@ -161,7 +161,9 @@ class TestEvalResidual:
                           control_set=ControlSet.box(upper=np.zeros(m)))
         traj = Trajectory(nodes=full_grid(rule), X=draw((N + 2, n)), U=draw((N, m)),
                           Lambda=draw((N + 2, n)))
-        res = _residual(problem, ops, traj, draw((N, n)), draw((N, n)), draw((N, m)), draw(n))
+        F = draw((N, n))
+        res = _residual(problem, ops, traj, F, *_state_defect(ops, traj.X[:N + 1], F),
+                        draw((N, n)), draw((N, m)), draw(n))
 
         def weighted(z):
             return float(np.sqrt(np.sum(rule.weights * np.sum(z * z, axis=1))))
@@ -301,6 +303,15 @@ class TestInterpolateTrajectory:
         x, lam = interpolate_trajectory(traj, t)
         np.testing.assert_allclose(x, np.tile(c, (17, 1)), atol=1e-13)
         np.testing.assert_allclose(lam, np.tile(c, (17, 1)), atol=1e-13)
+
+    def test_rejects_times_of_two_dimensions(self):
+        # a 2x3 t gave values off by up to 9.4 and a t holding a node an
+        # IndexError; both now name the shape
+        traj = solve(builtin("hager84-constrained"), 8).traj
+        for t in (np.linspace(-0.9, 0.9, 6).reshape(2, 3),
+                  np.array([[-1.0, 0.0, 1.0], [traj.nodes[3], 0.2, 0.4]])):
+            with pytest.raises(DimensionMismatch, match=r"got shape \(2, 3\)"):
+                interpolate_trajectory(traj, t)
 
     def test_scalar_time_shape(self):
         # a Python float and a 0-d float64 give (n,), a length-1 array (1, n),
