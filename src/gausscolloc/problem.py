@@ -8,6 +8,8 @@ through a Euclidean projection.  Every problem, built-in or custom, is one
 normal form: ``augment_bolza`` adds the integral of a ``RunningCost`` to a
 problem's terminal cost through an extra integrator state, which makes it a
 Bolza problem, and ``map_domain`` rescales a problem posed on [a, b].
+The built-ins are written in closed form: each callback allocates its result
+once and gives the bits of the same problem composed with those two helpers.
 
 Every problem carries the callbacks the solver reads: the dynamics and its
 Jacobians, the terminal cost and its gradient, and the control Hessian
@@ -113,17 +115,21 @@ class ControlProblem:
     analytic: AnalyticSolution | None = None
 
     def ham_x(self, X, U, Lam):
-        """Gradient of H = lambda . f with respect to x, per row: (K, n)."""
-        return np.einsum("kij,ki->kj", self.dynamics_x(X, U), Lam)
+        """Gradient of H = lambda . f with respect to x, per row: (K, n);
+        raises DimensionMismatch unless f_x is a (K, n, n) stack."""
+        return _costate_product("dynamics_x", self.dynamics_x(X, U), (len(X), self.n, self.n), Lam)
 
     def ham_u(self, X, U, Lam):
         """Gradient of H = lambda . f with respect to u, per row: (K, m);
         raises DimensionMismatch unless f_u is a (K, n, m) stack."""
-        B = self.dynamics_u(X, U)
-        if np.shape(B) != (len(X), self.n, self.m):
-            raise DimensionMismatch(
-                f"dynamics_u gave {np.shape(B)}, expected {(len(X), self.n, self.m)}")
-        return np.einsum("kij,ki->kj", B, Lam)
+        return _costate_product("dynamics_u", self.dynamics_u(X, U), (len(X), self.n, self.m), Lam)
+
+
+def _costate_product(label, J, shape, Lam):
+    """lambda_k^T J_k per row k, once J is checked to be a stack of that shape."""
+    if np.shape(J) != shape:
+        raise DimensionMismatch(f"{label} gave {np.shape(J)}, expected {shape}")
+    return np.einsum("kij,ki->kj", J, Lam)
 
 
 def augment_bolza(base, running, name=""):
@@ -290,7 +296,9 @@ def audit_derivatives(problem):
 #
 # The optimal control rides the ceiling u = 1 until t = 1/2 and then turns
 # smoothly toward u(1) = 0; state, control, and costate all have closed
-# forms, which makes the problem a sharp accuracy benchmark.
+# forms, which makes the problem a sharp accuracy benchmark.  On [-1, 1] with
+# states (x, z), f = s (u, (x^2 + u^2) / 2) and C = z; each callback runs the
+# operations of map_domain(augment_bolza(base, running), 0, 1) in its order.
 
 _E = float(np.e)
 _HAGER_X0 = (1.0 + 3.0 * _E) / (2.0 * (1.0 - _E))
@@ -347,50 +355,52 @@ def hager_optimal_cost(constrained=True):
     return _HAGER_X0 ** 2 * (_E ** 2 - 1.0) / (2.0 * _UNCON_DEN)
 
 
-def _hager_base(constrained):
-    cset = ControlSet.box(upper=np.array([1.0])) if constrained \
-        else ControlSet.unconstrained()
-    return ControlProblem(
-        name="", n=1, m=1,
-        dynamics=lambda X, U: U[:, [0]],
-        dynamics_x=lambda X, U: np.zeros((len(X), 1, 1)),
-        dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
-        cost=lambda x: 0.0,
-        cost_grad=lambda x: np.zeros(1),
-        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
-        x0=np.array([_HAGER_X0]),
-        control_set=cset)
-
-
-_HAGER_RUNNING = RunningCost(
-    value=lambda X, U: 0.5 * (X[:, 0] ** 2 + U[:, 0] ** 2),
-    grad_x=lambda X, U: X[:, [0]],
-    grad_u=lambda X, U: U[:, [0]],
-    hess_uu=lambda X, U: np.ones((len(X), 1, 1)))
-
-
 def _columns(*fns):
-    """Analytic callable: converts t once, then stacks one column per fn."""
-    def evaluate(t):
-        x = np.atleast_1d(np.asarray(t, dtype=float))
+    """Analytic callable of tau: t by map_domain's to_native on [0, 1], a column per fn."""
+    def evaluate(tau):
+        x = np.atleast_1d(0.0 + 1.0 * (np.asarray(tau, dtype=float) + 1.0) / 2.0)
         return np.column_stack([fn(x) for fn in fns])
     return evaluate
 
 
 def _hager_analytic(constrained):
-    if constrained:
-        return AnalyticSolution(state=_columns(_hager_x, _hager_z),
-                                control=_columns(_hager_u),
-                                costate=_columns(_hager_lam, np.ones_like))
-    return AnalyticSolution(state=_columns(_uncon_x, _uncon_z),
-                            control=_columns(_uncon_u),
-                            costate=_columns(lambda x: -_uncon_u(x), np.ones_like))
+    x, z, u = (_hager_x, _hager_z, _hager_u) if constrained else (_uncon_x, _uncon_z, _uncon_u)
+    lam = _hager_lam if constrained else (lambda t: -_uncon_u(t))
+    return AnalyticSolution(_columns(x, z), _columns(u), _columns(lam, np.ones_like))
 
 
 def _build_hager(name, constrained):
-    bolza = augment_bolza(_hager_base(constrained), _HAGER_RUNNING, name=name)
-    bolza = replace(bolza, analytic=_hager_analytic(constrained))
-    prob = map_domain(bolza, 0.0, 1.0)
+    s = 0.5  # (b - a) / 2, the factor map_domain takes from [0, 1] onto [-1, 1]
+
+    def f(X, U):
+        F = np.empty((len(X), 2))
+        F[:, 0] = s * U[:, 0]
+        F[:, 1] = s * (0.5 * (X[:, 0] ** 2 + U[:, 0] ** 2))  # the running cost, then s
+        return F
+
+    def f_x(X, U):
+        J = np.zeros((len(X), 2, 2))
+        J[:, 1, 0] = s * X[:, 0]
+        return J
+
+    def f_u(X, U):
+        B = np.empty((len(X), 2, 1))
+        B[:, 0, 0], B[:, 1, 0] = s, s * U[:, 0]
+        return B
+
+    def h_uu(X, U, Lam):
+        R = np.empty((len(X), 1, 1))
+        R[:, 0, 0] = s * (0.0 + Lam[:, 1])  # 0.0 + turns -0 into +0, as in the composition
+        return R
+
+    x0 = np.array([_HAGER_X0, 0.0])
+    x0.flags.writeable = False
+    prob = ControlProblem(
+        name=name, n=2, m=1, dynamics=f, dynamics_x=f_x, dynamics_u=f_u,
+        cost=lambda x: float(0.0 + x[1]), cost_grad=lambda x: np.array([0.0, 1.0]),
+        ham_hess_uu=h_uu, x0=x0, analytic=_hager_analytic(constrained),
+        control_set=ControlSet.box(upper=np.array([1.0])) if constrained
+        else ControlSet.unconstrained())
     audit_derivatives(prob)
     return prob
 

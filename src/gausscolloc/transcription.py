@@ -93,11 +93,14 @@ class Residual:
 
 def eval_residual(problem, ops, traj):
     """Measure optimality-system violation of a trajectory; the solver calls
-    ``_residual`` directly with the f, G, H_x, H_u and C_x it already holds."""
+    ``_residual`` directly with the f, G, H_x, H_u and C_x it already holds.
+    Raises DimensionMismatch unless X and Lambda are (N+2, n) and U (N, m)."""
     N = ops.rule.order
     X, U, Lam = traj.X, traj.U, traj.Lambda
-    if X.shape != (N + 2, problem.n) or Lam.shape != (N + 2, problem.n):
-        raise DimensionMismatch("trajectory grid does not match the rule")
+    shapes = (X.shape, np.shape(U), Lam.shape)
+    want = ((N + 2, problem.n), (N, problem.m), (N + 2, problem.n))
+    if shapes != want:
+        raise DimensionMismatch(f"trajectory X, U, Lambda have shapes {shapes}, expected {want}")
     Xc, Lc = X[1:N + 1], Lam[1:N + 1]
     F = problem.dynamics(Xc, U)
     Hx, Hu, g = problem.ham_x(Xc, U, Lc), problem.ham_u(Xc, U, Lc), problem.cost_grad(X[N + 1])
@@ -174,12 +177,14 @@ def kkt_residuals(problem, ops, traj, mu):
     and never the scaled costate, so agreement of its zero set with the
     eval_residual blocks checks the multiplier transform end to end.
     Returns a dict of sup norms keyed by condition; mu must have shape
-    (N+2, n), or DimensionMismatch is raised.
+    (N+2, n) and U (N, m), or DimensionMismatch is raised.
     """
     rule = ops.rule
     N = rule.order
     w = rule.weights
     X, U = traj.X, traj.U
+    if np.shape(U) != (N, problem.m):
+        raise DimensionMismatch(f"expected controls of shape {(N, problem.m)}, got {np.shape(U)}")
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (N + 2, problem.n):
         raise DimensionMismatch(f"expected multipliers of shape {(N + 2, problem.n)}, "

@@ -9,12 +9,63 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gausscolloc import (ControlProblem, ControlSet, audit_derivatives,
-                         augment_bolza, builtin, gauss_rule, hager_optimal_cost,
-                         map_domain)
+from gausscolloc import (BUILTIN_NAMES, AnalyticSolution, ControlProblem, ControlSet,
+                         RunningCost, audit_derivatives, augment_bolza, builtin,
+                         gauss_rule, hager_optimal_cost, map_domain, solve)
 from gausscolloc.diffmat import differentiation_matrix
 from gausscolloc.errors import DimensionMismatch, EvaluationFailure, UnknownProblem
-from gausscolloc.problem import _HAGER_RUNNING, _hager_base
+from gausscolloc.problem import (_HAGER_X0, _hager_lam, _hager_u, _hager_x, _hager_z,
+                                 _uncon_u, _uncon_x, _uncon_z)
+
+
+# The benchmark as a composition: a one-state base problem on the native
+# domain [0, 1], the running cost (x^2 + u^2) / 2 folded in by augment_bolza,
+# and map_domain onto [-1, 1].  The built-ins are this composition written out
+# in closed form, and these tests hold them to its bits.
+def _hager_base(constrained):
+    cset = ControlSet.box(upper=np.array([1.0])) if constrained \
+        else ControlSet.unconstrained()
+    return ControlProblem(
+        name="", n=1, m=1,
+        dynamics=lambda X, U: U[:, [0]],
+        dynamics_x=lambda X, U: np.zeros((len(X), 1, 1)),
+        dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
+        cost=lambda x: 0.0,
+        cost_grad=lambda x: np.zeros(1),
+        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
+        x0=np.array([_HAGER_X0]),
+        control_set=cset)
+
+
+_HAGER_RUNNING = RunningCost(
+    value=lambda X, U: 0.5 * (X[:, 0] ** 2 + U[:, 0] ** 2),
+    grad_x=lambda X, U: X[:, [0]],
+    grad_u=lambda X, U: U[:, [0]],
+    hess_uu=lambda X, U: np.ones((len(X), 1, 1)))
+
+
+def _native_columns(*fns):
+    """Analytic callable of the native time t: one column per fn."""
+    def evaluate(t):
+        x = np.atleast_1d(np.asarray(t, dtype=float))
+        return np.column_stack([fn(x) for fn in fns])
+    return evaluate
+
+
+def _composed_hager(name):
+    """map_domain(augment_bolza(base, running), 0, 1) with the native analytic solution."""
+    if name == "hager84-constrained":
+        analytic = AnalyticSolution(state=_native_columns(_hager_x, _hager_z),
+                                    control=_native_columns(_hager_u),
+                                    costate=_native_columns(_hager_lam, np.ones_like))
+    else:
+        analytic = AnalyticSolution(state=_native_columns(_uncon_x, _uncon_z),
+                                    control=_native_columns(_uncon_u),
+                                    costate=_native_columns(lambda x: -_uncon_u(x),
+                                                            np.ones_like))
+    base = _hager_base(name == "hager84-constrained")
+    bolza = dataclasses.replace(augment_bolza(base, _HAGER_RUNNING, name=name), analytic=analytic)
+    return map_domain(bolza, 0.0, 1.0)
 
 
 def _linear_problem():
@@ -98,7 +149,6 @@ class TestControlSet:
 
 class TestAugmentBolza:
     def test_zero_running_cost(self):
-        from gausscolloc.problem import RunningCost
         zero = RunningCost(
             value=lambda X, U: np.zeros(len(X)),
             grad_x=lambda X, U: np.zeros((len(X), 1)),
@@ -159,7 +209,6 @@ class TestAugmentBolza:
 
     def test_constant_running_cost_measures_domain(self):
         from gausscolloc import build_operators, solve_state
-        from gausscolloc.problem import RunningCost
         one = RunningCost(
             value=lambda X, U: np.ones(len(X)),
             grad_x=lambda X, U: np.zeros((len(X), 1)),
@@ -173,7 +222,7 @@ class TestAugmentBolza:
 
     def test_objective_equals_quadrature_of_running_cost(self):
         from gausscolloc import build_operators, solve_state
-        prob = builtin("hager84-constrained")
+        prob = _composed_hager("hager84-constrained")
         rule = gauss_rule(10)
         ops = build_operators(rule)
         rng = np.random.default_rng(11)
@@ -213,14 +262,84 @@ class TestMapDomain:
                                       (-np.inf, 0.0), (-np.inf, np.inf)])
     def test_rejects_non_finite_bounds(self, a, b):
         with pytest.raises(ValueError, match="finite"):
-            map_domain(builtin("hager84-constrained"), a, b)
+            map_domain(augment_bolza(_hager_base(True), _HAGER_RUNNING), a, b)
 
     def test_analytic_control_remap(self):
         # ceiling arc of the benchmark occupies the left half after mapping
-        prob = builtin("hager84-constrained")
+        prob = _composed_hager("hager84-constrained")
         tau = np.linspace(-1.0, 0.0, 21)
         np.testing.assert_array_equal(prob.analytic.control(tau),
                                       np.ones((21, 1)))
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def builtin_pairs():
+    """Each built-in with its composed oracle."""
+    return {name: (builtin(name), _composed_hager(name)) for name in BUILTIN_NAMES}
+
+
+class TestClosedFormBuiltins:
+    """The closed-form built-ins give the bits of their composition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(BUILTIN_NAMES), K=st.integers(1, 40))
+    def test_callbacks_have_the_bits_of_the_composition(self, builtin_pairs, data, name, K):
+        # signed zeros exercise the 0.0 + in H_uu and in the cost; infinities
+        # and NaN the operation order
+        entries = st.one_of(st.floats(-1e3, 1e3), st.floats(),
+                            st.sampled_from([0.0, -0.0, 1e200, -1e-200, 5e-324]))
+        X, U, Lam = (data.draw(arrays(float, shape, elements=entries))
+                     for shape in ((K, 2), (K, 1), (K, 2)))
+        prob, oracle = builtin_pairs[name]
+        with np.errstate(all="ignore"):
+            for field in ("dynamics", "dynamics_x", "dynamics_u"):
+                _assert_same_bits(getattr(prob, field)(X, U), getattr(oracle, field)(X, U))
+            _assert_same_bits(prob.ham_hess_uu(X, U, Lam), oracle.ham_hess_uu(X, U, Lam))
+            for x in X:
+                cost = prob.cost(x)
+                assert type(cost) is float
+                _assert_same_bits(cost, oracle.cost(x))
+                _assert_same_bits(prob.cost_grad(x), oracle.cost_grad(x))
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_fields_and_analytic_solution_match(self, builtin_pairs, name):
+        prob, oracle = builtin_pairs[name]
+        assert (prob.name, prob.n, prob.m) == (oracle.name, oracle.n, oracle.m)
+        _assert_same_bits(prob.x0, oracle.x0)
+        assert not prob.x0.flags.writeable
+        cs, ocs = prob.control_set, oracle.control_set
+        assert cs.kind == ocs.kind and cs.projector is ocs.projector is None
+        for bound, obound in ((cs.lower, ocs.lower), (cs.upper, ocs.upper)):
+            assert (bound is None) == (obound is None)
+            if bound is not None:
+                _assert_same_bits(bound, obound)
+        tau = np.concatenate([np.linspace(-1.0, 1.0, 401), [-0.0, 0.0, 1e-300]])
+        for field in ("state", "control", "costate"):
+            for t in (tau, 0.25, np.float64(-0.5)):
+                _assert_same_bits(getattr(prob.analytic, field)(t),
+                                  getattr(oracle.analytic, field)(t))
+
+    @pytest.mark.parametrize("N", [1, 2, 10, 80, 320])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_solve_has_the_bits_of_the_composition(self, builtin_pairs, name, N):
+        prob, oracle = builtin_pairs[name]
+        got, want = solve(prob, N), solve(oracle, N)
+        for field in ("X", "U", "Lambda"):
+            _assert_same_bits(getattr(got.traj, field), getattr(want.traj, field))
+        _assert_same_bits(got.y_norm, want.y_norm)
+        assert got.residual.norms.keys() == want.residual.norms.keys()
+        for key, value in got.residual.norms.items():
+            _assert_same_bits(value, want.residual.norms[key])
+        _assert_same_bits(got.objective_history, want.objective_history)
+        assert (got.outer_iters, got.termination) == (want.outer_iters, want.termination)
+        assert got.termination == "converged"
 
 
 class TestBuiltin:

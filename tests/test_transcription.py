@@ -1,5 +1,6 @@
 """Trajectories, optimality residuals, and multiplier conversions."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -186,6 +187,37 @@ class TestEvalResidual:
         bad = _analytic_trajectory(problem, 6)
         with pytest.raises(DimensionMismatch):
             eval_residual(problem, ops, bad)
+
+
+def _both_residuals(problem, traj):
+    """eval_residual and kkt_residuals of traj at its own order, as thunks."""
+    rule = gauss_rule(len(traj.nodes) - 2)
+    ops = build_operators(rule)
+    mu = costate_to_multipliers(traj.Lambda, rule)
+    return (lambda: eval_residual(problem, ops, traj),
+            lambda: kkt_residuals(problem, ops, traj, mu))
+
+
+class TestResidualShapeChecks:
+    @pytest.mark.parametrize("shape", [(5, 1), (10, 3), (10,), (11, 1)])
+    def test_rejects_a_misshapen_control_stack(self, shape):
+        # at N = 10 a (5, 1) stack ended in numpy's broadcast ValueError and a
+        # (10, 3) one gave y = 3.18 from its first column
+        problem = builtin("hager84-constrained")
+        traj = _analytic_trajectory(problem, 10)
+        bad = replace(traj, U=np.resize(traj.U, shape))
+        for evaluate in _both_residuals(problem, bad):
+            with pytest.raises(DimensionMismatch, match=re.escape(str(shape))):
+                evaluate()
+
+    @pytest.mark.parametrize("name", ["hager84-constrained", "hager84-unconstrained"])
+    def test_rejects_a_misshapen_state_jacobian(self, name):
+        # an f_x of shape (K, n, 1) used to give numbers from both
+        problem = builtin(name)
+        bad = replace(problem, dynamics_x=lambda X, U: problem.dynamics_x(X, U)[:, :, :1])
+        for evaluate in _both_residuals(bad, _analytic_trajectory(problem, 10)):
+            with pytest.raises(DimensionMismatch, match=re.escape("dynamics_x gave (10, 2, 1)")):
+                evaluate()
 
 
 class TestMultiplierMaps:
