@@ -10,9 +10,8 @@ inequalities, and solver convergence order.
 from .errors import (DimensionMismatch, EvaluationFailure, GaussCollocError,
                      IterationFailure, NewtonDivergence, UnknownProblem)
 from .quadrature import QuadratureRule, gauss_rule, radau_rule
-from .diffmat import (CollocationOperators,
-                      build_operators, check_P1, check_P2,
-                      differentiation_matrix, solve_D1N)
+from .diffmat import (CollocationOperators, build_operators, check_P1, check_P2,
+                      differentiation_matrix)
 from .problem import (AnalyticSolution, BUILTIN_NAMES, ControlProblem,
                       ControlSet, RunningCost, audit_derivatives,
                       augment_bolza, builtin, hager_optimal_cost, map_domain)
@@ -33,8 +32,7 @@ __all__ = [
     "EvaluationFailure", "UnknownProblem",
     "NewtonDivergence",
     "QuadratureRule", "gauss_rule", "radau_rule",
-    "CollocationOperators", "build_operators", "solve_D1N",
-    "differentiation_matrix",
+    "CollocationOperators", "build_operators", "differentiation_matrix",
     "check_P1", "check_P2",
     "ControlProblem", "ControlSet", "RunningCost",
     "AnalyticSolution", "augment_bolza", "map_domain",

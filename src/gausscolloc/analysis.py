@@ -85,7 +85,7 @@ def fit_rate(orders, errors, discard=2):
     """Fit a convergence rate, discarding the smallest `discard` orders.
 
     Non-positive errors cannot enter a log fit and are dropped; at least
-    three points must survive or ValueError is raised.
+    three distinct orders must survive or ValueError is raised.
     """
     orders = np.asarray(orders, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -96,10 +96,11 @@ def fit_rate(orders, errors, discard=2):
     orders, errors = orders[discard:], errors[discard:]
     keep = errors > 0.0
     orders, errors = orders[keep], errors[keep]
-    if orders.size < 3:
+    distinct = np.unique(orders).size
+    if distinct < 3:
         raise ValueError(
-            f"rate fit needs at least 3 usable points after discarding {discard}, "
-            f"got {orders.size}")
+            f"rate fit needs at least 3 distinct usable orders after discarding {discard}, "
+            f"got {distinct}")
     lx, ly = np.log10(orders), np.log10(errors)
     slope, intercept = np.polyfit(lx, ly, 1)
     fitted = slope * lx + intercept

@@ -85,8 +85,8 @@ def _write_manifest(out, args):
 
 
 def _parse_n_list(text):
-    """Accept 'a:step:b' ranges or comma-separated lists of orders; every
-    listed order, and both ends of a range, must lie in 1..1000."""
+    """Accept 'a:step:b' ranges or comma-separated lists of distinct orders;
+    every listed order, and both ends of a range, must lie in 1..1000."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -97,6 +97,8 @@ def _parse_n_list(text):
         orders, ends = range(a, b + 1, s), (a, b)
     else:
         orders = ends = [int(p) for p in text.split(",") if p.strip()]
+        if len(set(orders)) < len(orders):
+            raise ValueError(f"orders must be distinct, got {text}")
     for n in ends:
         if n not in _ORDERS:
             raise ValueError(f"{_ORDER_RULE}, got {n}")

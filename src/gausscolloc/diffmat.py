@@ -11,7 +11,8 @@ Two rectangular operators are built from one Gauss rule:
 
 The inverse of the trailing square block D[:, 1:] is formed with
 ``np.linalg.inv`` and stored read-only: the P1 and P2 certificates read
-it, and solves against the block (or its transpose) are products with it.
+it, and the solver's collocation Jacobian and costate solves multiply by it
+or by its transpose.
 ``build_operators`` caches four orders per process.  The module needs numpy alone.
 """
 from __future__ import annotations
@@ -126,19 +127,6 @@ def build_operators(rule):
     for arr in (D, Ddag, inv):
         arr.flags.writeable = False
     return CollocationOperators(rule=rule, D=D, D_dagger=Ddag, D1N_inv=inv)
-
-
-def solve_D1N(ops, rhs, transposed=False):
-    """Solve D[:, 1:] x = rhs (or its transpose) with the stored inverse.
-
-    rhs has shape (N,) or (N, k); the n state components of a stacked
-    system are passed as k right-hand-side columns.
-    """
-    b = np.asarray(rhs, dtype=float)
-    N = ops.rule.order
-    if b.shape[0] != N:
-        raise DimensionMismatch(f"rhs has leading dimension {b.shape[0]}, expected {N}")
-    return (ops.D1N_inv.T if transposed else ops.D1N_inv) @ b
 
 
 def check_P1(ops):

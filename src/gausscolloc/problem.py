@@ -117,19 +117,22 @@ class ControlProblem:
     def ham_x(self, X, U, Lam):
         """Gradient of H = lambda . f with respect to x, per row: (K, n);
         raises DimensionMismatch unless f_x is a (K, n, n) stack."""
-        return _costate_product("dynamics_x", self.dynamics_x(X, U), (len(X), self.n, self.n), Lam)
+        J = _checked("dynamics_x", self.dynamics_x(X, U), (len(X), self.n, self.n))
+        return np.einsum("kij,ki->kj", J, Lam)
 
     def ham_u(self, X, U, Lam):
         """Gradient of H = lambda . f with respect to u, per row: (K, m);
         raises DimensionMismatch unless f_u is a (K, n, m) stack."""
-        return _costate_product("dynamics_u", self.dynamics_u(X, U), (len(X), self.n, self.m), Lam)
+        J = _checked("dynamics_u", self.dynamics_u(X, U), (len(X), self.n, self.m))
+        return np.einsum("kij,ki->kj", J, Lam)
 
 
-def _costate_product(label, J, shape, Lam):
-    """lambda_k^T J_k per row k, once J is checked to be a stack of that shape."""
-    if np.shape(J) != shape:
-        raise DimensionMismatch(f"{label} gave {np.shape(J)}, expected {shape}")
-    return np.einsum("kij,ki->kj", J, Lam)
+def _checked(label, value, shape):
+    """``value``, which the callback or call ``label`` gave, once it has ``shape``;
+    raises DimensionMismatch otherwise."""
+    if np.shape(value) != shape:
+        raise DimensionMismatch(f"{label} gave {np.shape(value)}, expected {shape}")
+    return value
 
 
 def augment_bolza(base, running, name=""):
@@ -170,11 +173,8 @@ def augment_bolza(base, running, name=""):
         return float(base.cost(x[:n]) + x[n])
 
     def cost_grad(x):
-        gb = base.cost_grad(x[:n])
-        if np.shape(gb) != (n,):
-            raise DimensionMismatch(f"base cost_grad gave {np.shape(gb)}, expected {(n,)}")
         g = np.empty(n + 1)
-        g[:n] = gb
+        g[:n] = _checked("base cost_grad", base.cost_grad(x[:n]), (n,))
         g[n] = 1.0
         return g
 

@@ -7,11 +7,12 @@ a projected, Hessian-scaled descent step on the control with an Armijo
 backtracking line search, until the combined optimality residual drops
 below ``tol_y``.
 
-Both eliminations use one Newton matrix M = I - (Dinv x I) blockdiag(f_x),
-preconditioned by the inverse Dinv of the trailing block D[:, 1:] (sup norm
-below 2 at every order) and factored once per accepted iterate.  As the
-collocation Jacobian is J = (D[:, 1:] x I) M, line-search trials run chord
-Newton on those factors and the costate solves with J transposed.  The
+Both eliminations use one collocation Jacobian J = (D[:, 1:] x I) M, with
+M = I - (Dinv x I) blockdiag(f_x) preconditioned by the inverse Dinv of the
+trailing block D[:, 1:] (sup norm below 2 at every order) and factored once
+per accepted iterate.  Every state Newton step is one J solve, and the
+costate is one J^T solve, both by ``_jacobian_solve``; line-search trials
+run chord Newton on the accepted iterate's factors.  The
 state defect is measured in the residual's quadrature-weighted norm and
 driven a decade below ``tol_y`` (never below ``NEWTON_TOL``).  Nothing an
 order or an iterate fixes is computed twice: the operators are cached per
@@ -44,8 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diffmat import build_operators, solve_D1N
+from .diffmat import build_operators
 from .errors import DimensionMismatch, EvaluationFailure, NewtonDivergence
+from .problem import _checked
 from .quadrature import gauss_rule
 from .transcription import Residual, Trajectory, _residual, _state_defect, full_grid
 
@@ -109,8 +111,8 @@ class NewtonFactors(NamedTuple):
     is the identity (no live state reads a live one).  ``coupling`` is
     f_x[:, dead][:, :, live], through which the dead states follow the live
     ones: over the live and dead columns, the dead rows of M are
-    [-(Dinv x I) blockdiag(coupling), I].  ``cols`` selects the live and
-    the dead columns, by slices (views, not gathers) when the live come first.
+    [-(Dinv x I) blockdiag(coupling), I].  Every J and J^T solve of the
+    iterate runs on these factors.
     """
 
     A: np.ndarray
@@ -118,7 +120,6 @@ class NewtonFactors(NamedTuple):
     live: np.ndarray
     dead: np.ndarray
     coupling: np.ndarray
-    cols: tuple
 
 
 def newton_factors(problem, ops, Xc, U):
@@ -131,9 +132,7 @@ def newton_factors(problem, ops, Xc, U):
     ``NewtonFactors``).
     """
     N, n = ops.rule.order, problem.n
-    A = problem.dynamics_x(Xc, U)
-    if np.shape(A) != (N, n, n):
-        raise DimensionMismatch(f"dynamics_x gave {np.shape(A)}, expected {(N, n, n)}")
+    A = _checked("dynamics_x", problem.dynamics_x(Xc, U), (N, n, n))
     # reads[k, l]: k reads l at some node; a live state reads a live one iff it reads any
     reads = (A != 0.0).any(axis=0)
     read = reads.any(axis=0)
@@ -148,28 +147,31 @@ def newton_factors(problem, ops, Xc, U):
                        out=np.empty((N, L, N, L))).reshape(N * L, N * L)
         MT.flat[::N * L + 1] += 1.0
         lu = lu_factor(MT.T, overwrite_a=True, check_finite=False)
-    cols = (slice(0, L), slice(L, n)) if L == 0 or live[-1] == L - 1 else (live, dead)
-    return NewtonFactors(A, lu, live, dead, A[:, dead[:, None], live], cols)
+    return NewtonFactors(A, lu, live, dead, A[:, dead[:, None], live])
 
 
-def _newton_solve(ops, factors, R, transposed=False):
-    """Solve M Z = R, or M^T Z = R, for a right-hand side R (N, n).
+def _jacobian_solve(ops, factors, R, transposed=False):
+    """Solve J Z = R, or J^T Z = R, for a right-hand side R (N, n), where
+    J = (D[:, 1:] x I) M is the collocation Jacobian at the factored iterate.
 
-    Forward, Z_L = M_LL^-1 R_L and then Z_D = R_D + Dinv (coupling Z_L);
-    transposed, Z_D = R_D and Z_L = M_LL^-T (R_L + coupling^T (Dinv^T Z_D)).
-    Product operands have the column-major layout of a gather; a view would change bits.
+    Forward, Z = M^-1 (Dinv R): Z_L = M_LL^-1 (Dinv R)_L and then
+    Z_D = (Dinv R)_D + Dinv (coupling Z_L).  Transposed, Z = Dinv^T (M^-T R),
+    where (M^-T R)_D = R_D and (M^-T R)_L = M_LL^-T (R_L + coupling^T (Dinv^T R_D)).
+    Live and dead columns are gathers, whose column-major layout the product bits depend on.
     """
-    (live, dead), C = factors.cols, factors.coupling
-    Z = np.array(R, dtype=float)
-    if transposed and factors.dead.size:
-        Z[:, live] += np.einsum("jkl,jk->jl", C, ops.D1N_inv.T @ np.asfortranarray(Z[:, dead]))
+    live, dead, C, inv = factors.live, factors.dead, factors.coupling, ops.D1N_inv
+    Z = np.array(R, dtype=float) if transposed else inv @ R
+    if transposed and dead.size:
+        Z[:, live] += np.einsum("jkl,jk->jl", C, inv.T @ Z[:, dead])
     if factors.lu is not None:
         from scipy.linalg import lu_solve
 
         Z[:, live] = lu_solve(factors.lu, Z[:, live].ravel(), trans=int(transposed),
-                              check_finite=False).reshape(len(Z), factors.live.size)
-    if not transposed and factors.dead.size:
-        Z[:, dead] += ops.D1N_inv @ np.einsum("jkl,jl->jk", C, np.asfortranarray(Z[:, live]))
+                              check_finite=False).reshape(len(Z), live.size)
+    if transposed:
+        return inv.T @ Z
+    if dead.size:
+        Z[:, dead] += inv @ np.einsum("jkl,jl->jk", C, Z[:, live])
     return Z
 
 
@@ -225,8 +227,7 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
         if factors is None or defect > 0.5 * prev:
             factors = newton_factors(problem, ops, Xc, U)
         prev = defect
-        # J delta = -G with J = (D[:, 1:] x I) M
-        Xc += _newton_solve(ops, factors, solve_D1N(ops, -G))
+        Xc += _jacobian_solve(ops, factors, -G)
 
     raise NewtonDivergence(
         f"state Newton did not reach its defect target in {NEWTON_MAX} steps")
@@ -246,20 +247,15 @@ def solve_costate(problem, ops, X, U, terminal, factors=None, record=None):
     rule = ops.rule
     N, n = rule.order, problem.n
     w = rule.weights
-    terminal = np.asarray(terminal, dtype=float)
-    if terminal.shape != (n,):
-        raise DimensionMismatch(f"cost_grad gave {terminal.shape}, expected {(n,)}")
+    terminal = _checked("cost_grad", np.asarray(terminal, dtype=float), (n,))
     if factors is None:
         factors = newton_factors(problem, ops, X[1:N + 1], U)
 
     # row i of the weight-scaled adjoint system J^T Y = M^T (D1N^T x I) Y = rhs:
     #   (D1N^T Y)_i - A_i^T Y_i = w_i * Ddag[i, -1] * terminal,  Y_i = w_i Lam_i
     rhs = (w * ops.D_dagger[:, -1])[:, None] * terminal[None, :]
-    Z = _newton_solve(ops, factors, rhs, transposed=True)
-    Y = solve_D1N(ops, Z, transposed=True)
-
     Lam = np.empty((N + 2, n))
-    Lam[1:N + 1] = Y / w[:, None]
+    Lam[1:N + 1] = _jacobian_solve(ops, factors, rhs, transposed=True) / w[:, None]
     Lam[N + 1] = terminal
     Hx = np.einsum("kij,ki->kj", factors.A, Lam[1:N + 1])
     Lam[0] = terminal + w @ Hx
@@ -272,10 +268,8 @@ def _descent_direction(problem, X, U, Lam, Hu):
     """Per-node direction: Hessian-scaled gradient where the control
     Hessian of the Hamiltonian is positive definite, raw gradient else;
     raises EvaluationFailure when that Hessian is not finite."""
-    R = problem.ham_hess_uu(X[1:-1], U, Lam[1:-1])
-    if np.shape(R) != (len(U), problem.m, problem.m):
-        raise DimensionMismatch(
-            f"ham_hess_uu gave {np.shape(R)}, expected {(len(U), problem.m, problem.m)}")
+    R = _checked("ham_hess_uu", problem.ham_hess_uu(X[1:-1], U, Lam[1:-1]),
+                 (len(U), problem.m, problem.m))
     if not np.isfinite(R).all():
         raise EvaluationFailure("ham_hess_uu gave non-finite values")
     if problem.m == 1:  # a 1x1 block is its eigenvalue, and LAPACK solves it by division
@@ -324,9 +318,7 @@ def solve(problem, N, config=None, warm_start=None):
                 f"expected U {(N, m)} and X {(N + 2, problem.n)}")
         U, X_seed = np.array(warm_start.U, dtype=float), warm_start.X
     project = problem.control_set.project
-    U = project(U)
-    if np.shape(U) != (N, m):
-        raise DimensionMismatch(f"control_set.project gave {np.shape(U)}, expected {(N, m)}")
+    U = _checked("control_set.project", project(U), (N, m))
     if not np.isfinite(U).all():
         raise EvaluationFailure("control_set.project gave non-finite values")
     moved = np.abs(project(U) - U).max()

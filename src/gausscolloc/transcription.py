@@ -22,6 +22,7 @@ import numpy as np
 
 from .diffmat import barycentric_matrix
 from .errors import DimensionMismatch
+from .problem import _checked
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,8 @@ class Residual:
 def eval_residual(problem, ops, traj):
     """Measure optimality-system violation of a trajectory; the solver calls
     ``_residual`` directly with the f, G, H_x, H_u and C_x it already holds.
-    Raises DimensionMismatch unless X and Lambda are (N+2, n) and U (N, m)."""
+    Raises DimensionMismatch unless X and Lambda are (N+2, n) and U (N, m),
+    and unless the callbacks give f (N, n), f_x (N, n, n), f_u (N, n, m) and C_x (n,)."""
     N = ops.rule.order
     X, U, Lam = traj.X, traj.U, traj.Lambda
     shapes = (X.shape, np.shape(U), Lam.shape)
@@ -102,8 +104,9 @@ def eval_residual(problem, ops, traj):
     if shapes != want:
         raise DimensionMismatch(f"trajectory X, U, Lambda have shapes {shapes}, expected {want}")
     Xc, Lc = X[1:N + 1], Lam[1:N + 1]
-    F = problem.dynamics(Xc, U)
-    Hx, Hu, g = problem.ham_x(Xc, U, Lc), problem.ham_u(Xc, U, Lc), problem.cost_grad(X[N + 1])
+    F = _checked("dynamics", problem.dynamics(Xc, U), (N, problem.n))
+    Hx, Hu = problem.ham_x(Xc, U, Lc), problem.ham_u(Xc, U, Lc)
+    g = _checked("cost_grad", problem.cost_grad(X[N + 1]), (problem.n,))
     return _residual(problem, ops, traj, F, *_state_defect(ops, X[:N + 1], F), Hx, Hu, g)
 
 
@@ -177,7 +180,7 @@ def kkt_residuals(problem, ops, traj, mu):
     and never the scaled costate, so agreement of its zero set with the
     eval_residual blocks checks the multiplier transform end to end.
     Returns a dict of sup norms keyed by condition; mu must have shape
-    (N+2, n) and U (N, m), or DimensionMismatch is raised.
+    (N+2, n), U (N, m) and C_x (n,), or DimensionMismatch is raised.
     """
     rule = ops.rule
     N = rule.order
@@ -198,7 +201,7 @@ def kkt_residuals(problem, ops, traj, mu):
 
     left_coupling = mu[N + 1] - mu[0] - ops.D[:, 0] @ mu_c
     stationarity_x = ops.D[:, 1:].T @ mu_c - Hx
-    terminal = mu[N + 1] - problem.cost_grad(X[N + 1])
+    terminal = mu[N + 1] - _checked("cost_grad", problem.cost_grad(X[N + 1]), (problem.n,))
     pre = U - Hu
     stationarity_u = U - problem.control_set.project(pre)
 

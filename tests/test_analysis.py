@@ -45,6 +45,13 @@ class TestFitRate:
         with pytest.raises(ValueError, match="at least 3"):
             fit_rate([4, 8, 12], [1e-2, 1e-3, 1e-4])
 
+    def test_repeated_orders_count_once(self):
+        # copies of one order are one point of the fit, however many there are
+        with pytest.raises(ValueError, match="at least 3 distinct usable orders.*got 1"):
+            fit_rate([10] * 5, [1e-2, 2e-3, 3e-4, 4e-5, 5e-6], discard=0)
+        with pytest.raises(ValueError, match="got 2"):
+            fit_rate([4, 8, 8, 8, 8], [1.0, 0.5, 0.25, 0.2, 0.1], discard=0)
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="align"):
             fit_rate([4, 8], [1.0, 0.5, 0.25])

@@ -348,6 +348,14 @@ class TestConvergence:
         assert out == ""
         assert f"between 1 and 1000, got {bad}" in err
 
+    def test_repeated_orders_are_usage_error(self, capsys):
+        # five copies of N = 10 would pass the count of five orders with one order to fit
+        code, out, err = _run(capsys, "convergence", "--problem",
+                              "hager84-constrained", "--n-list", "10,10,10,10,10")
+        assert code == 3
+        assert out == ""
+        assert "orders must be distinct, got 10,10,10,10,10" in err
+
     def test_malformed_range_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "convergence", "--problem",
                             "hager84-constrained", "--n-list", "4:40")

@@ -1,4 +1,4 @@
-"""Differentiation matrices, trailing-block solves, and the norm checks."""
+"""Differentiation matrices, the trailing block's inverse, and the norm checks."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.polynomial import legendre
 
 from gausscolloc import (build_operators, builtin, check_P1, check_P2, gauss_rule,
-                         radau_rule, solve, solve_D1N)
+                         radau_rule, solve)
 from gausscolloc.diffmat import (barycentric_matrix, barycentric_weights,
                                  differentiation_matrix)
 from gausscolloc.errors import DimensionMismatch
@@ -102,7 +102,7 @@ class TestBuildOperators:
 
     @pytest.mark.parametrize("N", [1, 7, 60, 320])
     def test_stores_read_only_trailing_inverse(self, N):
-        # both sides: solve_D1N multiplies by the inverse and by its transpose
+        # both sides: the solver's J and J^T solves multiply by the inverse and by its transpose
         ops = build_operators(gauss_rule(N))
         block = ops.D[:, 1:]
         np.testing.assert_allclose(block @ ops.D1N_inv, np.eye(N), atol=1e-12)
@@ -212,37 +212,31 @@ class TestOperatorCache:
 
 
 class TestSolveD1N:
+    """Solves with the trailing block D[:, 1:] and its transpose are products
+    with the stored inverse ``D1N_inv``."""
+
     def test_order_one(self):
         ops = build_operators(gauss_rule(1))
-        np.testing.assert_allclose(solve_D1N(ops, np.array([3.0])), [3.0],
-                                   atol=1e-15)
+        np.testing.assert_allclose(ops.D1N_inv @ np.array([3.0]), [3.0], atol=1e-15)
 
     @pytest.mark.parametrize("N", [2, 7, 31])
     def test_round_trip(self, N):
         rng = np.random.default_rng(500 + N)
         ops = build_operators(gauss_rule(N))
         rhs = rng.standard_normal((N, 3))
-        sol = solve_D1N(ops, rhs)
-        np.testing.assert_allclose(ops.D[:, 1:] @ sol, rhs, atol=1e-11)
+        np.testing.assert_allclose(ops.D[:, 1:] @ (ops.D1N_inv @ rhs), rhs, atol=1e-11)
 
     @pytest.mark.parametrize("N", [2, 7, 31])
     def test_transposed_round_trip(self, N):
         rng = np.random.default_rng(600 + N)
         ops = build_operators(gauss_rule(N))
         rhs = rng.standard_normal((N, 2))
-        sol = solve_D1N(ops, rhs, transposed=True)
-        np.testing.assert_allclose(ops.D[:, 1:].T @ sol, rhs, atol=1e-11)
+        np.testing.assert_allclose(ops.D[:, 1:].T @ (ops.D1N_inv.T @ rhs), rhs, atol=1e-11)
 
     def test_first_column_identity(self):
         # D_{1:N}^{-1} D_0 = -1 for every order; checked at N=5
         ops = build_operators(gauss_rule(5))
-        sol = solve_D1N(ops, ops.D[:, :1])
-        np.testing.assert_allclose(sol, -np.ones((5, 1)), atol=1e-11)
-
-    def test_dimension_check(self):
-        ops = build_operators(gauss_rule(4))
-        with pytest.raises(DimensionMismatch):
-            solve_D1N(ops, np.ones(5))
+        np.testing.assert_allclose(ops.D1N_inv @ ops.D[:, :1], -np.ones((5, 1)), atol=1e-11)
 
 
 class TestNormChecks:

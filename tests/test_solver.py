@@ -364,10 +364,19 @@ class TestDescentDirection:
             solver_module._descent_direction(problem, X, np.zeros((5, 1)), X, np.ones((5, 1)))
 
 
-def _dense_newton_matrix(ops, A):
-    """M[(i,k), (j,l)] = delta - Dinv[i, j] A[j, k, l], built densely."""
+def _dense_jacobian(ops, A):
+    """J = (D[:, 1:] x I) M with M[(i,k), (j,l)] = delta - Dinv[i, j] A[j, k, l], built densely."""
     N, n = A.shape[:2]
-    return np.eye(N * n) - np.einsum("ij,jkl->ikjl", ops.D1N_inv, A).reshape(N * n, N * n)
+    M = np.eye(N * n) - np.einsum("ij,jkl->ikjl", ops.D1N_inv, A).reshape(N * n, N * n)
+    return np.kron(ops.D[:, 1:], np.eye(n)) @ M
+
+
+def _assert_solves_like_dense(ops, factors, J, R):
+    """_jacobian_solve of R, forward and transposed, against dense solves with J and J^T."""
+    for transposed, dense in ((False, J), (True, J.T)):
+        Z = solver_module._jacobian_solve(ops, factors, R, transposed=transposed)
+        ref = np.linalg.solve(dense, R.ravel()).reshape(R.shape)
+        assert np.max(np.abs(Z - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestNewtonFactors:
@@ -394,40 +403,13 @@ class TestNewtonFactors:
             assert factors.lu[0].shape == (N * factors.live.size,) * 2
         else:
             assert factors.lu is None
-        M = _dense_newton_matrix(ops, A)
-        gathered = factors._replace(cols=(factors.live, factors.dead))
-        for transposed, dense in ((False, M), (True, M.T)):
-            Z = solver_module._newton_solve(ops, factors, R, transposed=transposed)
-            ref = np.linalg.solve(dense, R.ravel()).reshape(N, n)
-            assert np.max(np.abs(Z - ref)) <= 1e-12 * np.max(np.abs(ref))
-            # consecutive columns are selected by slices, with the bits of a gather
-            Zg = solver_module._newton_solve(ops, gathered, R, transposed=transposed)
-            assert Z.tobytes() == Zg.tobytes()
-
-    @pytest.mark.parametrize("N", [10, 23])
-    @pytest.mark.parametrize("n, L", [(2, 1), (5, 3)])
-    def test_consecutive_columns_keep_the_bits_of_a_gather(self, n, L, N):
-        # L live states, then the dead ones: both sets are selected by slices,
-        # and a column-major copy of each keeps the bits of a gather (a
-        # strided view of one dead column moves the costate at these orders)
-        rng = np.random.default_rng(N)
-        A = np.zeros((N, n, n))
-        A[:, :, :L] = 0.05 * rng.standard_normal((N, n, L))
-        problem = replace(_frozen_problem(), n=n, dynamics_x=lambda X, U: A)
-        ops = build_operators(gauss_rule(N))
-        factors = newton_factors(problem, ops, np.zeros((N, n)), np.zeros((N, 1)))
-        assert factors.cols == (slice(0, L), slice(L, n))
-        gathered = factors._replace(cols=(factors.live, factors.dead))
-        for transposed in (False, True):
-            for _ in range(20):
-                R = rng.standard_normal((N, n))
-                Z = solver_module._newton_solve(ops, factors, R, transposed=transposed)
-                Zg = solver_module._newton_solve(ops, gathered, R, transposed=transposed)
-                assert Z.tobytes() == Zg.tobytes()
+        R0 = R.copy()
+        _assert_solves_like_dense(ops, factors, _dense_jacobian(ops, A), R)
+        assert R.tobytes() == R0.tobytes()  # the right-hand side is left as it was
 
     def test_dead_state_between_live_ones(self):
         # states (x, z, y): z integrates x^2 and nothing reads it, so the
-        # live columns 0 and 2 are not consecutive, and both sets are gathered
+        # live columns 0 and 2 are not consecutive
         def dynamics_x(X, U):
             A = np.zeros((len(X), 3, 3))
             A[:, 0, 2], A[:, 1, 0], A[:, 2, 0] = 1.0, X[:, 0], -1.0
@@ -438,16 +420,11 @@ class TestNewtonFactors:
         ops = build_operators(gauss_rule(N))
         Xc = np.linspace(-1.0, 1.0, 3 * N).reshape(N, 3)
         factors = newton_factors(problem, ops, Xc, np.zeros((N, 1)))
-        live, dead = factors.cols
-        np.testing.assert_array_equal(live, [0, 2])
-        np.testing.assert_array_equal(dead, [1])
+        np.testing.assert_array_equal(factors.live, [0, 2])
+        np.testing.assert_array_equal(factors.dead, [1])
         assert factors.lu[0].shape == (2 * N, 2 * N)
         R = np.cos(np.arange(3 * N)).reshape(N, 3)
-        M = _dense_newton_matrix(ops, dynamics_x(Xc, None))
-        for transposed, dense in ((False, M), (True, M.T)):
-            Z = solver_module._newton_solve(ops, factors, R, transposed=transposed)
-            ref = np.linalg.solve(dense, R.ravel()).reshape(N, 3)
-            assert np.max(np.abs(Z - ref)) <= 1e-12 * np.max(np.abs(ref))
+        _assert_solves_like_dense(ops, factors, _dense_jacobian(ops, dynamics_x(Xc, None)), R)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtin_factors_only_the_state_block(self, name):

@@ -219,6 +219,24 @@ class TestResidualShapeChecks:
             with pytest.raises(DimensionMismatch, match=re.escape("dynamics_x gave (10, 2, 1)")):
                 evaluate()
 
+    def test_rejects_a_misshapen_vector_field(self):
+        # an f of shape (K, 1) broadcasts against D X: y read 3.54 in place of 0.030
+        problem = builtin("hager84-constrained")
+        bad = replace(problem, dynamics=lambda X, U: problem.dynamics(X, U)[:, :1])
+        evaluate, _ = _both_residuals(bad, _analytic_trajectory(problem, 10))
+        message = re.escape("dynamics gave (10, 1), expected (10, 2)")
+        with pytest.raises(DimensionMismatch, match=message):
+            evaluate()
+
+    def test_rejects_a_misshapen_terminal_gradient(self):
+        # a C_x of shape (1,) broadcasts: y read 1.03 and kkt_residuals' terminal 1.0
+        problem = builtin("hager84-constrained")
+        bad = replace(problem, cost_grad=lambda x: problem.cost_grad(x)[1:])
+        message = re.escape("cost_grad gave (1,), expected (2,)")
+        for evaluate in _both_residuals(bad, _analytic_trajectory(problem, 10)):
+            with pytest.raises(DimensionMismatch, match=message):
+                evaluate()
+
 
 class TestMultiplierMaps:
     def test_uniform_terminal_multiplier(self):
