@@ -15,10 +15,9 @@ from .diffmat import (CollocationOperators, build_operators, check_P1, check_P2,
 from .problem import (AnalyticSolution, BUILTIN_NAMES, ControlProblem,
                       ControlSet, RunningCost, audit_derivatives,
                       augment_bolza, builtin, hager_optimal_cost, map_domain)
-from .transcription import (Residual, Trajectory,
-                            costate_to_multipliers,
+from .transcription import (Residual, Trajectory, costate_to_multipliers,
                             eval_residual, full_grid, interpolate_trajectory,
-                            kkt_residuals, multipliers_to_costate, omega_norm)
+                            kkt_residuals, multipliers_to_costate)
 from .solver import SolveReport, SolverConfig, solve, solve_costate, solve_state
 from .analysis import (Appendix1Report, Appendix2Report, ConvergenceRow,
                        RateFit, convergence_study, fit_rate,
@@ -38,7 +37,7 @@ __all__ = [
     "AnalyticSolution", "augment_bolza", "map_domain",
     "audit_derivatives", "builtin", "BUILTIN_NAMES",
     "hager_optimal_cost",
-    "Trajectory", "Residual", "eval_residual", "omega_norm",
+    "Trajectory", "Residual", "eval_residual",
     "full_grid", "costate_to_multipliers", "multipliers_to_costate",
     "kkt_residuals", "interpolate_trajectory",
     "SolverConfig", "SolveReport", "solve", "solve_state", "solve_costate",

@@ -201,7 +201,6 @@ class Appendix1Report:
     samples: int
     seed: int
     bound: float
-    tol: float
     rows: list
     passed: bool
 
@@ -265,7 +264,7 @@ def verify_appendix1(orders=APPENDIX1_ORDERS, samples=1000, kind="gauss", seed=7
             order=N, max_abs=max_abs, extremal_max=extremal,
             passed=max_abs <= 2.0 + 1e-9 and abs(extremal - 2.0) <= 1e-12))
     return Appendix1Report(kind=kind, samples=samples, seed=seed,
-                           bound=2.0, tol=1e-9, rows=rows,
+                           bound=2.0, rows=rows,
                            passed=all(r.passed for r in rows))
 
 

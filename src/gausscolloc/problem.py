@@ -2,8 +2,8 @@
 
 Problems are kept in Mayer form on the reference interval [-1, 1]: minimize
 a terminal cost C(x(1)) subject to autonomous dynamics xdot = f(x, u), a
-fixed initial state, and a pointwise control constraint u(t) in U expressed
-through a Euclidean projection.  Every problem, built-in or custom, is one
+fixed initial state, and a pointwise control constraint u(t) in U given by a
+``ControlSet``, the projection onto U.  Every problem, built-in or custom, is one
 ``ControlProblem``.  Helpers convert the two common departures from that
 normal form: ``augment_bolza`` adds the integral of a ``RunningCost`` to a
 problem's terminal cost through an extra integrator state, which makes it a
@@ -36,20 +36,15 @@ from .errors import DimensionMismatch, EvaluationFailure, UnknownProblem
 
 @dataclass(frozen=True)
 class ControlSet:
-    """Closed convex admissible set for the control, given by its projection.
+    """Closed convex admissible set for the control, given by its Euclidean
+    projection: ``project`` takes (m,) or (N, m) and returns a new float array.
+    Box bounds may be one-sided (None means unbounded on that side)."""
 
-    kind is one of "unconstrained", "box", "custom".  Box bounds may be
-    one-sided (None means unbounded on that side).
-    """
-
-    kind: str
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-    projector: Callable[[np.ndarray], np.ndarray] | None = None
+    project: Callable[[np.ndarray], np.ndarray]
 
     @staticmethod
     def unconstrained():
-        return ControlSet(kind="unconstrained")
+        return ControlSet(lambda u: np.asarray(u, dtype=float).copy())
 
     @staticmethod
     def box(lower=None, upper=None):
@@ -57,23 +52,16 @@ class ControlSet:
         hi = None if upper is None else np.asarray(upper, dtype=float)
         if lo is not None and hi is not None and not np.all(lo < hi):
             raise ValueError("box control set needs lower < upper componentwise")
-        return ControlSet(kind="box", lower=lo, upper=hi)
+        # one bound takes the ufunc np.clip would run, without its slower dispatch
+        if lo is None and hi is not None:
+            return ControlSet(lambda u: np.minimum(np.asarray(u, dtype=float), hi))
+        if hi is None and lo is not None:
+            return ControlSet(lambda u: np.maximum(np.asarray(u, dtype=float), lo))
+        return ControlSet(lambda u: np.clip(np.asarray(u, dtype=float), lo, hi))
 
     @staticmethod
     def custom(projector):
-        return ControlSet(kind="custom", projector=projector)
-
-    def project(self, u):
-        """Euclidean projection onto the set; accepts (m,) or (N, m)."""
-        v = np.asarray(u, dtype=float)
-        if self.kind == "unconstrained":
-            return v.copy()
-        if self.kind == "box":
-            lo, hi = self.lower, self.upper
-            if (lo is None) != (hi is None):  # what np.clip runs, without its slower dispatch
-                return np.minimum(v, hi) if lo is None else np.maximum(v, lo)
-            return np.clip(v, lo, hi)
-        return np.asarray(self.projector(v), dtype=float)
+        return ControlSet(lambda u: np.asarray(projector(np.asarray(u, dtype=float)), dtype=float))
 
 
 @dataclass(frozen=True)

@@ -224,8 +224,10 @@ def radau_rule(N):
     polynomial with weight (1 - tau), plus the fixed endpoint tau_N = +1.
 
     Quadrature weights are not needed by any consumer of this rule and are
-    left unset (None).
+    left unset (None).  N is taken as ``gauss_rules`` takes it: through
+    ``operator.index``, so a float raises TypeError, and one below 1 ValueError.
     """
+    N = int(operator.index(N))
     if N < 1:
         raise ValueError("order must be >= 1")
     if N == 1:

@@ -4,7 +4,9 @@ A discrete trajectory stores the state on the grid {-1, tau_1..tau_N, +1},
 the control at the N collocation points, and the costate on the same
 (N+2)-point grid as the state.  ``eval_residual`` measures how far such a
 triple is from satisfying the first-order optimality system; its combined
-norm is the quantity the solver drives to zero.
+norm is the quantity the solver drives to zero.  The two collocated blocks,
+the state and costate defects, are measured in one quadrature-weighted
+norm, ``_omega_norm``, which also sets the state solve's Newton target.
 
 The costate used here is a scaled form of the raw equality multipliers of
 the underlying nonlinear program.  ``costate_to_multipliers`` and
@@ -48,27 +50,17 @@ def full_grid(rule):
     return np.concatenate([[-1.0], rule.nodes, [1.0]])
 
 
-def omega_norm(rule, values):
-    """Quadrature-weighted l2 norm: sqrt(sum_i w_i |row_i|^2).
-
-    The operations, in order: square every entry, sum each row with
-    ``np.add.reduce``, multiply by the weights, sum those products with
-    ``np.add.reduce`` and take ``math.sqrt``.  That is the order of
-    ``np.sqrt(np.sum(w * np.sum(z * z, axis=1)))``, so both give the same
-    bits; a BLAS dot product in place of the last sum would not.
-    """
-    z = np.asarray(values, dtype=float)
-    if z.shape[0] != rule.order:
-        raise DimensionMismatch(
-            f"expected {rule.order} rows to match the rule, got {z.shape[0]}")
-    sq = z * z if z.ndim == 1 else np.add.reduce(z * z, axis=1)
-    return math.sqrt(np.add.reduce(rule.weights * sq))
+def _omega_norm(w, Z):
+    """sqrt(sum_i w_i |Z_i|^2) of an (N, n) stack Z, by the operations of
+    ``np.sqrt(np.sum(w * np.sum(Z * Z, axis=1)))`` in their order, so with
+    its bits; a BLAS dot product in place of the last sum would change them."""
+    return math.sqrt(np.add.reduce(w * np.add.reduce(Z * Z, axis=1)))
 
 
 def _state_defect(ops, X, F):
-    """G = D X - F on the first N+1 rows X, and its omega_norm bits without its checks."""
+    """G = D X - F on the first N+1 rows X, and its omega norm."""
     G = ops.D @ X - F
-    return G, math.sqrt(np.add.reduce(ops.rule.weights * np.add.reduce(G * G, axis=1)))
+    return G, _omega_norm(ops.rule.weights, G)
 
 
 @dataclass(frozen=True)
@@ -134,7 +126,7 @@ def _residual(problem, ops, traj, F, G, defect, Hx, Hu, g):
         "state_defect": defect,
         "endpoint_defect": math.sqrt(endpoint_defect.dot(endpoint_defect)),
         "costate_endpoint": math.sqrt(costate_endpoint.dot(costate_endpoint)),
-        "costate_defect": omega_norm(rule, costate_defect),
+        "costate_defect": _omega_norm(w, costate_defect),
         "transversality": math.sqrt(transversality.dot(transversality)),
         "control_residual": float(np.sqrt(np.add.reduce(
             control_residual * control_residual, axis=1)).max()),

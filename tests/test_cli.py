@@ -43,6 +43,19 @@ def test_out_holds_what_stdout_would(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["nodes", "--n", "5"],
+    ["solve", "--problem", "hager84-constrained", "--N", "8", "--max-outer", "5"],
+    ["props", "--n-max", "2", "--seed", "3"],
+], ids=["nodes --n", "solve --max-outer", "props --seed"])
+def test_each_setting_has_one_spelling(capsys, argv):
+    # the removed aliases are unknown, and only verify, whose appendix1 draws
+    # at random, takes a seed
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
     ["nodes", "--N", "3", "--out"],
     ["solve", "--problem", "hager84-constrained", "--N", "8", "--dump-residual"],
 ], ids=lambda argv: argv[-1])
@@ -111,11 +124,6 @@ class TestNodes:
         assert lines[1] == "1,-0.33333333333333331,"
         assert lines[2] == "2,1,"
 
-    def test_lowercase_n_alias(self, capsys):
-        _, upper, _ = _run(capsys, "nodes", "--N", "5")
-        _, lower, _ = _run(capsys, "nodes", "--n", "5")
-        assert upper == lower
-
     def test_out_writes_csv_and_manifest(self, capsys, tmp_path):
         target = tmp_path / "rule.csv"
         code, out, _ = _run(capsys, "nodes", "--N", "3", "--out", str(target))
@@ -125,7 +133,8 @@ class TestNodes:
         manifest = json.loads((tmp_path / "rule.csv.manifest.json").read_text())
         assert manifest["command"] == "nodes"
         assert manifest["parameters"] == {"n": 3, "kind": "gauss"}
-        assert manifest["seed"] == 7
+        # only verify takes a seed (appendix1's draws); the key stays, null
+        assert manifest["seed"] is None
         assert "timestamp" in manifest
 
     @pytest.mark.parametrize("bad", ["0", "1001", "-4", "2.5"])
@@ -216,9 +225,9 @@ class TestSolve:
         assert out == ""
         assert "must be" in err
 
-    def test_max_outer_alias(self, capsys):
+    def test_max_iter_sets_the_budget(self, capsys):
         code, out, _ = _run(capsys, "solve", "--problem", "hager84-constrained",
-                            "--N", "8", "--max-outer", "50")
+                            "--N", "8", "--max-iter", "50")
         assert code == 0
         assert json.loads(out)["converged"] is True
 
@@ -272,6 +281,7 @@ class TestVerify:
         manifest = json.loads((tmp_path / "a1.json.manifest.json").read_text())
         assert manifest["command"] == "verify"
         assert manifest["parameters"]["samples"] == 20
+        assert manifest["seed"] == 7
 
 
 class TestConvergence:

@@ -85,6 +85,17 @@ def _linear_problem():
 
 
 class TestControlSet:
+    def test_is_its_projection(self):
+        assert [f.name for f in dataclasses.fields(ControlSet)] == ["project"]
+        cs = ControlSet(lambda u: np.minimum(u, 0.0))
+        np.testing.assert_array_equal(cs.project(np.array([-1.0, 2.0])), [-1.0, 0.0])
+
+    def test_custom_takes_and_gives_float_arrays(self):
+        seen = []
+        out = ControlSet.custom(lambda v: seen.append(v) or v.tolist()).project([1, 2])
+        assert seen[0].dtype == float and out.dtype == float
+        np.testing.assert_array_equal(out, [1.0, 2.0])
+
     def test_unconstrained_is_identity(self):
         cs = ControlSet.unconstrained()
         v = np.array([3.0, -7.0])
@@ -314,12 +325,11 @@ class TestClosedFormBuiltins:
         assert (prob.name, prob.n, prob.m) == (oracle.name, oracle.n, oracle.m)
         _assert_same_bits(prob.x0, oracle.x0)
         assert not prob.x0.flags.writeable
-        cs, ocs = prob.control_set, oracle.control_set
-        assert cs.kind == ocs.kind and cs.projector is ocs.projector is None
-        for bound, obound in ((cs.lower, ocs.lower), (cs.upper, ocs.upper)):
-            assert (bound is None) == (obound is None)
-            if bound is not None:
-                _assert_same_bits(bound, obound)
+        # the control set is its projection: the same bytes, signed zeros,
+        # infinities and NaN included, on a stack, a row and one value
+        V = np.array([[0.0], [-0.0], [0.5], [1.0], [1.5], [-np.inf], [np.inf], [np.nan], [-np.nan]])
+        for v in (V, V[:, 0], V[4]):
+            _assert_same_bits(prob.control_set.project(v), oracle.control_set.project(v))
         tau = np.concatenate([np.linspace(-1.0, 1.0, 401), [-0.0, 0.0, 1e-300]])
         for field in ("state", "control", "costate"):
             for t in (tau, 0.25, np.float64(-0.5)):
@@ -364,7 +374,10 @@ class TestBuiltin:
 
     def test_unconstrained_variant(self):
         prob = builtin("hager84-unconstrained")
-        assert prob.control_set.kind == "unconstrained"
+        # its projection is a new array with the bytes of its input
+        v = np.array([[-np.inf], [-0.0], [3.5], [np.nan]])
+        out = prob.control_set.project(v)
+        assert not np.shares_memory(out, v) and out.tobytes() == v.tobytes()
         # interior optimal control exceeds no bound but differs from the
         # constrained one on the left half
         u = prob.analytic.control(np.array([-0.5]))[0, 0]

@@ -216,6 +216,24 @@ class TestRadauRule:
         assert rule.nodes[-1] == 1.0
         assert rule.kind == "radau"
 
+    def test_a_true_order_is_the_int_one(self):
+        # radau_rule caches by argument and True == 1: start from an empty cache
+        radau_rule.cache_clear()
+        for build in (gauss_rule, radau_rule):
+            order = build(True).order
+            assert type(order) is int and order == 1
+
+    @pytest.mark.parametrize("N", [2.5, np.float64(3.0)], ids=["float", "float64"])
+    @pytest.mark.parametrize("build", [gauss_rule, radau_rule], ids=["gauss", "radau"])
+    def test_a_float_order_is_refused_as_gauss_rules_refuses_it(self, build, N):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build(N)
+
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_an_order_below_one_is_refused(self, N):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            radau_rule(N)
+
     @pytest.mark.parametrize("N", [2, 3, 5, 10, 20, 64])
     def test_interior_nodes_are_jacobi_roots(self, N):
         rule = radau_rule(N)
