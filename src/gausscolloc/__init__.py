@@ -5,7 +5,8 @@ differentiation operators, transcribes Mayer-form optimal control problems
 onto them, solves the resulting optimality system by projected gradient
 iteration with exact state and costate elimination, and ships verification
 studies for the operator norm bounds, interpolation rates, projection
-inequalities, and solver convergence order.
+inequalities, and solver convergence order.  No solve uses those studies,
+so their names load ``gausscolloc.analysis`` on first use, not on import.
 """
 from .errors import (DimensionMismatch, EvaluationFailure, GaussCollocError,
                      IterationFailure, NewtonDivergence, UnknownProblem)
@@ -19,10 +20,18 @@ from .transcription import (Residual, Trajectory, costate_to_multipliers,
                             eval_residual, full_grid, interpolate_trajectory,
                             kkt_residuals, multipliers_to_costate)
 from .solver import SolveReport, SolverConfig, solve, solve_costate, solve_state
-from .analysis import (Appendix1Report, Appendix2Report, ConvergenceRow,
-                       RateFit, convergence_study, fit_rate,
-                       interpolation_study, run_interp_suite,
-                       verify_appendix1, verify_appendix2)
+
+_ANALYSIS_NAMES = frozenset((
+    "Appendix1Report", "Appendix2Report", "ConvergenceRow", "RateFit",
+    "convergence_study", "fit_rate", "interpolation_study", "run_interp_suite",
+    "verify_appendix1", "verify_appendix2"))
+
+
+def __getattr__(name):
+    if name in _ANALYSIS_NAMES:
+        from . import analysis
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __version__ = "0.1.0"
 

@@ -24,10 +24,10 @@ Four study families, each returning plain report objects:
 Dense-grid evaluation uses a 2048-panel composite 8-point Gauss rule, so
 singular endpoint weights are only ever evaluated at interior points; sup
 norms additionally sample a uniform grid including both endpoints.  The
-appendix1 sup walks that grid in blocks of ``SUP_BLOCK`` rows and keeps a
-running per-column maximum of max(v) and -min(v), which is exactly max|v|,
-so memory stays bounded by one block of polynomial values whatever the
-order and sample count.  The suites need numpy alone.
+appendix1 sup writes that grid's polynomial values, ``SUP_BLOCK`` rows at a
+time, into one buffer and keeps a running per-column maximum of max(v) and
+-min(v), which is exactly max|v|, so memory stays bounded by that buffer
+whatever the order and sample count.  The suites need numpy alone.
 """
 from __future__ import annotations
 
@@ -219,8 +219,10 @@ def _integrated_sup(deriv_nodes, deriv_values):
     vals[1:] = np.linalg.solve(differentiation_matrix(support)[1:, 1:], deriv_values.T)
     grid = _sup_grid()
     sup = np.zeros(vals.shape[1])
+    buf = np.empty((SUP_BLOCK, vals.shape[1]))
     for start in range(0, grid.size, SUP_BLOCK):
-        v = barycentric_matrix(support, grid[start:start + SUP_BLOCK]) @ vals
+        B = barycentric_matrix(support, grid[start:start + SUP_BLOCK])
+        v = np.matmul(B, vals, out=buf[:len(B)])
         np.maximum(sup, v.max(axis=0), out=sup)
         np.maximum(sup, -v.min(axis=0), out=sup)
     return sup

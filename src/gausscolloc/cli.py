@@ -236,25 +236,25 @@ def _order_in_range(text):
 
 
 def build_parser():
-    parser = _Parser(prog="gausscolloc",
+    parser = _Parser(prog="gausscolloc", allow_abbrev=False,
                      description="Collocation solver and verification tools")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=str, default=None,
                         help="write output to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("nodes", parents=[common],
+    p = sub.add_parser("nodes", parents=[common], allow_abbrev=False,
                        help="emit quadrature nodes and weights as CSV")
     p.add_argument("--N", dest="n", type=_order_in_range, required=True)
     p.add_argument("--kind", choices=("gauss", "radau"), default="gauss")
     p.set_defaults(func=cmd_nodes)
 
-    p = sub.add_parser("props", parents=[common],
+    p = sub.add_parser("props", parents=[common], allow_abbrev=False,
                        help="sweep differentiation-matrix norm properties")
     p.add_argument("--n-max", type=_order_in_range, required=True)
     p.set_defaults(func=cmd_props)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[common], allow_abbrev=False,
                        help="solve a built-in problem at one order")
     p.add_argument("--problem", required=True,
                    help=f"one of: {', '.join(BUILTIN_NAMES)}")
@@ -267,7 +267,7 @@ def build_parser():
                    help="write residual arrays to this JSON file")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common], allow_abbrev=False,
                        help="run one verification suite")
     p.add_argument("--suite", choices=("appendix1", "appendix2", "interp"),
                    required=True)
@@ -282,7 +282,7 @@ def build_parser():
                    help="test function name, or 'all' (appendix2/interp)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("convergence", parents=[common],
+    p = sub.add_parser("convergence", parents=[common], allow_abbrev=False,
                        help="error-vs-order study for a built-in problem")
     p.add_argument("--problem", required=True)
     p.add_argument("--n-list", required=True,

@@ -15,8 +15,9 @@ Every problem carries the callbacks the solver reads: the dynamics and its
 Jacobians, the terminal cost and its gradient, and the control Hessian
 H_uu of the Hamiltonian H = lambda . f(x, u), whose positive definiteness
 scales the descent step.  ``audit_derivatives`` cross-checks the supplied
-derivatives against central finite differences at random points and is run
-for every built-in problem at construction.
+derivatives against central finite differences at fixed points, taken over
+all points at once with two batched callback calls per perturbed coordinate,
+and is run for every built-in problem at construction.
 
 Dynamics and Hamiltonian callbacks are evaluated once per grid: they take
 stacks of K rows, X (K, n), U (K, m) and Lam (K, n), and return one result
@@ -210,69 +211,72 @@ def map_domain(problem, a, b):
 # ---------------------------------------------------------------------------
 # derivative audit
 
-AUDIT_POINTS = 8      # random points per audit
-AUDIT_SEED = 2024
+AUDIT_POINTS = 8      # fixed points per audit
 AUDIT_REL_TOL = 1e-6  # allowed gap, relative to max(1, largest entry)
 FD_STEP = 1e-6        # central-difference step, relative to max(1, |v_j|)
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _fd_jacobian(fn, v):
-    v = np.asarray(v, dtype=float)
-    base = np.atleast_1d(np.asarray(fn(v), dtype=float))
-    J = np.empty((base.size, v.size))
-    for j in range(v.size):
-        step = FD_STEP * max(1.0, abs(v[j]))
-        vp = v.copy()
-        vm = v.copy()
-        vp[j] += step
-        vm[j] -= step
-        J[:, j] = (np.atleast_1d(np.asarray(fn(vp), dtype=float)).ravel()
-                   - np.atleast_1d(np.asarray(fn(vm), dtype=float)).ravel()) / (2 * step)
-    return J
+def _fd_stack(fn, V):
+    """Central differences of fn, which maps a stack V (K, d) to one row of
+    r values per row of V, at every row at once: (K, r, d), two calls of fn
+    per coordinate."""
+    cols = []
+    for j in range(V.shape[1]):
+        step = FD_STEP * np.maximum(1.0, np.abs(V[:, j]))
+        Vp, Vm = V.copy(), V.copy()
+        Vp[:, j] += step
+        Vm[:, j] -= step
+        cols.append((np.asarray(fn(Vp), dtype=float) - np.asarray(fn(Vm), dtype=float))
+                    / (2 * step[:, None]))
+    return np.stack(cols, axis=-1)
 
 
-def _audit_pair(label, exact, fd):
-    exact = np.atleast_2d(np.asarray(exact, dtype=float))
-    fd = np.atleast_2d(fd)
+def _audit_stack(label, exact, fd):
+    """Per point k, max|exact - fd| <= AUDIT_REL_TOL * max(1, max|exact|)."""
+    exact = np.asarray(exact, dtype=float)
     if exact.shape != fd.shape:
         raise EvaluationFailure(
             f"{label}: shape {exact.shape} does not match finite differences {fd.shape}")
-    scale = max(1.0, float(np.max(np.abs(exact))))
-    gap = float(np.max(np.abs(exact - fd)))
-    if gap > AUDIT_REL_TOL * scale:
+    scale = np.maximum(1.0, np.abs(exact).max(axis=(1, 2)))
+    gap = np.abs(exact - fd).max(axis=(1, 2))
+    bad = np.flatnonzero(gap > AUDIT_REL_TOL * scale)
+    if bad.size:
+        k = bad[0]
         raise EvaluationFailure(
             f"{label}: supplied derivative differs from finite differences "
-            f"by {gap:.3e} (scale {scale:.3e}, tolerance {AUDIT_REL_TOL:g})")
+            f"by {gap[k]:.3e} (scale {scale[k]:.3e}, tolerance {AUDIT_REL_TOL:g})")
 
 
 def audit_derivatives(problem):
     """Cross-check every derivative callback against central differences.
 
-    AUDIT_POINTS random evaluation points are drawn around the initial
-    state; each is passed to the stacked callbacks as a batch of one row.
-    Raises EvaluationFailure on the first mismatch; returns the number of
-    points audited otherwise.
+    The AUDIT_POINTS evaluation points are fixed: golden-ratio fractional
+    parts mapped to (-1.5, 1.5) give the offsets of x from the initial state
+    and the values of u and lambda.  The stacked callbacks take all points
+    as one batch, so each central difference of f (for f_x and f_u) and of
+    H_u (for H_uu) costs two calls per coordinate; the pointwise C_x is
+    checked against C point by point.  Raises EvaluationFailure on the
+    first mismatch, or when a callback raises; returns the number of points
+    audited otherwise.
     """
-    rng = np.random.default_rng(AUDIT_SEED)
     n, m = problem.n, problem.m
-    for _ in range(AUDIT_POINTS):
-        x = problem.x0 + rng.standard_normal(n)
-        u = rng.standard_normal(m)
-        lam = rng.standard_normal(n)
-        X, U, L = x[None], u[None], lam[None]
-        try:
-            _audit_pair("dynamics_x", problem.dynamics_x(X, U)[0],
-                        _fd_jacobian(lambda v: problem.dynamics(v[None], U)[0], x))
-            _audit_pair("dynamics_u", problem.dynamics_u(X, U)[0],
-                        _fd_jacobian(lambda v: problem.dynamics(X, v[None])[0], u))
-            _audit_pair("cost_grad", problem.cost_grad(x)[None, :],
-                        _fd_jacobian(lambda v: problem.cost(v), x))
-            _audit_pair("ham_hess_uu", problem.ham_hess_uu(X, U, L)[0],
-                        _fd_jacobian(lambda v: problem.ham_u(X, v[None], L)[0], u))
-        except EvaluationFailure:
-            raise
-        except Exception as exc:  # noqa: BLE001 - surface callback failures uniformly
-            raise EvaluationFailure(f"problem callback raised: {exc!r}") from exc
+    k = np.arange(1, AUDIT_POINTS * (2 * n + m) + 1)
+    S = (3.0 * (k * _GOLDEN % 1.0) - 1.5).reshape(AUDIT_POINTS, 2 * n + m)
+    X, U, L = problem.x0 + S[:, :n], S[:, n:n + m], S[:, n + m:]
+    try:
+        _audit_stack("dynamics_x", problem.dynamics_x(X, U),
+                     _fd_stack(lambda V: problem.dynamics(V, U), X))
+        _audit_stack("dynamics_u", problem.dynamics_u(X, U),
+                     _fd_stack(lambda V: problem.dynamics(X, V), U))
+        _audit_stack("cost_grad", [[problem.cost_grad(x)] for x in X],
+                     _fd_stack(lambda V: [[problem.cost(v)] for v in V], X))
+        _audit_stack("ham_hess_uu", problem.ham_hess_uu(X, U, L),
+                     _fd_stack(lambda V: problem.ham_u(X, V, L), U))
+    except EvaluationFailure:
+        raise
+    except Exception as exc:  # noqa: BLE001 - surface callback failures uniformly
+        raise EvaluationFailure(f"problem callback raised: {exc!r}") from exc
     return AUDIT_POINTS
 
 

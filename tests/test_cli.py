@@ -46,13 +46,16 @@ def test_out_holds_what_stdout_would(capsys, tmp_path, argv):
     ["nodes", "--n", "5"],
     ["solve", "--problem", "hager84-constrained", "--N", "8", "--max-outer", "5"],
     ["props", "--n-max", "2", "--seed", "3"],
-], ids=["nodes --n", "solve --max-outer", "props --seed"])
+    ["solve", "--problem", "hager84-constrained", "--N", "8", "--max", "5"],
+    ["verify", "--suite", "appendix1", "--se", "3", "--n-max", "4"],
+], ids=["nodes --n", "solve --max-outer", "props --seed", "solve --max", "verify --se"])
 def test_each_setting_has_one_spelling(capsys, argv):
-    # the removed aliases are unknown, and only verify, whose appendix1 draws
-    # at random, takes a seed
+    # the removed aliases and prefixes of a flag are unknown, and only verify,
+    # whose appendix1 draws at random, takes a seed
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 3
+    assert capsys.readouterr().err.startswith("usage: gausscolloc")
 
 
 @pytest.mark.parametrize("argv", [

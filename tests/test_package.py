@@ -1,6 +1,15 @@
 """Public surface of the package: what ``__all__`` promises is there."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import gausscolloc
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the whole public surface: a name comes or goes only with an edit here
 PUBLIC_NAMES = [
@@ -29,3 +38,28 @@ def test_exports_have_no_duplicates():
 
 def test_exports_are_exactly_the_public_names():
     assert sorted(gausscolloc.__all__) == PUBLIC_NAMES
+
+
+def test_solving_loads_neither_analysis_nor_numpy_random():
+    # a fresh interpreter: the built-ins' derivative audit draws no random
+    # numbers, and the analysis names load their module on first use
+    script = textwrap.dedent("""
+        import json, sys
+        import gausscolloc
+        from gausscolloc import BUILTIN_NAMES, builtin, solve
+        converged = [solve(builtin(name), 10).converged for name in BUILTIN_NAMES]
+        loaded = [m for m in ("gausscolloc.analysis", "numpy.random") if m in sys.modules]
+        verify = gausscolloc.verify_appendix1
+        from gausscolloc import RateFit
+        print(json.dumps({"converged": converged, "loaded": loaded,
+                          "resolved": [verify.__module__, RateFit.__module__]}))
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "converged": [True, True], "loaded": [],
+        "resolved": ["gausscolloc.analysis", "gausscolloc.analysis"]}

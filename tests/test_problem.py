@@ -84,6 +84,37 @@ def _linear_problem():
         control_set=ControlSet.unconstrained())
 
 
+def _nonlinear_problem(x0):
+    """Two states and two controls; f, and H in u, are nonlinear, so every
+    derivative the audit checks varies from point to point."""
+    def f(X, U):
+        return np.column_stack([X[:, 1] * U[:, 0] + np.sin(X[:, 0]),
+                                X[:, 0] * X[:, 1] + U[:, 0] * U[:, 1] + U[:, 1] ** 2])
+
+    def f_x(X, U):
+        J = np.empty((len(X), 2, 2))
+        J[:, 0, 0], J[:, 0, 1] = np.cos(X[:, 0]), U[:, 0]
+        J[:, 1, 0], J[:, 1, 1] = X[:, 1], X[:, 0]
+        return J
+
+    def f_u(X, U):
+        J = np.zeros((len(X), 2, 2))
+        J[:, 0, 0] = X[:, 1]
+        J[:, 1, 0], J[:, 1, 1] = U[:, 1], U[:, 0] + 2.0 * U[:, 1]
+        return J
+
+    def h_uu(X, U, Lam):
+        R = np.zeros((len(X), 2, 2))
+        R[:, 0, 1] = R[:, 1, 0] = Lam[:, 1]
+        R[:, 1, 1] = 2.0 * Lam[:, 1]
+        return R
+
+    return ControlProblem(
+        name="nonlinear-2d", n=2, m=2, dynamics=f, dynamics_x=f_x, dynamics_u=f_u,
+        cost=lambda x: float(x[0] * x[1]), cost_grad=lambda x: x[::-1].copy(),
+        ham_hess_uu=h_uu, x0=x0, control_set=ControlSet.unconstrained())
+
+
 class TestControlSet:
     def test_is_its_projection(self):
         assert [f.name for f in dataclasses.fields(ControlSet)] == ["project"]
@@ -502,9 +533,40 @@ class TestAuditDerivatives:
     def test_builtin_passes(self):
         assert audit_derivatives(builtin("hager84-constrained")) == 8
 
-    def test_detects_wrong_jacobian(self):
+    @pytest.mark.parametrize("field", ["dynamics_x", "dynamics_u", "cost_grad",
+                                       "ham_hess_uu"])
+    def test_detects_wrong_jacobian(self, field):
         good = _linear_problem()
-        bad = dataclasses.replace(
-            good, dynamics_x=lambda x, u: good.dynamics_x(x, u) + 0.01)
-        with pytest.raises(EvaluationFailure):
+        exact = getattr(good, field)
+        bad = dataclasses.replace(good, **{field: lambda *args: exact(*args) + 0.01})
+        with pytest.raises(EvaluationFailure, match=f"^{field}: supplied derivative"):
             audit_derivatives(bad)
+
+    @pytest.mark.parametrize("field", ["dynamics", "dynamics_x", "dynamics_u", "cost",
+                                       "cost_grad", "ham_hess_uu"])
+    def test_a_raising_callback_is_an_evaluation_failure(self, field):
+        def broken(*args):
+            raise ZeroDivisionError(field)
+
+        bad = dataclasses.replace(_linear_problem(), **{field: broken})
+        with pytest.raises(EvaluationFailure, match="problem callback raised") as excinfo:
+            audit_derivatives(bad)
+        assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x0=arrays(float, 2, elements=st.floats(-2.0, 2.0)),
+           field=st.sampled_from(["dynamics_x", "dynamics_u", "ham_hess_uu"]),
+           entry=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+           delta=st.floats(1e-4, 1.0), sign=st.sampled_from([-1.0, 1.0]))
+    def test_detects_one_offset_entry(self, x0, field, entry, delta, sign):
+        good = _nonlinear_problem(x0)
+        assert audit_derivatives(good) == 8
+        exact = getattr(good, field)
+
+        def offset(*args):
+            J = np.array(exact(*args))
+            J[:, entry[0], entry[1]] += sign * delta
+            return J
+
+        with pytest.raises(EvaluationFailure, match=f"^{field}: supplied derivative"):
+            audit_derivatives(dataclasses.replace(good, **{field: offset}))
