@@ -12,22 +12,25 @@ Four study families, each returning plain report objects:
   barycentric interpolation evaluates p on the sup grid.
 * ``verify_appendix2`` works in the basis psi_k = (1 - t^2) P_k' of
   polynomials vanishing at both endpoints: for a mapping of test
-  functions it builds the basis once (one Legendre table, from which the
-  Gram matrix, the norms and psi all come), reproduces the closed-form
-  norms, checks orthogonality, and tests the projection inequality
-  ||u - pi_N u||_0 <= |u - pi_N u|_1 / N for each function.  The
-  projection is orthogonal in the derivative inner product, so one product
-  against the Legendre rows gives the coefficients of every order at once.
+  functions it builds the basis once (the Gram matrix, the norms and psi
+  all come from the Legendre table, with at most two grid-sized tables
+  alive at once), reproduces the closed-form norms, checks orthogonality,
+  and tests the projection inequality ||u - pi_N u||_0 <= |u - pi_N u|_1 / N
+  for each function.  The projection is orthogonal in the derivative inner
+  product, so one product against the Legendre rows gives the coefficients
+  of every order at once.
 * ``convergence_study`` reruns the solver across orders against an
   attached analytic solution and fits log-log error slopes.
 
 Dense-grid evaluation uses a 2048-panel composite 8-point Gauss rule, so
 singular endpoint weights are only ever evaluated at interior points; sup
-norms additionally sample a uniform grid including both endpoints.  The
-appendix1 sup writes that grid's polynomial values, ``SUP_BLOCK`` rows at a
-time, into one buffer and keeps a running per-column maximum of max(v) and
--min(v), which is exactly max|v|, so memory stays bounded by that buffer
-whatever the order and sample count.  The suites need numpy alone.
+norms additionally sample a uniform grid including both endpoints.  Both
+the interpolation study and the appendix1 sup evaluate their polynomials on
+a grid ``SUP_BLOCK`` rows at a time, into one buffer, so no grid-sized
+evaluation matrix is ever formed: the study copies each block into its
+derivative vector, and the sup keeps a running per-column maximum of max(v)
+and -min(v), which is exactly max|v|, so its memory stays bounded by that
+buffer whatever the order and sample count.  The suites need numpy alone.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ from .solver import solve
 
 PANELS = 2048
 PANEL_ORDER = 8
-# sup-grid rows evaluated at once by the appendix1 suite
+# grid rows evaluated at once by the interpolation study and the appendix1 sup
 SUP_BLOCK = 512
 APPENDIX1_ORDERS = (2, 4, 8, 16, 32, 64)
 APPENDIX2_ORDERS = (4, 8, 16, 32, 64)
@@ -112,6 +115,17 @@ def fit_rate(orders, errors, discard=2):
                    n_range=(int(orders[0]), int(orders[-1])))
 
 
+def _grid_blocks(support, grid, values):
+    """barycentric_matrix(support, grid) @ values, SUP_BLOCK grid rows at a
+    time: yields (rows, block) with rows the slice of grid evaluated, each
+    block written into one buffer that the next block overwrites."""
+    buf = np.empty((SUP_BLOCK,) + values.shape[1:])
+    for start in range(0, grid.size, SUP_BLOCK):
+        rows = slice(start, start + SUP_BLOCK)
+        B = barycentric_matrix(support, grid[rows])
+        yield rows, np.matmul(B, values, out=buf[:len(B)])
+
+
 # ---------------------------------------------------------------------------
 # interpolation study
 
@@ -124,11 +138,13 @@ def interpolation_study(u, udot, orders):
     """
     pts, wts = _dense_grid()
     target = udot(pts)
+    dI = np.empty(pts.size)
     rows = []
     for N in orders:
         support = np.concatenate([[-1.0], gauss_rule(int(N)).nodes])
         dsamp = differentiation_matrix(support) @ u(support)
-        dI = barycentric_matrix(support, pts) @ dsamp
+        for block, v in _grid_blocks(support, pts, dsamp):
+            dI[block] = v
         rows.append((int(N), float(np.sqrt(wts @ (target - dI) ** 2))))
     return rows
 
@@ -217,12 +233,8 @@ def _integrated_sup(deriv_nodes, deriv_values):
     support = np.concatenate([[-1.0], deriv_nodes])
     vals = np.zeros((support.size, deriv_values.shape[0]))
     vals[1:] = np.linalg.solve(differentiation_matrix(support)[1:, 1:], deriv_values.T)
-    grid = _sup_grid()
     sup = np.zeros(vals.shape[1])
-    buf = np.empty((SUP_BLOCK, vals.shape[1]))
-    for start in range(0, grid.size, SUP_BLOCK):
-        B = barycentric_matrix(support, grid[start:start + SUP_BLOCK])
-        v = np.matmul(B, vals, out=buf[:len(B)])
+    for _, v in _grid_blocks(support, _sup_grid(), vals):
         np.maximum(sup, v.max(axis=0), out=sup)
         np.maximum(sup, -v.min(axis=0), out=sup)
     return sup
@@ -305,18 +317,31 @@ def _psi_basis(kmax):
     (P, psi, gram, l0, h1_exact, l0_exact).
 
     h1 is the seminorm integral of (psi_k')^2, with psi_k' = -k(k+1) P_k;
-    l0 weights psi_k^2 by 1/(1-t^2).  psi comes from the identity
-    (1 - t^2) P_k' = k (P_{k-1} - t P_k) after the Gram matrix is formed, so
-    at most three grid-sized tables are alive at once.
+    l0 weights psi_k^2 by 1/(1-t^2).  At most two grid-sized tables are
+    alive at once.  Each product is made whole, as in the one-shot formulas,
+    since a Gram matrix built by row blocks moves bits once BLAS splits the
+    whole product over threads.  The Gram matrix needs the psi_k' table and
+    its weighted copy, so the Legendre table is dropped before them and
+    computed again after (it is pointwise, so its bits repeat).  psi comes
+    from the identity (1 - t^2) P_k' = k (P_{k-1} - t P_k), written into the
+    weighted copy's buffer; it is squared in place for l0 and written again.
     """
     pts, wts = _dense_grid()
-    P = legendre_table(kmax, pts)
     ks = np.arange(1, kmax + 1)
-    dpsi = -(ks * (ks + 1))[:, None] * P[1:]
-    gram = (dpsi * wts) @ dpsi.T
+    dpsi = -(ks * (ks + 1))[:, None] * legendre_table(kmax, pts)[1:]
+    psi = dpsi * wts  # weighted psi_k', until psi is written into its buffer
+    gram = psi @ dpsi.T
     del dpsi
-    psi = ks[:, None] * (P[:-1] - pts * P[1:])
-    l0 = (psi * psi) @ (wts / ((1.0 - pts) * (1.0 + pts)))
+    P = legendre_table(kmax, pts)
+
+    def fill_psi():
+        np.multiply(pts, P[1:], out=psi)
+        np.subtract(P[:-1], psi, out=psi)
+        np.multiply(ks[:, None], psi, out=psi)
+
+    fill_psi()
+    l0 = np.multiply(psi, psi, out=psi) @ (wts / ((1.0 - pts) * (1.0 + pts)))
+    fill_psi()
     return (P[1:], psi, gram, l0,
             2.0 * ks * ks * (ks + 1) * (ks + 1) / (2 * ks + 1), 2.0 * ks * (ks + 1) / (2 * ks + 1))
 

@@ -233,14 +233,17 @@ def _fd_stack(fn, V):
 
 
 def _audit_stack(label, exact, fd):
-    """Per point k, max|exact - fd| <= AUDIT_REL_TOL * max(1, max|exact|)."""
+    """Per point k, a finite exact stack with max|exact - fd| <=
+    AUDIT_REL_TOL * max(1, max|exact|); a NaN gap fails the comparison."""
     exact = np.asarray(exact, dtype=float)
     if exact.shape != fd.shape:
         raise EvaluationFailure(
             f"{label}: shape {exact.shape} does not match finite differences {fd.shape}")
+    if not np.isfinite(exact).all():
+        raise EvaluationFailure(f"{label}: supplied derivative is not finite")
     scale = np.maximum(1.0, np.abs(exact).max(axis=(1, 2)))
     gap = np.abs(exact - fd).max(axis=(1, 2))
-    bad = np.flatnonzero(gap > AUDIT_REL_TOL * scale)
+    bad = np.flatnonzero(~(gap <= AUDIT_REL_TOL * scale))
     if bad.size:
         k = bad[0]
         raise EvaluationFailure(

@@ -13,10 +13,10 @@ from gausscolloc import (builtin, convergence_study, fit_rate, gauss_rule,
                          verify_appendix1, verify_appendix2)
 from gausscolloc import analysis
 from gausscolloc.analysis import (APPENDIX2_FUNCTIONS, INTERP_FUNCTIONS,
-                                  _dense_grid, _integrated_sup, _psi_basis,
-                                  _sup_grid)
+                                  _dense_grid, _grid_blocks, _integrated_sup,
+                                  _psi_basis, _sup_grid)
 from gausscolloc.diffmat import barycentric_matrix, differentiation_matrix
-from gausscolloc.quadrature import _legendre_body
+from gausscolloc.quadrature import _legendre_body, legendre_table
 
 
 class TestFitRate:
@@ -85,6 +85,48 @@ class TestInterpolationStudy:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             run_interp_suite("sawtooth")
+
+    @pytest.mark.parametrize("block", [None, 1000, 18433, 20000])
+    @pytest.mark.parametrize("name", sorted(INTERP_FUNCTIONS))
+    def test_blocked_derivative_matches_full_grid(self, monkeypatch, block, name):
+        # 16384 dense points: blocks of 512 divide them, 1000 leaves a short
+        # last block, 18433 and 20000 make a single block
+        if block is not None:
+            monkeypatch.setattr(analysis, "SUP_BLOCK", block)
+        fn = INTERP_FUNCTIONS[name]
+        pts, wts = _dense_grid()
+        rows = []
+        for N in fn.orders:
+            support = np.concatenate([[-1.0], gauss_rule(N).nodes])
+            dsamp = differentiation_matrix(support) @ fn.u(support)
+            full = barycentric_matrix(support, pts) @ dsamp
+            blocked = np.empty(pts.size)
+            for part, v in _grid_blocks(support, pts, dsamp):
+                blocked[part] = v
+            np.testing.assert_array_equal(blocked, full)
+            rows.append((N, float(np.sqrt(wts @ (fn.udot(pts) - full) ** 2))))
+        assert interpolation_study(fn.u, fn.udot, fn.orders) == rows
+
+    @pytest.mark.parametrize("name", sorted(INTERP_FUNCTIONS))
+    def test_peak_memory_is_bounded(self, name):
+        # barycentric_matrix on one block holds two float tables of SUP_BLOCK
+        # x (N+1), the differences and the kernel, and three boolean masks of
+        # that shape (3/8 of a float table): three float tables bound it.  The
+        # study also holds vectors over the dense grid: the exact derivative,
+        # the interpolated one and the temporaries of udot and of the error
+        # norm, six at most.  A full-grid evaluation matrix alone is
+        # 16384 x (N+1), 32 times a block's.
+        _dense_grid(), _sup_grid()
+        N = max(INTERP_FUNCTIONS[name].orders)
+        bound = 8 * (3 * analysis.SUP_BLOCK * (N + 1) + 6 * _dense_grid()[0].size)
+        tracemalloc.start()
+        try:
+            rows, passed, _ = run_interp_suite(name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passed
+        assert peak < bound
 
 
 class TestAppendix1:
@@ -207,7 +249,22 @@ class TestAppendix2:
                         for orders in ((4,), (4, 64)))
         assert (small.norm_rows, small.max_offdiag) == (large.norm_rows, large.max_offdiag)
 
-    def test_one_legendre_table_per_call(self, monkeypatch):
+    @pytest.mark.parametrize("kmax", [12, 63])
+    def test_basis_matches_three_table_formulas(self, kmax):
+        # the one-shot formulas, with a third grid-sized table alive at the
+        # Gram product and at the l0 squares
+        pts, wts = _dense_grid()
+        P = legendre_table(kmax, pts)
+        ks = np.arange(1, kmax + 1)
+        dpsi = -(ks * (ks + 1))[:, None] * P[1:]
+        gram = (dpsi * wts) @ dpsi.T
+        psi = ks[:, None] * (P[:-1] - pts * P[1:])
+        l0 = (psi * psi) @ (wts / ((1.0 - pts) * (1.0 + pts)))
+        for got, want in zip(_psi_basis(kmax), (P[1:], psi, gram, l0)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_basis_per_call(self, monkeypatch):
+        # the Legendre table is computed twice per basis, never per function
         sizes = []
         table = analysis.legendre_table
 
@@ -217,16 +274,19 @@ class TestAppendix2:
 
         monkeypatch.setattr(analysis, "legendre_table", counted)
         reports = verify_appendix2(APPENDIX2_FUNCTIONS)
-        assert sizes == [max(analysis.APPENDIX2_ORDERS) - 1]
+        assert sizes == [max(analysis.APPENDIX2_ORDERS) - 1] * 2
         verify_appendix2(APPENDIX2_FUNCTIONS, orders=(4, 8))
-        assert sizes[1:] == [12]
+        assert sizes[2:] == [12, 12]
         assert list(reports) == list(APPENDIX2_FUNCTIONS)
         assert all(r.passed for r in reports.values())
 
     def test_peak_memory_is_bounded(self):
-        # three grid-sized tables of 63 rows (7.9 MiB each) at the default
-        # orders; a fourth would show here and in the CLI process's RSS
+        # at the default orders the basis holds two grid-sized tables, P of
+        # 64 rows and psi of 63 (8 MiB each); the quarter table on top covers
+        # the dense-grid vectors of the projections.  A third table would
+        # show here and in the CLI process's RSS
         _dense_grid(), _sup_grid()
+        table = max(analysis.APPENDIX2_ORDERS) * _dense_grid()[0].size * 8
         tracemalloc.start()
         try:
             reports = verify_appendix2(APPENDIX2_FUNCTIONS)
@@ -234,7 +294,7 @@ class TestAppendix2:
         finally:
             tracemalloc.stop()
         assert all(r.passed for r in reports.values())
-        assert peak < 28 * 2**20
+        assert peak < 2.25 * table
 
     def test_basis_member_projects_onto_itself(self):
         # psi_3 = (1-t^2)(15t^2-3)/2 lies in span{psi_1..psi_4}

@@ -542,6 +542,18 @@ class TestAuditDerivatives:
         with pytest.raises(EvaluationFailure, match=f"^{field}: supplied derivative"):
             audit_derivatives(bad)
 
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("dynamics_x", "dynamics_u", "ham_hess_uu")
+        for value in (np.nan, np.inf)] + [("cost_grad", np.nan)])
+    def test_detects_non_finite_derivative(self, field, value):
+        # a NaN gap compares False against any tolerance, and an inf gap
+        # sits inside an inf scale: both once audited clean
+        good = builtin("hager84-constrained")
+        exact = getattr(good, field)
+        bad = dataclasses.replace(good, **{field: lambda *args: np.full_like(exact(*args), value)})
+        with pytest.raises(EvaluationFailure, match=f"^{field}: "):
+            audit_derivatives(bad)
+
     @pytest.mark.parametrize("field", ["dynamics", "dynamics_x", "dynamics_u", "cost",
                                        "cost_grad", "ham_hess_uu"])
     def test_a_raising_callback_is_an_evaluation_failure(self, field):
