@@ -19,7 +19,7 @@ from .problem import (AnalyticSolution, BUILTIN_NAMES, ControlProblem,
 from .transcription import (Residual, Trajectory, costate_to_multipliers,
                             eval_residual, full_grid, interpolate_trajectory,
                             kkt_residuals, multipliers_to_costate)
-from .solver import SolveReport, SolverConfig, solve, solve_costate, solve_state
+from .solver import SolveReport, SolverConfig, solve
 
 _ANALYSIS_NAMES = frozenset((
     "Appendix1Report", "Appendix2Report", "ConvergenceRow", "RateFit",
@@ -49,7 +49,7 @@ __all__ = [
     "Trajectory", "Residual", "eval_residual",
     "full_grid", "costate_to_multipliers", "multipliers_to_costate",
     "kkt_residuals", "interpolate_trajectory",
-    "SolverConfig", "SolveReport", "solve", "solve_state", "solve_costate",
+    "SolverConfig", "SolveReport", "solve",
     "RateFit", "fit_rate", "interpolation_study", "run_interp_suite",
     "verify_appendix1",
     "verify_appendix2", "convergence_study",

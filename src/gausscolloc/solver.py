@@ -16,9 +16,9 @@ run chord Newton on the accepted iterate's factors.  The
 state defect is measured in the residual's quadrature-weighted norm and
 driven a decade below ``tol_y`` (never below ``NEWTON_TOL``).  Nothing an
 order or an iterate fixes is computed twice: the operators are cached per
-order; an accepted iterate's f, defect G and its norm come from its state
-solve, its H_x from its costate solve, and one H_u serves step, residual
-and report.
+order; ``solve_state`` returns an iterate's f, defect G and its norm beside
+its state, ``solve_costate`` its H_x beside its costate, and the residual
+reads them from there; one H_u serves step, residual and report.
 
 A state that no dynamics read, such as the integrator of a running cost
 that ``augment_bolza`` appends, has a zero column of f_x at every node.
@@ -102,6 +102,16 @@ class SolveReport:
     objective_history: list = field(default_factory=list)
 
 
+class StateSolve(NamedTuple):
+    """One ``solve_state`` result: the state stack X (N+2, n), and f, the
+    defect G = D X - F and its norm ``defect`` from the converged check."""
+
+    X: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    defect: float
+
+
 class NewtonFactors(NamedTuple):
     """f_x (N, n, n) at one state and M factored by blocks.
 
@@ -175,11 +185,12 @@ def _jacobian_solve(ops, factors, R, transposed=False):
     return Z
 
 
-def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=None, record=None):
+def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=None):
     """Chord Newton solve of the collocated state equations for a fixed control.
 
-    Returns the state stack (N+2, n) from the problem's initial state:
-    initial point, collocation values, and the quadrature endpoint.  Steps
+    Returns a ``StateSolve``: the state stack X (N+2, n) from the problem's
+    initial state (initial point, collocation values, and the quadrature
+    endpoint), with f, the defect G and its norm from the converged check.  Steps
     use ``factors`` (by default taken at the first iterate) and refactor
     whenever the defect fails to halve.  Convergence requires
     the defect G = D X - F(X, U) to fall below max(NEWTON_TOL, 0.1 * tol_y)
@@ -188,7 +199,6 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
     its budget or produces non-finite values, and DimensionMismatch when
     finite dynamics values are not an (N, n) stack, x0 is not of shape
     (n,), or the guess's collocation rows X_guess[1:N+1] are not (N, n).
-    A dict ``record`` receives the converged check's "F", "G" and its norm "defect".
     """
     rule = ops.rule
     N, n = rule.order, problem.n
@@ -221,9 +231,7 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
             raise NewtonDivergence(_NON_FINITE)
         if defect <= target:
             X[N + 1] = x0 + rule.weights @ F
-            if record is not None:
-                record.update(F=F, G=G, defect=defect)
-            return X
+            return StateSolve(X, F, G, defect)
         if factors is None or defect > 0.5 * prev:
             factors = newton_factors(problem, ops, Xc, U)
         prev = defect
@@ -233,16 +241,16 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
         f"state Newton did not reach its defect target in {NEWTON_MAX} steps")
 
 
-def solve_costate(problem, ops, X, U, terminal, factors=None, record=None):
+def solve_costate(problem, ops, X, U, terminal, factors=None):
     """Solve the collocated adjoint system for a given trajectory.
 
     The Hamiltonian is linear in the costate, so after scaling each
     collocation row by its quadrature weight the system is the transpose of
     the state Newton system at X, whose ``factors`` are computed when
-    omitted.  Returns the costate stack (N+2, n) whose first row satisfies
-    the left endpoint coupling identity and whose last row equals
-    ``terminal``, the terminal cost gradient; raises DimensionMismatch
-    unless it has shape (n,).  A dict ``record`` receives H_x as "Hx".
+    omitted.  Returns the costate stack Lam (N+2, n), whose first row
+    satisfies the left endpoint coupling identity and whose last row equals
+    ``terminal``, the terminal cost gradient, and H_x (N, n); raises
+    DimensionMismatch unless ``terminal`` has shape (n,).
     """
     rule = ops.rule
     N, n = rule.order, problem.n
@@ -259,9 +267,7 @@ def solve_costate(problem, ops, X, U, terminal, factors=None, record=None):
     Lam[N + 1] = terminal
     Hx = np.einsum("kij,ki->kj", factors.A, Lam[1:N + 1])
     Lam[0] = terminal + w @ Hx
-    if record is not None:
-        record["Hx"] = Hx
-    return Lam
+    return Lam, Hx
 
 
 def _descent_direction(problem, X, U, Lam, Hu):
@@ -277,9 +283,6 @@ def _descent_direction(problem, X, U, Lam, Hu):
         with np.errstate(over="ignore"):  # as LAPACK, which raises no overflow flag
             return np.divide(Hu, r, out=Hu.copy(), where=r > 0.0)
     pd = np.linalg.eigvalsh(R)[:, 0] > 0.0
-    if pd.all():
-        # LAPACK solves each matrix of a stack on its own: same bits as masked
-        return np.linalg.solve(R, Hu[:, :, None])[:, :, 0]
     d = Hu.copy()
     d[pd] = np.linalg.solve(R[pd], Hu[pd, :, None])[:, :, 0]
     return d
@@ -327,18 +330,19 @@ def solve(problem, N, config=None, warm_start=None):
             f"control_set.project is not a projection: projecting its result again "
             f"moved it by {moved:.3g}, more than {ACTIVITY_TOL:g}")
 
-    held = {}  # F, G, defect and Hx of the accepted iterate, as its solves computed them
-    X = solve_state(problem, ops, U, X_guess=X_seed, config=config, record=held)
-    obj = float(problem.cost(X[N + 1]))
+    # both solves are read from the module at call time, so a wrapper set there sees each
+    state = solve_state(problem, ops, U, X_guess=X_seed, config=config)
+    obj = float(problem.cost(state.X[N + 1]))
 
     history = []
     for outer in range(1, config.max_outer + 1):
+        X = state.X
         factors = newton_factors(problem, ops, X[1:N + 1], U)
         g = problem.cost_grad(X[N + 1])
-        Lam = solve_costate(problem, ops, X, U, g, factors, record=held)
+        Lam, Hx = solve_costate(problem, ops, X, U, g, factors)
         Hu = problem.ham_u(X[1:N + 1], U, Lam[1:N + 1])
         traj = Trajectory(nodes=nodes, X=X, U=U, Lambda=Lam)
-        report = _residual(problem, ops, traj, Hu=Hu, g=g, **held)
+        report = _residual(problem, ops, traj, state.F, state.G, state.defect, Hx, Hu, g)
         if not (math.isfinite(obj) and math.isfinite(report.y_norm)):
             raise EvaluationFailure(f"iterate {outer}: objective {obj}, y_norm {report.y_norm}")
         history.append(obj)
@@ -353,14 +357,13 @@ def solve(problem, N, config=None, warm_start=None):
         for _ in range(MAX_HALVINGS):
             U_t = project(U - step * d)
             pred = float((grad * (U_t - U)).sum())
-            held_t = {}
             try:
-                X_t = solve_state(problem, ops, U_t, X_guess=X, config=config,
-                                  factors=factors, record=held_t)
+                state_t = solve_state(problem, ops, U_t, X_guess=X, config=config,
+                                      factors=factors)
             except NewtonDivergence:
                 step *= BACKTRACK
                 continue
-            obj_t = float(problem.cost(X_t[N + 1]))
+            obj_t = float(problem.cost(state_t.X[N + 1]))
             # second test: expected decrease is below objective roundoff
             if obj_t <= obj + ARMIJO_C * pred \
                     or abs(pred) <= 8.0 * _EPS * (1.0 + abs(obj)):
@@ -369,7 +372,7 @@ def solve(problem, N, config=None, warm_start=None):
         else:
             break
 
-        U, X, held, obj = U_t, X_t, held_t, obj_t
+        U, state, obj = U_t, state_t, obj_t
 
     pre = U - Hu
     active = np.abs(pre - project(pre)) > ACTIVITY_TOL

@@ -15,9 +15,10 @@ import pytest
 from gausscolloc import (build_operators, builtin, check_P1, check_P2,
                          costate_to_multipliers, eval_residual, fit_rate,
                          full_grid, gauss_rule, kkt_residuals,
-                         multipliers_to_costate, solve, solve_costate,
-                         solve_state, verify_appendix1, verify_appendix2)
+                         multipliers_to_costate, solve, verify_appendix1,
+                         verify_appendix2)
 from gausscolloc.analysis import APPENDIX2_FUNCTIONS
+from gausscolloc.solver import solve_costate, solve_state
 from gausscolloc.transcription import Trajectory
 
 N_SWEEP_MAX = 300
@@ -222,15 +223,15 @@ def test_criterion_9_gradient_audit(acceptance_log):
         rule = gauss_rule(N)
         ops = build_operators(rule)
         U = rng.uniform(-0.5, 1.0, size=(N, 1))
-        X = solve_state(problem, ops, U)
-        Lam = solve_costate(problem, ops, X, U, problem.cost_grad(X[-1]))
+        X = solve_state(problem, ops, U).X
+        Lam, _ = solve_costate(problem, ops, X, U, problem.cost_grad(X[-1]))
         grad = rule.weights[:, None] * problem.ham_u(X[1:N + 1], U, Lam[1:N + 1])
         for i in rng.integers(0, N, size=5):
             shifted = []
             for sign in (+1.0, -1.0):
                 Uh = U.copy()
                 Uh[i, 0] += sign * h
-                Xh = solve_state(problem, ops, Uh)
+                Xh = solve_state(problem, ops, Uh).X
                 shifted.append(problem.cost(Xh[-1]))
             fd = (shifted[0] - shifted[1]) / (2.0 * h)
             rel = abs(grad[i, 0] - fd) / max(abs(fd), 1e-12)

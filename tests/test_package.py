@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
     "eval_residual", "fit_rate", "full_grid", "gauss_rule", "hager_optimal_cost",
     "interpolate_trajectory", "interpolation_study", "kkt_residuals", "map_domain",
     "multipliers_to_costate", "radau_rule", "run_interp_suite", "solve",
-    "solve_costate", "solve_state", "verify_appendix1", "verify_appendix2",
+    "verify_appendix1", "verify_appendix2",
 ]
 
 

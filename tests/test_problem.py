@@ -250,7 +250,8 @@ class TestAugmentBolza:
         assert prob.x0[1] == 0.0
 
     def test_constant_running_cost_measures_domain(self):
-        from gausscolloc import build_operators, solve_state
+        from gausscolloc import build_operators
+        from gausscolloc.solver import solve_state
         one = RunningCost(
             value=lambda X, U: np.ones(len(X)),
             grad_x=lambda X, U: np.zeros((len(X), 1)),
@@ -259,17 +260,18 @@ class TestAugmentBolza:
         # native domain [0, 1]: integral of 1 is its length
         prob = map_domain(augment_bolza(_hager_base(True), one), 0.0, 1.0)
         ops = build_operators(gauss_rule(8))
-        X = solve_state(prob, ops, np.zeros((8, 1)))
+        X = solve_state(prob, ops, np.zeros((8, 1))).X
         assert abs(prob.cost(X[-1]) - 1.0) <= 1e-12
 
     def test_objective_equals_quadrature_of_running_cost(self):
-        from gausscolloc import build_operators, solve_state
+        from gausscolloc import build_operators
+        from gausscolloc.solver import solve_state
         prob = _composed_hager("hager84-constrained")
         rule = gauss_rule(10)
         ops = build_operators(rule)
         rng = np.random.default_rng(11)
         U = rng.uniform(-0.5, 1.0, (10, 1))
-        X = solve_state(prob, ops, U)
+        X = solve_state(prob, ops, U).X
         # z(1) must be the quadrature of the scaled integrand
         direct = 0.5 * sum(
             w * 0.5 * (x[0] ** 2 + u[0] ** 2)

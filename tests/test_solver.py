@@ -13,11 +13,10 @@ import gausscolloc.solver as solver_module
 from gausscolloc import (BUILTIN_NAMES, ControlProblem, ControlSet, RunningCost,
                          SolverConfig, Trajectory, augment_bolza,
                          build_operators, builtin, eval_residual, full_grid,
-                         gauss_rule, hager_optimal_cost, map_domain,
-                         solve, solve_costate, solve_state)
+                         gauss_rule, hager_optimal_cost, map_domain, solve)
 from gausscolloc.errors import DimensionMismatch, EvaluationFailure, NewtonDivergence
-from gausscolloc.solver import newton_factors
-from gausscolloc.transcription import _omega_norm
+from gausscolloc.solver import newton_factors, solve_costate, solve_state
+from gausscolloc.transcription import _omega_norm, _state_defect
 
 
 def _frozen_problem():
@@ -177,8 +176,8 @@ class TestSolveState:
         guess = np.full((N + 2, 1), 2.0)
         for X_guess in (None, guess):
             np.testing.assert_array_equal(
-                solve_state(problem, ops, U, X_guess=X_guess),
-                solve_state(_copying(problem), ops, U, X_guess=X_guess))
+                solve_state(problem, ops, U, X_guess=X_guess).X,
+                solve_state(_copying(problem), ops, U, X_guess=X_guess).X)
         config = SolverConfig(max_outer=20)
         alias, copy = solve(problem, N, config=config), solve(_copying(problem), N, config=config)
         for a, b in ((alias.traj.X, copy.traj.X), (alias.traj.U, copy.traj.U),
@@ -200,21 +199,21 @@ class TestSolveState:
     def test_zero_dynamics_keeps_initial_state(self):
         problem = _frozen_problem()
         ops = build_operators(gauss_rule(6))
-        X = solve_state(problem, ops, np.zeros((6, 1)))
+        X = solve_state(problem, ops, np.zeros((6, 1))).X
         np.testing.assert_array_equal(X, np.tile(problem.x0, (8, 1)))
 
     def test_unit_control_integrates_linearly(self):
         problem = _integrator_problem()
         rule = gauss_rule(9)
         ops = build_operators(rule)
-        X = solve_state(problem, ops, np.ones((9, 1)))
+        X = solve_state(problem, ops, np.ones((9, 1))).X
         expected = problem.x0[0] + full_grid(rule) + 1.0
         assert np.max(np.abs(X[:, 0] - expected)) <= 1e-11
 
     def test_initial_state_override(self):
         problem = replace(_integrator_problem(), x0=np.array([-2.0]))
         ops = build_operators(gauss_rule(4))
-        X = solve_state(problem, ops, np.ones((4, 1)))
+        X = solve_state(problem, ops, np.ones((4, 1))).X
         assert X[0, 0] == -2.0
         np.testing.assert_allclose(X[-1, 0], 0.0, atol=1e-12)
 
@@ -225,7 +224,7 @@ class TestSolveState:
             rule = gauss_rule(N)
             ops = build_operators(rule)
             U = problem.analytic.control(rule.nodes)
-            X = solve_state(problem, ops, U)
+            X = solve_state(problem, ops, U).X
             X_star = problem.analytic.state(full_grid(rule))
             errs[N] = np.max(np.abs(X - X_star))
         assert errs[16] < errs[4] / 8.0
@@ -245,8 +244,8 @@ class TestSolveState:
         U = np.linspace(-1.0, 1.0, N)[:, None]
         config = SolverConfig(tol_y=1e-12)
         distant = newton_factors(problem, ops, np.full((N, 2), 6.0), U)
-        fresh = solve_state(problem, ops, U, config=config)
-        X = solve_state(problem, ops, U, config=config, factors=distant)
+        fresh = solve_state(problem, ops, U, config=config).X
+        X = solve_state(problem, ops, U, config=config, factors=distant).X
         assert np.max(np.abs(X - fresh)) <= 1e-12
 
         blowup = _blowup_problem()
@@ -267,12 +266,34 @@ class TestSolveState:
 
 
 class TestSolveCostate:
+    @pytest.mark.parametrize("N", [10, 40])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + ("oscillator", "copying-cubic"))
+    def test_solves_return_what_the_residual_reads(self, name, N):
+        # f, G and its norm come back from the state solve's converged check,
+        # and H_x from the costate solve, with the bits that evaluating them
+        # afresh at the returned state and costate gives; the oscillator
+        # factors its live block with an LU, the cubic problem the whole M
+        built = {"oscillator": _oscillator_problem,
+                 "copying-cubic": lambda: _copying(_cubic_problem())}
+        problem = built[name]() if name in built else builtin(name)
+        ops = build_operators(gauss_rule(N))
+        U = np.linspace(-0.5, 0.5, N)[:, None]
+        state = solve_state(problem, ops, U)
+        X, Xc = state.X, state.X[1:N + 1]
+        F = problem.dynamics(Xc, U)
+        G, defect = _state_defect(ops, X[:N + 1], F)
+        np.testing.assert_array_equal(state.F, F)
+        np.testing.assert_array_equal(state.G, G)
+        assert state.defect == defect
+        Lam, Hx = solve_costate(problem, ops, X, U, problem.cost_grad(X[N + 1]))
+        np.testing.assert_array_equal(Hx, problem.ham_x(Xc, U, Lam[1:N + 1]))
+
     def test_state_independent_hamiltonian(self):
         problem = _frozen_problem()
         ops = build_operators(gauss_rule(7))
         X = np.tile(problem.x0, (9, 1))
         terminal = np.array([1.0, 0.0])
-        Lam = solve_costate(problem, ops, X, np.zeros((7, 1)), terminal)
+        Lam, _ = solve_costate(problem, ops, X, np.zeros((7, 1)), terminal)
         np.testing.assert_allclose(Lam, np.tile(terminal, (9, 1)), atol=1e-12)
 
     def test_terminal_row_is_exact(self):
@@ -280,9 +301,9 @@ class TestSolveCostate:
         rule = gauss_rule(6)
         ops = build_operators(rule)
         U = problem.analytic.control(rule.nodes)
-        X = solve_state(problem, ops, U)
+        X = solve_state(problem, ops, U).X
         terminal = problem.cost_grad(X[-1])
-        Lam = solve_costate(problem, ops, X, U, terminal)
+        Lam, _ = solve_costate(problem, ops, X, U, terminal)
         np.testing.assert_array_equal(Lam[-1], terminal)
 
     @settings(max_examples=40, deadline=None)
@@ -292,8 +313,8 @@ class TestSolveCostate:
         rule = gauss_rule(N)
         ops = build_operators(rule)
         U = data.draw(arrays(float, (N, 1), elements=st.floats(-2.0, 2.0)))
-        X = solve_state(problem, ops, U)
-        Lam = solve_costate(problem, ops, X, U, problem.cost_grad(X[-1]))
+        X = solve_state(problem, ops, U).X
+        Lam, _ = solve_costate(problem, ops, X, U, problem.cost_grad(X[-1]))
         traj = Trajectory(nodes=full_grid(rule), X=X, U=U, Lambda=Lam)
         res = eval_residual(problem, ops, traj)
         for block in (res.costate_defect, res.costate_endpoint, res.transversality):
@@ -307,8 +328,8 @@ class TestSolveCostate:
             ops = build_operators(rule)
             grid = full_grid(rule)
             U = problem.analytic.control(rule.nodes)
-            X = solve_state(problem, ops, U)
-            Lam = solve_costate(problem, ops, X, U, problem.cost_grad(X[-1]))
+            X = solve_state(problem, ops, U).X
+            Lam, _ = solve_costate(problem, ops, X, U, problem.cost_grad(X[-1]))
             errs[N] = np.max(np.abs(Lam - problem.analytic.costate(grid)))
         assert errs[16] < errs[8] < errs[4]
 
@@ -326,7 +347,7 @@ class TestDescentDirection:
     @given(data=st.data(), K=st.integers(1, 24), m=st.integers(1, 4))
     def test_same_bits_as_the_masked_solve(self, data, K, m):
         # R = B B^T + s I is positive definite for s > 0 and may not be for
-        # s < 0; every node positive definite takes the unmasked path.  A
+        # s < 0, so a draw may have every node positive definite or not.  A
         # 1x1 R is also drawn from all finite floats, zero and subnormals
         # included: its step is a division, with the bits of LAPACK's solve
         floats = st.floats(-2.0, 2.0)
@@ -436,7 +457,7 @@ class TestNewtonFactors:
         rule = gauss_rule(N)
         ops = build_operators(rule)
         U = problem.analytic.control(rule.nodes)
-        X = solve_state(problem, ops, U)
+        X = solve_state(problem, ops, U).X
         factors = newton_factors(problem, ops, X[1:N + 1], U)
         assert factors.lu is None
         np.testing.assert_array_equal(factors.live, [0])
@@ -447,7 +468,7 @@ class TestNewtonFactors:
         ops = build_operators(gauss_rule(5))
         factors = newton_factors(problem, ops, np.zeros((5, 1)), np.ones((5, 1)))
         assert factors.lu is None
-        Lam = solve_costate(problem, ops, np.zeros((7, 1)), np.ones((5, 1)), np.ones(1))
+        Lam, _ = solve_costate(problem, ops, np.zeros((7, 1)), np.ones((5, 1)), np.ones(1))
         np.testing.assert_allclose(Lam, np.ones((7, 1)), atol=1e-12)
 
     def test_fully_coupled_problem_factors_all_of_M(self):
@@ -458,7 +479,7 @@ class TestNewtonFactors:
         rule = gauss_rule(N)
         ops = build_operators(rule)
         U = np.linspace(-1.0, 1.0, N)[:, None]
-        X = solve_state(problem, ops, U, config=SolverConfig(tol_y=1e-12))
+        X = solve_state(problem, ops, U, config=SolverConfig(tol_y=1e-12)).X
         assert newton_factors(problem, ops, X[1:N + 1], U).lu[0].shape == (N * n, N * n)
 
         Xc = np.tile(problem.x0, (N, 1))
@@ -476,7 +497,7 @@ class TestNewtonFactors:
         N = 16
         ops = build_operators(gauss_rule(N))
         U = np.linspace(-1.0, 1.0, N)[:, None]
-        X = solve_state(problem, ops, U)
+        X = solve_state(problem, ops, U).X
         factors = newton_factors(problem, ops, X[1:N + 1], U)
         np.testing.assert_array_equal(factors.dead, [2])
         assert factors.lu[0].shape == (2 * N, 2 * N)
@@ -594,6 +615,30 @@ class TestSolve:
         report = solve(builtin(name), N)
         assert report.converged
         assert len(calls) == report.outer_iters + 1
+
+    @pytest.mark.parametrize("N", [10, 80])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_state_and_costate_solved_once_per_iterate(self, name, N, monkeypatch):
+        # solve reaches both solves through the module's attributes, so a
+        # wrapper set there sees every call: one costate solve per evaluated
+        # iterate, and one state solve per iterate, since at these orders
+        # every line search accepts its first trial
+        calls = {"solve_state": 0, "solve_costate": 0}
+
+        def counted(key):
+            fn = getattr(solver_module, key)
+
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for key in calls:
+            monkeypatch.setattr(solver_module, key, counted(key))
+        report = solve(builtin(name), N)
+        assert report.converged
+        k = report.outer_iters
+        assert calls == {"solve_state": k, "solve_costate": k}
 
     @pytest.mark.parametrize("N", [10, 80])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
