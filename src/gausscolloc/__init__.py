@@ -21,18 +21,6 @@ from .transcription import (Residual, Trajectory, costate_to_multipliers,
                             kkt_residuals, multipliers_to_costate)
 from .solver import SolveReport, SolverConfig, solve
 
-_ANALYSIS_NAMES = frozenset((
-    "Appendix1Report", "Appendix2Report", "ConvergenceRow", "RateFit",
-    "convergence_study", "fit_rate", "interpolation_study", "run_interp_suite",
-    "verify_appendix1", "verify_appendix2"))
-
-
-def __getattr__(name):
-    if name in _ANALYSIS_NAMES:
-        from . import analysis
-        return getattr(analysis, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -56,3 +44,11 @@ __all__ = [
     "ConvergenceRow", "Appendix1Report", "Appendix2Report",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # an exported name not bound above is one of the analysis layer's
+    if name in __all__:
+        from . import analysis
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

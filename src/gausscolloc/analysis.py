@@ -34,6 +34,7 @@ buffer whatever the order and sample count.  The suites need numpy alone.
 """
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -134,18 +135,19 @@ def interpolation_study(u, udot, orders):
 
     For each order the degree-N interpolant of u is differentiated at its
     own support and the derivative polynomial is compared against the
-    exact derivative in the dense-grid L2 norm.  Returns (N, error) rows.
+    exact derivative in the dense-grid L2 norm.  Returns (rule.order, error) rows.
     """
     pts, wts = _dense_grid()
     target = udot(pts)
     dI = np.empty(pts.size)
     rows = []
     for N in orders:
-        support = np.concatenate([[-1.0], gauss_rule(int(N)).nodes])
+        rule = gauss_rule(N)
+        support = np.concatenate([[-1.0], rule.nodes])
         dsamp = differentiation_matrix(support) @ u(support)
         for block, v in _grid_blocks(support, pts, dsamp):
             dI[block] = v
-        rows.append((int(N), float(np.sqrt(wts @ (target - dI) ** 2))))
+        rows.append((rule.order, float(np.sqrt(wts @ (target - dI) ** 2))))
     return rows
 
 
@@ -241,8 +243,9 @@ def _integrated_sup(deriv_nodes, deriv_values):
 
 
 def _order_list(suite, orders, smallest, floor):
-    """orders as a list of ints; an empty one, or one below floor, certifies nothing."""
-    orders = [int(N) for N in orders]
+    """orders as ints, taken as ``gauss_rules`` takes them; an empty list, or
+    an order below floor, certifies nothing."""
+    orders = [int(operator.index(N)) for N in orders]
     if not orders:
         raise ValueError(f"{suite} has no order to check; its smallest order is {smallest}")
     if min(orders) < floor:
@@ -439,22 +442,22 @@ def convergence_study(problem, orders):
     Returns (rows, fits) with one RateFit per error series, fitted on
     converged rows only; the two smallest orders are discarded as
     pre-asymptotic, and fits is empty when too few converged rows remain
-    for ``fit_rate``.  Requires problem.analytic.
+    for ``fit_rate``.  Each order is taken as ``solve`` takes it, and a
+    row's N is the int order of its report.  Requires problem.analytic.
     """
     if problem.analytic is None:
         raise ValueError("convergence study requires an attached analytic solution")
     rows = []
     for N in orders:
-        N = int(N)
         t0 = time.perf_counter()
         rep = solve(problem, N)
         wall_ms = (time.perf_counter() - t0) * 1e3
         nodes = rep.traj.nodes
         X_star = problem.analytic.state(nodes)
-        U_star = problem.analytic.control(nodes[1:N + 1])
+        U_star = problem.analytic.control(nodes[1:-1])
         L_star = problem.analytic.costate(nodes)
         rows.append(ConvergenceRow(
-            N=N,
+            N=rep.order,
             err_x=float(np.max(np.abs(rep.traj.X - X_star))),
             err_u=float(np.max(np.abs(rep.traj.U - U_star))),
             err_lambda=float(np.max(np.abs(rep.traj.Lambda - L_star))),

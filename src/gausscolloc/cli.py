@@ -64,12 +64,11 @@ def _flag(b):
 def _write_manifest(out, args):
     from importlib.metadata import version  # costs more to import than to use
 
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "seed", "out", "command") and v is not None}
     manifest = {
         "command": args.command,
-        "parameters": {k: (list(v) if isinstance(v, (tuple, range)) else v)
-                       for k, v in params.items()},
+        # every flag parses to a str, int or float, which JSON writes as it is
+        "parameters": {k: v for k, v in vars(args).items()
+                       if k not in ("func", "seed", "out", "command") and v is not None},
         "seed": getattr(args, "seed", None),  # only verify draws at random
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),

@@ -199,9 +199,7 @@ def gauss_rule(N):
 
 
 def _jacobi10_body(degree, x):
-    """P_degree^{(1,0)} (orthogonal for weight 1-t) and its derivative."""
-    if degree == 0:
-        return np.ones_like(x), np.zeros_like(x)
+    """P_degree^{(1,0)} (orthogonal for weight 1-t) and its derivative, degree >= 1."""
     pm1 = np.ones_like(x)
     p = (3.0 * x + 1.0) / 2.0
     for k in range(2, degree + 1):

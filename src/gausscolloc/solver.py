@@ -195,10 +195,12 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
     whenever the defect fails to halve.  Convergence requires
     the defect G = D X - F(X, U) to fall below max(NEWTON_TOL, 0.1 * tol_y)
     in the norm sqrt(sum_i w_i |G_i|^2) that ``eval_residual`` reports for
-    ``state_defect``.  Raises NewtonDivergence when the iteration exhausts
-    its budget or produces non-finite values, and DimensionMismatch when
-    finite dynamics values are not an (N, n) stack, x0 is not of shape
-    (n,), or the guess's collocation rows X_guess[1:N+1] are not (N, n).
+    ``state_defect``.  The guess's collocation rows X_guess[1:N+1] seed
+    the iteration as given: ``solve`` checks the shape of a warm start, and
+    its line search passes an accepted iterate's X.  Raises NewtonDivergence
+    when the iteration exhausts its budget or produces non-finite values,
+    and DimensionMismatch when finite dynamics values are not an (N, n)
+    stack or x0 is not of shape (n,).
     """
     rule = ops.rule
     N, n = rule.order, problem.n
@@ -207,14 +209,7 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
         raise DimensionMismatch(f"x0 has shape {x0.shape}, expected {(n,)}")
     X = np.empty((N + 2, n))
     X[0] = x0
-    if X_guess is None:
-        X[1:N + 1] = x0
-    else:
-        guess = np.asarray(X_guess)[1:N + 1]
-        if guess.shape != (N, n):
-            raise DimensionMismatch(f"state guess has collocation rows {guess.shape}, "
-                                    f"expected {(N, n)}")
-        X[1:N + 1] = guess
+    X[1:N + 1] = x0 if X_guess is None else np.asarray(X_guess)[1:N + 1]
     Xfull, Xc = X[:N + 1], X[1:N + 1]
 
     target = max(NEWTON_TOL, 0.1 * config.tol_y)
@@ -291,8 +286,11 @@ def _descent_direction(problem, X, U, Lam, Hu):
 def solve(problem, N, config=None, warm_start=None):
     """Drive the control iteration to a stationary point.
 
-    N is the number of collocation points.  A warm_start Trajectory of
-    order N seeds the control and the state guess; any other shape raises
+    N is the number of collocation points, taken as ``gauss_rule`` takes
+    it (a float raises TypeError, an order below 1 ValueError), and the
+    report's ``order`` is the int the rule holds.  A warm_start Trajectory
+    of that order seeds the control and the state guess; this is the one
+    check of its U and X shapes, and any other shape raises
     DimensionMismatch.  Evaluates at most ``config.max_outer`` iterates,
     stopping at the first within ``tol_y`` or when no step is accepted, and
     reports the last; raises EvaluationFailure if its objective or residual
@@ -306,6 +304,7 @@ def solve(problem, N, config=None, warm_start=None):
     if config is None:
         config = SolverConfig()
     rule = gauss_rule(N)
+    N = rule.order
     ops = build_operators(rule)
     m = problem.m
     nodes = full_grid(rule)

@@ -353,6 +353,34 @@ class TestAppendix2:
             assert row.err0 <= row.err1 / row.order + 1e-10
 
 
+class TestOrders:
+    """Every study takes its orders as the rules layer does: through
+    ``operator.index``, so a float is refused and not truncated, and the
+    order a row reports is a Python int."""
+
+    @pytest.mark.parametrize("study", [
+        lambda: verify_appendix1(orders=[2.7, 4.2], samples=4),
+        lambda: verify_appendix2(APPENDIX2_FUNCTIONS, orders=[4, 8.5]),
+        lambda: interpolation_study(np.cos, lambda t: -np.sin(t), [4, 8.0]),
+        lambda: convergence_study(builtin("hager84-constrained"), [4.5, 8, 12, 16, 20]),
+    ], ids=["appendix1", "appendix2", "interpolation", "convergence"])
+    def test_float_order_raises_type_error(self, study):
+        with pytest.raises(TypeError):
+            study()
+
+    def test_integer_orders_come_back_as_int(self):
+        orders = [True, np.int64(4)]
+        reports = [verify_appendix1(orders=orders, samples=4),
+                   verify_appendix2({"sinpi": APPENDIX2_FUNCTIONS["sinpi"]},
+                                    orders=[np.int64(2), np.int64(4)])["sinpi"]]
+        reported = [r.order for rep in reports for r in rep.rows]
+        reported += [N for N, _ in interpolation_study(np.cos, lambda t: -np.sin(t), orders)]
+        rows, _ = convergence_study(builtin("hager84-constrained"), orders)
+        reported += [r.N for r in rows]
+        assert reported == [1, 4, 2, 4, 1, 4, 1, 4]
+        assert all(type(N) is int for N in reported)
+
+
 class TestConvergenceStudy:
     def test_benchmark_slopes(self):
         problem = builtin("hager84-constrained")

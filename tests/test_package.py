@@ -42,16 +42,21 @@ def test_exports_are_exactly_the_public_names():
 
 def test_solving_loads_neither_analysis_nor_numpy_random():
     # a fresh interpreter: the built-ins' derivative audit draws no random
-    # numbers, and the analysis names load their module on first use
+    # numbers, the analysis names load their module on first use, and a
+    # name outside __all__ raises AttributeError without loading it
     script = textwrap.dedent("""
         import json, sys
         import gausscolloc
         from gausscolloc import BUILTIN_NAMES, builtin, solve
         converged = [solve(builtin(name), 10).converged for name in BUILTIN_NAMES]
+        try:
+            gausscolloc.no_such_name
+        except AttributeError as exc:
+            missing = str(exc)
         loaded = [m for m in ("gausscolloc.analysis", "numpy.random") if m in sys.modules]
         verify = gausscolloc.verify_appendix1
         from gausscolloc import RateFit
-        print(json.dumps({"converged": converged, "loaded": loaded,
+        print(json.dumps({"converged": converged, "missing": missing, "loaded": loaded,
                           "resolved": [verify.__module__, RateFit.__module__]}))
     """)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -61,5 +66,6 @@ def test_solving_loads_neither_analysis_nor_numpy_random():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "converged": [True, True], "loaded": [],
+        "converged": [True, True],
+        "missing": "module 'gausscolloc' has no attribute 'no_such_name'", "loaded": [],
         "resolved": ["gausscolloc.analysis", "gausscolloc.analysis"]}

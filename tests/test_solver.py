@@ -188,8 +188,7 @@ class TestSolveState:
     @pytest.mark.parametrize("x0,guess,message", [
         ([0.4, -1.1, 2.0], None, "x0 has shape (3,), expected (2,)"),
         ([0.4], None, "x0 has shape (1,), expected (2,)"),
-        ([0.4, -1.1], np.zeros((7, 1)), "state guess has collocation rows (5, 1), expected (5, 2)"),
-    ], ids=["long-x0", "short-x0", "narrow-guess"])
+    ], ids=["long-x0", "short-x0"])
     def test_malformed_start_is_rejected(self, x0, guess, message):
         problem = replace(_frozen_problem(), x0=np.array(x0))
         ops = build_operators(gauss_rule(5))
@@ -516,6 +515,14 @@ class TestSolve:
         assert report.termination == "converged"
         assert report.y_norm <= 1e-10
         assert report.order == 20
+
+    @pytest.mark.parametrize("N", [np.int64(5), True], ids=["int64", "True"])
+    def test_integer_order_is_reported_as_an_int(self, N):
+        # gauss_rule(True) is the order-1 rule, and solve reads the rule's order back
+        report = solve(builtin("hager84-constrained"), N)
+        assert report.converged
+        assert type(report.order) is int and report.order == N
+        assert report.traj.U.shape == (report.order, 1)
 
     def test_node_errors_at_desk_scale(self, benchmark_n20):
         problem = builtin("hager84-constrained")
