@@ -16,9 +16,9 @@ Four study families, each returning plain report objects:
   all come from the Legendre table, with at most two grid-sized tables
   alive at once), reproduces the closed-form norms, checks orthogonality,
   and tests the projection inequality ||u - pi_N u||_0 <= |u - pi_N u|_1 / N
-  for each function.  The projection is orthogonal in the derivative inner
-  product, so one product against the Legendre rows gives the coefficients
-  of every order at once.
+  for each function, in one report per call.  The projection is orthogonal
+  in the derivative inner product, so one product against the Legendre rows
+  gives the coefficients of every order at once.
 * ``convergence_study`` reruns the solver across orders against an
   attached analytic solution and fits log-log error slopes.
 
@@ -310,7 +310,7 @@ class Appendix2Report:
     norm_rows: list
     max_offdiag: float
     norms_ok: bool
-    rows: list
+    rows: dict
     passed: bool
 
 
@@ -353,7 +353,8 @@ def verify_appendix2(functions, orders=APPENDIX2_ORDERS):
     """Check the projection inequality err0 <= err1 / N for each function.
 
     `functions` maps a name to (u, udot), u vanishing at both endpoints;
-    the result maps each name to its Appendix2Report.  The order-N
+    the one report maps each name to its rows and passes when ``norms_ok``
+    and every row's bound hold.  The order-N
     projection onto span{psi_1..psi_{N-1}} is orthogonal in the derivative
     inner product, so its coefficients <u', psi_k'> / |psi_k|_1^2 do not
     depend on N: one product against the P_k rows gives them for the
@@ -362,12 +363,15 @@ def verify_appendix2(functions, orders=APPENDIX2_ORDERS):
     derivative.
 
     The psi basis is built once per call, for k up to max(12, largest
-    order - 1).  Every report carries the norm table and the absolute
+    order - 1).  The report carries the norm table and the absolute
     orthogonality check of its 12 x 12 prefix; ``norms_ok`` also requires
     the closed-form norms for every k built and, for every psi_k the
     projections use, orthogonality relative to the h1 norms, which grow
-    like k^3.  An empty `orders` or an order below 2 raises ValueError.
+    like k^3.  An empty `functions` or `orders`, or an order below 2,
+    raises ValueError.
     """
+    if not functions:
+        raise ValueError("appendix2 has no function to check")
     orders = _order_list("appendix2", orders, APPENDIX2_ORDERS[0], 2)
     K = max(orders) - 1
     P, psi, gram, l0, h1, l0_exact = _psi_basis(max(12, K))
@@ -386,25 +390,23 @@ def verify_appendix2(functions, orders=APPENDIX2_ORDERS):
     pts, wts = _dense_grid()
     l0_wts = wts / ((1.0 - pts) * (1.0 + pts))
     P, psi, ks = P[:K], psi[:K], np.arange(1, K + 1)
-    reports = {}
+    rows = {}
     for name, (u, udot) in functions.items():
         uvals, duvals = u(pts), udot(pts)
         # psi_k' = -k(k+1) P_k and |psi_k|_1^2 = 2 k^2 (k+1)^2 / (2k+1)
         coeffs = -(2 * ks + 1) / (2.0 * ks * (ks + 1)) * (P @ (wts * duvals))
         dcoeffs = -(ks * (ks + 1)) * coeffs
-        rows = []
+        rows[name] = []
         for N in orders:
             piN = coeffs[:N - 1] @ psi[:N - 1]
             dpiN = dcoeffs[:N - 1] @ P[:N - 1]
             err0 = float(np.sqrt(l0_wts @ (uvals - piN) ** 2))
             err1 = float(np.sqrt(wts @ (duvals - dpiN) ** 2))
-            rows.append(Appendix2Row(
-                order=N, err0=err0, err1=err1,
-                bound_ok=err0 <= err1 / N + 1e-10))
-        reports[name] = Appendix2Report(
-            norm_rows=norm_rows, max_offdiag=worst, norms_ok=norms_ok,
-            rows=rows, passed=norms_ok and all(r.bound_ok for r in rows))
-    return reports
+            rows[name].append(Appendix2Row(order=N, err0=err0, err1=err1,
+                                           bound_ok=err0 <= err1 / N + 1e-10))
+    return Appendix2Report(
+        norm_rows=norm_rows, max_offdiag=worst, norms_ok=norms_ok, rows=rows,
+        passed=norms_ok and all(r.bound_ok for fn in rows.values() for r in fn))
 
 
 APPENDIX2_FUNCTIONS = {

@@ -97,14 +97,12 @@ class CollocationOperators:
 
 @dataclass(frozen=True)
 class P1Report:
-    order: int
     norm_inf: float
     passed: bool
 
 
 @dataclass(frozen=True)
 class P2Report:
-    order: int
     max_row_norm: float
     passed: bool
     last_row_gap: float
@@ -132,8 +130,7 @@ def build_operators(rule):
 def check_P1(ops):
     """Max row sum of |D[:, 1:]^{-1}|; passes when <= 2 (plus slack)."""
     norm_inf = float(np.max(np.sum(np.abs(ops.D1N_inv), axis=1)))
-    return P1Report(order=ops.rule.order, norm_inf=norm_inf,
-                    passed=norm_inf <= 2.0 + TOL_SLACK)
+    return P1Report(norm_inf=norm_inf, passed=norm_inf <= 2.0 + TOL_SLACK)
 
 
 def check_P2(ops):
@@ -148,6 +145,6 @@ def check_P2(ops):
     scaled = inv / np.sqrt(om)[None, :]
     max_row = float(np.max(np.sqrt(np.sum(scaled * scaled, axis=1))))
     gap = float(np.max(np.abs(inv[-1, :] - om)))
-    return P2Report(order=ops.rule.order, max_row_norm=max_row,
+    return P2Report(max_row_norm=max_row,
                     passed=max_row <= np.sqrt(2.0) + TOL_SLACK,
                     last_row_gap=gap)

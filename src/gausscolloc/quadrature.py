@@ -26,25 +26,21 @@ _GAUSS_RULES = {}   # order -> QuadratureRule, filled by gauss_rules
 
 
 def _legendre_body(degree, x):
-    """P_n and P_n' at the points of the 1-d array x, where n is ``degree``,
-    or the point's entry of ``degree`` when that is an ascending integer
-    array as long as x.
+    """P_n and P_n' at the points of the 1-d array x, where n is the point's
+    entry of ``degree``, an integer or an ascending integer array as long as
+    x; an integer is broadcast to one degree per point.
 
     Recurrence step k updates only the points with n > k.  Three buffers
     rotate roles without copying, so a point's P_n is left in buffer n % 3
     and its P_{n-1} in buffer (n - 1) % 3.
     """
+    degree = np.broadcast_to(degree, x.shape)
     buf = np.zeros((3, x.size))
     buf[0] = 1.0
     buf[1] = x
-    if isinstance(degree, np.ndarray):
-        starts = np.flatnonzero(np.diff(degree, prepend=-1))
-        runs = zip(starts.tolist(), degree[starts].tolist())
-        cols, low = np.arange(x.size), degree[0]
-    else:
-        runs, cols, low = [(0, degree)], slice(None), degree
+    starts = np.flatnonzero(np.diff(degree, prepend=-1))
     k = 1
-    for s, n in runs:
+    for s, n in zip(starts.tolist(), degree[starts].tolist()):
         if n <= k:
             continue
         xs = x[s:]
@@ -61,6 +57,7 @@ def _legendre_body(degree, x):
             t /= c + 1.0
             pm1, p, t = p, t, pm1
         k = n
+    cols = np.arange(x.size)
     p, pm1 = buf[degree % 3, cols], buf[(degree - 1) % 3, cols]
     # (1 - t^2) P_n'(t) = n (P_{n-1}(t) - t P_n(t)); closed form at t = +-1,
     # the only points of [-1, 1] where 1 - t^2 is zero
@@ -69,12 +66,10 @@ def _legendre_body(degree, x):
     denom[at_end] = 1.0
     dp = degree * (pm1 - x * p) / denom
     if at_end.any():
-        n = np.broadcast_to(degree, x.shape)[at_end]
+        n = degree[at_end]
         dp[at_end] = np.sign(x[at_end]) ** (n - 1) * n * (n + 1) / 2.0
-    if low < 2:
-        # P_0' = 0 and P_1' = 1 exactly
-        dp = np.where(degree < 2, degree, dp)
-    return p, dp
+    # P_0' = 0 and P_1' = 1 exactly
+    return p, np.where(degree < 2, degree, dp)
 
 
 def legendre_table(kmax, t):
@@ -116,8 +111,8 @@ def _newton_roots(body, degrees, guesses):
     """Vectorized Newton iteration with a step-halving safeguard on the
     roots of polynomials of the given ascending degrees: the roots of the
     j-th are the next degrees[j] guesses, and ``body(n, x)`` evaluates the
-    polynomials and their derivatives at x, where n is the degree or an
-    array of one degree per point.
+    polynomials and their derivatives at x, where n is the array of one
+    degree per point.
 
     Any step that would leave (-1, 1) is halved back toward the previous
     iterate until it lands inside, which keeps the recurrence evaluations
@@ -129,8 +124,7 @@ def _newton_roots(body, degrees, guesses):
     degrees = np.asarray(degrees)
     starts = degrees.cumsum() - degrees
     for _ in range(ROOT_MAX_ITER):
-        deg = int(degrees[0]) if degrees.size == 1 else degrees.repeat(degrees)
-        p, dp = body(deg, x)
+        p, dp = body(degrees.repeat(degrees), x)
         xn = x - p / dp
         outside = np.abs(xn) >= 1.0
         while outside.any():
@@ -176,7 +170,7 @@ def gauss_rules(orders):
         # ascending within each order, then nodes[i] == -nodes[N-1-i] exactly
         x = x[np.lexsort((x, deg))]
         x = 0.5 * (x - x[head + (deg - 1 - j)])
-        _, dp = _legendre_body(new[0] if len(new) == 1 else deg, x)
+        _, dp = _legendre_body(deg, x)
         w = 2.0 / (((1.0 - x) * (1.0 + x)) * dp * dp)
         x.flags.writeable = False
         w.flags.writeable = False
@@ -234,7 +228,8 @@ def radau_rule(N):
         deg = N - 1
         k = np.arange(1, deg + 1)
         guesses = np.cos(np.pi * (k + 0.25) / (deg + 1))
-        interior = np.sort(_newton_roots(_jacobi10_body, [deg], guesses))
+        interior = np.sort(_newton_roots(lambda _, x: _jacobi10_body(deg, x),
+                                         [deg], guesses))
     nodes = np.concatenate([interior, [1.0]])
     nodes.flags.writeable = False
     return QuadratureRule(kind="radau", order=N, nodes=nodes, weights=None)

@@ -114,19 +114,19 @@ def test_criterion_4_uniform_bound(acceptance_log):
 
 
 def test_criterion_5_projection_inequality(acceptance_log):
-    reports = verify_appendix2(APPENDIX2_FUNCTIONS)
-    norm_rows = reports["sinpi"].norm_rows
+    report = verify_appendix2(APPENDIX2_FUNCTIONS)
     norm_gap = max(max(abs(r.h1_num - r.h1_exact) / r.h1_exact,
                        abs(r.l0_num - r.l0_exact) / r.l0_exact)
-                   for r in norm_rows)
-    passed = all(rep.passed for rep in reports.values()) and norm_gap <= 1e-12
+                   for r in report.norm_rows)
+    passed = report.passed and norm_gap <= 1e-12
     acceptance_log(5, passed,
-                   f"projection inequality holds for {len(reports)} functions "
+                   f"projection inequality holds for {len(report.rows)} functions "
                    f"at N in (4..64); basis norm formulas match to "
                    f"{norm_gap:.2e} (tol 1e-12) for k <= 12")
     assert norm_gap <= 1e-12
-    for name, rep in reports.items():
-        assert rep.passed, f"{name}: {rep.rows}"
+    assert report.norms_ok, report.max_offdiag
+    for name, rows in report.rows.items():
+        assert all(r.bound_ok for r in rows), f"{name}: {rows}"
 
 
 def test_criterion_6_benchmark_convergence(acceptance_log, benchmark_sweep):

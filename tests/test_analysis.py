@@ -232,7 +232,7 @@ class TestAppendix2:
 
     def test_psi_norm_closed_forms(self):
         functions = {"sinpi": APPENDIX2_FUNCTIONS["sinpi"]}
-        report = verify_appendix2(functions, orders=(4,))["sinpi"]
+        report = verify_appendix2(functions, orders=(4,))
         rows = report.norm_rows
         assert [r.k for r in rows] == list(range(1, 13))
         first = rows[0]
@@ -245,7 +245,7 @@ class TestAppendix2:
 
     def test_norm_table_is_the_prefix_of_the_basis_built(self):
         # the k <= 12 table is the same whatever order sizes the basis
-        small, large = (verify_appendix2({"sinpi": APPENDIX2_FUNCTIONS["sinpi"]}, orders)["sinpi"]
+        small, large = (verify_appendix2({"sinpi": APPENDIX2_FUNCTIONS["sinpi"]}, orders)
                         for orders in ((4,), (4, 64)))
         assert (small.norm_rows, small.max_offdiag) == (large.norm_rows, large.max_offdiag)
 
@@ -273,12 +273,12 @@ class TestAppendix2:
             return table(kmax, t)
 
         monkeypatch.setattr(analysis, "legendre_table", counted)
-        reports = verify_appendix2(APPENDIX2_FUNCTIONS)
+        report = verify_appendix2(APPENDIX2_FUNCTIONS)
         assert sizes == [max(analysis.APPENDIX2_ORDERS) - 1] * 2
         verify_appendix2(APPENDIX2_FUNCTIONS, orders=(4, 8))
         assert sizes[2:] == [12, 12]
-        assert list(reports) == list(APPENDIX2_FUNCTIONS)
-        assert all(r.passed for r in reports.values())
+        assert list(report.rows) == list(APPENDIX2_FUNCTIONS)
+        assert report.passed
 
     def test_peak_memory_is_bounded(self):
         # at the default orders the basis holds two grid-sized tables, P of
@@ -289,20 +289,20 @@ class TestAppendix2:
         table = max(analysis.APPENDIX2_ORDERS) * _dense_grid()[0].size * 8
         tracemalloc.start()
         try:
-            reports = verify_appendix2(APPENDIX2_FUNCTIONS)
+            report = verify_appendix2(APPENDIX2_FUNCTIONS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert all(r.passed for r in reports.values())
+        assert report.passed
         assert peak < 2.25 * table
 
     def test_basis_member_projects_onto_itself(self):
         # psi_3 = (1-t^2)(15t^2-3)/2 lies in span{psi_1..psi_4}
         u = lambda t: (1.0 - t * t) * (15.0 * t * t - 3.0) / 2.0
         udot = lambda t: -12.0 * (5.0 * t ** 3 - 3.0 * t) / 2.0
-        report = verify_appendix2({"psi3": (u, udot)}, orders=(5, 9))["psi3"]
+        report = verify_appendix2({"psi3": (u, udot)}, orders=(5, 9))
         assert report.passed
-        for row in report.rows:
+        for row in report.rows["psi3"]:
             assert row.err0 <= 1e-11
             assert row.err1 <= 1e-10
 
@@ -312,7 +312,7 @@ class TestAppendix2:
         # the k <= 12 table never sees row k = 20; the check over the rows
         # the order-32 projection uses does
         functions = {"sinpi": APPENDIX2_FUNCTIONS["sinpi"]}
-        clean = verify_appendix2(functions, orders=(4, 8, 32))["sinpi"]
+        clean = verify_appendix2(functions, orders=(4, 8, 32))
         basis = analysis._psi_basis
 
         def corrupted(kmax):
@@ -321,11 +321,17 @@ class TestAppendix2:
             return P, psi, gram, l0, h1, l0_exact
 
         monkeypatch.setattr(analysis, "_psi_basis", corrupted)
-        report = verify_appendix2(functions, orders=(4, 8, 32))["sinpi"]
+        report = verify_appendix2(functions, orders=(4, 8, 32))
         assert clean.passed and clean.norms_ok
         assert (report.norm_rows, report.max_offdiag) == (clean.norm_rows, clean.max_offdiag)
         assert report.rows == clean.rows
         assert not report.norms_ok and not report.passed
+
+    def test_rejects_empty_functions(self):
+        # the one report holds the basis check once, so an empty mapping
+        # would pass on the basis alone
+        with pytest.raises(ValueError, match="appendix2 has no function to check"):
+            verify_appendix2({})
 
     def test_rejects_empty_orders(self):
         with pytest.raises(ValueError, match="appendix2 .* smallest order is 4"):
@@ -341,15 +347,15 @@ class TestAppendix2:
 
     def test_orders_may_be_an_iterator(self):
         # the orders are read twice: for the table size, then for the rows
-        report = verify_appendix2(APPENDIX2_FUNCTIONS, orders=iter([4, 8]))["sinpi"]
-        assert [r.order for r in report.rows] == [4, 8]
+        report = verify_appendix2(APPENDIX2_FUNCTIONS, orders=iter([4, 8]))
+        assert [r.order for r in report.rows["sinpi"]] == [4, 8]
 
     @pytest.mark.parametrize("name", sorted(APPENDIX2_FUNCTIONS))
     def test_registered_functions_pass(self, name):
-        report = verify_appendix2(APPENDIX2_FUNCTIONS, orders=(4, 8, 16))[name]
+        report = verify_appendix2({name: APPENDIX2_FUNCTIONS[name]}, orders=(4, 8, 16))
         assert report.norms_ok
         assert report.passed
-        for row in report.rows:
+        for row in report.rows[name]:
             assert row.err0 <= row.err1 / row.order + 1e-10
 
 
@@ -370,10 +376,10 @@ class TestOrders:
 
     def test_integer_orders_come_back_as_int(self):
         orders = [True, np.int64(4)]
-        reports = [verify_appendix1(orders=orders, samples=4),
-                   verify_appendix2({"sinpi": APPENDIX2_FUNCTIONS["sinpi"]},
-                                    orders=[np.int64(2), np.int64(4)])["sinpi"]]
-        reported = [r.order for rep in reports for r in rep.rows]
+        reported = [r.order for r in verify_appendix1(orders=orders, samples=4).rows]
+        a2 = verify_appendix2({"sinpi": APPENDIX2_FUNCTIONS["sinpi"]},
+                              orders=[np.int64(2), np.int64(4)])
+        reported += [r.order for r in a2.rows["sinpi"]]
         reported += [N for N, _ in interpolation_study(np.cos, lambda t: -np.sin(t), orders)]
         rows, _ = convergence_study(builtin("hager84-constrained"), orders)
         reported += [r.N for r in rows]

@@ -252,6 +252,19 @@ class TestVerify:
         payload = json.loads(out)
         assert list(payload["functions"]) == ["sinpi"]
         assert payload["passed"] is True
+        # the basis check is stated once, at the top, not per function
+        assert payload["norms_ok"] is True and payload["max_offdiag"] <= 1e-10
+        assert set(payload["functions"]["sinpi"]) == {"rows", "passed"}
+
+    def test_n_max_help_names_the_suites_it_caps(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--help"])
+        assert excinfo.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        entry = text.split("--n-max N_MAX ", 1)[1].split("--samples", 1)[0]
+        assert "appendix1 and appendix2" in entry
+        # interp runs each function's registered orders whatever --n-max says
+        assert "interp" in entry
 
     def test_interp_all_functions(self, capsys):
         code, out, _ = _run(capsys, "verify", "--suite", "interp")
