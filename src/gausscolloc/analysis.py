@@ -4,12 +4,10 @@ Four study families, each returning plain report objects:
 
 * ``interpolation_study`` measures the derivative-space (H1 seminorm)
   interpolation error over the support {-1, tau_1..tau_N}.
-* ``verify_appendix1`` samples random polynomials p of degree N with
-  p(-1) = 0 and prescribed derivative data at the N nodes, and certifies
-  sup|p| <= 2, the bound behind the trailing-block inverse estimate.  The
-  values of p on {-1, tau_1..tau_N} solve one linear system with the
-  trailing block of that support's differentiation matrix, and
-  barycentric interpolation evaluates p on the sup grid.
+* ``verify_appendix1`` certifies sup|p| <= 2, the bound behind the
+  trailing-block inverse estimate, for every polynomial p of degree N with
+  p(-1) = 0 and derivative data in [-1, 1] at the N nodes, by its exact
+  worst case over that data.
 * ``verify_appendix2`` works in the basis psi_k = (1 - t^2) P_k' of
   polynomials vanishing at both endpoints: for a mapping of test
   functions it builds the basis once (the Gram matrix, the norms and psi
@@ -28,9 +26,10 @@ norms additionally sample a uniform grid including both endpoints.  Both
 the interpolation study and the appendix1 sup evaluate their polynomials on
 a grid ``SUP_BLOCK`` rows at a time, into one buffer, so no grid-sized
 evaluation matrix is ever formed: the study copies each block into its
-derivative vector, and the sup keeps a running per-column maximum of max(v)
-and -min(v), which is exactly max|v|, so its memory stays bounded by that
-buffer whatever the order and sample count.  The suites need numpy alone.
+derivative vector, and the sup reduces each block's rows to their absolute
+and signed sums and keeps the largest, so its memory stays bounded by that
+buffer and the (N+1) x N table whatever the order.  The suites need numpy
+alone.
 """
 from __future__ import annotations
 
@@ -47,7 +46,8 @@ from .solver import solve
 
 PANELS = 2048
 PANEL_ORDER = 8
-# grid rows evaluated at once by the interpolation study and the appendix1 sup
+# grid rows evaluated at once: copied out by the interpolation study,
+# reduced to row sums by the appendix1 sup
 SUP_BLOCK = 512
 APPENDIX1_ORDERS = (2, 4, 8, 16, 32, 64)
 APPENDIX2_ORDERS = (4, 8, 16, 32, 64)
@@ -89,12 +89,15 @@ def fit_rate(orders, errors, discard=2):
     """Fit a convergence rate, discarding the smallest `discard` orders.
 
     Non-positive errors cannot enter a log fit and are dropped; at least
-    three distinct orders must survive or ValueError is raised.
+    three distinct orders must survive or ValueError is raised, as it is
+    for a non-finite order or error.
     """
     orders = np.asarray(orders, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if orders.shape != errors.shape:
         raise ValueError("orders and errors must align")
+    if not (np.isfinite(orders).all() and np.isfinite(errors).all()):
+        raise ValueError("orders and errors must be finite")
     idx = np.argsort(orders)
     orders, errors = orders[idx], errors[idx]
     orders, errors = orders[discard:], errors[discard:]
@@ -216,30 +219,9 @@ class Appendix1Row:
 @dataclass(frozen=True)
 class Appendix1Report:
     kind: str
-    samples: int
-    seed: int
     bound: float
     rows: list
     passed: bool
-
-
-def _integrated_sup(deriv_nodes, deriv_values):
-    """Per-column maxima of |p| on the dense sup grid for the degree-N
-    polynomials p with p(-1) = 0 and p'(deriv_nodes) = deriv_values (cols, N).
-
-    The differentiation matrix of the support {-1, deriv_nodes} maps the
-    values of p to those of p'.  p(-1) = 0 drops its first column and p'(-1)
-    is not prescribed, which drops its first row; the trailing block is solved
-    for p, then evaluated SUP_BLOCK grid rows at a time by barycentric
-    interpolation through the support."""
-    support = np.concatenate([[-1.0], deriv_nodes])
-    vals = np.zeros((support.size, deriv_values.shape[0]))
-    vals[1:] = np.linalg.solve(differentiation_matrix(support)[1:, 1:], deriv_values.T)
-    sup = np.zeros(vals.shape[1])
-    for _, v in _grid_blocks(support, _sup_grid(), vals):
-        np.maximum(sup, v.max(axis=0), out=sup)
-        np.maximum(sup, -v.min(axis=0), out=sup)
-    return sup
 
 
 def _order_list(suite, orders, smallest, floor):
@@ -253,35 +235,39 @@ def _order_list(suite, orders, smallest, floor):
     return orders
 
 
-def verify_appendix1(orders=APPENDIX1_ORDERS, samples=1000, kind="gauss", seed=7):
-    """Certify the uniform bound sup|p| <= 2 on random antiderivatives.
+def verify_appendix1(orders=APPENDIX1_ORDERS, kind="gauss"):
+    """Certify sup|p| <= 2 for every admissible p by its exact worst case.
 
-    For each order, `samples` random derivative vectors with entries in
-    [-1, 1] are prescribed at the chosen node family, interpolated, and
-    integrated from -1; the bound is checked on a dense grid.  The
-    extremal derivative data (all ones) must attain the bound exactly.
+    p has degree N, p(-1) = 0 and derivative data in [-1, 1] at the N nodes
+    of the chosen family.  p is linear in the data: column j of its table
+    is the antiderivative from -1 of the j-th Lagrange basis polynomial.  So
+    ``max_abs``, the worst case over all data, is the grid maximum of the
+    table's absolute row sums, and ``extremal_max``, the sup for the
+    all-ones data, that of |signed row sum|, which must reach 2 to 1e-12.
+    On the support {-1, nodes} the table is the inverse of the trailing
+    block of the differentiation matrix (p(-1) = 0 drops its first column;
+    p'(-1) is not prescribed, which drops its first row), and barycentric
+    interpolation evaluates it SUP_BLOCK grid rows at a time.
     An empty `orders` raises ValueError, as it would certify nothing, and
     so does a `kind` other than "gauss" or "radau".
     """
     orders = _order_list("appendix1", orders, APPENDIX1_ORDERS[0], 1)
-    if samples < 1:
-        raise ValueError("samples must be positive")
     rule = {"gauss": gauss_rule, "radau": radau_rule}.get(kind)
     if rule is None:
         raise ValueError(f"unknown node kind {kind!r}; expected 'gauss' or 'radau'")
-    rng = np.random.default_rng(seed)
     rows = []
     for N in orders:
-        nodes = rule(N).nodes
-        # the extremal all-ones row rides in the last column of one grid walk
-        vals = np.vstack([rng.uniform(-1.0, 1.0, size=(samples, N)), np.ones((1, N))])
-        sup = _integrated_sup(nodes, vals)
-        max_abs, extremal = float(np.max(sup[:-1])), float(sup[-1])
+        support = np.concatenate([[-1.0], rule(N).nodes])
+        table = np.zeros((N + 1, N))
+        table[1:] = np.linalg.inv(differentiation_matrix(support)[1:, 1:])
+        max_abs = extremal = 0.0
+        for _, v in _grid_blocks(support, _sup_grid(), table):
+            extremal = max(extremal, float(np.abs(v.sum(axis=1)).max()))
+            max_abs = max(max_abs, float(np.abs(v).sum(axis=1).max()))
         rows.append(Appendix1Row(
             order=N, max_abs=max_abs, extremal_max=extremal,
             passed=max_abs <= 2.0 + 1e-9 and abs(extremal - 2.0) <= 1e-12))
-    return Appendix1Report(kind=kind, samples=samples, seed=seed,
-                           bound=2.0, rows=rows,
+    return Appendix1Report(kind=kind, bound=2.0, rows=rows,
                            passed=all(r.passed for r in rows))
 
 

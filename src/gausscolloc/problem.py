@@ -51,6 +51,8 @@ class ControlSet:
     def box(lower=None, upper=None):
         lo = None if lower is None else np.asarray(lower, dtype=float)
         hi = None if upper is None else np.asarray(upper, dtype=float)
+        if any(b is not None and np.isnan(b).any() for b in (lo, hi)):
+            raise ValueError("box control set bound is NaN")
         if lo is not None and hi is not None and not np.all(lo < hi):
             raise ValueError("box control set needs lower < upper componentwise")
         # one bound takes the ufunc np.clip would run, without its slower dispatch

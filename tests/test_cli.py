@@ -48,10 +48,12 @@ def test_out_holds_what_stdout_would(capsys, tmp_path, argv):
     ["props", "--n-max", "2", "--seed", "3"],
     ["solve", "--problem", "hager84-constrained", "--N", "8", "--max", "5"],
     ["verify", "--suite", "appendix1", "--se", "3", "--n-max", "4"],
-], ids=["nodes --n", "solve --max-outer", "props --seed", "solve --max", "verify --se"])
+    ["verify", "--suite", "appendix1", "--samples", "5"],
+], ids=["nodes --n", "solve --max-outer", "props --seed", "solve --max", "verify --se",
+        "verify --samples"])
 def test_each_setting_has_one_spelling(capsys, argv):
-    # the removed aliases and prefixes of a flag are unknown, and only verify,
-    # whose appendix1 draws at random, takes a seed
+    # the removed flags, aliases and prefixes of a flag are unknown, and only
+    # verify takes the inert seed
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 3
@@ -136,8 +138,6 @@ class TestNodes:
         manifest = json.loads((tmp_path / "rule.csv.manifest.json").read_text())
         assert manifest["command"] == "nodes"
         assert manifest["parameters"] == {"n": 3, "kind": "gauss"}
-        # only verify takes a seed (appendix1's draws); the key stays, null
-        assert manifest["seed"] is None
         assert "timestamp" in manifest
 
     @pytest.mark.parametrize("bad", ["0", "1001", "-4", "2.5"])
@@ -238,7 +238,7 @@ class TestSolve:
 class TestVerify:
     def test_appendix1_small_run(self, capsys):
         code, out, _ = _run(capsys, "verify", "--suite", "appendix1",
-                            "--n-max", "8", "--samples", "50")
+                            "--n-max", "8")
         assert code == 0
         payload = json.loads(out)
         assert payload["suite"] == "appendix1"
@@ -261,7 +261,7 @@ class TestVerify:
             main(["verify", "--help"])
         assert excinfo.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
-        entry = text.split("--n-max N_MAX ", 1)[1].split("--samples", 1)[0]
+        entry = text.split("--n-max N_MAX ", 1)[1].split("--seed", 1)[0]
         assert "appendix1 and appendix2" in entry
         # interp runs each function's registered orders whatever --n-max says
         assert "interp" in entry
@@ -290,14 +290,21 @@ class TestVerify:
     def test_out_writes_payload_and_manifest(self, capsys, tmp_path):
         target = tmp_path / "a1.json"
         code, _, _ = _run(capsys, "verify", "--suite", "appendix1",
-                          "--n-max", "4", "--samples", "20",
-                          "--out", str(target))
+                          "--n-max", "4", "--out", str(target))
         assert code == 0
         assert json.loads(target.read_text())["passed"] is True
         manifest = json.loads((tmp_path / "a1.json.manifest.json").read_text())
         assert manifest["command"] == "verify"
-        assert manifest["parameters"]["samples"] == 20
-        assert manifest["seed"] == 7
+        # the inert seed is a parameter like any other; no key of its own
+        assert manifest["parameters"]["seed"] == 7
+        assert "seed" not in manifest
+
+    def test_seed_is_accepted_and_inert(self, capsys):
+        # appendix1 draws nothing at random, so the flag changes no byte
+        outs = [_run(capsys, "verify", "--suite", "appendix1", "--n-max", "8", *seed)
+                for seed in ([], ["--seed", "11"])]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
 
 
 class TestConvergence:
@@ -406,8 +413,7 @@ def test_scipy_linalg_loads_only_to_factor():
         seen, outs = {"import": "scipy.linalg" in sys.modules}, {}
         for key, argv in (
                 ("interp", ["verify", "--suite", "interp"]),
-                ("appendix1", ["verify", "--suite", "appendix1", "--n-max", "4",
-                               "--samples", "20"]),
+                ("appendix1", ["verify", "--suite", "appendix1", "--n-max", "4"]),
                 ("appendix2", ["verify", "--suite", "appendix2", "--n-max", "8"]),
                 ("props", ["props", "--n-max", "8"]),
                 ("solve", ["solve", "--problem", "hager84-constrained", "--N", "10"]),

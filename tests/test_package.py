@@ -43,7 +43,8 @@ def test_exports_are_exactly_the_public_names():
 def test_solving_loads_neither_analysis_nor_numpy_random():
     # a fresh interpreter: the built-ins' derivative audit draws no random
     # numbers, the analysis names load their module on first use, and a
-    # name outside __all__ raises AttributeError without loading it
+    # name outside __all__ raises AttributeError without loading it; the
+    # appendix1 certificate, exact over all data, draws none either
     script = textwrap.dedent("""
         import json, sys
         import gausscolloc
@@ -56,8 +57,11 @@ def test_solving_loads_neither_analysis_nor_numpy_random():
         loaded = [m for m in ("gausscolloc.analysis", "numpy.random") if m in sys.modules]
         verify = gausscolloc.verify_appendix1
         from gausscolloc import RateFit
+        certified = [verify(kind=kind).passed for kind in ("gauss", "radau")]
         print(json.dumps({"converged": converged, "missing": missing, "loaded": loaded,
-                          "resolved": [verify.__module__, RateFit.__module__]}))
+                          "resolved": [verify.__module__, RateFit.__module__],
+                          "certified": certified,
+                          "random_after_verify": "numpy.random" in sys.modules}))
     """)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
@@ -68,4 +72,5 @@ def test_solving_loads_neither_analysis_nor_numpy_random():
     assert json.loads(proc.stdout) == {
         "converged": [True, True],
         "missing": "module 'gausscolloc' has no attribute 'no_such_name'", "loaded": [],
-        "resolved": ["gausscolloc.analysis", "gausscolloc.analysis"]}
+        "resolved": ["gausscolloc.analysis", "gausscolloc.analysis"],
+        "certified": [True, True], "random_after_verify": False}

@@ -174,6 +174,15 @@ class TestControlSet:
         with pytest.raises(ValueError):
             ControlSet.box(lower=[2.0], upper=[-2.0])
 
+    @pytest.mark.parametrize("bounds", [
+        {"lower": np.nan}, {"upper": np.nan}, {"lower": [0.0, np.nan]},
+        {"lower": [np.nan], "upper": [1.0]},
+    ], ids=["lower", "upper", "one-component", "two-sided"])
+    def test_box_rejects_a_nan_bound(self, bounds):
+        # a NaN bound would project every control to NaN, found only inside solve
+        with pytest.raises(ValueError, match="NaN"):
+            ControlSet.box(**bounds)
+
     @pytest.mark.parametrize("cs", [
         ControlSet.unconstrained(),
         ControlSet.box(lower=[-1.0, 0.0], upper=[1.0, 2.0]),
