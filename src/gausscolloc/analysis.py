@@ -11,7 +11,7 @@ Four study families, each returning plain report objects:
 * ``verify_appendix2`` works in the basis psi_k = (1 - t^2) P_k' of
   polynomials vanishing at both endpoints: for a mapping of test
   functions it builds the basis once (the Gram matrix, the norms and psi
-  all come from the Legendre table, with at most two grid-sized tables
+  all come from one Legendre table, with at most two grid-sized tables
   alive at once), reproduces the closed-form norms, checks orthogonality,
   and tests the projection inequality ||u - pi_N u||_0 <= |u - pi_N u|_1 / N
   for each function, in one report per call.  The projection is orthogonal
@@ -305,23 +305,21 @@ def _psi_basis(kmax):
     h1 Gram matrix and l0 norms of psi_1..psi_kmax, and their closed forms:
     (P, psi, gram, l0, h1_exact, l0_exact).
 
-    h1 is the seminorm integral of (psi_k')^2, with psi_k' = -k(k+1) P_k;
-    l0 weights psi_k^2 by 1/(1-t^2).  At most two grid-sized tables are
-    alive at once.  Each product is made whole, as in the one-shot formulas,
-    since a Gram matrix built by row blocks moves bits once BLAS splits the
-    whole product over threads.  The Gram matrix needs the psi_k' table and
-    its weighted copy, so the Legendre table is dropped before them and
-    computed again after (it is pointwise, so its bits repeat).  psi comes
+    h1 is the seminorm integral of (psi_k')^2; since psi_k' = -k(k+1) P_k,
+    the Gram matrix is k(k+1) l(l+1) times the weighted Legendre products.
+    l0 weights psi_k^2 by 1/(1-t^2).  The Legendre table and its weighted
+    copy are the two grid-sized tables alive.  Each product is made whole,
+    as in the one-shot formulas, since a Gram matrix built by row blocks
+    moves bits once BLAS splits the whole product over threads.  psi comes
     from the identity (1 - t^2) P_k' = k (P_{k-1} - t P_k), written into the
     weighted copy's buffer; it is squared in place for l0 and written again.
     """
     pts, wts = _dense_grid()
     ks = np.arange(1, kmax + 1)
-    dpsi = -(ks * (ks + 1))[:, None] * legendre_table(kmax, pts)[1:]
-    psi = dpsi * wts  # weighted psi_k', until psi is written into its buffer
-    gram = psi @ dpsi.T
-    del dpsi
+    kk = ks * (ks + 1)
     P = legendre_table(kmax, pts)
+    psi = P[1:] * wts  # weighted P_k, until psi is written into its buffer
+    gram = np.outer(kk, kk) * (psi @ P[1:].T)
 
     def fill_psi():
         np.multiply(pts, P[1:], out=psi)
@@ -331,8 +329,7 @@ def _psi_basis(kmax):
     fill_psi()
     l0 = np.multiply(psi, psi, out=psi) @ (wts / ((1.0 - pts) * (1.0 + pts)))
     fill_psi()
-    return (P[1:], psi, gram, l0,
-            2.0 * ks * ks * (ks + 1) * (ks + 1) / (2 * ks + 1), 2.0 * ks * (ks + 1) / (2 * ks + 1))
+    return P[1:], psi, gram, l0, 2.0 * kk * kk / (2 * ks + 1), 2.0 * kk / (2 * ks + 1)
 
 
 def verify_appendix2(functions, orders=APPENDIX2_ORDERS):

@@ -26,15 +26,14 @@ _GAUSS_RULES = {}   # order -> QuadratureRule, filled by gauss_rules
 
 
 def _legendre_body(degree, x):
-    """P_n and P_n' at the points of the 1-d array x, where n is the point's
-    entry of ``degree``, an integer or an ascending integer array as long as
-    x; an integer is broadcast to one degree per point.
+    """P_n and P_n' at the points of the 1-d array x, all strictly inside
+    (-1, 1), where n is the point's entry of ``degree``, an ascending
+    integer array as long as x.
 
     Recurrence step k updates only the points with n > k.  Three buffers
     rotate roles without copying, so a point's P_n is left in buffer n % 3
     and its P_{n-1} in buffer (n - 1) % 3.
     """
-    degree = np.broadcast_to(degree, x.shape)
     buf = np.zeros((3, x.size))
     buf[0] = 1.0
     buf[1] = x
@@ -59,15 +58,8 @@ def _legendre_body(degree, x):
         k = n
     cols = np.arange(x.size)
     p, pm1 = buf[degree % 3, cols], buf[(degree - 1) % 3, cols]
-    # (1 - t^2) P_n'(t) = n (P_{n-1}(t) - t P_n(t)); closed form at t = +-1,
-    # the only points of [-1, 1] where 1 - t^2 is zero
-    denom = (1.0 - x) * (1.0 + x)
-    at_end = denom == 0.0
-    denom[at_end] = 1.0
-    dp = degree * (pm1 - x * p) / denom
-    if at_end.any():
-        n = degree[at_end]
-        dp[at_end] = np.sign(x[at_end]) ** (n - 1) * n * (n + 1) / 2.0
+    # (1 - t^2) P_n'(t) = n (P_{n-1}(t) - t P_n(t))
+    dp = degree * (pm1 - x * p) / ((1.0 - x) * (1.0 + x))
     # P_0' = 0 and P_1' = 1 exactly
     return p, np.where(degree < 2, degree, dp)
 

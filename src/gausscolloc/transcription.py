@@ -84,17 +84,22 @@ class Residual:
     y_norm: float
 
 
+def _check_trajectory(problem, N, traj):
+    """Raise DimensionMismatch unless X and Lambda are (N+2, n) and U (N, m)."""
+    shapes = tuple(np.shape(a) for a in (traj.X, traj.U, traj.Lambda))
+    want = ((N + 2, problem.n), (N, problem.m), (N + 2, problem.n))
+    if shapes != want:
+        raise DimensionMismatch(f"trajectory X, U, Lambda have shapes {shapes}, expected {want}")
+
+
 def eval_residual(problem, ops, traj):
     """Measure optimality-system violation of a trajectory; the solver calls
     ``_residual`` directly with the f, G, H_x, H_u and C_x it already holds.
     Raises DimensionMismatch unless X and Lambda are (N+2, n) and U (N, m),
     and unless the callbacks give f (N, n), f_x (N, n, n), f_u (N, n, m) and C_x (n,)."""
     N = ops.rule.order
+    _check_trajectory(problem, N, traj)
     X, U, Lam = traj.X, traj.U, traj.Lambda
-    shapes = (X.shape, np.shape(U), Lam.shape)
-    want = ((N + 2, problem.n), (N, problem.m), (N + 2, problem.n))
-    if shapes != want:
-        raise DimensionMismatch(f"trajectory X, U, Lambda have shapes {shapes}, expected {want}")
     Xc, Lc = X[1:N + 1], Lam[1:N + 1]
     F = _checked("dynamics", problem.dynamics(Xc, U), (N, problem.n))
     Hx, Hu = problem.ham_x(Xc, U, Lc), problem.ham_u(Xc, U, Lc)
@@ -171,15 +176,14 @@ def kkt_residuals(problem, ops, traj, mu):
     Uses only the forward matrix D (its column 0 covers the left endpoint)
     and never the scaled costate, so agreement of its zero set with the
     eval_residual blocks checks the multiplier transform end to end.
-    Returns a dict of sup norms keyed by condition; mu must have shape
-    (N+2, n), U (N, m) and C_x (n,), or DimensionMismatch is raised.
+    Returns a dict of sup norms keyed by condition; mu, X and Lambda must
+    have shape (N+2, n), U (N, m) and C_x (n,), or DimensionMismatch is raised.
     """
     rule = ops.rule
     N = rule.order
     w = rule.weights
+    _check_trajectory(problem, N, traj)
     X, U = traj.X, traj.U
-    if np.shape(U) != (N, problem.m):
-        raise DimensionMismatch(f"expected controls of shape {(N, problem.m)}, got {np.shape(U)}")
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (N + 2, problem.n):
         raise DimensionMismatch(f"expected multipliers of shape {(N + 2, problem.n)}, "

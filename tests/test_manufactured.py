@@ -1,0 +1,159 @@
+"""A nonlinear, coupled, time-dependent problem with a known solution.
+
+The method of manufactured solutions picks the optimal state and costate
+first and derives the problem's data from them.  On [-1, 1], with a clock
+state tau (tau' = 1, tau(-1) = -1, so tau = t):
+
+    minimise    x(1) / 2 + integral (u^2 + (x - x_ref(tau))^2) / 2 dt
+    subject to  x' = -x^3 / 6 + u + r(tau),   x(-1) = x*(-1),
+
+with x* = 1/2 + sin(t) / 4 and lambda* = 1/2 + sin(t - 1) / 2, so that
+lambda*(1) = 1/2 is the terminal cost's gradient.  The control minimises
+the Hamiltonian, u* = P(-lambda*); the dynamics give r = x*' + x*^3 / 6 - u*,
+and the x-costate equation lambda' = lambda x^2 / 2 - (x - x_ref) gives
+x_ref = x* + lambda*' - lambda* x*^2 / 2.  The running cost enters through
+``augment_bolza``, so the states are (x, tau, z).
+
+This is the one test problem whose dynamics are nonlinear in x, read a
+clock state and have a non-quadratic Hamiltonian: x reads itself and tau,
+so ``newton_factors`` makes an LU of their 2N x 2N block.
+"""
+
+import numpy as np
+import pytest
+
+from gausscolloc import (ControlProblem, ControlSet, RunningCost, SolverConfig,
+                         audit_derivatives, augment_bolza, build_operators, full_grid,
+                         gauss_rule, solve)
+from gausscolloc.solver import newton_factors, solve_state
+
+CEILING = -0.3  # the box u <= CEILING is active on [-1, about 0.59]
+
+
+def _x(t):
+    return 0.5 + 0.25 * np.sin(t), 0.25 * np.cos(t), -0.25 * np.sin(t)
+
+
+def _lam(t):
+    return 0.5 + 0.5 * np.sin(t - 1.0), 0.5 * np.cos(t - 1.0), -0.5 * np.sin(t - 1.0)
+
+
+def _u(t, upper):
+    """u* = P(-lambda*) and its derivative."""
+    lam, dlam, _ = _lam(t)
+    if upper is None:
+        return -lam, -dlam
+    free = -lam < upper
+    return np.where(free, -lam, upper), np.where(free, -dlam, 0.0)
+
+
+def _r(t, upper):
+    """r = x*' + x*^3 / 6 - u* and r'."""
+    x, dx, ddx = _x(t)
+    u, du = _u(t, upper)
+    return dx + x ** 3 / 6.0 - u, ddx + x * x * dx / 2.0 - du
+
+
+def _x_ref(t):
+    """x_ref = x* + lambda*' - lambda* x*^2 / 2 and its derivative."""
+    x, dx, _ = _x(t)
+    lam, dlam, ddlam = _lam(t)
+    return (x + dlam - lam * x * x / 2.0,
+            dx + ddlam - dlam * x * x / 2.0 - lam * x * dx)
+
+
+def _manufactured(upper):
+    """The problem with u <= upper, or with no bound when upper is None."""
+    def dynamics(X, U):
+        x, tau = X[:, 0], X[:, 1]
+        return np.column_stack([-x ** 3 / 6.0 + U[:, 0] + _r(tau, upper)[0],
+                                np.ones(len(X))])
+
+    def dynamics_x(X, U):
+        J = np.zeros((len(X), 2, 2))
+        J[:, 0, 0] = -X[:, 0] ** 2 / 2.0
+        J[:, 0, 1] = _r(X[:, 1], upper)[1]
+        return J
+
+    def gap(X):
+        ref, dref = _x_ref(X[:, 1])
+        return X[:, 0] - ref, dref
+
+    def grad_x(X, U):
+        e, dref = gap(X)
+        return np.column_stack([e, -e * dref])
+
+    base = ControlProblem(
+        name="", n=2, m=1,
+        dynamics=dynamics, dynamics_x=dynamics_x,
+        dynamics_u=lambda X, U: np.tile([[1.0], [0.0]], (len(X), 1, 1)),
+        cost=lambda x: 0.5 * x[0],
+        cost_grad=lambda x: np.array([0.5, 0.0]),
+        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
+        x0=np.array([_x(-1.0)[0], -1.0]),
+        control_set=(ControlSet.unconstrained() if upper is None
+                     else ControlSet.box(upper=upper)))
+    running = RunningCost(
+        value=lambda X, U: 0.5 * (U[:, 0] ** 2 + gap(X)[0] ** 2),
+        grad_x=grad_x,
+        grad_u=lambda X, U: U.copy(),
+        hess_uu=lambda X, U: np.ones((len(X), 1, 1)))
+    return augment_bolza(base, running, name="manufactured")
+
+
+# solve stops once its residual norm y is at most tol_y = 1e-10.  With the
+# box, every N from 10 to 320 converges in 9 iterates, and X, U and the
+# x-costate end at most 0.8 y from the analytic solution (4.4e-11 at
+# y = 5.6e-11, N = 10; the nodes do not see the kink of u*, which r
+# cancels), so the discretization error is below the solver's and tol_y
+# bounds both.  With no bound the solve stalls at y = 4.7e-8, 2.2e-8 to
+# 2.5e-8 from the analytic solution
+BOUND = SolverConfig().tol_y
+STALLS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the H_uu-scaled projected-gradient step stalls: 200 iterates end at "
+           "y = 4.7e-8 at every N; a semismooth Newton step should fix it")
+
+
+@pytest.mark.parametrize("upper", [None, CEILING], ids=["unbounded", "ceiling"])
+def test_derivatives_pass_the_audit(upper):
+    assert audit_derivatives(_manufactured(upper)) > 0
+
+
+@pytest.mark.parametrize("upper", [None, CEILING], ids=["unbounded", "ceiling"])
+def test_analytic_state_solves_the_analytic_control(upper):
+    # the manufactured data are consistent: under u*, the collocated state
+    # is x* to the discretization error
+    N = 40
+    rule = gauss_rule(N)
+    t = full_grid(rule)
+    U = _u(rule.nodes, upper)[0][:, None]
+    X = solve_state(_manufactured(upper), build_operators(rule), U,
+                    config=SolverConfig(tol_y=1e-12)).X
+    np.testing.assert_allclose(X[:, 0], _x(t)[0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(X[:, 1], t, rtol=0.0, atol=1e-14)
+
+
+def test_clock_and_state_are_factored_together():
+    # x reads x and tau, tau reads nothing and nothing reads z: the live block
+    # is (x, tau), it has an LU, and z follows by substitution
+    N = 10
+    rule = gauss_rule(N)
+    X = np.column_stack([_x(rule.nodes)[0], rule.nodes, np.zeros(N)])
+    factors = newton_factors(_manufactured(CEILING), build_operators(rule), X,
+                             _u(rule.nodes, CEILING)[0][:, None])
+    np.testing.assert_array_equal(factors.live, [0, 1])
+    np.testing.assert_array_equal(factors.dead, [2])
+    assert factors.lu is not None and factors.lu[0].shape == (2 * N, 2 * N)
+
+
+@pytest.mark.parametrize("upper, N", [
+    *(pytest.param(None, N, marks=STALLS, id=f"unbounded-{N}") for N in (10, 40)),
+    *(pytest.param(CEILING, N, id=f"ceiling-{N}") for N in (10, 40, 320))])
+def test_solve_reaches_the_analytic_solution(upper, N):
+    report = solve(_manufactured(upper), N)
+    assert report.converged, (report.termination, report.outer_iters, report.y_norm)
+    t = report.traj.nodes
+    np.testing.assert_allclose(report.traj.X[:, 0], _x(t)[0], rtol=0.0, atol=BOUND)
+    np.testing.assert_allclose(report.traj.U[:, 0], _u(t[1:-1], upper)[0], rtol=0.0, atol=BOUND)
+    np.testing.assert_allclose(report.traj.Lambda[:, 0], _lam(t)[0], rtol=0.0, atol=BOUND)

@@ -8,28 +8,47 @@ Gauss points:
     minimise    sum_i w_i (|x_i|^2 + |u_i|^2) / 2
     subject to  D[:, 1:] X_c + D[:, 0] x0^T = X_c A^T + U B^T.
 
-``_oracle`` solves its KKT system with one dense solve.  With a box on
-the controls, ``_box_oracle`` eliminates the states, X_c = S U + s_0, by
-one dense solve and minimises the objective over the box by bounded-variable
-least squares.  Both read only D and the quadrature weights, so they share
-no code with ``solve``.
+``_oracle`` solves its KKT system with one dense solve, which also gives
+the multipliers of the dynamics; ``_oracle_trajectory`` carries them over
+to the transcribed problem, so the package's own residuals check the
+oracle.  With a box on the controls, ``_box_oracle`` eliminates the states,
+X_c = S U + s_0, by one dense solve and minimises the objective over the
+box by bounded-variable least squares.  Both read only D and the quadrature
+weights, so they share no code with ``solve``.
+
+The cases are four hand-picked problems, twelve seeded draws with n and m
+in 1..3, and the two-control problem xdot = u1 + 2 u2, each at N = 10 and 40.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
-from gausscolloc import (ControlProblem, ControlSet, RunningCost, augment_bolza,
-                         build_operators, gauss_rule, solve)
+from gausscolloc import (ControlProblem, ControlSet, RunningCost, SolverConfig, Trajectory,
+                         augment_bolza, build_operators, eval_residual, full_grid,
+                         gauss_rule, kkt_residuals, multipliers_to_costate, solve)
 
-# solve stops once its residual norm y is at most tol_y = 1e-10.  On the
-# converging rows its controls and states end within 5.7e-11 of the oracle's,
-# so 10 tol_y covers that gap; the stalled rows end 5.7e-9 to 9.2e-8 away
-BOUND = 1e-9
+TOL_Y = SolverConfig().tol_y
+# the oracle's own residuals, at N <= 40 on these data, read at most 2.4e-13
+ROUNDING = 1e-12
 STALLS = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="the H_uu-scaled projected-gradient step stalls: 200 iterates end at y "
-           "between 3e-8 and 2.3e-7; a semismooth Newton step should fix it")
+           "between 2.4e-9 and 2.6; a semismooth Newton step should fix it")
+
+
+def _seeded_cases(passing):
+    """Twelve draws from default_rng(0): n, m in 1..3, A ~ N(0, 1),
+    B ~ N(0, 1) U(0.5, 3) and x0 ~ N(0, 1); the draws not in `passing` stall."""
+    rng = np.random.default_rng(0)
+    cases = {}
+    for i in range(12):
+        n, m = rng.integers(1, 4), rng.integers(1, 4)
+        A = rng.standard_normal((n, n))
+        B = rng.standard_normal((n, m)) * rng.uniform(0.5, 3.0)
+        cases[f"draw{i}"] = (A, B, rng.standard_normal(n), () if i in passing else STALLS)
+    return cases
+
 
 # (A, B, x0, marks): the scalar rows are given as numbers
 LQ_CASES = {
@@ -37,6 +56,8 @@ LQ_CASES = {
     "grow": (0.5, 1.0, 1.0, STALLS),
     "gain3": (0.3, 3.0, -0.7, STALLS),
     "oscillator": ([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [1.0, 0.0], STALLS),
+    **_seeded_cases(passing={3, 9}),
+    "two-control": (0.0, [[1.0, 2.0]], 1.0, STALLS),
 }
 # (A, B, x0, lower, upper, marks) of scalar problems with a one-sided box,
 # active at some nodes; None leaves a side open
@@ -77,8 +98,9 @@ def _lq_problem(A, B, x0, control_set=ControlSet.unconstrained()):
 
 
 def _oracle(A, B, x0, N):
-    """(X_c, U, D) of the collocated QP at order N, from one dense KKT solve
-    in the unknowns vec(X_c), vec(U) (row-major) and the multipliers."""
+    """(X_c, U, nu, D) of the collocated QP at order N, from one dense KKT
+    solve in the unknowns vec(X_c), vec(U) (row-major) and the multipliers
+    nu (N, n) of the dynamics, with Lagrangian objective + nu . (dynamics)."""
     rule = gauss_rule(N)
     D, w = build_operators(rule).D, rule.weights
     n, m = B.shape
@@ -88,22 +110,79 @@ def _oracle(A, B, x0, N):
     K = np.block([[H, C.T], [C, np.zeros((N * n, N * n))]])
     rhs = np.concatenate([np.zeros(N * (n + m)), -np.outer(D[:, 0], x0).ravel()])
     v = np.linalg.solve(K, rhs)
-    return v[:N * n].reshape(N, n), v[N * n:N * (n + m)].reshape(N, m), D
+    X, U, nu = np.split(v, [N * n, N * (n + m)])
+    return X.reshape(N, n), U.reshape(N, m), nu.reshape(N, n), D
+
+
+def _oracle_trajectory(A, B, x0, N):
+    """The oracle as a trajectory of the transcribed problem, with states
+    (x, z) for z the running-cost integrator, and its raw multipliers mu.
+
+    The transcription's Lagrangian subtracts mu_c . (D X - f) at the nodes,
+    so mu_c = (-nu, 0): nothing reads z.  Its terminal multiplier is the
+    cost gradient (0, 1), and the left one mu_end - D[:, 0] . mu_c."""
+    X_c, U, nu, D = _oracle(A, B, x0, N)
+    rule = gauss_rule(N)
+    w = rule.weights
+    n = len(x0)
+    running = 0.5 * (np.sum(X_c * X_c, axis=1) + np.sum(U * U, axis=1))
+    X = np.zeros((N + 2, n + 1))
+    X[0, :n] = x0
+    X[1:N + 1] = np.column_stack([X_c, np.linalg.solve(D[:, 1:], running)])
+    X[N + 1] = np.append(x0 + w @ (X_c @ A.T + U @ B.T), w @ running)
+    mu = np.zeros((N + 2, n + 1))
+    mu[1:N + 1, :n] = -nu
+    mu[N + 1, n] = 1.0
+    mu[0] = mu[N + 1] - D[:, 0] @ mu[1:N + 1]
+    traj = Trajectory(nodes=full_grid(rule), X=X, U=U,
+                      Lambda=multipliers_to_costate(mu, rule))
+    return traj, mu
+
+
+def _state_map(A, B, x0, N):
+    """(S, s_0) with X_c = S U + s_0 on vec(X_c) and vec(U), from one dense
+    solve of the collocated dynamics."""
+    D = build_operators(gauss_rule(N)).D
+    n = len(x0)
+    M = np.kron(D[:, 1:], np.eye(n)) - np.kron(np.eye(N), A)
+    S = np.linalg.solve(M, np.column_stack([np.kron(np.eye(N), B),
+                                            -np.outer(D[:, 0], x0).ravel()]))
+    return S[:, :-1], S[:, -1]
+
+
+def _bounds(A, B, x0, N, box):
+    """How far a solve that stops at y <= tol_y can be from the optimum, in
+    U and in X_c, at every node.
+
+    y bounds the control residual r_i = U_i - P(U_i - H_u,i) at each node.
+    With the states eliminated, H_u is the gradient of the QP in U in the
+    quadrature metric |V|_W^2 = sum_i w_i |V_i|^2, in which its Hessian
+    W^-1/2 (S^T W S + W) W^-1/2 has extreme eigenvalues mu >= 1 and L.  So
+    |U - U*|_W <= c |r|_W, with c = 1 / mu without a box and the
+    natural-residual constant c = (1 + L) / mu with one; |r|_W <= sqrt(2) y
+    since the weights sum to 2, and a node's error is at most
+    |U - U*|_W / sqrt(min w).  X_c - X_c* = S (U - U*) scales that by the
+    largest row sum of |S|.  The states and costates of a linear problem
+    are solved to rounding, so H_u is that gradient."""
+    w = gauss_rule(N).weights
+    n, m = B.shape
+    S, _ = _state_map(A, B, x0, N)
+    Sw = S / np.sqrt(np.repeat(w, m))
+    mu, L = np.linalg.eigvalsh(Sw.T @ (np.repeat(w, n)[:, None] * Sw)
+                               + np.eye(N * m))[[0, -1]]
+    c = (1.0 + L) / mu if box else 1.0 / mu
+    bound_u = c * np.sqrt(2.0) * TOL_Y / np.sqrt(w.min())
+    return bound_u, np.abs(S).sum(axis=1).max() * bound_u
 
 
 def _box_oracle(A, B, x0, N, lower, upper):
     """(X_c, U) of the collocated QP at order N with every control in
-    [lower, upper] (None leaves a side open).  One dense solve of the
-    dynamics gives X_c = S U + s_0, and the objective is half the squared
-    norm of sqrt(w) (S U + s_0) stacked on sqrt(w) U, which bounded-variable
-    least squares minimises over the box."""
-    rule = gauss_rule(N)
-    D, w = build_operators(rule).D, rule.weights
+    [lower, upper] (None leaves a side open).  With X_c = S U + s_0, the
+    objective is half the squared norm of sqrt(w) (S U + s_0) stacked on
+    sqrt(w) U, which bounded-variable least squares minimises over the box."""
+    w = gauss_rule(N).weights
     n, m = B.shape
-    M = np.kron(D[:, 1:], np.eye(n)) - np.kron(np.eye(N), A)
-    S = np.linalg.solve(M, np.column_stack([np.kron(np.eye(N), B),
-                                            -np.outer(D[:, 0], x0).ravel()]))
-    S, s0 = S[:, :-1], S[:, -1]
+    S, s0 = _state_map(A, B, x0, N)
     rx, ru = np.sqrt(np.repeat(w, n)), np.sqrt(np.repeat(w, m))
     U = lsq_linear(np.vstack([rx[:, None] * S, np.diag(ru)]),
                    np.concatenate([-rx * s0, np.zeros(N * m)]),
@@ -122,19 +201,46 @@ def _max_defect(A, B, x0, X, U, D):
                                   for name, case in LQ_CASES.items()])
 def test_solve_reaches_the_oracle(name, N):
     A, B, x0 = _data(name)
-    X, U, _ = _oracle(A, B, x0, N)
+    X, U, _, _ = _oracle(A, B, x0, N)
+    bound_u, bound_x = _bounds(A, B, x0, N, box=False)
     report = solve(_lq_problem(A, B, x0), N)
     assert report.converged, (report.termination, report.outer_iters, report.y_norm)
-    np.testing.assert_allclose(report.traj.U, U, rtol=0.0, atol=BOUND)
-    np.testing.assert_allclose(report.traj.X[1:N + 1, :len(x0)], X, rtol=0.0, atol=BOUND)
+    np.testing.assert_allclose(report.traj.U, U, rtol=0.0, atol=bound_u)
+    np.testing.assert_allclose(report.traj.X[1:N + 1, :len(x0)], X, rtol=0.0, atol=bound_x)
 
 
 @pytest.mark.parametrize("N", [10, 40])
 @pytest.mark.parametrize("name", list(LQ_CASES))
 def test_oracle_meets_the_discrete_dynamics(name, N):
     A, B, x0 = _data(name)
-    X, U, D = _oracle(A, B, x0, N)
+    X, U, _, D = _oracle(A, B, x0, N)
     assert _max_defect(A, B, x0, X, U, D) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [10, 40])
+@pytest.mark.parametrize("name", list(LQ_CASES))
+def test_oracle_is_a_kkt_point_of_the_transcription(name, N):
+    # the multipliers, mapped to the costate by multipliers_to_costate,
+    # zero both the multiplier-form and the costate-form residuals
+    A, B, x0 = _data(name)
+    problem, ops = _lq_problem(A, B, x0), build_operators(gauss_rule(N))
+    traj, mu = _oracle_trajectory(A, B, x0, N)
+    assert max(kkt_residuals(problem, ops, traj, mu).values()) <= ROUNDING
+    assert eval_residual(problem, ops, traj).y_norm <= ROUNDING
+
+
+@pytest.mark.parametrize("N", [10, 40])
+@pytest.mark.parametrize("name", [name for name, case in LQ_CASES.items() if not case[3]])
+def test_converged_solve_is_the_oracle_trajectory(name, N):
+    # where solve converges, its state, control and costate all agree with
+    # the oracle's to tol_y
+    A, B, x0 = _data(name)
+    traj, _ = _oracle_trajectory(A, B, x0, N)
+    report = solve(_lq_problem(A, B, x0), N)
+    assert report.converged
+    for got, want in zip((report.traj.X, report.traj.U, report.traj.Lambda),
+                         (traj.X, traj.U, traj.Lambda)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=TOL_Y)
 
 
 @pytest.mark.parametrize("N", [10, 40])
@@ -144,10 +250,11 @@ def test_solve_reaches_the_box_oracle(name, N):
     A, B, x0, lower, upper, _ = BOX_CASES[name]
     A, B, x0 = _arrays(A, B, x0)
     X, U = _box_oracle(A, B, x0, N, lower, upper)
+    bound_u, bound_x = _bounds(A, B, x0, N, box=True)
     report = solve(_lq_problem(A, B, x0, ControlSet.box(lower, upper)), N)
     assert report.converged, (report.termination, report.outer_iters, report.y_norm)
-    np.testing.assert_allclose(report.traj.U, U, rtol=0.0, atol=BOUND)
-    np.testing.assert_allclose(report.traj.X[1:N + 1, :len(x0)], X, rtol=0.0, atol=BOUND)
+    np.testing.assert_allclose(report.traj.U, U, rtol=0.0, atol=bound_u)
+    np.testing.assert_allclose(report.traj.X[1:N + 1, :len(x0)], X, rtol=0.0, atol=bound_x)
 
 
 @pytest.mark.parametrize("N", [10, 40])
@@ -167,7 +274,7 @@ def test_box_oracle_keeps_the_box_and_the_dynamics(name, N):
 @pytest.mark.parametrize("N", [10, 40])
 def test_an_inactive_box_gives_the_kkt_optimum(N):
     A, B, x0 = _data("decay")
-    X, U, _ = _oracle(A, B, x0, N)
+    X, U, _, _ = _oracle(A, B, x0, N)
     Xb, Ub = _box_oracle(A, B, x0, N, -10.0, 10.0)
     np.testing.assert_allclose(Ub, U, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(Xb, X, rtol=0.0, atol=1e-12)

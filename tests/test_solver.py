@@ -724,12 +724,6 @@ class TestSolve:
     def test_two_control_problem_converges(self):
         assert solve(_two_control_problem(), 6).converged
 
-    @pytest.mark.xfail(strict=True, reason="the H_uu-scaled gradient step stalls at "
-                       "y = 2.6e-7 after 200 iterates; a semismooth Newton step should fix it")
-    def test_two_control_stall(self):
-        # xdot = u1 + 2 u2: the control gain is large against H_uu = I
-        assert solve(_two_control_bolza(2.0, "stall"), 10).converged
-
     def test_termination_line_search_failed(self, monkeypatch):
         # the cold start's state solve succeeds; every trial diverges
         real = solve_state

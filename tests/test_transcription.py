@@ -325,6 +325,17 @@ class TestSolvedOptimum:
         with pytest.raises(DimensionMismatch, match="shape"):
             kkt_residuals(problem, build_operators(rule), report.traj, bad)
 
+    @pytest.mark.parametrize("shape", [(10, 3), (9, 2), (11, 2), (10,)])
+    def test_kkt_rejects_a_misshapen_state_stack(self, solved, shape):
+        # an extra column used to give residuals that all looked converged
+        # (<= 4.6e-12) and N + 1 rows raised IndexError
+        problem, report = solved
+        rule = gauss_rule(8)
+        mu = costate_to_multipliers(report.traj.Lambda, rule)
+        bad = replace(report.traj, X=np.resize(report.traj.X, shape))
+        with pytest.raises(DimensionMismatch, match=re.escape(str(shape))):
+            kkt_residuals(problem, build_operators(rule), bad, mu)
+
     def test_state_polynomial_endpoint(self, solved):
         _, report = solved
         x_end, _ = interpolate_trajectory(report.traj, 1.0)
