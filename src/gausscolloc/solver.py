@@ -1,18 +1,19 @@
-"""Collocation solver: projected gradient on the control with exact
-state and costate elimination.
+"""Collocation solver: Newton-CG or projected gradient on the control, with
+exact state and costate elimination.
 
 Each outer iteration solves the collocated state equations for the current
-control and the collocated adjoint equations in one linear pass, then takes
-a projected, Hessian-scaled descent step on the control with an Armijo
-backtracking line search, until the combined optimality residual drops
-below ``tol_y``.
+control and the collocated adjoint equations in one linear pass, then
+backtracks on P(U - t d) to an Armijo decrease, until the combined optimality
+residual drops below ``tol_y``.  With no control active, d solves the reduced
+Hessian system H d = w H_u by truncated Newton-CG, preconditioned by the
+control Hessian H_uu of the Hamiltonian; else d is H_u scaled by H_uu.
 
 Both eliminations use one collocation Jacobian J = (D[:, 1:] x I) M, with
 M = I - (Dinv x I) blockdiag(f_x) preconditioned by the inverse Dinv of the
 trailing block D[:, 1:] (sup norm below 2 at every order) and factored once
-per accepted iterate.  Every state Newton step is one J solve, and the
-costate is one J^T solve, both by ``_jacobian_solve``; line-search trials
-run chord Newton on the accepted iterate's factors.  The
+per accepted iterate.  Every state Newton step is one J solve, the costate
+one J^T solve and a product with H one of each, all by ``_jacobian_solve``;
+line-search trials run chord Newton on the accepted iterate's factors.  The
 state defect is measured in the residual's quadrature-weighted norm and
 driven a decade below ``tol_y`` (never below ``NEWTON_TOL``).  Nothing an
 order or an iterate fixes is computed twice: the operators are cached per
@@ -61,6 +62,10 @@ BACKTRACK = 0.5       # line-search step factor per rejected trial
 STEP_INIT = 1.0       # first trial step of every line search
 MAX_HALVINGS = 60     # line-search trials per outer iteration
 ACTIVITY_TOL = 1e-8   # projection gap above which a control is active
+CG_RTOL = 1e-11       # Newton-CG residual target, relative to the gradient norm
+CG_ATOL = 1e-13       # floor of the Newton-CG residual target
+CG_MAX = 50           # Newton-CG iterations per step
+FD_HVP = 1e-4         # sup-norm step of the Hessian product's central differences
 
 
 @dataclass(frozen=True)
@@ -265,22 +270,66 @@ def solve_costate(problem, ops, X, U, terminal, factors=None):
     return Lam, Hx
 
 
-def _descent_direction(problem, X, U, Lam, Hu):
-    """Per-node direction: Hessian-scaled gradient where the control
-    Hessian of the Hamiltonian is positive definite, raw gradient else;
-    raises EvaluationFailure when that Hessian is not finite."""
+def _descent_direction(problem, X, U, Lam):
+    """The function taking a gradient G (N, m) to its per-node step: the control
+    Hessian of the Hamiltonian at the iterate solved against G where it is positive
+    definite, G itself else; raises EvaluationFailure if that Hessian is not finite."""
     R = _checked("ham_hess_uu", problem.ham_hess_uu(X[1:-1], U, Lam[1:-1]),
                  (len(U), problem.m, problem.m))
     if not np.isfinite(R).all():
         raise EvaluationFailure("ham_hess_uu gave non-finite values")
     if problem.m == 1:  # a 1x1 block is its eigenvalue, and LAPACK solves it by division
-        r = np.asarray(R)[:, 0]
-        with np.errstate(over="ignore"):  # as LAPACK, which raises no overflow flag
-            return np.divide(Hu, r, out=Hu.copy(), where=r > 0.0)
+        r = np.asarray(R)[:, 0]  # overflow is ignored, as LAPACK raises no flag for it
+        return np.errstate(over="ignore")(lambda G: np.divide(G, r, out=G.copy(), where=r > 0.0))
     pd = np.linalg.eigvalsh(R)[:, 0] > 0.0
-    d = Hu.copy()
-    d[pd] = np.linalg.solve(R[pd], Hu[pd, :, None])[:, :, 0]
-    return d
+
+    def direction(G):
+        d = G.copy()
+        d[pd] = np.linalg.solve(R[pd], G[pd, :, None])[:, :, 0]
+        return d
+    return direction
+
+
+def _hessian_product(problem, ops, factors, X, U, Lam, B, V):
+    """H V for the reduced Hessian H, whose gradient in U is w H_u, at the iterate
+    with ``factors`` and f_u = B (N, n, m): w (H_ux dX + H_uu V + f_u^T dLam), with
+    dX a J solve of f_u V and dLam a J^T solve of the terminal row at C_xx dx_end
+    plus w (H_xx dX + H_xu V).  Second-order terms are central differences of H_x,
+    H_u and C_x along (dX, V), with Lam fixed, over a sup-norm step FD_HVP."""
+    w, Xc, Lc = ops.rule.weights, X[1:-1], Lam[1:-1]
+    dF = np.einsum("kij,kj->ki", B, V)
+    dX = _jacobian_solve(ops, factors, dF)
+    dx_end = w @ (np.einsum("kij,kj->ki", factors.A, dX) + dF)
+    h = FD_HVP / max(np.abs(dX).max(), np.abs(V).max())
+    Hx, Hu = ((fn(Xc + h * dX, U + h * V, Lc) - fn(Xc - h * dX, U - h * V, Lc)) / (2.0 * h)
+              for fn in (problem.ham_x, problem.ham_u))
+    Cxx = (np.asarray(problem.cost_grad(X[-1] + h * dx_end))
+           - np.asarray(problem.cost_grad(X[-1] - h * dx_end))) / (2.0 * h)
+    rhs = (w * ops.D_dagger[:, -1])[:, None] * Cxx + w[:, None] * Hx
+    dLam = _jacobian_solve(ops, factors, rhs, transposed=True) / w[:, None]
+    return w[:, None] * (Hu + np.einsum("kij,ki->kj", B, dLam))
+
+
+def _newton_cg(hessian, precondition, b):
+    """Truncated PCG for H d = b from d = 0: stops at |r| <= max(CG_RTOL |b|,
+    CG_ATOL), after CG_MAX products or at curvature p.Hp <= 0 (Steihaug), and
+    returns its iterate, or the preconditioned gradient if it has none."""
+    d, r = np.zeros_like(b), b.copy()
+    p = z = precondition(r)
+    rz, tol = np.vdot(r, z), max(CG_RTOL * np.linalg.norm(b), CG_ATOL)
+    for it in range(CG_MAX):
+        if np.linalg.norm(r) <= tol:
+            break
+        Hp = hessian(p)
+        pHp = np.vdot(p, Hp)
+        if pHp <= 0.0:
+            break
+        d += rz / pHp * p
+        r -= rz / pHp * Hp
+        z = precondition(r)
+        rz, rz_old = np.vdot(r, z), rz
+        p = z + rz / rz_old * p
+    return d if it else z
 
 
 def solve(problem, N, config=None, warm_start=None):
@@ -339,7 +388,9 @@ def solve(problem, N, config=None, warm_start=None):
         factors = newton_factors(problem, ops, X[1:N + 1], U)
         g = problem.cost_grad(X[N + 1])
         Lam, Hx = solve_costate(problem, ops, X, U, g, factors)
-        Hu = problem.ham_u(X[1:N + 1], U, Lam[1:N + 1])
+        B = _checked("dynamics_u", problem.dynamics_u(X[1:N + 1], U), (N, problem.n, m))
+        Hu = np.einsum("kij,ki->kj", B, Lam[1:N + 1])
+        active = np.abs(U - Hu - project(U - Hu)) > ACTIVITY_TOL
         traj = Trajectory(nodes=nodes, X=X, U=U, Lambda=Lam)
         report = _residual(problem, ops, traj, state.F, state.G, state.defect, Hx, Hu, g)
         if not (math.isfinite(obj) and math.isfinite(report.y_norm)):
@@ -350,7 +401,10 @@ def solve(problem, N, config=None, warm_start=None):
             break
 
         grad = w[:, None] * Hu
-        d = _descent_direction(problem, X, U, Lam, Hu)
+        direction = _descent_direction(problem, X, U, Lam)
+        d = direction(Hu) if active.any() else _newton_cg(
+            lambda V: _hessian_product(problem, ops, factors, X, U, Lam, B, V),
+            lambda r: direction(r / w[:, None]), grad)
 
         step = STEP_INIT
         for _ in range(MAX_HALVINGS):
@@ -373,8 +427,6 @@ def solve(problem, N, config=None, warm_start=None):
 
         U, state, obj = U_t, state_t, obj_t
 
-    pre = U - Hu
-    active = np.abs(pre - project(pre)) > ACTIVITY_TOL
     termination = ("converged" if converged else
                    "max_iter" if outer == config.max_outer else "line_search_failed")
 

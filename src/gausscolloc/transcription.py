@@ -119,8 +119,7 @@ def _residual(problem, ops, traj, F, G, defect, Hx, Hu, g):
     costate_endpoint = Lam[N + 1] - Lam[0] + w @ Hx
     costate_defect = ops.D_dagger @ Lam[1:] + Hx
     transversality = Lam[N + 1] - g
-    pre = U - Hu
-    control_residual = U - problem.control_set.project(pre)
+    control_residual = U - problem.control_set.project(U - Hu)
 
     # endpoint blocks enter with their Euclidean length, collocated blocks
     # with the quadrature-weighted l2 norm, the control block with the
@@ -198,8 +197,7 @@ def kkt_residuals(problem, ops, traj, mu):
     left_coupling = mu[N + 1] - mu[0] - ops.D[:, 0] @ mu_c
     stationarity_x = ops.D[:, 1:].T @ mu_c - Hx
     terminal = mu[N + 1] - _checked("cost_grad", problem.cost_grad(X[N + 1]), (problem.n,))
-    pre = U - Hu
-    stationarity_u = U - problem.control_set.project(pre)
+    stationarity_u = U - problem.control_set.project(U - Hu)
 
     return {
         "left_coupling": float(np.max(np.abs(left_coupling))),

@@ -126,10 +126,12 @@ class TestInterpolationStudy:
         # study also holds vectors over the dense grid: the exact derivative,
         # the interpolated one and the temporaries of udot and of the error
         # norm, six at most.  A full-grid evaluation matrix alone is
-        # 16384 x (N+1), 32 times a block's.
+        # 16384 x (N+1), 32 times a block's, and the bound must stay below
+        # it, or it would not tell blocked from unblocked evaluation
         _dense_grid(), _sup_grid()
         N = max(INTERP_FUNCTIONS[name].orders)
         bound = 8 * (3 * analysis.SUP_BLOCK * (N + 1) + 6 * _dense_grid()[0].size)
+        whole = 8 * _dense_grid()[0].size * (N + 1)
         tracemalloc.start()
         try:
             rows, passed, _ = run_interp_suite(name)
@@ -137,7 +139,7 @@ class TestInterpolationStudy:
         finally:
             tracemalloc.stop()
         assert passed
-        assert peak < bound
+        assert peak < bound < whole
 
 
 class TestAppendix1:

@@ -17,6 +17,7 @@ from gausscolloc import (BUILTIN_NAMES, ControlProblem, ControlSet, RunningCost,
 from gausscolloc.errors import DimensionMismatch, EvaluationFailure, NewtonDivergence
 from gausscolloc.solver import newton_factors, solve_costate, solve_state
 from gausscolloc.transcription import _omega_norm, _state_defect
+from test_manufactured import _manufactured
 
 
 def _frozen_problem():
@@ -363,7 +364,7 @@ class TestDescentDirection:
             Hu = data.draw(arrays(float, (K, 1), elements=wide))
         problem = replace(_frozen_problem(), m=m, ham_hess_uu=lambda X, U, Lam: R)
         X = np.zeros((K + 2, 2))
-        d = solver_module._descent_direction(problem, X, np.zeros((K, m)), X, Hu)
+        d = solver_module._descent_direction(problem, X, np.zeros((K, m)), X)(Hu)
         assert d.shape == (K, m) and d.tobytes() == _masked_direction(R, Hu).tobytes()
         if m == 1:
             pd = R[:, 0, 0] > 0.0
@@ -382,7 +383,46 @@ class TestDescentDirection:
         problem = replace(_frozen_problem(), ham_hess_uu=lambda X, U, Lam: R)
         X = np.zeros((7, 2))
         with pytest.raises(error, match="ham_hess_uu gave"):
-            solver_module._descent_direction(problem, X, np.zeros((5, 1)), X, np.ones((5, 1)))
+            solver_module._descent_direction(problem, X, np.zeros((5, 1)), X)(np.ones((5, 1)))
+
+
+def _reduced_gradient(problem, ops, U):
+    """(X, Lam, w H_u) at U, the state solved to the Newton floor."""
+    N = ops.rule.order
+    X = solve_state(problem, ops, U, config=SolverConfig(tol_y=1e-12)).X
+    Lam, _ = solve_costate(problem, ops, X, U, problem.cost_grad(X[N + 1]))
+    return X, Lam, ops.rule.weights[:, None] * problem.ham_u(X[1:N + 1], U, Lam[1:N + 1])
+
+
+class TestHessianProduct:
+    @pytest.mark.parametrize("N", [3, 12, 40])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + ("oscillator", "terminal", "manufactured"))
+    def test_is_the_derivative_of_the_reduced_gradient(self, name, N):
+        # at a control away from the optimum, H V matches central differences
+        # of w H_u along V, as criterion 9 checks the gradient against the
+        # objective, and <W, H V> = <V, H W>.  "terminal" adds x1(1)^2 / 2 to
+        # the oscillator's cost, the one case with a curved terminal cost; the
+        # manufactured Hamiltonian is not quadratic, so its difference terms
+        # are not exact
+        built = {"oscillator": _oscillator_problem, "manufactured": lambda: _manufactured(None),
+                 "terminal": lambda: replace(_oscillator_problem(),
+                                             cost=lambda x: float(x[2] + 0.5 * x[0] ** 2),
+                                             cost_grad=lambda x: np.array([x[0], 0.0, 1.0]))}
+        problem = built[name]() if name in built else builtin(name)
+        rule = gauss_rule(N)
+        ops, t = build_operators(rule), rule.nodes[:, None]
+        U, V, W = 0.3 * np.sin(2.0 * t) - 0.4, np.cos(3.0 * t), t * t - 0.5
+        X, Lam, _ = _reduced_gradient(problem, ops, U)
+        factors = newton_factors(problem, ops, X[1:N + 1], U)
+        B = problem.dynamics_u(X[1:N + 1], U)
+        HV, HW = (solver_module._hessian_product(problem, ops, factors, X, U, Lam, B, Z)
+                  for Z in (V, W))
+        h = 1e-4
+        fd = (_reduced_gradient(problem, ops, U + h * V)[2]
+              - _reduced_gradient(problem, ops, U - h * V)[2]) / (2.0 * h)
+        assert np.abs(HV - fd).max() <= 1e-8 * np.abs(fd).max()
+        gap = abs((W * HV).sum() - (V * HW).sum())
+        assert gap <= 1e-11 * np.linalg.norm(W) * np.linalg.norm(HV)
 
 
 def _dense_jacobian(ops, A):
@@ -649,12 +689,16 @@ class TestSolve:
 
     @pytest.mark.parametrize("N", [10, 80])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_each_callback_once_per_accepted_iterate(self, name, N):
+    def test_each_callback_once_per_accepted_iterate(self, name, N, monkeypatch):
         # f_x feeds the first state solve and then each accepted iterate's
         # factors; f_u and C_x are read once per iterate, and H_uu once per
-        # step taken
+        # step taken.  Each Newton-CG iteration adds one Hessian product,
+        # whose central differences read f_x, f_u and C_x twice each: the
+        # constrained built-in has an active control at every iterate and
+        # takes none, the unconstrained one takes them on every step
         problem = builtin(name)
         calls = dict.fromkeys(("dynamics_x", "dynamics_u", "cost_grad", "ham_hess_uu"), 0)
+        products = []
 
         def counted(key):
             fn = getattr(problem, key)
@@ -664,11 +708,21 @@ class TestSolve:
                 return fn(*args)
             return call
 
+        def product(*args):
+            products.append(None)
+            return hessian_product(*args)
+
+        hessian_product = solver_module._hessian_product
+        monkeypatch.setattr(solver_module, "_hessian_product", product)
         report = solve(replace(problem, **{key: counted(key) for key in calls}), N)
-        k = report.outer_iters
+        k, j = report.outer_iters, len(products)
         assert report.converged
-        assert calls == {"dynamics_x": k + 1, "dynamics_u": k, "cost_grad": k,
-                         "ham_hess_uu": k - 1}
+        assert calls == {"dynamics_x": k + 1 + 2 * j, "dynamics_u": k + 2 * j,
+                         "cost_grad": k + 2 * j, "ham_hess_uu": k - 1}
+        if name == "hager84-constrained":
+            assert j == 0
+        else:
+            assert k == 2 and 1 <= j <= solver_module.CG_MAX
 
     @pytest.mark.parametrize("N", [10, 80])
     @pytest.mark.parametrize("name", BUILTIN_NAMES + ("oscillator", "two-control"))
