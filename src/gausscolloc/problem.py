@@ -406,10 +406,9 @@ BUILTIN_NAMES = ("hager84-constrained", "hager84-unconstrained")
 
 
 def builtin(name):
-    """Construct a registered benchmark problem (audited, on [-1, 1])."""
-    if name == "hager84-constrained":
-        return _build_hager(name, constrained=True)
-    if name == "hager84-unconstrained":
-        return _build_hager(name, constrained=False)
-    raise UnknownProblem(
-        f"unknown problem {name!r}; available: {', '.join(BUILTIN_NAMES)}")
+    """Construct a registered benchmark problem (audited, on [-1, 1]): the first
+    of ``BUILTIN_NAMES`` bounds the control by u <= 1, the second leaves it free."""
+    if name not in BUILTIN_NAMES:
+        raise UnknownProblem(
+            f"unknown problem {name!r}; available: {', '.join(BUILTIN_NAMES)}")
+    return _build_hager(name, constrained=name == BUILTIN_NAMES[0])

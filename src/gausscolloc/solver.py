@@ -19,7 +19,7 @@ driven a decade below ``tol_y`` (never below ``NEWTON_TOL``).  Nothing an
 order or an iterate fixes is computed twice: the operators are cached per
 order; ``solve_state`` returns an iterate's f, defect G and its norm beside
 its state, ``solve_costate`` its H_x beside its costate, and the residual
-reads them from there; one H_u serves step, residual and report.
+reads them from there; one H_u and one P(U - H_u) serve step, residual and report.
 
 A state that no dynamics read, such as the integrator of a running cost
 that ``augment_bolza`` appends, has a zero column of f_x at every node.
@@ -200,11 +200,10 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
     whenever the defect fails to halve.  Convergence requires
     the defect G = D X - F(X, U) to fall below max(NEWTON_TOL, 0.1 * tol_y)
     in the norm sqrt(sum_i w_i |G_i|^2) that ``eval_residual`` reports for
-    ``state_defect``.  The guess's collocation rows X_guess[1:N+1] seed
-    the iteration as given: ``solve`` checks the shape of a warm start, and
-    its line search passes an accepted iterate's X.  Raises NewtonDivergence
-    when the iteration exhausts its budget or produces non-finite values,
-    and DimensionMismatch when finite dynamics values are not an (N, n)
+    ``state_defect``.  The guess's rows X_guess[1:N+1], x0 by default, seed the
+    iteration unchecked: ``solve`` passes an accepted iterate's X.  Raises
+    NewtonDivergence when the iteration exhausts its budget or produces non-finite
+    values, and DimensionMismatch when finite dynamics values are not an (N, n)
     stack or x0 is not of shape (n,).
     """
     rule = ops.rule
@@ -317,8 +316,8 @@ def _newton_cg(hessian, precondition, b):
     d, r = np.zeros_like(b), b.copy()
     p = z = precondition(r)
     rz, tol = np.vdot(r, z), max(CG_RTOL * np.linalg.norm(b), CG_ATOL)
-    for it in range(CG_MAX):
-        if np.linalg.norm(r) <= tol:
+    for it in range(CG_MAX + 1):
+        if it == CG_MAX or np.linalg.norm(r) <= tol:
             break
         Hp = hessian(p)
         pHp = np.vdot(p, Hp)
@@ -332,18 +331,16 @@ def _newton_cg(hessian, precondition, b):
     return d if it else z
 
 
-def solve(problem, N, config=None, warm_start=None):
-    """Drive the control iteration to a stationary point.
+def solve(problem, N, config=None):
+    """Drive the control iteration from the projected zero control to a stationary point.
 
     N is the number of collocation points, taken as ``gauss_rule`` takes
     it (a float raises TypeError, an order below 1 ValueError), and the
-    report's ``order`` is the int the rule holds.  A warm_start Trajectory
-    of that order seeds the control and the state guess; this is the one
-    check of its U and X shapes, and any other shape raises
-    DimensionMismatch.  Evaluates at most ``config.max_outer`` iterates,
-    stopping at the first within ``tol_y`` or when no step is accepted, and
-    reports the last; raises EvaluationFailure if its objective or residual
-    norm, or the control Hessian a step uses, is not finite.
+    report's ``order`` is the int the rule holds.  Evaluates at most
+    ``config.max_outer`` iterates, stopping at the first within ``tol_y``
+    or when no step is accepted, and reports the last; raises
+    EvaluationFailure if its objective or residual norm, or the control
+    Hessian a step uses, is not finite.
 
     The first projection of the control is checked: it must be a finite
     (N, m) stack (else DimensionMismatch or EvaluationFailure), and
@@ -359,17 +356,8 @@ def solve(problem, N, config=None, warm_start=None):
     nodes = full_grid(rule)
     w = rule.weights
 
-    if warm_start is None:
-        U, X_seed = np.zeros((N, m)), None
-    else:
-        shapes = (np.shape(warm_start.U), np.shape(warm_start.X))
-        if shapes != ((N, m), (N + 2, problem.n)):
-            raise DimensionMismatch(
-                f"warm start has U {shapes[0]} and X {shapes[1]}, "
-                f"expected U {(N, m)} and X {(N + 2, problem.n)}")
-        U, X_seed = np.array(warm_start.U, dtype=float), warm_start.X
     project = problem.control_set.project
-    U = _checked("control_set.project", project(U), (N, m))
+    U = _checked("control_set.project", project(np.zeros((N, m))), (N, m))
     if not np.isfinite(U).all():
         raise EvaluationFailure("control_set.project gave non-finite values")
     moved = np.abs(project(U) - U).max()
@@ -379,7 +367,7 @@ def solve(problem, N, config=None, warm_start=None):
             f"moved it by {moved:.3g}, more than {ACTIVITY_TOL:g}")
 
     # both solves are read from the module at call time, so a wrapper set there sees each
-    state = solve_state(problem, ops, U, X_guess=X_seed, config=config)
+    state = solve_state(problem, ops, U, config=config)
     obj = float(problem.cost(state.X[N + 1]))
 
     history = []
@@ -390,9 +378,11 @@ def solve(problem, N, config=None, warm_start=None):
         Lam, Hx = solve_costate(problem, ops, X, U, g, factors)
         B = _checked("dynamics_u", problem.dynamics_u(X[1:N + 1], U), (N, problem.n, m))
         Hu = np.einsum("kij,ki->kj", B, Lam[1:N + 1])
-        active = np.abs(U - Hu - project(U - Hu)) > ACTIVITY_TOL
+        pre = U - Hu
+        proj = project(pre)
+        active = np.abs(pre - proj) > ACTIVITY_TOL
         traj = Trajectory(nodes=nodes, X=X, U=U, Lambda=Lam)
-        report = _residual(problem, ops, traj, state.F, state.G, state.defect, Hx, Hu, g)
+        report = _residual(problem, ops, traj, state.F, state.G, state.defect, Hx, proj, g)
         if not (math.isfinite(obj) and math.isfinite(report.y_norm)):
             raise EvaluationFailure(f"iterate {outer}: objective {obj}, y_norm {report.y_norm}")
         history.append(obj)

@@ -94,7 +94,7 @@ def _check_trajectory(problem, N, traj):
 
 def eval_residual(problem, ops, traj):
     """Measure optimality-system violation of a trajectory; the solver calls
-    ``_residual`` directly with the f, G, H_x, H_u and C_x it already holds.
+    ``_residual`` directly with the f, G, H_x, P(U - H_u) and C_x it already holds.
     Raises DimensionMismatch unless X and Lambda are (N+2, n) and U (N, m),
     and unless the callbacks give f (N, n), f_x (N, n, n), f_u (N, n, m) and C_x (n,)."""
     N = ops.rule.order
@@ -104,11 +104,13 @@ def eval_residual(problem, ops, traj):
     F = _checked("dynamics", problem.dynamics(Xc, U), (N, problem.n))
     Hx, Hu = problem.ham_x(Xc, U, Lc), problem.ham_u(Xc, U, Lc)
     g = _checked("cost_grad", problem.cost_grad(X[N + 1]), (problem.n,))
-    return _residual(problem, ops, traj, F, *_state_defect(ops, X[:N + 1], F), Hx, Hu, g)
+    return _residual(problem, ops, traj, F, *_state_defect(ops, X[:N + 1], F), Hx,
+                     problem.control_set.project(U - Hu), g)
 
 
-def _residual(problem, ops, traj, F, G, defect, Hx, Hu, g):
-    """Residual from f, G = D X - F with its ``defect`` norm, H_x, H_u and C_x = g."""
+def _residual(problem, ops, traj, F, G, defect, Hx, proj, g):
+    """Residual from f, G = D X - F with its ``defect`` norm, H_x, proj = P(U - H_u)
+    and C_x = g."""
     rule = ops.rule
     N = rule.order
     X, U, Lam = traj.X, traj.U, traj.Lambda
@@ -119,7 +121,7 @@ def _residual(problem, ops, traj, F, G, defect, Hx, Hu, g):
     costate_endpoint = Lam[N + 1] - Lam[0] + w @ Hx
     costate_defect = ops.D_dagger @ Lam[1:] + Hx
     transversality = Lam[N + 1] - g
-    control_residual = U - problem.control_set.project(U - Hu)
+    control_residual = U - proj
 
     # endpoint blocks enter with their Euclidean length, collocated blocks
     # with the quadrature-weighted l2 norm, the control block with the

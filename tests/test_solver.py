@@ -1,5 +1,6 @@
 """State solve, costate solve, and the outer control iteration."""
 
+import inspect
 import re
 from dataclasses import replace
 
@@ -425,6 +426,45 @@ class TestHessianProduct:
         assert gap <= 1e-11 * np.linalg.norm(W) * np.linalg.norm(HV)
 
 
+class TestNewtonCG:
+    def test_solves_a_positive_definite_system(self):
+        # Jacobi-preconditioned CG solves a 3x3 system to its stopping tolerance
+        H = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        b = np.array([1.0, -2.0, 0.5])
+        d = solver_module._newton_cg(lambda p: H @ p, lambda r: r / np.diag(H), b)
+        tol = max(solver_module.CG_RTOL * np.linalg.norm(b), solver_module.CG_ATOL)
+        assert np.linalg.norm(H @ d - b) <= tol
+
+    def test_first_curvature_not_positive_gives_the_preconditioned_gradient(self):
+        # p.Hp = 0 exactly on the first iteration: no iterate, so d = z = M^-1 b
+        H, b, products = np.diag([1.0, -1.0]), np.array([1.0, 1.0]), []
+        d = solver_module._newton_cg(lambda p: products.append(p) or H @ p, lambda r: 2.0 * r, b)
+        assert np.array_equal(d, 2.0 * b) and len(products) == 1
+
+    def test_later_negative_curvature_gives_the_iterate_so_far(self):
+        # the first step along b has curvature 0.99; the second direction has
+        # negative curvature, so CG stops with the one-step iterate
+        H, b, products = np.diag([1.0, -1.0]), np.array([1.0, 0.1]), []
+        d = solver_module._newton_cg(lambda p: products.append(p) or H @ p, lambda r: r.copy(), b)
+        assert len(products) == 2 and products[1] @ H @ products[1] < 0.0
+        np.testing.assert_allclose(d, (b @ b) / (b @ H @ b) * b, rtol=1e-15)
+
+    def test_exhausted_budget_gives_the_last_iterate(self, monkeypatch):
+        # with one product allowed, d is the first CG iterate, not the next
+        # preconditioned residual
+        monkeypatch.setattr(solver_module, "CG_MAX", 1)
+        H, b, products = np.diag([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0]), []
+        d = solver_module._newton_cg(lambda p: products.append(p) or H @ p, lambda r: r.copy(), b)
+        assert len(products) == 1
+        np.testing.assert_allclose(d, (b @ b) / (b @ H @ b) * b, rtol=1e-15)
+
+    def test_zero_gradient_gives_a_zero_step(self):
+        products = []
+        d = solver_module._newton_cg(lambda p: products.append(p) or p, lambda r: r.copy(),
+                                     np.zeros((4, 2)))
+        assert d.shape == (4, 2) and not d.any() and not products
+
+
 def _dense_jacobian(ops, A):
     """J = (D[:, 1:] x I) M with M[(i,k), (j,l)] = delta - Dinv[i, j] A[j, k, l], built densely."""
     N, n = A.shape[:2]
@@ -614,26 +654,11 @@ class TestSolve:
         assert not report.active_set.any()
         assert report.residual.norms["control_residual"] <= 1e-10
 
-    def test_warm_start_restarts_in_one_step(self):
-        problem = builtin("hager84-constrained")
-        cold = solve(problem, 12)
-        warm = solve(problem, 12, warm_start=cold.traj)
-        assert warm.converged
-        assert warm.outer_iters < cold.outer_iters
-        assert warm.outer_iters <= 2
-
-    @pytest.mark.parametrize("N,field,cut,shapes", [
-        (12, "U", lambda A: A, "U (8, 1) and X (10, 2), expected U (12, 1) and X (14, 2)"),
-        (8, "U", lambda A: A[:, 0], "U (8,) and X (10, 2), expected U (8, 1) and X (10, 2)"),
-        (8, "X", lambda A: A[:-1], "U (8, 1) and X (9, 2), expected U (8, 1) and X (10, 2)"),
-    ], ids=["other-order", "flat-U", "short-X"])
-    def test_warm_start_of_wrong_shape_is_rejected(self, N, field, cut, shapes):
-        # the first case seeds order 12 with an untouched order-8 trajectory
-        problem = builtin("hager84-constrained")
-        traj = solve(problem, 8).traj
-        warm = replace(traj, **{field: cut(getattr(traj, field))})
-        with pytest.raises(DimensionMismatch, match=re.escape(f"warm start has {shapes}")):
-            solve(problem, N, warm_start=warm)
+    def test_takes_no_warm_start(self):
+        # no caller seeds a solve: each starts from the projected zero control
+        assert str(inspect.signature(solve)) == "(problem, N, config=None)"
+        with pytest.raises(TypeError):
+            solve(builtin("hager84-constrained"), 8, warm_start=None)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 160, 240, 320, 500, 1000])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -695,17 +720,19 @@ class TestSolve:
         # step taken.  Each Newton-CG iteration adds one Hessian product,
         # whose central differences read f_x, f_u and C_x twice each: the
         # constrained built-in has an active control at every iterate and
-        # takes none, the unconstrained one takes them on every step
+        # takes none, the unconstrained one takes them on every step.  The
+        # projection runs twice at entry (the shape and idempotence checks),
+        # once per iterate for both the residual and the activity test, and
+        # once per line-search trial, each of which makes one state solve
         problem = builtin(name)
-        calls = dict.fromkeys(("dynamics_x", "dynamics_u", "cost_grad", "ham_hess_uu"), 0)
+        keys = ("dynamics_x", "dynamics_u", "cost_grad", "ham_hess_uu")
+        calls = dict.fromkeys(keys + ("project", "solve_state"), 0)
         products = []
 
-        def counted(key):
-            fn = getattr(problem, key)
-
-            def call(*args):
+        def counted(key, fn):
+            def call(*args, **kwargs):
                 calls[key] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return call
 
         def product(*args):
@@ -714,11 +741,16 @@ class TestSolve:
 
         hessian_product = solver_module._hessian_product
         monkeypatch.setattr(solver_module, "_hessian_product", product)
-        report = solve(replace(problem, **{key: counted(key) for key in calls}), N)
-        k, j = report.outer_iters, len(products)
+        monkeypatch.setattr(solver_module, "solve_state",
+                            counted("solve_state", solver_module.solve_state))
+        problem = replace(problem, **{key: counted(key, getattr(problem, key)) for key in keys},
+                          control_set=ControlSet(counted("project", problem.control_set.project)))
+        report = solve(problem, N)
+        k, j, trials = report.outer_iters, len(products), calls.pop("solve_state") - 1
         assert report.converged
         assert calls == {"dynamics_x": k + 1 + 2 * j, "dynamics_u": k + 2 * j,
-                         "cost_grad": k + 2 * j, "ham_hess_uu": k - 1}
+                         "cost_grad": k + 2 * j, "ham_hess_uu": k - 1,
+                         "project": 2 + k + trials}
         if name == "hager84-constrained":
             assert j == 0
         else:
