@@ -2,8 +2,9 @@
 
 The package builds Gauss quadrature rules and the associated collocation
 differentiation operators, transcribes Mayer-form optimal control problems
-onto them, solves the resulting optimality system by projected gradient
-iteration with exact state and costate elimination, and ships verification
+onto them, solves the resulting optimality system with exact state and
+costate elimination, stepping the control by truncated Newton-CG where no
+control is active and by projected gradient otherwise, and ships verification
 studies for the operator norm bounds, interpolation rates, projection
 inequalities, and solver convergence order.  No solve uses those studies,
 so their names load ``gausscolloc.analysis`` on first use, not on import.
@@ -14,7 +15,7 @@ from .quadrature import QuadratureRule, gauss_rule, radau_rule
 from .diffmat import (CollocationOperators, build_operators, check_P1, check_P2,
                       differentiation_matrix)
 from .problem import (AnalyticSolution, BUILTIN_NAMES, ControlProblem,
-                      ControlSet, RunningCost, audit_derivatives,
+                      ControlSet, audit_derivatives,
                       augment_bolza, builtin, hager_optimal_cost, map_domain)
 from .transcription import (Residual, Trajectory, costate_to_multipliers,
                             eval_residual, full_grid, interpolate_trajectory,
@@ -30,7 +31,7 @@ __all__ = [
     "QuadratureRule", "gauss_rule", "radau_rule",
     "CollocationOperators", "build_operators", "differentiation_matrix",
     "check_P1", "check_P2",
-    "ControlProblem", "ControlSet", "RunningCost",
+    "ControlProblem", "ControlSet",
     "AnalyticSolution", "augment_bolza", "map_domain",
     "audit_derivatives", "builtin", "BUILTIN_NAMES",
     "hager_optimal_cost",

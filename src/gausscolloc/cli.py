@@ -164,7 +164,7 @@ def _function_names(requested, registry):
 def _verify_appendix1(args):
     orders = [n for n in APPENDIX1_ORDERS if n <= args.n_max]
     report = verify_appendix1(orders=orders, kind=args.kind)
-    return {"suite": "appendix1", **asdict(report)}, report.passed
+    return {"suite": "appendix1", **asdict(report)}
 
 
 def _verify_appendix2(args):
@@ -174,25 +174,24 @@ def _verify_appendix2(args):
     per_fn = {name: {"rows": [asdict(r) for r in rows], "passed": all(r.bound_ok for r in rows)}
               for name, rows in report.rows.items()}
     return {"suite": "appendix2", "norms_ok": report.norms_ok, "max_offdiag": report.max_offdiag,
-            "functions": per_fn, "passed": report.passed}, report.passed
+            "functions": per_fn, "passed": report.passed}
 
 
 def _verify_interp(args):
     per_fn = {}
-    passed = True
     for name in _function_names(args.function, INTERP_FUNCTIONS):
         rows, ok, criterion = run_interp_suite(name)
         per_fn[name] = {"rows": rows, "criterion": criterion, "passed": ok}
-        passed = passed and ok
-    return {"suite": "interp", "functions": per_fn, "passed": passed}, passed
+    return {"suite": "interp", "functions": per_fn,
+            "passed": all(fn["passed"] for fn in per_fn.values())}
 
 
 def cmd_verify(args):
     runner = {"appendix1": _verify_appendix1,
               "appendix2": _verify_appendix2,
               "interp": _verify_interp}[args.suite]
-    payload, passed = runner(args)
-    return json.dumps(payload, indent=2) + "\n", 0 if passed else NUMERIC_EXIT
+    payload = runner(args)
+    return json.dumps(payload, indent=2) + "\n", 0 if payload["passed"] else NUMERIC_EXIT
 
 
 def cmd_convergence(args):

@@ -5,8 +5,8 @@ a terminal cost C(x(1)) subject to autonomous dynamics xdot = f(x, u), a
 fixed initial state, and a pointwise control constraint u(t) in U given by a
 ``ControlSet``, the projection onto U.  Every problem, built-in or custom, is one
 ``ControlProblem``.  Helpers convert the two common departures from that
-normal form: ``augment_bolza`` adds the integral of a ``RunningCost`` to a
-problem's terminal cost through an extra integrator state, which makes it a
+normal form: ``augment_bolza`` adds the integral of a running cost l(x, u) to
+a problem's terminal cost through an extra integrator state, which makes it a
 Bolza problem, and ``map_domain`` rescales a problem posed on [a, b].
 The built-ins are written in closed form: each callback allocates its result
 once and gives the bits of the same problem composed with those two helpers.
@@ -21,9 +21,9 @@ and is run for every built-in problem at construction.
 
 Dynamics and Hamiltonian callbacks are evaluated once per grid: they take
 stacks of K rows, X (K, n), U (K, m) and Lam (K, n), and return one result
-per row: f (K, n), f_x (K, n, n), f_u (K, n, m), H_uu (K, m, m).  A
-``RunningCost`` follows the same layout, with value (K,).  The terminal
-cost and its gradient stay pointwise: C(x) is a float and C_x (n,).
+per row: f (K, n), f_x (K, n, n), f_u (K, n, m), H_uu (K, m, m).  The
+running cost's callbacks follow the same layout, with value (K,).  The
+terminal cost and its gradient stay pointwise: C(x) is a float and C_x (n,).
 """
 from __future__ import annotations
 
@@ -78,17 +78,6 @@ class AnalyticSolution:
 
 
 @dataclass(frozen=True)
-class RunningCost:
-    """Integrand l(x, u) of a Bolza objective, with derivatives, evaluated
-    on stacks like the dynamics callbacks."""
-
-    value: Callable
-    grad_x: Callable
-    grad_u: Callable
-    hess_uu: Callable
-
-
-@dataclass(frozen=True)
 class ControlProblem:
     """Mayer-form optimal control problem on a fixed interval."""
 
@@ -126,38 +115,44 @@ def _checked(label, value, shape):
     return value
 
 
-def augment_bolza(base, running, name=""):
-    """Fold a running cost into an extra integrator state.
+def augment_bolza(base, *, value, grad_x, grad_u, hess_uu, name=""):
+    """Fold the running cost l(x, u) into an extra integrator state.
 
-    The returned Mayer problem has n+1 states: the appended component obeys
-    zdot = l(x, u) and starts at zero, and the objective is the base
-    problem's terminal cost plus z(end).
+    The four callbacks take the base problem's stacks X (K, n) and U (K, m)
+    and give l as value (K,), its gradients grad_x (K, n) and grad_u (K, m),
+    and its control Hessian hess_uu (K, m, m).  The returned Mayer problem
+    has n+1 states: the appended component obeys zdot = l(x, u) and starts
+    at zero, and the objective is the base problem's terminal cost plus
+    z(end).  Its callbacks raise DimensionMismatch when a base or running
+    cost result has another shape, rather than broadcast it.
     """
     n, m = base.n, base.m
 
     def f(X, U):
         # filled in place, so a wrong shape is caught here and not broadcast
         K = len(X)
-        Fb, value = base.dynamics(X[:, :n], U), running.value(X[:, :n], U)
-        if np.shape(Fb) != (K, n) or np.shape(value) != (K,):
+        Fb, lv = base.dynamics(X[:, :n], U), value(X[:, :n], U)
+        if np.shape(Fb) != (K, n) or np.shape(lv) != (K,):
             raise DimensionMismatch(
-                f"base dynamics gave {np.shape(Fb)} and running cost {np.shape(value)}, "
+                f"base dynamics gave {np.shape(Fb)} and running cost {np.shape(lv)}, "
                 f"expected {(K, n)} and {(K,)}")
         F = np.empty((K, n + 1))
         F[:, :n] = Fb
-        F[:, n] = value
+        F[:, n] = lv
         return F
 
     def jac_x(X, U):
-        J = np.zeros((len(X), n + 1, n + 1))
-        J[:, :n, :n] = base.dynamics_x(X[:, :n], U)
-        J[:, n, :n] = running.grad_x(X[:, :n], U)
+        K = len(X)
+        J = np.zeros((K, n + 1, n + 1))
+        J[:, :n, :n] = _checked("base dynamics_x", base.dynamics_x(X[:, :n], U), (K, n, n))
+        J[:, n, :n] = _checked("running cost grad_x", grad_x(X[:, :n], U), (K, n))
         return J
 
     def jac_u(X, U):
-        J = np.zeros((len(X), n + 1, m))
-        J[:, :n, :] = base.dynamics_u(X[:, :n], U)
-        J[:, n, :] = running.grad_u(X[:, :n], U)
+        K = len(X)
+        J = np.zeros((K, n + 1, m))
+        J[:, :n, :] = _checked("base dynamics_u", base.dynamics_u(X[:, :n], U), (K, n, m))
+        J[:, n, :] = _checked("running cost grad_u", grad_u(X[:, :n], U), (K, m))
         return J
 
     def cost(x):
@@ -170,8 +165,10 @@ def augment_bolza(base, running, name=""):
         return g
 
     def ham_hess_uu(X, U, Lam):
-        return base.ham_hess_uu(X[:, :n], U, Lam[:, :n]) \
-            + Lam[:, n, None, None] * running.hess_uu(X[:, :n], U)
+        shape = (len(X), m, m)
+        Rb = _checked("base ham_hess_uu", base.ham_hess_uu(X[:, :n], U, Lam[:, :n]), shape)
+        Rl = _checked("running cost hess_uu", hess_uu(X[:, :n], U), shape)
+        return Rb + Lam[:, n, None, None] * Rl
 
     x0 = np.concatenate([np.asarray(base.x0, dtype=float), [0.0]])
     x0.flags.writeable = False
@@ -295,7 +292,7 @@ def audit_derivatives(problem):
 # smoothly toward u(1) = 0; state, control, and costate all have closed
 # forms, which makes the problem a sharp accuracy benchmark.  On [-1, 1] with
 # states (x, z), f = s (u, (x^2 + u^2) / 2) and C = z; each callback runs the
-# operations of map_domain(augment_bolza(base, running), 0, 1) in its order.
+# operations of map_domain(augment_bolza(base, **running), 0, 1) in its order.
 
 _E = float(np.e)
 _HAGER_X0 = (1.0 + 3.0 * _E) / (2.0 * (1.0 - _E))
@@ -346,10 +343,8 @@ def _uncon_z(t):
 
 
 def hager_optimal_cost(constrained=True):
-    """Closed-form optimal objective of the built-in benchmark."""
-    if constrained:
-        return _Z_HALF + (_E + 1.0) / (2.0 * (_E - 1.0))
-    return _HAGER_X0 ** 2 * (_E ** 2 - 1.0) / (2.0 * _UNCON_DEN)
+    """Closed-form optimal objective of the built-in benchmark: z(1)."""
+    return float((_hager_z if constrained else _uncon_z)(1.0))
 
 
 def _columns(*fns):

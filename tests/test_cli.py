@@ -15,6 +15,7 @@ import scipy
 
 import gausscolloc.analysis as analysis_module
 from gausscolloc.cli import main
+from gausscolloc.errors import NewtonDivergence
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -210,6 +211,16 @@ class TestSolve:
         assert code == 3
         assert "brachistochrone" in err
 
+    def test_solver_error_exits_numeric(self, capsys, monkeypatch):
+        def diverge(problem, N, config=None):
+            raise NewtonDivergence("state Newton iteration diverged")
+
+        monkeypatch.setattr("gausscolloc.cli.solve", diverge)
+        code, out, err = _run(capsys, "solve", "--problem", "hager84-constrained", "--N", "8")
+        assert code == 2
+        assert out == ""
+        assert err == "gausscolloc: numerical failure: state Newton iteration diverged\n"
+
     def test_exhausted_budget_exits_numeric(self, capsys):
         code, out, _ = _run(capsys, "solve", "--problem", "hager84-constrained",
                             "--N", "8", "--tol", "1e-30", "--max-iter", "2")
@@ -394,6 +405,13 @@ class TestConvergence:
                             "hager84-constrained", "--n-list", "4:40")
         assert code == 3
         assert "start:step:stop" in err
+
+    def test_zero_step_range_is_usage_error(self, capsys):
+        code, out, err = _run(capsys, "convergence", "--problem",
+                              "hager84-constrained", "--n-list", "9:0:12")
+        assert code == 3
+        assert out == ""
+        assert "range needs positive step" in err
 
 
 def test_scipy_linalg_loads_only_to_factor():

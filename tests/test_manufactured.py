@@ -22,7 +22,7 @@ so ``newton_factors`` makes an LU of their 2N x 2N block.
 import numpy as np
 import pytest
 
-from gausscolloc import (ControlProblem, ControlSet, RunningCost, SolverConfig,
+from gausscolloc import (ControlProblem, ControlSet, SolverConfig,
                          audit_derivatives, augment_bolza, build_operators, full_grid,
                          gauss_rule, solve)
 from gausscolloc.solver import newton_factors, solve_state
@@ -93,12 +93,12 @@ def _manufactured(upper):
         x0=np.array([_x(-1.0)[0], -1.0]),
         control_set=(ControlSet.unconstrained() if upper is None
                      else ControlSet.box(upper=upper)))
-    running = RunningCost(
+    return augment_bolza(
+        base, name="manufactured",
         value=lambda X, U: 0.5 * (U[:, 0] ** 2 + gap(X)[0] ** 2),
         grad_x=grad_x,
         grad_u=lambda X, U: U.copy(),
         hess_uu=lambda X, U: np.ones((len(X), 1, 1)))
-    return augment_bolza(base, running, name="manufactured")
 
 
 # solve stops once its residual norm y is at most tol_y = 1e-10.  With the

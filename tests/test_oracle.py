@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
 
-from gausscolloc import (ControlProblem, ControlSet, RunningCost, SolverConfig, Trajectory,
+from gausscolloc import (ControlProblem, ControlSet, SolverConfig, Trajectory,
                          augment_bolza, build_operators, eval_residual, full_grid,
                          gauss_rule, kkt_residuals, multipliers_to_costate, solve)
 
@@ -94,12 +94,12 @@ def _lq_problem(A, B, x0, control_set=ControlSet.unconstrained()):
         ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), m, m)),
         x0=x0,
         control_set=control_set)
-    running = RunningCost(
+    return augment_bolza(
+        base, name="lq",
         value=lambda X, U: 0.5 * (np.sum(X * X, axis=1) + np.sum(U * U, axis=1)),
         grad_x=lambda X, U: X.copy(),
         grad_u=lambda X, U: U.copy(),
         hess_uu=lambda X, U: np.tile(np.eye(m), (len(X), 1, 1)))
-    return augment_bolza(base, running, name="lq")
 
 
 def _oracle(A, B, x0, N):

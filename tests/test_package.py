@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "AnalyticSolution", "Appendix1Report", "Appendix2Report", "BUILTIN_NAMES",
     "CollocationOperators", "ControlProblem", "ControlSet", "ConvergenceRow",
     "DimensionMismatch", "EvaluationFailure", "GaussCollocError", "IterationFailure",
-    "NewtonDivergence", "QuadratureRule", "RateFit", "Residual", "RunningCost",
+    "NewtonDivergence", "QuadratureRule", "RateFit", "Residual",
     "SolveReport", "SolverConfig", "Trajectory", "UnknownProblem", "__version__",
     "audit_derivatives", "augment_bolza", "build_operators", "builtin", "check_P1",
     "check_P2", "convergence_study", "costate_to_multipliers", "differentiation_matrix",

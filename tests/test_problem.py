@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gausscolloc import (BUILTIN_NAMES, AnalyticSolution, ControlProblem, ControlSet,
-                         RunningCost, audit_derivatives, augment_bolza, builtin,
+                         audit_derivatives, augment_bolza, builtin,
                          gauss_rule, hager_optimal_cost, map_domain, solve)
 from gausscolloc.diffmat import differentiation_matrix
 from gausscolloc.errors import DimensionMismatch, EvaluationFailure, UnknownProblem
@@ -37,7 +37,7 @@ def _hager_base(constrained):
         control_set=cset)
 
 
-_HAGER_RUNNING = RunningCost(
+_HAGER_RUNNING = dict(
     value=lambda X, U: 0.5 * (X[:, 0] ** 2 + U[:, 0] ** 2),
     grad_x=lambda X, U: X[:, [0]],
     grad_u=lambda X, U: U[:, [0]],
@@ -53,7 +53,7 @@ def _native_columns(*fns):
 
 
 def _composed_hager(name):
-    """map_domain(augment_bolza(base, running), 0, 1) with the native analytic solution."""
+    """map_domain(augment_bolza(base, **running), 0, 1) with the native analytic solution."""
     if name == "hager84-constrained":
         analytic = AnalyticSolution(state=_native_columns(_hager_x, _hager_z),
                                     control=_native_columns(_hager_u),
@@ -64,7 +64,7 @@ def _composed_hager(name):
                                     costate=_native_columns(lambda x: -_uncon_u(x),
                                                             np.ones_like))
     base = _hager_base(name == "hager84-constrained")
-    bolza = dataclasses.replace(augment_bolza(base, _HAGER_RUNNING, name=name), analytic=analytic)
+    bolza = dataclasses.replace(augment_bolza(base, **_HAGER_RUNNING, name=name), analytic=analytic)
     return map_domain(bolza, 0.0, 1.0)
 
 
@@ -200,12 +200,12 @@ class TestControlSet:
 
 class TestAugmentBolza:
     def test_zero_running_cost(self):
-        zero = RunningCost(
+        prob = augment_bolza(
+            _hager_base(True), name="zero-cost",
             value=lambda X, U: np.zeros(len(X)),
             grad_x=lambda X, U: np.zeros((len(X), 1)),
             grad_u=lambda X, U: np.zeros((len(X), 1)),
             hess_uu=lambda X, U: np.zeros((len(X), 1, 1)))
-        prob = augment_bolza(_hager_base(True), zero, name="zero-cost")
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.standard_normal(2)
@@ -215,7 +215,7 @@ class TestAugmentBolza:
         # C(x) = x^2 / 2 on the base: the augmented objective is C + z
         base = dataclasses.replace(_hager_base(True), cost=lambda x: 0.5 * x[0] * x[0],
                                    cost_grad=lambda x: np.array([x[0]]))
-        prob = augment_bolza(base, _HAGER_RUNNING, name="bolza")
+        prob = augment_bolza(base, **_HAGER_RUNNING, name="bolza")
         rng = np.random.default_rng(3)
         for _ in range(5):
             x, z = rng.standard_normal(2)
@@ -232,8 +232,7 @@ class TestAugmentBolza:
                          for shape in ((K, n), (K,), (n,)))
         base = dataclasses.replace(_linear_problem(), n=n, dynamics=lambda X, U: Fb,
                                    cost_grad=lambda x: gb, x0=np.zeros(n))
-        running = dataclasses.replace(_HAGER_RUNNING, value=lambda X, U: value)
-        prob = augment_bolza(base, running)
+        prob = augment_bolza(base, **{**_HAGER_RUNNING, "value": lambda X, U: value})
         F = prob.dynamics(np.zeros((K, n + 1)), np.zeros((K, 1)))
         np.testing.assert_array_equal(F, np.column_stack([Fb, value]))
         np.testing.assert_array_equal(prob.cost_grad(np.zeros(n + 1)), np.append(gb, 1.0))
@@ -246,28 +245,58 @@ class TestAugmentBolza:
         ({"cost_grad": lambda x: 0.0}, None, "base cost_grad gave (), expected (2,)"),
     ], ids=["narrow-base-dynamics", "column-running-cost", "scalar-cost-grad"])
     def test_wrong_shape_is_rejected_not_broadcast(self, base_change, value, message):
-        running = _HAGER_RUNNING if value is None \
-            else dataclasses.replace(_HAGER_RUNNING, value=value)
-        prob = augment_bolza(dataclasses.replace(_linear_problem(), **base_change), running)
+        running = _HAGER_RUNNING if value is None else {**_HAGER_RUNNING, "value": value}
+        prob = augment_bolza(dataclasses.replace(_linear_problem(), **base_change), **running)
         with pytest.raises(DimensionMismatch, match=re.escape(message)):
             prob.dynamics(np.zeros((4, 3)), np.zeros((4, 1)))
             prob.cost_grad(np.zeros(3))
 
+    @pytest.mark.parametrize("base_change,running_change,callback,message", [
+        ({"dynamics_x": lambda X, U: np.ones((len(X), 1, 1))}, {}, "dynamics_x",
+         "base dynamics_x gave (4, 1, 1), expected (4, 2, 2)"),
+        ({"dynamics_u": lambda X, U: np.ones((len(X), 1, 1))}, {}, "dynamics_u",
+         "base dynamics_u gave (4, 1, 1), expected (4, 2, 1)"),
+        ({}, {}, "dynamics_x", "running cost grad_x gave (4, 1), expected (4, 2)"),
+        ({}, {"grad_u": lambda X, U: U[:, 0]}, "dynamics_u",
+         "running cost grad_u gave (4,), expected (4, 1)"),
+        ({"ham_hess_uu": lambda X, U, Lam: np.zeros((1, 1))}, {}, "ham_hess_uu",
+         "base ham_hess_uu gave (1, 1), expected (4, 1, 1)"),
+        ({}, {"hess_uu": lambda X, U: np.ones((1, 1))}, "ham_hess_uu",
+         "running cost hess_uu gave (1, 1), expected (4, 1, 1)"),
+    ], ids=["base-dynamics_x", "base-dynamics_u", "running-grad_x", "running-grad_u",
+            "base-ham_hess_uu", "running-hess_uu"])
+    def test_misshapen_derivative_is_rejected_not_broadcast(self, base_change, running_change,
+                                                            callback, message):
+        # the hager running cost reads only x_1, so on the two-state base its
+        # (K, 1) grad_x is one column short; numpy would copy it into both
+        base = dataclasses.replace(_linear_problem(), **base_change)
+        prob = augment_bolza(base, **{**_HAGER_RUNNING, **running_change})
+        X, U = np.zeros((4, 3)), np.zeros((4, 1))
+        args = (X, U, np.ones((4, 3))) if callback == "ham_hess_uu" else (X, U)
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            getattr(prob, callback)(*args)
+
+    def test_solve_rejects_a_short_running_cost_gradient(self):
+        prob = augment_bolza(_linear_problem(), **_HAGER_RUNNING)
+        with pytest.raises(DimensionMismatch, match=re.escape("running cost grad_x gave (20, 1)")):
+            solve(prob, 20)
+
     def test_benchmark_has_two_states(self):
-        prob = augment_bolza(_hager_base(True), _HAGER_RUNNING)
+        prob = augment_bolza(_hager_base(True), **_HAGER_RUNNING)
         assert prob.n == 2 and prob.m == 1
         assert prob.x0[1] == 0.0
 
     def test_constant_running_cost_measures_domain(self):
         from gausscolloc import build_operators
         from gausscolloc.solver import solve_state
-        one = RunningCost(
+        one = augment_bolza(
+            _hager_base(True),
             value=lambda X, U: np.ones(len(X)),
             grad_x=lambda X, U: np.zeros((len(X), 1)),
             grad_u=lambda X, U: np.zeros((len(X), 1)),
             hess_uu=lambda X, U: np.zeros((len(X), 1, 1)))
         # native domain [0, 1]: integral of 1 is its length
-        prob = map_domain(augment_bolza(_hager_base(True), one), 0.0, 1.0)
+        prob = map_domain(one, 0.0, 1.0)
         ops = build_operators(gauss_rule(8))
         X = solve_state(prob, ops, np.zeros((8, 1))).X
         assert abs(prob.cost(X[-1]) - 1.0) <= 1e-12
@@ -315,7 +344,7 @@ class TestMapDomain:
                                       (-np.inf, 0.0), (-np.inf, np.inf)])
     def test_rejects_non_finite_bounds(self, a, b):
         with pytest.raises(ValueError, match="finite"):
-            map_domain(augment_bolza(_hager_base(True), _HAGER_RUNNING), a, b)
+            map_domain(augment_bolza(_hager_base(True), **_HAGER_RUNNING), a, b)
 
     def test_analytic_control_remap(self):
         # ceiling arc of the benchmark occupies the left half after mapping
@@ -514,7 +543,7 @@ class TestLinearizeAt:
     def test_benchmark_blocks_before_mapping(self):
         # with unit costate on the integrator state the classic matrices
         # appear in the leading blocks: A=0, B=1, R=1
-        prob = augment_bolza(_hager_base(True), _HAGER_RUNNING)
+        prob = augment_bolza(_hager_base(True), **_HAGER_RUNNING)
         rng = np.random.default_rng(5)
         X = np.column_stack([rng.uniform(-3.0, 0.0, 5), rng.uniform(0.0, 2.0, 5)])
         U = rng.uniform(-1.0, 1.0, (5, 1))
@@ -551,6 +580,14 @@ class TestAuditDerivatives:
         exact = getattr(good, field)
         bad = dataclasses.replace(good, **{field: lambda *args: exact(*args) + 0.01})
         with pytest.raises(EvaluationFailure, match=f"^{field}: supplied derivative"):
+            audit_derivatives(bad)
+
+    def test_detects_a_misshapen_jacobian(self):
+        good = _linear_problem()
+        bad = dataclasses.replace(
+            good, dynamics_x=lambda X, U: np.zeros((len(X), good.n, good.n + 1)))
+        with pytest.raises(EvaluationFailure, match=re.escape(
+                "dynamics_x: shape (8, 2, 3) does not match finite differences (8, 2, 2)")):
             audit_derivatives(bad)
 
     @pytest.mark.parametrize("field, value", [

@@ -12,7 +12,7 @@ from scipy.special import eval_jacobi
 
 from gausscolloc import gauss_rule, quadrature, radau_rule
 from gausscolloc.errors import IterationFailure
-from gausscolloc.quadrature import (ROOT_MAX_ITER, ROOT_TOL, _legendre_body,
+from gausscolloc.quadrature import (ROOT_MAX_ITER, ROOT_TOL, _legendre_body, _newton_roots,
                                     gauss_rules, legendre_table)
 
 
@@ -147,6 +147,24 @@ class TestGaussRules:
         with pytest.raises(IterationFailure):
             gauss_rules([5, 40])
         assert quadrature._GAUSS_RULES == {}
+
+
+def test_newton_step_leaving_the_interval_is_halved_back():
+    # tanh(8(x - 1/2)) is flat at -0.9: the first Newton step lands near 1.7e8,
+    # a safeguard no Gauss order up to 3000 and no Radau order up to 2000 reaches
+    seen = []
+
+    def body(n, x):
+        seen.append(x.copy())
+        t = np.tanh(8.0 * (x - 0.5))
+        return t, 8.0 * (1.0 - t * t)
+
+    x0 = np.array([-0.9])
+    p, dp = body(None, x0)
+    assert x0 - p / dp > 1e8
+    root = _newton_roots(body, [1], x0)
+    assert abs(root[0] - 0.5) <= ROOT_TOL
+    assert all(np.abs(x).max() < 1.0 for x in seen)
 
 
 class TestGaussRule:

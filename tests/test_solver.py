@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gausscolloc.solver as solver_module
-from gausscolloc import (BUILTIN_NAMES, ControlProblem, ControlSet, RunningCost,
+from gausscolloc import (BUILTIN_NAMES, ControlProblem, ControlSet,
                          SolverConfig, Trajectory, augment_bolza,
                          build_operators, builtin, eval_residual, full_grid,
                          gauss_rule, hager_optimal_cost, map_domain, solve)
@@ -100,12 +100,12 @@ def _two_control_bolza(gain, name):
         ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 2, 2)),
         x0=np.array([1.0]),
         control_set=ControlSet.unconstrained())
-    running = RunningCost(
+    return augment_bolza(
+        base, name=name,
         value=lambda X, U: 0.5 * (X[:, 0] ** 2 + np.sum(U * U, axis=1)),
         grad_x=lambda X, U: X.copy(),
         grad_u=lambda X, U: U.copy(),
         hess_uu=lambda X, U: np.tile(np.eye(2), (len(X), 1, 1)))
-    return augment_bolza(base, running, name=name)
 
 
 def _two_control_problem():
@@ -126,12 +126,13 @@ def _oscillator_problem():
         ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([1.0, 0.0]),
         control_set=ControlSet.unconstrained())
-    running = RunningCost(
+    bolza = augment_bolza(
+        base, name="oscillator",
         value=lambda X, U: 0.5 * (X[:, 0] ** 2 + U[:, 0] ** 2),
         grad_x=lambda X, U: X * [1.0, 0.0],
         grad_u=lambda X, U: U.copy(),
         hess_uu=lambda X, U: np.ones((len(X), 1, 1)))
-    return map_domain(augment_bolza(base, running, name="oscillator"), 0.0, 1.0)
+    return map_domain(bolza, 0.0, 1.0)
 
 
 def _copying(problem):

@@ -289,6 +289,11 @@ class TestMultiplierMaps:
         with pytest.raises(DimensionMismatch):
             costate_to_multipliers(np.zeros((5, 2)), gauss_rule(6))
 
+    def test_multiplier_shape_guard(self):
+        # N + 1 rows: one short of the (N+2, n) stack
+        with pytest.raises(DimensionMismatch, match="expected 8 multiplier rows, got 7"):
+            multipliers_to_costate(np.zeros((7, 2)), gauss_rule(6))
+
 
 @pytest.fixture(scope="module")
 def solved():
