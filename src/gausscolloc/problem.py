@@ -11,19 +11,17 @@ Bolza problem, and ``map_domain`` rescales a problem posed on [a, b].
 The built-ins are written in closed form: each callback allocates its result
 once and gives the bits of the same problem composed with those two helpers.
 
-Every problem carries the callbacks the solver reads: the dynamics and its
-Jacobians, the terminal cost and its gradient, and the control Hessian
-H_uu of the Hamiltonian H = lambda . f(x, u), whose positive definiteness
-scales the descent step.  ``audit_derivatives`` cross-checks the supplied
-derivatives against central finite differences at fixed points, taken over
-all points at once with two batched callback calls per perturbed coordinate,
-and is run for every built-in problem at construction.
+Every problem carries the five callbacks the solver reads: the dynamics, its
+Jacobians f_x and f_u, the terminal cost and its gradient; the solver
+differences f_u for the control Hessian.  ``audit_derivatives`` cross-checks
+the supplied derivatives against central finite differences at fixed points,
+taken over all points at once with two batched callback calls per perturbed
+coordinate, and is run for every built-in problem at construction.
 
-Dynamics and Hamiltonian callbacks are evaluated once per grid: they take
-stacks of K rows, X (K, n), U (K, m) and Lam (K, n), and return one result
-per row: f (K, n), f_x (K, n, n), f_u (K, n, m), H_uu (K, m, m).  The
-running cost's callbacks follow the same layout, with value (K,).  The
-terminal cost and its gradient stay pointwise: C(x) is a float and C_x (n,).
+Dynamics callbacks are evaluated once per grid: they take stacks of K rows,
+X (K, n) and U (K, m), and return one result per row: f (K, n), f_x (K, n, n)
+and f_u (K, n, m), and a running cost's value (K,).  The terminal cost and its
+gradient stay pointwise: C(x) is a float and C_x (n,).
 """
 from __future__ import annotations
 
@@ -89,7 +87,6 @@ class ControlProblem:
     dynamics_u: Callable
     cost: Callable
     cost_grad: Callable
-    ham_hess_uu: Callable
     x0: np.ndarray
     control_set: ControlSet
     analytic: AnalyticSolution | None = None
@@ -115,16 +112,16 @@ def _checked(label, value, shape):
     return value
 
 
-def augment_bolza(base, *, value, grad_x, grad_u, hess_uu, name=""):
+def augment_bolza(base, *, value, grad_x, grad_u, name=""):
     """Fold the running cost l(x, u) into an extra integrator state.
 
-    The four callbacks take the base problem's stacks X (K, n) and U (K, m)
-    and give l as value (K,), its gradients grad_x (K, n) and grad_u (K, m),
-    and its control Hessian hess_uu (K, m, m).  The returned Mayer problem
-    has n+1 states: the appended component obeys zdot = l(x, u) and starts
-    at zero, and the objective is the base problem's terminal cost plus
-    z(end).  Its callbacks raise DimensionMismatch when a base or running
-    cost result has another shape, rather than broadcast it.
+    The three callbacks take the base problem's stacks X (K, n) and U (K, m)
+    and give l as value (K,) and its gradients grad_x (K, n) and grad_u (K, m).
+    The returned Mayer problem has n+1 states: the appended component obeys
+    zdot = l(x, u) and starts at zero, and the objective is the base
+    problem's terminal cost plus z(end).  Its callbacks raise
+    DimensionMismatch when a base or running cost result has another shape,
+    rather than broadcast it.
     """
     n, m = base.n, base.m
 
@@ -164,25 +161,19 @@ def augment_bolza(base, *, value, grad_x, grad_u, hess_uu, name=""):
         g[n] = 1.0
         return g
 
-    def ham_hess_uu(X, U, Lam):
-        shape = (len(X), m, m)
-        Rb = _checked("base ham_hess_uu", base.ham_hess_uu(X[:, :n], U, Lam[:, :n]), shape)
-        Rl = _checked("running cost hess_uu", hess_uu(X[:, :n], U), shape)
-        return Rb + Lam[:, n, None, None] * Rl
-
     x0 = np.concatenate([np.asarray(base.x0, dtype=float), [0.0]])
     x0.flags.writeable = False
     return ControlProblem(
         name=name, n=n + 1, m=m,
         dynamics=f, dynamics_x=jac_x, dynamics_u=jac_u,
-        cost=cost, cost_grad=cost_grad, ham_hess_uu=ham_hess_uu,
+        cost=cost, cost_grad=cost_grad,
         x0=x0, control_set=base.control_set)
 
 
 def map_domain(problem, a, b):
     """Rescale an autonomous problem from [a, b] onto [-1, 1].
 
-    Dynamics and Hamiltonian derivatives pick up the factor (b - a) / 2;
+    The dynamics and its Jacobians pick up the factor (b - a) / 2;
     cost, initial state, control set, and costate values are unchanged.
     An attached analytic solution is re-parametrized accordingly.  The
     bounds must be finite with a < b, or ValueError is raised.
@@ -200,7 +191,6 @@ def map_domain(problem, a, b):
         dynamics=lambda X, U: s * np.asarray(problem.dynamics(X, U), dtype=float),
         dynamics_x=lambda X, U: s * np.asarray(problem.dynamics_x(X, U), dtype=float),
         dynamics_u=lambda X, U: s * np.asarray(problem.dynamics_u(X, U), dtype=float),
-        ham_hess_uu=lambda X, U, Lam: s * np.asarray(problem.ham_hess_uu(X, U, Lam), dtype=float),
         analytic=None if old is None else AnalyticSolution(
             state=lambda tau: old.state(to_native(tau)),
             control=lambda tau: old.control(to_native(tau)),
@@ -255,17 +245,16 @@ def audit_derivatives(problem):
 
     The AUDIT_POINTS evaluation points are fixed: golden-ratio fractional
     parts mapped to (-1.5, 1.5) give the offsets of x from the initial state
-    and the values of u and lambda.  The stacked callbacks take all points
-    as one batch, so each central difference of f (for f_x and f_u) and of
-    H_u (for H_uu) costs two calls per coordinate; the pointwise C_x is
-    checked against C point by point.  Raises EvaluationFailure on the
-    first mismatch, or when a callback raises; returns the number of points
-    audited otherwise.
+    and the values of u.  The stacked callbacks take all points as one batch,
+    so each central difference of f (for f_x and f_u) costs two calls per
+    coordinate; the pointwise C_x is checked against C point by point.
+    Raises EvaluationFailure on the first mismatch, or when a callback
+    raises; returns the number of points audited otherwise.
     """
     n, m = problem.n, problem.m
-    k = np.arange(1, AUDIT_POINTS * (2 * n + m) + 1)
-    S = (3.0 * (k * _GOLDEN % 1.0) - 1.5).reshape(AUDIT_POINTS, 2 * n + m)
-    X, U, L = problem.x0 + S[:, :n], S[:, n:n + m], S[:, n + m:]
+    k = np.arange(1, AUDIT_POINTS * (n + m) + 1)
+    S = (3.0 * (k * _GOLDEN % 1.0) - 1.5).reshape(AUDIT_POINTS, n + m)
+    X, U = problem.x0 + S[:, :n], S[:, n:]
     try:
         _audit_stack("dynamics_x", problem.dynamics_x(X, U),
                      _fd_stack(lambda V: problem.dynamics(V, U), X))
@@ -273,8 +262,6 @@ def audit_derivatives(problem):
                      _fd_stack(lambda V: problem.dynamics(X, V), U))
         _audit_stack("cost_grad", [[problem.cost_grad(x)] for x in X],
                      _fd_stack(lambda V: [[problem.cost(v)] for v in V], X))
-        _audit_stack("ham_hess_uu", problem.ham_hess_uu(X, U, L),
-                     _fd_stack(lambda V: problem.ham_u(X, V, L), U))
     except EvaluationFailure:
         raise
     except Exception as exc:  # noqa: BLE001 - surface callback failures uniformly
@@ -380,17 +367,12 @@ def _build_hager(name, constrained):
         B[:, 0, 0], B[:, 1, 0] = s, s * U[:, 0]
         return B
 
-    def h_uu(X, U, Lam):
-        R = np.empty((len(X), 1, 1))
-        R[:, 0, 0] = s * (0.0 + Lam[:, 1])  # 0.0 + turns -0 into +0, as in the composition
-        return R
-
     x0 = np.array([_HAGER_X0, 0.0])
     x0.flags.writeable = False
     prob = ControlProblem(
         name=name, n=2, m=1, dynamics=f, dynamics_x=f_x, dynamics_u=f_u,
         cost=lambda x: float(0.0 + x[1]), cost_grad=lambda x: np.array([0.0, 1.0]),
-        ham_hess_uu=h_uu, x0=x0, analytic=_hager_analytic(constrained),
+        x0=x0, analytic=_hager_analytic(constrained),
         control_set=ControlSet.box(upper=np.array([1.0])) if constrained
         else ControlSet.unconstrained())
     audit_derivatives(prob)

@@ -6,7 +6,7 @@ control and the collocated adjoint equations in one linear pass, then
 backtracks on P(U - t d) to an Armijo decrease, until the combined optimality
 residual drops below ``tol_y``.  With no control active, d solves the reduced
 Hessian system H d = w H_u by truncated Newton-CG, preconditioned by the
-control Hessian H_uu of the Hamiltonian; else d is H_u scaled by H_uu.
+control Hessian H_uu, differenced from f_u; else d is H_u scaled by H_uu.
 
 Both eliminations use one collocation Jacobian J = (D[:, 1:] x I) M, with
 M = I - (Dinv x I) blockdiag(f_x) preconditioned by the inverse Dinv of the
@@ -66,6 +66,7 @@ CG_RTOL = 1e-11       # Newton-CG residual target, relative to the gradient norm
 CG_ATOL = 1e-13       # floor of the Newton-CG residual target
 CG_MAX = 50           # Newton-CG iterations per step
 FD_HVP = 1e-4         # sup-norm step of the Hessian product's central differences
+HESS_STEP = 1e-3      # control step of the differenced H_uu, relative to max(1, max|U|)
 
 
 @dataclass(frozen=True)
@@ -269,17 +270,33 @@ def solve_costate(problem, ops, X, U, terminal, factors=None):
     return Lam, Hx
 
 
-def _descent_direction(problem, X, U, Lam):
-    """The function taking a gradient G (N, m) to its per-node step: the control
-    Hessian of the Hamiltonian at the iterate solved against G where it is positive
-    definite, G itself else; raises EvaluationFailure if that Hessian is not finite."""
-    R = _checked("ham_hess_uu", problem.ham_hess_uu(X[1:-1], U, Lam[1:-1]),
-                 (len(U), problem.m, problem.m))
+def _control_hessian(problem, Xc, U, Lc, B):
+    """H_uu (N, m, m) at rows Xc, U, Lc where f_u is B: column j is f_u at U + h e_j
+    less B over the realized step, contracted with Lc, h = HESS_STEP max(1, max|U|).
+    Raises EvaluationFailure unless finite, DimensionMismatch unless f_u is (N, n, m)."""
+    h = HESS_STEP * max(1.0, np.abs(U).max())
+    R = np.empty((len(U), problem.m, problem.m))
+    for j in range(problem.m):
+        Uj = U.copy()
+        Uj[:, j] += h
+        Bj = _checked("dynamics_u", problem.dynamics_u(Xc, Uj), B.shape)
+        R[:, :, j] = np.einsum("kij,ki->kj", (Bj - B) / (Uj[:, j] - U[:, j])[:, None, None], Lc)
+    R = 0.5 * (R + R.transpose(0, 2, 1)) if problem.m > 1 else R
     if not np.isfinite(R).all():
-        raise EvaluationFailure("ham_hess_uu gave non-finite values")
-    if problem.m == 1:  # a 1x1 block is its eigenvalue, and LAPACK solves it by division
-        r = np.asarray(R)[:, 0]  # overflow is ignored, as LAPACK raises no flag for it
-        return np.errstate(over="ignore")(lambda G: np.divide(G, r, out=G.copy(), where=r > 0.0))
+        raise EvaluationFailure("the control Hessian differenced from dynamics_u is not finite")
+    return R
+
+
+@np.errstate(over="ignore")  # overflow is ignored, as LAPACK raises no flag for it
+def _divided(G, r):
+    return np.divide(G, r, out=G.copy(), where=r > 0.0)
+
+
+def _descent_direction(R):
+    """The function taking a gradient G (N, m) to its per-node step: the control
+    Hessian R (N, m, m) solved against G where it is positive definite, G itself else."""
+    if R.shape[1] == 1:  # a 1x1 block is its eigenvalue, and LAPACK solves it by division
+        return lambda G: _divided(G, R[:, 0])
     pd = np.linalg.eigvalsh(R)[:, 0] > 0.0
 
     def direction(G):
@@ -391,7 +408,7 @@ def solve(problem, N, config=None):
             break
 
         grad = w[:, None] * Hu
-        direction = _descent_direction(problem, X, U, Lam)
+        direction = _descent_direction(_control_hessian(problem, X[1:N + 1], U, Lam[1:N + 1], B))
         d = direction(Hu) if active.any() else _newton_cg(
             lambda V: _hessian_product(problem, ops, factors, X, U, Lam, B, V),
             lambda r: direction(r / w[:, None]), grad)

@@ -440,7 +440,6 @@ class TestConvergenceStudy:
             dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
             cost=lambda x: float(x[0] ** 2),
             cost_grad=lambda x: 2.0 * x,
-            ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
             x0=np.array([1.0]),
             control_set=ControlSet.unconstrained())
         with pytest.raises(ValueError, match="analytic"):

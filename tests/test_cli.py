@@ -447,7 +447,6 @@ def test_scipy_linalg_loads_only_to_factor():
             dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
             cost=lambda x: float(x[0] ** 2),
             cost_grad=lambda x: 2.0 * x,
-            ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
             x0=np.array([1.0]),
             control_set=ControlSet.box(-1.0, 1.0))
         converged = [json.loads(outs[key])["converged"] for key in ("solve", "unconstrained")]

@@ -91,15 +91,13 @@ def _lq_problem(A, B, x0, control_set=ControlSet.unconstrained()):
         dynamics_u=lambda X, U: np.tile(B, (len(X), 1, 1)),
         cost=lambda x: 0.0,
         cost_grad=lambda x: np.zeros(n),
-        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), m, m)),
         x0=x0,
         control_set=control_set)
     return augment_bolza(
         base, name="lq",
         value=lambda X, U: 0.5 * (np.sum(X * X, axis=1) + np.sum(U * U, axis=1)),
         grad_x=lambda X, U: X.copy(),
-        grad_u=lambda X, U: U.copy(),
-        hess_uu=lambda X, U: np.tile(np.eye(m), (len(X), 1, 1)))
+        grad_u=lambda X, U: U.copy())
 
 
 def _oracle(A, B, x0, N):

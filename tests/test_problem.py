@@ -16,6 +16,7 @@ from gausscolloc.diffmat import differentiation_matrix
 from gausscolloc.errors import DimensionMismatch, EvaluationFailure, UnknownProblem
 from gausscolloc.problem import (_HAGER_X0, _hager_lam, _hager_u, _hager_x, _hager_z,
                                  _uncon_u, _uncon_x, _uncon_z)
+from gausscolloc.solver import _control_hessian
 
 
 # The benchmark as a composition: a one-state base problem on the native
@@ -32,7 +33,6 @@ def _hager_base(constrained):
         dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
         cost=lambda x: 0.0,
         cost_grad=lambda x: np.zeros(1),
-        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([_HAGER_X0]),
         control_set=cset)
 
@@ -40,8 +40,7 @@ def _hager_base(constrained):
 _HAGER_RUNNING = dict(
     value=lambda X, U: 0.5 * (X[:, 0] ** 2 + U[:, 0] ** 2),
     grad_x=lambda X, U: X[:, [0]],
-    grad_u=lambda X, U: U[:, [0]],
-    hess_uu=lambda X, U: np.ones((len(X), 1, 1)))
+    grad_u=lambda X, U: U[:, [0]])
 
 
 def _native_columns(*fns):
@@ -79,13 +78,12 @@ def _linear_problem():
         dynamics_u=lambda X, U: np.broadcast_to(B0, (len(X), 2, 1)),
         cost=lambda x: 0.5 * float(x @ x),
         cost_grad=lambda x: x,
-        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([1.0, 0.0]),
         control_set=ControlSet.unconstrained())
 
 
 def _nonlinear_problem(x0):
-    """Two states and two controls; f, and H in u, are nonlinear, so every
+    """Two states and two controls; f is nonlinear in x and in u, so every
     derivative the audit checks varies from point to point."""
     def f(X, U):
         return np.column_stack([X[:, 1] * U[:, 0] + np.sin(X[:, 0]),
@@ -103,16 +101,10 @@ def _nonlinear_problem(x0):
         J[:, 1, 0], J[:, 1, 1] = U[:, 1], U[:, 0] + 2.0 * U[:, 1]
         return J
 
-    def h_uu(X, U, Lam):
-        R = np.zeros((len(X), 2, 2))
-        R[:, 0, 1] = R[:, 1, 0] = Lam[:, 1]
-        R[:, 1, 1] = 2.0 * Lam[:, 1]
-        return R
-
     return ControlProblem(
         name="nonlinear-2d", n=2, m=2, dynamics=f, dynamics_x=f_x, dynamics_u=f_u,
         cost=lambda x: float(x[0] * x[1]), cost_grad=lambda x: x[::-1].copy(),
-        ham_hess_uu=h_uu, x0=x0, control_set=ControlSet.unconstrained())
+        x0=x0, control_set=ControlSet.unconstrained())
 
 
 class TestControlSet:
@@ -204,8 +196,7 @@ class TestAugmentBolza:
             _hager_base(True), name="zero-cost",
             value=lambda X, U: np.zeros(len(X)),
             grad_x=lambda X, U: np.zeros((len(X), 1)),
-            grad_u=lambda X, U: np.zeros((len(X), 1)),
-            hess_uu=lambda X, U: np.zeros((len(X), 1, 1)))
+            grad_u=lambda X, U: np.zeros((len(X), 1)))
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.standard_normal(2)
@@ -259,22 +250,15 @@ class TestAugmentBolza:
         ({}, {}, "dynamics_x", "running cost grad_x gave (4, 1), expected (4, 2)"),
         ({}, {"grad_u": lambda X, U: U[:, 0]}, "dynamics_u",
          "running cost grad_u gave (4,), expected (4, 1)"),
-        ({"ham_hess_uu": lambda X, U, Lam: np.zeros((1, 1))}, {}, "ham_hess_uu",
-         "base ham_hess_uu gave (1, 1), expected (4, 1, 1)"),
-        ({}, {"hess_uu": lambda X, U: np.ones((1, 1))}, "ham_hess_uu",
-         "running cost hess_uu gave (1, 1), expected (4, 1, 1)"),
-    ], ids=["base-dynamics_x", "base-dynamics_u", "running-grad_x", "running-grad_u",
-            "base-ham_hess_uu", "running-hess_uu"])
+    ], ids=["base-dynamics_x", "base-dynamics_u", "running-grad_x", "running-grad_u"])
     def test_misshapen_derivative_is_rejected_not_broadcast(self, base_change, running_change,
                                                             callback, message):
         # the hager running cost reads only x_1, so on the two-state base its
         # (K, 1) grad_x is one column short; numpy would copy it into both
         base = dataclasses.replace(_linear_problem(), **base_change)
         prob = augment_bolza(base, **{**_HAGER_RUNNING, **running_change})
-        X, U = np.zeros((4, 3)), np.zeros((4, 1))
-        args = (X, U, np.ones((4, 3))) if callback == "ham_hess_uu" else (X, U)
         with pytest.raises(DimensionMismatch, match=re.escape(message)):
-            getattr(prob, callback)(*args)
+            getattr(prob, callback)(np.zeros((4, 3)), np.zeros((4, 1)))
 
     def test_solve_rejects_a_short_running_cost_gradient(self):
         prob = augment_bolza(_linear_problem(), **_HAGER_RUNNING)
@@ -293,8 +277,7 @@ class TestAugmentBolza:
             _hager_base(True),
             value=lambda X, U: np.ones(len(X)),
             grad_x=lambda X, U: np.zeros((len(X), 1)),
-            grad_u=lambda X, U: np.zeros((len(X), 1)),
-            hess_uu=lambda X, U: np.zeros((len(X), 1, 1)))
+            grad_u=lambda X, U: np.zeros((len(X), 1)))
         # native domain [0, 1]: integral of 1 is its length
         prob = map_domain(one, 0.0, 1.0)
         ops = build_operators(gauss_rule(8))
@@ -373,17 +356,15 @@ class TestClosedFormBuiltins:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), name=st.sampled_from(BUILTIN_NAMES), K=st.integers(1, 40))
     def test_callbacks_have_the_bits_of_the_composition(self, builtin_pairs, data, name, K):
-        # signed zeros exercise the 0.0 + in H_uu and in the cost; infinities
+        # signed zeros exercise the 0.0 + in the cost; infinities
         # and NaN the operation order
         entries = st.one_of(st.floats(-1e3, 1e3), st.floats(),
                             st.sampled_from([0.0, -0.0, 1e200, -1e-200, 5e-324]))
-        X, U, Lam = (data.draw(arrays(float, shape, elements=entries))
-                     for shape in ((K, 2), (K, 1), (K, 2)))
+        X, U = (data.draw(arrays(float, shape, elements=entries)) for shape in ((K, 2), (K, 1)))
         prob, oracle = builtin_pairs[name]
         with np.errstate(all="ignore"):
             for field in ("dynamics", "dynamics_x", "dynamics_u"):
                 _assert_same_bits(getattr(prob, field)(X, U), getattr(oracle, field)(X, U))
-            _assert_same_bits(prob.ham_hess_uu(X, U, Lam), oracle.ham_hess_uu(X, U, Lam))
             for x in X:
                 cost = prob.cost(x)
                 assert type(cost) is float
@@ -538,7 +519,8 @@ class TestOptimalCost:
 
 
 class TestLinearizeAt:
-    """The derivative blocks the solver reads: A = f_x, B = f_u, R = H_uu."""
+    """The derivative blocks the solver reads: A = f_x, B = f_u, and R = H_uu
+    differenced from B."""
 
     def test_benchmark_blocks_before_mapping(self):
         # with unit costate on the integrator state the classic matrices
@@ -550,7 +532,8 @@ class TestLinearizeAt:
         Lam = np.column_stack([rng.standard_normal(5), np.ones(5)])
         assert np.all(prob.dynamics_x(X, U)[:, 0, 0] == 0.0)
         assert np.all(prob.dynamics_u(X, U)[:, 0, 0] == 1.0)
-        assert np.all(prob.ham_hess_uu(X, U, Lam)[:, 0, 0] == 1.0)
+        R = _control_hessian(prob, X, U, Lam, prob.dynamics_u(X, U))
+        assert np.all(R[:, 0, 0] == 1.0)
 
     def test_linear_dynamics_constant_jacobians(self):
         prob = _linear_problem()
@@ -562,19 +545,22 @@ class TestLinearizeAt:
             np.testing.assert_array_equal(B[k], B[0])
 
     def test_hessian_symmetry(self):
-        prob = builtin("hager84-constrained")
+        # lam_2 f_2 holds u1 u2 + u2^2, so H_uu = lam_2 [[0, 1], [1, 2]]: f_u is
+        # affine in u and the difference is exact to rounding
+        prob = _nonlinear_problem(np.zeros(2))
         rng = np.random.default_rng(7)
-        R = prob.ham_hess_uu(rng.standard_normal((5, 2)),
-                             rng.standard_normal((5, 1)), rng.standard_normal((5, 2)))
-        np.testing.assert_allclose(R, R.transpose(0, 2, 1), atol=1e-12)
+        X, U, Lam = (rng.standard_normal((5, 2)) for _ in range(3))
+        R = _control_hessian(prob, X, U, Lam, prob.dynamics_u(X, U))
+        assert R.tobytes() == R.transpose(0, 2, 1).tobytes()
+        np.testing.assert_allclose(R, Lam[:, 1, None, None] * [[0.0, 1.0], [1.0, 2.0]],
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestAuditDerivatives:
     def test_builtin_passes(self):
         assert audit_derivatives(builtin("hager84-constrained")) == 8
 
-    @pytest.mark.parametrize("field", ["dynamics_x", "dynamics_u", "cost_grad",
-                                       "ham_hess_uu"])
+    @pytest.mark.parametrize("field", ["dynamics_x", "dynamics_u", "cost_grad"])
     def test_detects_wrong_jacobian(self, field):
         good = _linear_problem()
         exact = getattr(good, field)
@@ -591,7 +577,7 @@ class TestAuditDerivatives:
             audit_derivatives(bad)
 
     @pytest.mark.parametrize("field, value", [
-        (field, value) for field in ("dynamics_x", "dynamics_u", "ham_hess_uu")
+        (field, value) for field in ("dynamics_x", "dynamics_u")
         for value in (np.nan, np.inf)] + [("cost_grad", np.nan)])
     def test_detects_non_finite_derivative(self, field, value):
         # a NaN gap compares False against any tolerance, and an inf gap
@@ -603,7 +589,7 @@ class TestAuditDerivatives:
             audit_derivatives(bad)
 
     @pytest.mark.parametrize("field", ["dynamics", "dynamics_x", "dynamics_u", "cost",
-                                       "cost_grad", "ham_hess_uu"])
+                                       "cost_grad"])
     def test_a_raising_callback_is_an_evaluation_failure(self, field):
         def broken(*args):
             raise ZeroDivisionError(field)
@@ -615,7 +601,7 @@ class TestAuditDerivatives:
 
     @settings(max_examples=100, deadline=None)
     @given(x0=arrays(float, 2, elements=st.floats(-2.0, 2.0)),
-           field=st.sampled_from(["dynamics_x", "dynamics_u", "ham_hess_uu"]),
+           field=st.sampled_from(["dynamics_x", "dynamics_u"]),
            entry=st.tuples(st.integers(0, 1), st.integers(0, 1)),
            delta=st.floats(1e-4, 1.0), sign=st.sampled_from([-1.0, 1.0]))
     def test_detects_one_offset_entry(self, x0, field, entry, delta, sign):

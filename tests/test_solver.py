@@ -19,6 +19,7 @@ from gausscolloc.errors import DimensionMismatch, EvaluationFailure, NewtonDiver
 from gausscolloc.solver import newton_factors, solve_costate, solve_state
 from gausscolloc.transcription import _omega_norm, _state_defect
 from test_manufactured import _manufactured
+from test_oracle import LQ_CASES, _data, _lq_problem
 
 
 def _frozen_problem():
@@ -29,7 +30,6 @@ def _frozen_problem():
         dynamics_u=lambda X, U: np.zeros((len(X), 2, 1)),
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.array([1.0, 0.0]),
-        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([0.4, -1.1]),
         control_set=ControlSet.unconstrained())
 
@@ -43,7 +43,6 @@ def _integrator_problem():
         dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.ones(1),
-        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([0.7]),
         control_set=ControlSet.unconstrained())
 
@@ -57,7 +56,6 @@ def _blowup_problem():
         dynamics_u=lambda X, U: np.zeros((len(X), 1, 1)),
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.ones(1),
-        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([10.0]),
         control_set=ControlSet.unconstrained())
 
@@ -82,7 +80,6 @@ def _cubic_problem():
         dynamics_u=lambda X, U: np.tile([[[1.0], [0.0]]], (len(X), 1, 1)),
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.array([1.0, 0.0]),
-        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([2.0, 1.0]),
         control_set=ControlSet.unconstrained())
 
@@ -97,15 +94,13 @@ def _two_control_bolza(gain, name):
         dynamics_u=lambda X, U: np.tile([[[1.0, gain]]], (len(X), 1, 1)),
         cost=lambda x: 0.0,
         cost_grad=lambda x: np.zeros(1),
-        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 2, 2)),
         x0=np.array([1.0]),
         control_set=ControlSet.unconstrained())
     return augment_bolza(
         base, name=name,
         value=lambda X, U: 0.5 * (X[:, 0] ** 2 + np.sum(U * U, axis=1)),
         grad_x=lambda X, U: X.copy(),
-        grad_u=lambda X, U: U.copy(),
-        hess_uu=lambda X, U: np.tile(np.eye(2), (len(X), 1, 1)))
+        grad_u=lambda X, U: U.copy())
 
 
 def _two_control_problem():
@@ -123,15 +118,13 @@ def _oscillator_problem():
         dynamics_u=lambda X, U: np.tile([[0.0], [1.0]], (len(X), 1, 1)),
         cost=lambda x: 0.0,
         cost_grad=lambda x: np.zeros(2),
-        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([1.0, 0.0]),
         control_set=ControlSet.unconstrained())
     bolza = augment_bolza(
         base, name="oscillator",
         value=lambda X, U: 0.5 * (X[:, 0] ** 2 + U[:, 0] ** 2),
         grad_x=lambda X, U: X * [1.0, 0.0],
-        grad_u=lambda X, U: U.copy(),
-        hess_uu=lambda X, U: np.ones((len(X), 1, 1)))
+        grad_u=lambda X, U: U.copy())
     return map_domain(bolza, 0.0, 1.0)
 
 
@@ -140,14 +133,13 @@ def _copying(problem):
     def copied(fn):
         return lambda *args: np.array(fn(*args))
     return replace(problem, **{key: copied(getattr(problem, key)) for key in
-                               ("dynamics", "dynamics_x", "dynamics_u", "ham_hess_uu")})
+                               ("dynamics", "dynamics_x", "dynamics_u")})
 
 
 def _input_returning_problems():
     """Callbacks that hand back an input array or a view of one: f = X
     (xdot = x), f = U (xdot = u), and f_x = X[:, :, None] (xdot = x^2 / 2 + u)."""
-    common = dict(cost=lambda x: 0.5 * float(x[0]) ** 2, cost_grad=lambda x: x.copy(),
-                  ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)), n=1, m=1)
+    common = dict(cost=lambda x: 0.5 * float(x[0]) ** 2, cost_grad=lambda x: x.copy(), n=1, m=1)
     grow = ControlProblem(
         name="grow", dynamics=lambda X, U: X,
         dynamics_x=lambda X, U: np.ones((len(X), 1, 1)),
@@ -364,9 +356,7 @@ class TestDescentDirection:
             wide = st.floats(allow_nan=False, allow_infinity=False)
             R = data.draw(arrays(float, (K, 1, 1), elements=st.one_of(wide, st.just(0.0))))
             Hu = data.draw(arrays(float, (K, 1), elements=wide))
-        problem = replace(_frozen_problem(), m=m, ham_hess_uu=lambda X, U, Lam: R)
-        X = np.zeros((K + 2, 2))
-        d = solver_module._descent_direction(problem, X, np.zeros((K, m)), X)(Hu)
+        d = solver_module._descent_direction(R)(Hu)
         assert d.shape == (K, m) and d.tobytes() == _masked_direction(R, Hu).tobytes()
         if m == 1:
             pd = R[:, 0, 0] > 0.0
@@ -374,18 +364,99 @@ class TestDescentDirection:
             assert d[pd].tobytes() == solved.tobytes()
             assert d[~pd].tobytes() == Hu[~pd].tobytes()
 
-    @pytest.mark.parametrize("R, error", [
-        (np.full((5, 1, 1), np.nan), EvaluationFailure),
-        (np.full((5, 1, 1), np.inf), EvaluationFailure),
-        (np.ones((5, 1)), DimensionMismatch),
-        (np.ones((6, 1, 1)), DimensionMismatch),
-    ], ids=["nan", "inf", "missing-axis", "extra-node"])
-    def test_malformed_one_control_hessian_is_rejected(self, R, error):
-        # the 1x1 division keeps the checks of the LAPACK path
-        problem = replace(_frozen_problem(), ham_hess_uu=lambda X, U, Lam: R)
-        X = np.zeros((7, 2))
-        with pytest.raises(error, match="ham_hess_uu gave"):
-            solver_module._descent_direction(problem, X, np.zeros((5, 1)), X)(np.ones((5, 1)))
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_malformed_one_control_hessian_is_rejected(self, value):
+        # f_u is finite at the iterate U = 0 and non-finite only at the
+        # perturbed control, so only the differenced Hessian sees it
+        problem = replace(_frozen_problem(), dynamics_u=lambda X, U: np.where(
+            U[:, None, :] == 0.0, 0.0, np.full((len(X), 2, 1), value)))
+        X, U = np.zeros((5, 2)), np.zeros((5, 1))
+        B = problem.dynamics_u(X, U)
+        assert np.isfinite(B).all()
+        with pytest.raises(EvaluationFailure, match="differenced from dynamics_u is not finite"):
+            solver_module._control_hessian(problem, X, U, np.ones((5, 2)), B)
+
+
+def _outside_the_hypothesis(concave):
+    """xdot = u on [0, 1] from x = 1, where H is not strongly convex in u: the
+    singular arc minimises (1/2) int x^2 with |u| <= 1, so H_uu = 0, and the
+    concave problem minimises -(1/2) int u^2 with no bound, so H_uu < 0."""
+    base = ControlProblem(
+        name="", n=1, m=1,
+        dynamics=lambda X, U: U.copy(),
+        dynamics_x=lambda X, U: np.zeros((len(X), 1, 1)),
+        dynamics_u=lambda X, U: np.ones((len(X), 1, 1)),
+        cost=lambda x: 0.0,
+        cost_grad=lambda x: np.zeros(1),
+        x0=np.array([1.0]),
+        control_set=ControlSet.unconstrained() if concave else ControlSet.box(-1.0, 1.0))
+    if concave:
+        running = dict(value=lambda X, U: -0.5 * U[:, 0] ** 2,
+                       grad_x=lambda X, U: np.zeros((len(X), 1)), grad_u=lambda X, U: -U)
+    else:
+        running = dict(value=lambda X, U: 0.5 * X[:, 0] ** 2,
+                       grad_x=lambda X, U: X.copy(), grad_u=lambda X, U: np.zeros((len(X), 1)))
+    name = "concave" if concave else "singular-arc"
+    return map_domain(augment_bolza(base, name=name, **running), 0.0, 1.0)
+
+
+def _control_hessian_at(problem, X, U, Lam):
+    """The differenced control Hessian at collocation rows X (N, n), U and Lam."""
+    return solver_module._control_hessian(problem, X, U, Lam, problem.dynamics_u(X, U))
+
+
+class TestControlHessian:
+    @pytest.mark.parametrize("name, iterate", [(BUILTIN_NAMES[0], 6), (BUILTIN_NAMES[1], 2)])
+    def test_builtins_give_the_bits_of_the_closed_form(self, name, iterate):
+        # f_u = (s, s u) with s = 1/2: the difference quotient is exactly s
+        problem = builtin(name)
+        traj = solve(problem, 20, SolverConfig(max_outer=iterate)).traj
+        X, U, Lam = traj.X[1:-1], traj.U, traj.Lambda[1:-1]
+        assert np.ptp(U) > 0.1
+        R = _control_hessian_at(problem, X, U, Lam)
+        assert R.tobytes() == (0.5 * (0.0 + Lam[:, 1]))[:, None, None].tobytes()
+
+    @pytest.mark.parametrize("name", ["oscillator", "two-control"]
+                             + [f"lq-{case}" for case in sorted(LQ_CASES)])
+    def test_matches_the_analytic_hessian(self, name):
+        # each running cost holds |u|^2 / 2, so H_uu = s lam_z I, where s is
+        # map_domain's factor (1/2 on [0, 1], 1 for the unmapped LQ oracle
+        # problems) and z the last state
+        built = {"oscillator": _oscillator_problem, "two-control": _two_control_problem}
+        problem, s = (built[name](), 0.5) if name in built \
+            else (_lq_problem(*_data(name.removeprefix("lq-"))), 1.0)
+        n, m = problem.n, problem.m
+        rng = np.random.default_rng(11)
+        X, U, Lam = (rng.uniform(-3.0, 3.0, (7, k)) for k in (n, m, n))
+        R = _control_hessian_at(problem, X, U, Lam)
+        np.testing.assert_allclose(R, s * Lam[:, -1, None, None] * np.eye(m),
+                                   rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("concave", [False, True], ids=["singular-arc", "concave"])
+    def test_outside_the_hypothesis_steps_take_the_raw_gradient(self, concave):
+        # the singular arc's Hessian reads exactly 0 and the concave one's
+        # is negative: no node is positive definite, so d = G
+        problem = _outside_the_hypothesis(concave)
+        rng = np.random.default_rng(12)
+        X, U = rng.uniform(-2.0, 2.0, (9, 2)), rng.uniform(-1.0, 1.0, (9, 1))
+        Lam = np.column_stack([rng.uniform(-2.0, 2.0, 9), np.ones(9)])
+        R = _control_hessian_at(problem, X, U, Lam)
+        assert np.all(R < 0.0) if concave else R.tobytes() == np.zeros((9, 1, 1)).tobytes()
+        G = rng.standard_normal((9, 1))
+        assert solver_module._descent_direction(R)(G).tobytes() == G.tobytes()
+
+    @pytest.mark.parametrize("concave, termination, iterates", [
+        (False, "max_iter", 200), (True, "converged", 1)], ids=["singular-arc", "concave"])
+    def test_outside_the_hypothesis_outcomes(self, concave, termination, iterates):
+        # the singular arc creeps toward its optimum 1/6 for the whole budget;
+        # the concave problem's zero start is a stationary point, a maximiser
+        # of an objective unbounded below, and reports converged
+        report = solve(_outside_the_hypothesis(concave), 10)
+        assert (report.termination, report.outer_iters) == (termination, iterates)
+        if concave:
+            assert report.objective == 0.0 and not report.traj.U.any()
+        else:
+            assert abs(report.objective - 1.0 / 6.0) < 1e-4
 
 
 def _reduced_gradient(problem, ops, U):
@@ -717,16 +788,17 @@ class TestSolve:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_each_callback_once_per_accepted_iterate(self, name, N, monkeypatch):
         # f_x feeds the first state solve and then each accepted iterate's
-        # factors; f_u and C_x are read once per iterate, and H_uu once per
-        # step taken.  Each Newton-CG iteration adds one Hessian product,
-        # whose central differences read f_x, f_u and C_x twice each: the
-        # constrained built-in has an active control at every iterate and
-        # takes none, the unconstrained one takes them on every step.  The
-        # projection runs twice at entry (the shape and idempotence checks),
-        # once per iterate for both the residual and the activity test, and
-        # once per line-search trial, each of which makes one state solve
+        # factors; C_x is read once per iterate, and f_u once per iterate and
+        # once per control for the H_uu of each step taken.  Each Newton-CG
+        # iteration adds one Hessian product, whose central differences read
+        # f_x, f_u and C_x twice each: the constrained built-in has an active
+        # control at every iterate and takes none, the unconstrained one
+        # takes them on every step.  The projection runs twice at entry (the
+        # shape and idempotence checks), once per iterate for both the
+        # residual and the activity test, and once per line-search trial,
+        # each of which makes one state solve
         problem = builtin(name)
-        keys = ("dynamics_x", "dynamics_u", "cost_grad", "ham_hess_uu")
+        keys = ("dynamics_x", "dynamics_u", "cost_grad")
         calls = dict.fromkeys(keys + ("project", "solve_state"), 0)
         products = []
 
@@ -749,9 +821,9 @@ class TestSolve:
         report = solve(problem, N)
         k, j, trials = report.outer_iters, len(products), calls.pop("solve_state") - 1
         assert report.converged
-        assert calls == {"dynamics_x": k + 1 + 2 * j, "dynamics_u": k + 2 * j,
-                         "cost_grad": k + 2 * j, "ham_hess_uu": k - 1,
-                         "project": 2 + k + trials}
+        m = problem.m
+        assert calls == {"dynamics_x": k + 1 + 2 * j, "dynamics_u": k + 2 * j + m * (k - 1),
+                         "cost_grad": k + 2 * j, "project": 2 + k + trials}
         if name == "hager84-constrained":
             assert j == 0
         else:
@@ -796,12 +868,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("callback,error", [
         ("cost", EvaluationFailure), ("cost_grad", EvaluationFailure),
-        ("dynamics_u", EvaluationFailure), ("dynamics", NewtonDivergence),
-        ("ham_hess_uu", EvaluationFailure)])
+        ("dynamics_u", EvaluationFailure), ("dynamics", NewtonDivergence)])
     def test_non_finite_callback_raises(self, callback, error):
         # a NaN from C, C_x or f_u reaches the first iterate's objective or
-        # residual norm; a NaN from f stops the state solve before that, and
-        # one from H_uu stops the first descent step
+        # residual norm; a NaN from f stops the state solve before that
         good = builtin("hager84-constrained")
         fn = getattr(good, callback)
         bad = replace(good, **{callback: lambda *args: np.full_like(fn(*args), np.nan)})
@@ -845,7 +915,6 @@ class TestSolve:
     @pytest.mark.parametrize("callback,cut,shapes", [
         ("dynamics", lambda F: F[:, :1], "(6, 1), expected (6, 2)"),
         ("dynamics_u", lambda B: B[:, :, :1], "(6, 2, 1), expected (6, 2, 2)"),
-        ("ham_hess_uu", lambda R: R[:, :1, :1], "(6, 1, 1), expected (6, 2, 2)"),
         ("cost_grad", lambda g: g[:1], "(1,), expected (2,)"),
     ])
     def test_callback_of_wrong_shape_is_rejected(self, callback, cut, shapes):

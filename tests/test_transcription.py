@@ -44,7 +44,6 @@ def _frozen_problem():
         dynamics_u=lambda X, U: np.zeros((len(X), 2, 1)),
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.array([1.0, 0.0]),
-        ham_hess_uu=lambda X, U, Lam: np.zeros((len(X), 1, 1)),
         x0=np.array([0.4, -1.1]),
         control_set=ControlSet.box(lower=[-1.0], upper=[1.0]))
 
