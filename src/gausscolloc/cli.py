@@ -20,10 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
 from dataclasses import asdict, fields
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +32,7 @@ from .analysis import (APPENDIX1_ORDERS, APPENDIX2_FUNCTIONS, APPENDIX2_ORDERS,
                        verify_appendix1, verify_appendix2)
 from .diffmat import build_operators, check_P1, check_P2
 from .errors import GaussCollocError, UnknownProblem
-from .problem import BUILTIN_NAMES, builtin
 from .quadrature import gauss_rule, gauss_rules, radau_rule
-from .solver import SolverConfig, solve
 
 USAGE_EXIT = 3
 NUMERIC_EXIT = 2
@@ -62,7 +58,10 @@ def _flag(b):
 
 
 def _write_manifest(out, args):
-    from importlib.metadata import version  # costs more to import than to use
+    # each costs more to import than to use
+    import platform
+    from datetime import datetime, timezone
+    from importlib.metadata import version
 
     manifest = {
         "command": args.command,
@@ -125,7 +124,13 @@ def cmd_props(args):
 
 
 def cmd_solve(args):
+    from .problem import builtin  # props and verify never load the solver stack
+    from .solver import SolverConfig, solve
+
     problem = builtin(args.problem)
+    # unset flags take SolverConfig's defaults, which the manifest then records
+    args.tol = SolverConfig.tol_y if args.tol is None else args.tol
+    args.max_iter = SolverConfig.max_outer if args.max_iter is None else args.max_iter
     config = SolverConfig(tol_y=args.tol, max_outer=args.max_iter)
     report = solve(problem, args.n, config=config)
     payload = {
@@ -195,6 +200,8 @@ def cmd_verify(args):
 
 
 def cmd_convergence(args):
+    from .problem import builtin
+
     problem = builtin(args.problem)
     orders = _parse_n_list(args.n_list)
     if len(orders) < 5:
@@ -248,13 +255,12 @@ def build_parser():
 
     p = sub.add_parser("solve", parents=[common], allow_abbrev=False,
                        help="solve a built-in problem at one order")
-    p.add_argument("--problem", required=True,
-                   help=f"one of: {', '.join(BUILTIN_NAMES)}")
+    p.add_argument("--problem", required=True, help="a built-in problem's name")
     p.add_argument("--N", dest="n", type=_order_in_range, required=True)
-    p.add_argument("--tol", type=float, default=SolverConfig.tol_y,
-                   help=f"residual norm target (default {SolverConfig.tol_y:g})")
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_outer,
-                   help=f"iterates to evaluate at most (default {SolverConfig.max_outer})")
+    p.add_argument("--tol", type=float,
+                   help="residual norm target (default SolverConfig.tol_y)")
+    p.add_argument("--max-iter", type=int,
+                   help="iterates to evaluate at most (default SolverConfig.max_outer)")
     p.add_argument("--dump-residual", metavar="PATH", default=None,
                    help="write residual arrays to this JSON file")
     p.set_defaults(func=cmd_solve)

@@ -13,7 +13,7 @@ import numpy
 import pytest
 import scipy
 
-import gausscolloc.analysis as analysis_module
+import gausscolloc.solver as solver_module
 from gausscolloc.cli import main
 from gausscolloc.errors import NewtonDivergence
 
@@ -215,7 +215,7 @@ class TestSolve:
         def diverge(problem, N, config=None):
             raise NewtonDivergence("state Newton iteration diverged")
 
-        monkeypatch.setattr("gausscolloc.cli.solve", diverge)
+        monkeypatch.setattr("gausscolloc.solver.solve", diverge)
         code, out, err = _run(capsys, "solve", "--problem", "hager84-constrained", "--N", "8")
         assert code == 2
         assert out == ""
@@ -347,13 +347,13 @@ class TestConvergence:
     def test_rows_survive_too_few_converged_orders(self, capsys, monkeypatch, tmp_path,
                                                     to_file):
         # orders above 12 report no convergence: 3 converge, 1 is left to fit
-        real_solve = analysis_module.solve
+        real_solve = solver_module.solve
 
         def solve_failing_above_12(problem, N, config=None):
             report = real_solve(problem, N, config=config)
             return replace(report, converged=report.converged and N <= 12)
 
-        monkeypatch.setattr(analysis_module, "solve", solve_failing_above_12)
+        monkeypatch.setattr(solver_module, "solve", solve_failing_above_12)
         target = tmp_path / "study.csv"
         argv = ["convergence", "--problem", "hager84-constrained", "--n-list", "4:4:24"]
         code, out, err = _run(capsys, *argv, *(["--out", str(target)] if to_file else []))
