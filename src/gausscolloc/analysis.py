@@ -1,6 +1,7 @@
 """Verification studies for the collocation machinery.
 
-Four study families, each returning plain report objects:
+Four study families, each returning report records; every record in this
+module is a ``typing.NamedTuple``:
 
 * ``interpolation_study`` measures the derivative-space (H1 seminorm)
   interpolation error over the support {-1, tau_1..tau_N}.
@@ -35,8 +36,8 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +75,7 @@ def _sup_grid():
     return grid
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     """Least-squares slope of log10(error) against log10(order)."""
 
     slope: float
@@ -153,8 +153,7 @@ def interpolation_study(u, udot, orders):
     return rows
 
 
-@dataclass(frozen=True)
-class InterpFunction:
+class InterpFunction(NamedTuple):
     u: callable
     udot: callable
     orders: tuple
@@ -207,16 +206,14 @@ def run_interp_suite(name):
 # ---------------------------------------------------------------------------
 # uniform bound on antiderivatives of interpolated data
 
-@dataclass(frozen=True)
-class Appendix1Row:
+class Appendix1Row(NamedTuple):
     order: int
     max_abs: float
     extremal_max: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class Appendix1Report:
+class Appendix1Report(NamedTuple):
     kind: str
     bound: float
     rows: list
@@ -273,8 +270,7 @@ def verify_appendix1(orders=APPENDIX1_ORDERS, kind="gauss"):
 # ---------------------------------------------------------------------------
 # endpoint-vanishing projection inequality
 
-@dataclass(frozen=True)
-class PsiNormRow:
+class PsiNormRow(NamedTuple):
     k: int
     h1_num: float
     h1_exact: float
@@ -282,16 +278,14 @@ class PsiNormRow:
     l0_exact: float
 
 
-@dataclass(frozen=True)
-class Appendix2Row:
+class Appendix2Row(NamedTuple):
     order: int
     err0: float
     err1: float
     bound_ok: bool
 
 
-@dataclass(frozen=True)
-class Appendix2Report:
+class Appendix2Report(NamedTuple):
     norm_rows: list
     max_offdiag: float
     norms_ok: bool
@@ -404,8 +398,7 @@ APPENDIX2_FUNCTIONS = {
 # ---------------------------------------------------------------------------
 # solver convergence study
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One solve of the study; errors are sup norms at the grid points,
     state and costate over the full grid including endpoints, control at
     the collocation points."""

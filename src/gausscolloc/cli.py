@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -169,14 +169,14 @@ def _function_names(requested, registry):
 def _verify_appendix1(args):
     orders = [n for n in APPENDIX1_ORDERS if n <= args.n_max]
     report = verify_appendix1(orders=orders, kind=args.kind)
-    return {"suite": "appendix1", **asdict(report)}
+    return {"suite": "appendix1", **report._asdict(), "rows": [r._asdict() for r in report.rows]}
 
 
 def _verify_appendix2(args):
     orders = [n for n in APPENDIX2_ORDERS if n <= args.n_max]
     names = _function_names(args.function, APPENDIX2_FUNCTIONS)
     report = verify_appendix2({name: APPENDIX2_FUNCTIONS[name] for name in names}, orders)
-    per_fn = {name: {"rows": [asdict(r) for r in rows], "passed": all(r.bound_ok for r in rows)}
+    per_fn = {name: {"rows": [r._asdict() for r in rows], "passed": all(r.bound_ok for r in rows)}
               for name, rows in report.rows.items()}
     return {"suite": "appendix2", "norms_ok": report.norms_ok, "max_offdiag": report.max_offdiag,
             "functions": per_fn, "passed": report.passed}
@@ -215,7 +215,7 @@ def cmd_convergence(args):
             _g17(r.residual_y), str(r.iters), _g17(r.wall_ms)]))
     if args.out:
         Path(str(args.out) + ".fit.json").write_text(json.dumps(
-            {series: asdict(f) for series, f in fits.items()}, indent=2) + "\n")
+            {series: f._asdict() for series, f in fits.items()}, indent=2) + "\n")
     else:
         lines.extend(
             f"# {series}: slope={_g17(f.slope)} r_squared={_g17(f.r_squared)} "

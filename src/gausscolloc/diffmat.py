@@ -7,7 +7,9 @@ Two rectangular operators are built from one Gauss rule:
 * ``D_dagger`` (N x N+1) differentiates the degree-N interpolant through
   {tau_1..tau_N, +1} at the same points.  It is derived from ``D`` through
   the algebraic identity D_ij = -(w_j / w_i) Ddag_ji with the last column
-  fixed by the row-sum condition Ddag_{i,N+1} = -sum_j Ddag_ij.
+  fixed by the row-sum condition Ddag_{i,N+1} = -sum_j Ddag_ij.  It is
+  built on first read and cached with the operators: the solver's costate
+  reads it, while ``props`` and the P1/P2 checks never build it.
 
 The inverse of the trailing square block D[:, 1:] is formed with
 ``np.linalg.inv`` and stored read-only: the P1 and P2 certificates read
@@ -18,7 +20,8 @@ or by its transpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,9 +40,11 @@ def barycentric_weights(points):
     thousands; the common scale cancels wherever the weights are used.
     """
     pts = np.asarray(points, dtype=float)
-    diff = 2.0 * np.subtract.outer(pts, pts)
+    # diff[j, i] = 2 (p_i - p_j): reducing over axis 0 multiplies whole rows
+    # at once, each point's factors in the same order as a per-point product
+    diff = 2.0 * (pts[None, :] - pts[:, None])
     np.fill_diagonal(diff, 1.0)
-    return 1.0 / np.prod(diff, axis=1)
+    return 1.0 / np.multiply.reduce(diff, axis=0)
 
 
 def differentiation_matrix(points):
@@ -87,22 +92,33 @@ def barycentric_matrix(nodes, t):
 
 @dataclass(frozen=True)
 class CollocationOperators:
-    """Differentiation operators bound to one Gauss rule."""
+    """Differentiation operators bound to one Gauss rule.
+
+    ``D_dagger`` is built from ``D`` and the weights on first read and
+    cached with the operators, read-only like ``D`` and ``D1N_inv``;
+    ``props`` never reads it.
+    """
 
     rule: QuadratureRule
     D: np.ndarray
-    D_dagger: np.ndarray
     D1N_inv: np.ndarray
 
+    @cached_property
+    def D_dagger(self):
+        N, om = self.rule.order, self.rule.weights
+        Ddag = np.empty((N, N + 1))
+        Ddag[:, :N] = -(om[None, :] / om[:, None]) * self.D[:, 1:].T
+        Ddag[:, N] = -np.sum(Ddag[:, :N], axis=1)
+        Ddag.flags.writeable = False
+        return Ddag
 
-@dataclass(frozen=True)
-class P1Report:
+
+class P1Report(NamedTuple):
     norm_inf: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class P2Report:
+class P2Report(NamedTuple):
     max_row_norm: float
     passed: bool
     last_row_gap: float
@@ -110,21 +126,17 @@ class P2Report:
 
 @lru_cache(maxsize=4)
 def build_operators(rule):
-    """Build D, D_dagger, and the inverse of D[:, 1:], read-only and cached
-    for the last four rules, which hash by identity (one per order)."""
+    """Build D and the inverse of D[:, 1:], read-only and cached for the last
+    four rules, which hash by identity (one per order); D_dagger waits for
+    its first read."""
     if rule.kind != "gauss":
         raise ValueError("collocation operators require a Gauss rule")
-    N = rule.order
-    tau, om = rule.nodes, rule.weights
-    pts = np.concatenate(([-1.0], tau))
+    pts = np.concatenate(([-1.0], rule.nodes))
     D = differentiation_matrix(pts)[1:, :]
-    Ddag = np.empty((N, N + 1))
-    Ddag[:, :N] = -(om[None, :] / om[:, None]) * D[:, 1:].T
-    Ddag[:, N] = -np.sum(Ddag[:, :N], axis=1)
     inv = np.linalg.inv(D[:, 1:])
-    for arr in (D, Ddag, inv):
+    for arr in (D, inv):
         arr.flags.writeable = False
-    return CollocationOperators(rule=rule, D=D, D_dagger=Ddag, D1N_inv=inv)
+    return CollocationOperators(rule=rule, D=D, D1N_inv=inv)
 
 
 def check_P1(ops):
@@ -143,7 +155,7 @@ def check_P2(ops):
     inv = ops.D1N_inv
     om = ops.rule.weights
     scaled = inv / np.sqrt(om)[None, :]
-    max_row = float(np.max(np.sqrt(np.sum(scaled * scaled, axis=1))))
+    max_row = float(np.max(np.sqrt(np.sum(np.multiply(scaled, scaled, out=scaled), axis=1))))
     gap = float(np.max(np.abs(inv[-1, :] - om)))
     return P2Report(max_row_norm=max_row,
                     passed=max_row <= np.sqrt(2.0) + TOL_SLACK,

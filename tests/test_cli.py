@@ -14,6 +14,9 @@ import pytest
 import scipy
 
 import gausscolloc.solver as solver_module
+from gausscolloc import builtin
+from gausscolloc.analysis import (APPENDIX2_FUNCTIONS, convergence_study, verify_appendix1,
+                                  verify_appendix2)
 from gausscolloc.cli import main
 from gausscolloc.errors import NewtonDivergence
 
@@ -24,6 +27,24 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _json_of_records(value):
+    """value with each library record, at any depth, as a dict built field by
+    field from its ``_fields``, and other tuples as lists, as JSON reads them."""
+    if hasattr(value, "_fields"):
+        return {f: _json_of_records(getattr(value, f)) for f in value._fields}
+    if isinstance(value, dict):
+        return {k: _json_of_records(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_of_records(v) for v in value]
+    return value
+
+
+def _same_layout(payload, expected):
+    # the text compares key order, nesting and every number; a record
+    # written as a JSON list differs from its dict
+    return json.dumps(payload) == json.dumps(_json_of_records(expected))
 
 
 @pytest.mark.parametrize("argv", [
@@ -255,6 +276,8 @@ class TestVerify:
         assert payload["suite"] == "appendix1"
         assert payload["passed"] is True
         assert [r["order"] for r in payload["rows"]] == [2, 4, 8]
+        report = verify_appendix1(orders=[2, 4, 8])
+        assert _same_layout(payload, {"suite": "appendix1", **_json_of_records(report)})
 
     def test_appendix2_single_function(self, capsys):
         code, out, _ = _run(capsys, "verify", "--suite", "appendix2",
@@ -266,6 +289,18 @@ class TestVerify:
         # the basis check is stated once, at the top, not per function
         assert payload["norms_ok"] is True and payload["max_offdiag"] <= 1e-10
         assert set(payload["functions"]["sinpi"]) == {"rows", "passed"}
+
+    def test_appendix2_all_functions_payload_follows_the_records(self, capsys):
+        code, out, _ = _run(capsys, "verify", "--suite", "appendix2",
+                            "--function", "all", "--n-max", "16")
+        assert code == 0
+        report = verify_appendix2(APPENDIX2_FUNCTIONS, [4, 8, 16])
+        expected = {
+            "suite": "appendix2", "norms_ok": report.norms_ok, "max_offdiag": report.max_offdiag,
+            "functions": {name: {"rows": rows, "passed": all(r.bound_ok for r in rows)}
+                          for name, rows in report.rows.items()},
+            "passed": report.passed}
+        assert _same_layout(json.loads(out), expected)
 
     def test_n_max_help_names_the_suites_it_caps(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -341,6 +376,8 @@ class TestConvergence:
         assert target.read_text().count("\n") == 6
         fits = json.loads((tmp_path / "study.csv.fit.json").read_text())
         assert fits["err_x"]["slope"] < -1.0
+        _, want = convergence_study(builtin("hager84-constrained"), [4, 8, 12, 16, 20])
+        assert _same_layout(fits, want)
         assert (tmp_path / "study.csv.manifest.json").exists()
 
     @pytest.mark.parametrize("to_file", [False, True])

@@ -9,9 +9,11 @@ from numpy.polynomial import legendre
 
 from gausscolloc import (build_operators, builtin, check_P1, check_P2, gauss_rule,
                          radau_rule, solve)
+from gausscolloc.cli import main
 from gausscolloc.diffmat import (barycentric_matrix, barycentric_weights,
                                  differentiation_matrix)
 from gausscolloc.errors import DimensionMismatch
+from gausscolloc.quadrature import gauss_rules
 
 
 def _support(rule):
@@ -22,11 +24,41 @@ def _adjoint_support(rule):
     return np.concatenate((rule.nodes, [1.0]))
 
 
+def _bits(a):
+    return a.view(np.int64)
+
+
+def _per_point_weights(points):
+    """The barycentric weights as one product per point, along each row of
+    the doubled differences: the reference for the row-wise product."""
+    diff = 2.0 * np.subtract.outer(points, points)
+    np.fill_diagonal(diff, 1.0)
+    return 1.0 / np.prod(diff, axis=1)
+
+
 class TestBarycentric:
     def test_weights_two_points(self):
         # {-1, 0}: w_j = 1/prod(x_j - x_k), scaling cancels in all uses
         w = barycentric_weights(np.array([-1.0, 0.0]))
         assert w[0] == -w[1]
+
+    def test_weights_match_per_point_products_on_every_support(self):
+        # each point's factors are multiplied in the same order, so the
+        # row-wise product has the same bits on every Gauss and Radau support
+        rules = gauss_rules(range(1, 1001)) + [radau_rule(N) for N in range(1, 1001)]
+        mismatched = [(rule.kind, rule.order) for rule in rules
+                      if not np.array_equal(_bits(barycentric_weights(_support(rule))),
+                                            _bits(_per_point_weights(_support(rule))))]
+        assert mismatched == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), start=st.floats(-1.0, 1.0),
+           gaps=st.lists(st.floats(1e-3, 0.25), max_size=39))
+    def test_weights_match_per_point_products_on_distinct_points(self, data, start, gaps):
+        pts = start + np.cumsum([0.0, *gaps])
+        pts = pts[data.draw(st.permutations(range(pts.size)))]
+        np.testing.assert_array_equal(_bits(barycentric_weights(pts)),
+                                      _bits(_per_point_weights(pts)))
 
     def test_matrix_reproduces_exact_hits(self):
         nodes = np.array([-1.0, -0.2, 0.7])
@@ -190,6 +222,33 @@ class TestOperatorCache:
         assert again is not first and again.rule is first.rule
         for name in ("D", "D_dagger", "D1N_inv"):
             assert np.array_equal(getattr(again, name), getattr(first, name))
+
+    @settings(max_examples=20, deadline=None)
+    @given(N=st.integers(1, 64))
+    def test_D_dagger_is_built_on_first_read(self, N):
+        rule = gauss_rule(N)
+        build_operators.cache_clear()
+        ops = build_operators(rule)
+        check_P1(ops)
+        check_P2(ops)
+        assert "D_dagger" not in vars(ops)
+        w, block = rule.weights, ops.D[:, 1:]
+        want = np.empty((N, N + 1))
+        want[:, :N] = -(w[None, :] / w[:, None]) * block.T
+        want[:, N] = -np.sum(want[:, :N], axis=1)
+        first = ops.D_dagger
+        assert not first.flags.writeable
+        np.testing.assert_array_equal(_bits(first), _bits(want))
+        assert ops.D_dagger is first and vars(ops)["D_dagger"] is first
+
+    def test_props_never_builds_D_dagger(self, capsys):
+        build_operators.cache_clear()
+        assert main(["props", "--n-max", "5"]) == 0
+        capsys.readouterr()
+        # the sweep leaves its last four orders cached
+        cached = [build_operators(gauss_rule(N)) for N in range(2, 6)]
+        assert build_operators.cache_info().hits == 4
+        assert not any("D_dagger" in vars(ops) for ops in cached)
 
     @settings(max_examples=10, deadline=None)
     @given(N=st.integers(1, 64))
