@@ -11,13 +11,13 @@ module is a ``typing.NamedTuple``:
   worst case over that data.
 * ``verify_appendix2`` works in the basis psi_k = (1 - t^2) P_k' of
   polynomials vanishing at both endpoints: for a mapping of test
-  functions it builds the basis once (the Gram matrix, the norms and psi
-  all come from one Legendre table, with at most two grid-sized tables
-  alive at once), reproduces the closed-form norms, checks orthogonality,
+  functions it reproduces the closed-form norms, checks orthogonality,
   and tests the projection inequality ||u - pi_N u||_0 <= |u - pi_N u|_1 / N
   for each function, in one report per call.  The projection is orthogonal
-  in the derivative inner product, so one product against the Legendre rows
-  gives the coefficients of every order at once.
+  in the derivative inner product, so the integrals against the Legendre
+  rows give the coefficients of every order at once.  It walks the grid
+  ``PSI_BLOCK`` points at a time, twice: once for the basis and the
+  coefficients, once for the errors, so no grid-sized table is formed.
 * ``convergence_study`` reruns the solver across orders against an
   attached analytic solution and fits log-log error slopes.
 
@@ -49,6 +49,10 @@ PANEL_ORDER = 8
 # grid rows evaluated at once: copied out by the interpolation study,
 # reduced to row sums by the appendix1 sup
 SUP_BLOCK = 512
+# dense-grid points per block of the appendix2 passes: 256 panels, so a
+# 64-row table over one block takes 1 MiB, and no grid sum runs over more
+# than the 10000 points above which OpenBLAS splits a dot product over threads
+PSI_BLOCK = 2048
 APPENDIX1_ORDERS = (2, 4, 8, 16, 32, 64)
 APPENDIX2_ORDERS = (4, 8, 16, 32, 64)
 
@@ -102,7 +106,8 @@ def fit_rate(orders, errors, discard=2):
     orders, errors = orders[discard:], errors[discard:]
     keep = errors > 0.0
     orders, errors = orders[keep], errors[keep]
-    distinct = np.unique(orders).size
+    # a set, not np.unique, which loads numpy.ma
+    distinct = len(set(orders.tolist()))
     if distinct < 3:
         raise ValueError(
             f"rate fit needs at least 3 distinct usable orders after discarding {discard}, "
@@ -293,36 +298,48 @@ class Appendix2Report(NamedTuple):
     passed: bool
 
 
-def _psi_basis(kmax):
-    """Dense-grid rows k = 1..kmax of P_k and of psi_k = (1 - t^2) P_k', the
-    h1 Gram matrix and l0 norms of psi_1..psi_kmax, and their closed forms:
-    (P, psi, gram, l0, h1_exact, l0_exact).
+def _psi_blocks(kmax):
+    """The dense grid PSI_BLOCK points at a time, with rows k = 1..kmax of
+    P_k and of psi_k = (1 - t^2) P_k' there: yields (t, w, P, psi).
+
+    psi comes from the identity (1 - t^2) P_k' = k (P_{k-1} - t P_k).
+    """
+    pts, wts = _dense_grid()
+    ks = np.arange(1, kmax + 1)[:, None]
+    for start in range(0, pts.size, PSI_BLOCK):
+        t, w = pts[start:start + PSI_BLOCK], wts[start:start + PSI_BLOCK]
+        P = legendre_table(kmax, t)
+        psi = np.multiply(t, P[1:])
+        np.subtract(P[:-1], psi, out=psi)
+        yield t, w, P[1:], np.multiply(ks, psi, out=psi)
+
+
+def _psi_basis(kmax, udots):
+    """The h1 Gram matrix and l0 norms of psi_1..psi_kmax, their closed
+    forms, and the integrals of each udot against P_1..P_kmax, one row per
+    udot: (gram, l0, h1_exact, l0_exact, proj).
 
     h1 is the seminorm integral of (psi_k')^2; since psi_k' = -k(k+1) P_k,
     the Gram matrix is k(k+1) l(l+1) times the weighted Legendre products.
-    l0 weights psi_k^2 by 1/(1-t^2).  The Legendre table and its weighted
-    copy are the two grid-sized tables alive.  Each product is made whole,
-    as in the one-shot formulas, since a Gram matrix built by row blocks
-    moves bits once BLAS splits the whole product over threads.  psi comes
-    from the identity (1 - t^2) P_k' = k (P_{k-1} - t P_k), written into the
-    weighted copy's buffer; it is squared in place for l0 and written again.
+    l0 weights psi_k^2 by 1/(1-t^2).  Each integral is summed over the
+    blocks of ``_psi_blocks``.  The 12 x 12 head of the Gram matrix, which
+    the norm table reads, is its own product: OpenBLAS picks its kernel by
+    a product's size, so the head of the whole product would change bits
+    with kmax.
     """
-    pts, wts = _dense_grid()
     ks = np.arange(1, kmax + 1)
     kk = ks * (ks + 1)
-    P = legendre_table(kmax, pts)
-    psi = P[1:] * wts  # weighted P_k, until psi is written into its buffer
-    gram = np.outer(kk, kk) * (psi @ P[1:].T)
-
-    def fill_psi():
-        np.multiply(pts, P[1:], out=psi)
-        np.subtract(P[:-1], psi, out=psi)
-        np.multiply(ks[:, None], psi, out=psi)
-
-    fill_psi()
-    l0 = np.multiply(psi, psi, out=psi) @ (wts / ((1.0 - pts) * (1.0 + pts)))
-    fill_psi()
-    return P[1:], psi, gram, l0, 2.0 * kk * kk / (2 * ks + 1), 2.0 * kk / (2 * ks + 1)
+    gram, head, l0 = np.zeros((kmax, kmax)), np.zeros((12, 12)), np.zeros(kmax)
+    proj = np.zeros((len(udots), kmax))
+    for t, w, P, psi in _psi_blocks(kmax):
+        gram += (P * w) @ P.T
+        head += (P[:12] * w) @ P[:12].T
+        l0 += (psi * psi) @ (w / ((1.0 - t) * (1.0 + t)))
+        for row, udot in zip(proj, udots):
+            row += P @ (w * udot(t))
+    gram[:12, :12] = head
+    gram *= np.outer(kk, kk)
+    return gram, l0, 2.0 * kk * kk / (2 * ks + 1), 2.0 * kk / (2 * ks + 1), proj
 
 
 def verify_appendix2(functions, orders=APPENDIX2_ORDERS):
@@ -333,24 +350,26 @@ def verify_appendix2(functions, orders=APPENDIX2_ORDERS):
     and every row's bound hold.  The order-N
     projection onto span{psi_1..psi_{N-1}} is orthogonal in the derivative
     inner product, so its coefficients <u', psi_k'> / |psi_k|_1^2 do not
-    depend on N: one product against the P_k rows gives them for the
-    largest order, and each order takes a prefix.  err0 is the
-    endpoint-weighted L2 error of the projection, err1 the L2 error of its
-    derivative.
+    depend on N: the integrals against the P_k give them for the largest
+    order, and each order takes a prefix.  err0 is the endpoint-weighted L2
+    error of the projection, err1 the L2 error of its derivative.
 
-    The psi basis is built once per call, for k up to max(12, largest
-    order - 1).  The report carries the norm table and the absolute
-    orthogonality check of its 12 x 12 prefix; ``norms_ok`` also requires
-    the closed-form norms for every k built and, for every psi_k the
-    projections use, orthogonality relative to the h1 norms, which grow
-    like k^3.  An empty `functions` or `orders`, or an order below 2,
-    raises ValueError.
+    Two passes walk the dense grid in blocks of ``PSI_BLOCK`` points, so no
+    grid-sized table is formed: the first sums the basis integrals and the
+    coefficient integrals, for k up to max(12, largest order - 1), and the
+    second the squared errors of every function and order.  The report
+    carries the norm table and the absolute orthogonality check of its
+    12 x 12 prefix; ``norms_ok`` also requires the closed-form norms for
+    every k built and, for every psi_k the projections use, orthogonality
+    relative to the h1 norms, which grow like k^3.  An empty `functions` or
+    `orders`, or an order below 2, raises ValueError.
     """
     if not functions:
         raise ValueError("appendix2 has no function to check")
     orders = _order_list("appendix2", orders, APPENDIX2_ORDERS[0], 2)
     K = max(orders) - 1
-    P, psi, gram, l0, h1, l0_exact = _psi_basis(max(12, K))
+    gram, l0, h1, l0_exact, proj = _psi_basis(
+        max(12, K), [udot for _, udot in functions.values()])
     norm_rows = [PsiNormRow(
         k=k,
         h1_num=float(gram[k - 1, k - 1]), h1_exact=float(h1[k - 1]),
@@ -363,23 +382,21 @@ def verify_appendix2(functions, orders=APPENDIX2_ORDERS):
                     and worst <= 1e-10
                     and np.all(np.abs(gram[:K, :K][off])
                                <= 1e-13 * np.sqrt(np.outer(h1[:K], h1[:K]))[off]))
-    pts, wts = _dense_grid()
-    l0_wts = wts / ((1.0 - pts) * (1.0 + pts))
-    P, psi, ks = P[:K], psi[:K], np.arange(1, K + 1)
-    rows = {}
-    for name, (u, udot) in functions.items():
-        uvals, duvals = u(pts), udot(pts)
-        # psi_k' = -k(k+1) P_k and |psi_k|_1^2 = 2 k^2 (k+1)^2 / (2k+1)
-        coeffs = -(2 * ks + 1) / (2.0 * ks * (ks + 1)) * (P @ (wts * duvals))
-        dcoeffs = -(ks * (ks + 1)) * coeffs
-        rows[name] = []
-        for N in orders:
-            piN = coeffs[:N - 1] @ psi[:N - 1]
-            dpiN = dcoeffs[:N - 1] @ P[:N - 1]
-            err0 = float(np.sqrt(l0_wts @ (uvals - piN) ** 2))
-            err1 = float(np.sqrt(wts @ (duvals - dpiN) ** 2))
-            rows[name].append(Appendix2Row(order=N, err0=err0, err1=err1,
-                                           bound_ok=err0 <= err1 / N + 1e-10))
+    ks = np.arange(1, K + 1)
+    # psi_k' = -k(k+1) P_k and |psi_k|_1^2 = 2 k^2 (k+1)^2 / (2k+1)
+    coeffs = -(2 * ks + 1) / (2.0 * ks * (ks + 1)) * proj[:, :K]
+    dcoeffs = -(ks * (ks + 1)) * coeffs
+    squares = np.zeros((len(functions), len(orders), 2))
+    for t, w, P, psi in _psi_blocks(K):
+        l0_w = w / ((1.0 - t) * (1.0 + t))
+        for sq, c, dc, (u, udot) in zip(squares, coeffs, dcoeffs, functions.values()):
+            uvals, duvals = u(t), udot(t)
+            for acc, N in zip(sq, orders):
+                acc += (l0_w @ (uvals - c[:N - 1] @ psi[:N - 1]) ** 2,
+                        w @ (duvals - dc[:N - 1] @ P[:N - 1]) ** 2)
+    rows = {name: [Appendix2Row(order=N, err0=e0, err1=e1, bound_ok=e0 <= e1 / N + 1e-10)
+                   for N, (e0, e1) in zip(orders, errs)]
+            for name, errs in zip(functions, np.sqrt(squares).tolist())}
     return Appendix2Report(
         norm_rows=norm_rows, max_offdiag=worst, norms_ok=norms_ok, rows=rows,
         passed=norms_ok and all(r.bound_ok for fn in rows.values() for r in fn))

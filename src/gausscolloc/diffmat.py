@@ -7,14 +7,14 @@ Two rectangular operators are built from one Gauss rule:
 * ``D_dagger`` (N x N+1) differentiates the degree-N interpolant through
   {tau_1..tau_N, +1} at the same points.  It is derived from ``D`` through
   the algebraic identity D_ij = -(w_j / w_i) Ddag_ji with the last column
-  fixed by the row-sum condition Ddag_{i,N+1} = -sum_j Ddag_ij.  It is
-  built on first read and cached with the operators: the solver's costate
-  reads it, while ``props`` and the P1/P2 checks never build it.
+  fixed by the row-sum condition Ddag_{i,N+1} = -sum_j Ddag_ij.
 
-The inverse of the trailing square block D[:, 1:] is formed with
-``np.linalg.inv`` and stored read-only: the P1 and P2 certificates read
-it, and the solver's collocation Jacobian and costate solves multiply by it
-or by its transpose.
+Both are built on first read and cached with the operators: the solver
+reads them, while ``props`` and the P1/P2 checks never build either.  The
+inverse of the trailing square block D[:, 1:] is formed with
+``np.linalg.inv`` from a temporary D and stored read-only: the P1 and P2
+certificates read it, and the solver's collocation Jacobian and costate
+solves multiply by it or by its transpose.
 ``build_operators`` caches four orders per process.  The module needs numpy alone.
 """
 from __future__ import annotations
@@ -90,18 +90,28 @@ def barycentric_matrix(nodes, t):
     return kernel
 
 
+def _support_matrix(rule):
+    """D: the rows at the nodes of the differentiation matrix on {-1, nodes}."""
+    return differentiation_matrix(np.concatenate(([-1.0], rule.nodes)))[1:, :]
+
+
 @dataclass(frozen=True)
 class CollocationOperators:
     """Differentiation operators bound to one Gauss rule.
 
-    ``D_dagger`` is built from ``D`` and the weights on first read and
-    cached with the operators, read-only like ``D`` and ``D1N_inv``;
-    ``props`` never reads it.
+    ``D``, and ``D_dagger`` from ``D`` and the weights, are built on first
+    read and cached with the operators, read-only like ``D1N_inv``;
+    ``props`` never reads either.
     """
 
     rule: QuadratureRule
-    D: np.ndarray
     D1N_inv: np.ndarray
+
+    @cached_property
+    def D(self):
+        D = _support_matrix(self.rule)
+        D.flags.writeable = False
+        return D
 
     @cached_property
     def D_dagger(self):
@@ -126,17 +136,14 @@ class P2Report(NamedTuple):
 
 @lru_cache(maxsize=4)
 def build_operators(rule):
-    """Build D and the inverse of D[:, 1:], read-only and cached for the last
-    four rules, which hash by identity (one per order); D_dagger waits for
-    its first read."""
+    """Build the inverse of D[:, 1:], read-only and cached for the last four
+    rules, which hash by identity (one per order); D and D_dagger wait for
+    their first read."""
     if rule.kind != "gauss":
         raise ValueError("collocation operators require a Gauss rule")
-    pts = np.concatenate(([-1.0], rule.nodes))
-    D = differentiation_matrix(pts)[1:, :]
-    inv = np.linalg.inv(D[:, 1:])
-    for arr in (D, inv):
-        arr.flags.writeable = False
-    return CollocationOperators(rule=rule, D=D, D1N_inv=inv)
+    inv = np.linalg.inv(_support_matrix(rule)[:, 1:])
+    inv.flags.writeable = False
+    return CollocationOperators(rule=rule, D1N_inv=inv)
 
 
 def check_P1(ops):

@@ -14,7 +14,7 @@ from gausscolloc import (builtin, convergence_study, fit_rate, gauss_rule,
 from gausscolloc import analysis
 from gausscolloc.analysis import (APPENDIX1_ORDERS, APPENDIX2_FUNCTIONS,
                                   INTERP_FUNCTIONS, _dense_grid, _grid_blocks,
-                                  _psi_basis, _sup_grid)
+                                  _psi_basis, _psi_blocks, _sup_grid)
 from gausscolloc.diffmat import barycentric_matrix, differentiation_matrix
 from gausscolloc.quadrature import _legendre_body, legendre_table
 
@@ -254,8 +254,10 @@ def _bump_l0(gram, l0, h1):
 
 class TestAppendix2:
     def test_psi_rows_match_pointwise_derivative(self):
-        pts, _ = _dense_grid()
-        P, psi = _psi_basis(64)[:2]
+        pts, wts = _dense_grid()
+        t, w, P, psi = (np.concatenate(parts, axis=-1) for parts in zip(*_psi_blocks(64)))
+        # the blocks tile the grid in order
+        assert t.tobytes() == pts.tobytes() and w.tobytes() == wts.tobytes()
         for k in range(1, 65):
             val, der = _legendre_body(np.full(pts.size, k), pts)
             np.testing.assert_array_equal(P[k - 1], val)
@@ -283,8 +285,11 @@ class TestAppendix2:
 
     @pytest.mark.parametrize("kmax", [12, 63])
     def test_basis_matches_three_table_formulas(self, kmax):
-        # the one-shot formulas, with a third grid-sized table alive at the
-        # l0 squares; psi_k' = -k(k+1) P_k scales the Legendre Gram matrix
+        # the one-shot formulas over the whole grid, with three grid-sized
+        # tables alive at the l0 squares; psi_k' = -k(k+1) P_k scales the
+        # Legendre Gram matrix.  Each block's rows are the formulas' rows on
+        # its points, bit for bit, and the integrals summed block by block
+        # agree with the whole-grid products to rounding
         pts, wts = _dense_grid()
         P = legendre_table(kmax, pts)
         ks = np.arange(1, kmax + 1)
@@ -292,33 +297,54 @@ class TestAppendix2:
         gram = np.outer(kk, kk) * ((P[1:] * wts) @ P[1:].T)
         psi = ks[:, None] * (P[:-1] - pts * P[1:])
         l0 = (psi * psi) @ (wts / ((1.0 - pts) * (1.0 + pts)))
-        for got, want in zip(_psi_basis(kmax), (P[1:], psi, gram, l0)):
-            assert got.tobytes() == want.tobytes()
+        udots = [udot for _, udot in APPENDIX2_FUNCTIONS.values()]
+        proj = np.array([P[1:] @ (wts * udot(pts)) for udot in udots])
+        start = 0
+        for t, _, P_block, psi_block in _psi_blocks(kmax):
+            rows = slice(start, start + t.size)
+            assert P_block.tobytes() == np.ascontiguousarray(P[1:, rows]).tobytes()
+            assert psi_block.tobytes() == np.ascontiguousarray(psi[:, rows]).tobytes()
+            start += t.size
+        assert start == pts.size
+        got_gram, got_l0, h1, _, got_proj = _psi_basis(kmax, udots)
+        assert np.all(np.abs(got_gram - gram) <= 1e-14 * np.sqrt(np.outer(h1, h1)))
+        np.testing.assert_allclose(got_l0, l0, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(got_proj, proj, rtol=0.0, atol=1e-14 * np.abs(proj).max())
 
     def test_one_basis_per_call(self, monkeypatch):
-        # the Legendre table is computed once per basis, never per function
-        sizes = []
+        # each block's Legendre table is computed once per pass, never per
+        # function: the first pass over max(12, K) rows, the second over the
+        # K rows the projections use, K = largest order - 1
+        calls = []
         table = analysis.legendre_table
 
         def counted(kmax, t):
-            sizes.append(kmax)
+            calls.append((kmax, t.size))
             return table(kmax, t)
 
         monkeypatch.setattr(analysis, "legendre_table", counted)
+        blocks = _dense_grid()[0].size // analysis.PSI_BLOCK
         report = verify_appendix2(APPENDIX2_FUNCTIONS)
-        assert sizes == [max(analysis.APPENDIX2_ORDERS) - 1]
+        K = max(analysis.APPENDIX2_ORDERS) - 1
+        assert calls == [(K, analysis.PSI_BLOCK)] * (2 * blocks)
+        del calls[:]
         verify_appendix2(APPENDIX2_FUNCTIONS, orders=(4, 8))
-        assert sizes[1:] == [12]
+        assert calls == [(12, analysis.PSI_BLOCK)] * blocks + [(7, analysis.PSI_BLOCK)] * blocks
         assert list(report.rows) == list(APPENDIX2_FUNCTIONS)
         assert report.passed
 
     def test_peak_memory_is_bounded(self):
-        # at the default orders the basis holds two grid-sized tables, P of
-        # 64 rows and psi of 63 (8 MiB each); the quarter table on top covers
-        # the dense-grid vectors of the projections.  A third table would
-        # show here and in the CLI process's RSS
+        # the passes hold tables over one block, never over the grid: while
+        # the loop still holds the last block's P and psi, the next block's
+        # Legendre table and psi are built, four tables of 64 rows over
+        # PSI_BLOCK points (1 MiB each, against a 4.1 MiB peak); a fifth
+        # covers the block vectors and the Gram matrix.  The bound stays
+        # below one table over the whole grid (8 MiB), so a grid-sized
+        # table fails it
         _dense_grid(), _sup_grid()
-        table = max(analysis.APPENDIX2_ORDERS) * _dense_grid()[0].size * 8
+        rows = max(analysis.APPENDIX2_ORDERS)
+        block = rows * analysis.PSI_BLOCK * 8
+        whole = rows * _dense_grid()[0].size * 8
         tracemalloc.start()
         try:
             report = verify_appendix2(APPENDIX2_FUNCTIONS)
@@ -326,7 +352,7 @@ class TestAppendix2:
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert peak < 2.25 * table
+        assert peak < 5 * block < whole
 
     def test_basis_member_projects_onto_itself(self):
         # psi_3 = (1-t^2)(15t^2-3)/2 lies in span{psi_1..psi_4}
@@ -347,10 +373,10 @@ class TestAppendix2:
         clean = verify_appendix2(functions, orders=(4, 8, 32))
         basis = analysis._psi_basis
 
-        def corrupted(kmax):
-            P, psi, gram, l0, h1, l0_exact = basis(kmax)
+        def corrupted(kmax, udots):
+            gram, l0, h1, l0_exact, proj = basis(kmax, udots)
             corrupt(gram, l0, h1)
-            return P, psi, gram, l0, h1, l0_exact
+            return gram, l0, h1, l0_exact, proj
 
         monkeypatch.setattr(analysis, "_psi_basis", corrupted)
         report = verify_appendix2(functions, orders=(4, 8, 32))

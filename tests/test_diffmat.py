@@ -241,14 +241,30 @@ class TestOperatorCache:
         np.testing.assert_array_equal(_bits(first), _bits(want))
         assert ops.D_dagger is first and vars(ops)["D_dagger"] is first
 
+    @settings(max_examples=20, deadline=None)
+    @given(N=st.integers(1, 64))
+    def test_D_is_built_on_first_read(self, N):
+        rule = gauss_rule(N)
+        build_operators.cache_clear()
+        ops = build_operators(rule)
+        check_P1(ops)
+        check_P2(ops)
+        assert "D" not in vars(ops)
+        want = differentiation_matrix(np.concatenate(([-1.0], rule.nodes)))[1:, :]
+        first = ops.D
+        assert not first.flags.writeable
+        np.testing.assert_array_equal(_bits(first), _bits(want))
+        assert ops.D is first and vars(ops)["D"] is first
+
     def test_props_never_builds_D_dagger(self, capsys):
         build_operators.cache_clear()
         assert main(["props", "--n-max", "5"]) == 0
         capsys.readouterr()
-        # the sweep leaves its last four orders cached
+        # the sweep leaves its last four orders cached, with neither D nor
+        # D_dagger built
         cached = [build_operators(gauss_rule(N)) for N in range(2, 6)]
         assert build_operators.cache_info().hits == 4
-        assert not any("D_dagger" in vars(ops) for ops in cached)
+        assert not any({"D", "D_dagger"} & set(vars(ops)) for ops in cached)
 
     @settings(max_examples=10, deadline=None)
     @given(N=st.integers(1, 64))

@@ -130,8 +130,8 @@ CERTIFY = [["props", "--n-max", "5"],
 def test_certificates_load_no_solver_stack():
     # a fresh interpreter: the CLI loads what props and verify need, and
     # analysis, so a tracer installed straight after the import finds the
-    # suites; neither command loads the solver stack, and solve and
-    # convergence load it themselves
+    # suites; neither command loads the solver stack or numpy.ma, and solve
+    # and convergence load the stack themselves
     result = _run_fresh(f"""
         import contextlib, io, json, sys
         import gausscolloc.cli
@@ -142,7 +142,8 @@ def test_certificates_load_no_solver_stack():
 
         stack = ("gausscolloc.problem", "gausscolloc.transcription", "gausscolloc.solver")
         on_import = sorted(m for m in sys.modules if m.startswith("gausscolloc."))
-        certify = [[run(argv), [m for m in stack if m in sys.modules]]
+        certify = [[run(argv), [m for m in stack if m in sys.modules],
+                    "numpy.ma" in sys.modules]
                    for argv in {CERTIFY!r}]
         solves = [run(["solve", "--problem", "hager84-constrained", "--N", "10"]),
                   run(["convergence", "--problem", "hager84-unconstrained",
@@ -153,5 +154,5 @@ def test_certificates_load_no_solver_stack():
     assert result == {
         "on_import": ["gausscolloc.analysis", "gausscolloc.cli", "gausscolloc.diffmat",
                       "gausscolloc.errors", "gausscolloc.quadrature"],
-        "certify": [[0, []]] * len(CERTIFY), "solves": [0, 0],
+        "certify": [[0, [], False]] * len(CERTIFY), "solves": [0, 0],
         "stack": ["gausscolloc.problem", "gausscolloc.transcription", "gausscolloc.solver"]}
