@@ -236,6 +236,15 @@ def _order_list(suite, orders, smallest, floor):
     return orders
 
 
+def _appendix1_table(support):
+    """The (N+1) x N appendix1 table on the support {-1, nodes}: a zero row over
+    X, the inverse of A = D[1:, 1:] (p(-1) = 0 drops D's first column, the free
+    p'(-1) its first row), refined once as X + X(I - A X), as its roundoff grows with N."""
+    A = differentiation_matrix(support)[1:, 1:]
+    X = np.linalg.inv(A)
+    return np.vstack([np.zeros(len(A)), X + X @ (np.eye(len(A)) - A @ X)])
+
+
 def verify_appendix1(orders=APPENDIX1_ORDERS, kind="gauss"):
     """Certify sup|p| <= 2 for every admissible p by its exact worst case.
 
@@ -245,10 +254,8 @@ def verify_appendix1(orders=APPENDIX1_ORDERS, kind="gauss"):
     ``max_abs``, the worst case over all data, is the grid maximum of the
     table's absolute row sums, and ``extremal_max``, the sup for the
     all-ones data, that of |signed row sum|, which must reach 2 to 1e-12.
-    On the support {-1, nodes} the table is the inverse of the trailing
-    block of the differentiation matrix (p(-1) = 0 drops its first column;
-    p'(-1) is not prescribed, which drops its first row), and barycentric
-    interpolation evaluates it SUP_BLOCK grid rows at a time.
+    On the support {-1, nodes} the table is ``_appendix1_table``, and
+    barycentric interpolation evaluates it SUP_BLOCK grid rows at a time.
     An empty `orders` raises ValueError, as it would certify nothing, and
     so does a `kind` other than "gauss" or "radau".
     """
@@ -259,10 +266,8 @@ def verify_appendix1(orders=APPENDIX1_ORDERS, kind="gauss"):
     rows = []
     for N in orders:
         support = np.concatenate([[-1.0], rule(N).nodes])
-        table = np.zeros((N + 1, N))
-        table[1:] = np.linalg.inv(differentiation_matrix(support)[1:, 1:])
         max_abs = extremal = 0.0
-        for _, v in _grid_blocks(support, _sup_grid(), table):
+        for _, v in _grid_blocks(support, _sup_grid(), _appendix1_table(support)):
             extremal = max(extremal, float(np.abs(v.sum(axis=1)).max()))
             max_abs = max(max_abs, float(np.abs(v).sum(axis=1).max()))
         rows.append(Appendix1Row(

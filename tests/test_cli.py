@@ -302,19 +302,24 @@ class TestVerify:
             "passed": report.passed}
         assert _same_layout(json.loads(out), expected)
 
-    def test_appendix2_does_not_depend_on_blas_threads(self):
-        # every grid sum runs over one PSI_BLOCK block, below the size at
-        # which OpenBLAS splits a dot product over threads, and the norm
-        # table's Gram head is its own product, so one and two threads
-        # print the same bytes
+    @pytest.mark.parametrize("args", [("appendix2", "--function", "all"),
+                                      ("appendix1", "--kind", "gauss"),
+                                      ("appendix1", "--kind", "radau")],
+                             ids=["appendix2", "appendix1-gauss", "appendix1-radau"])
+    def test_verify_does_not_depend_on_blas_threads(self, args):
+        # appendix2: every grid sum runs over one PSI_BLOCK block, below the
+        # size at which OpenBLAS splits a dot product over threads, and the
+        # norm table's Gram head is its own product.  appendix1, at its
+        # orders up to 64, has printed the same bytes under either count,
+        # before the refinement of its table and after
         outs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join(
                            p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p))
             proc = subprocess.run(
-                [sys.executable, "-m", "gausscolloc.cli", "verify", "--suite", "appendix2",
-                 "--function", "all"], env=env, capture_output=True, text=True, timeout=120)
+                [sys.executable, "-m", "gausscolloc.cli", "verify", "--suite", *args],
+                env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]

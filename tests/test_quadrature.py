@@ -3,6 +3,7 @@
 from functools import lru_cache
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,7 @@ from scipy.special import eval_jacobi
 from gausscolloc import gauss_rule, quadrature, radau_rule
 from gausscolloc.errors import IterationFailure
 from gausscolloc.quadrature import (ROOT_MAX_ITER, ROOT_TOL, _legendre_body, _newton_roots,
-                                    gauss_rules, legendre_table)
+                                    gauss_rules, legendre_table, radau_rules)
 
 
 class TestLegendreEval:
@@ -124,7 +125,7 @@ def test_recurrence_with_one_degree_per_point_matches_textbook(degrees, data):
 def test_batched_rules_are_bit_identical_to_textbook(orders):
     # a fresh cache, so every distinct order is built in the one batched sweep;
     # in the example, order 400 stops a sweep before order 5 does
-    with mock.patch.dict(quadrature._GAUSS_RULES, clear=True):
+    with mock.patch.dict(quadrature._RULES, clear=True):
         rules = gauss_rules(orders)
         assert [rule.order for rule in rules] == orders
         for N, rule in zip(orders, rules):
@@ -135,18 +136,43 @@ def test_batched_rules_are_bit_identical_to_textbook(orders):
             assert not (rule.nodes.flags.writeable or rule.weights.flags.writeable)
 
 
-class TestGaussRules:
-    @pytest.mark.parametrize("orders", [[], [0], [3, 0, 5], [-2]])
-    def test_rejects_an_empty_set_or_an_order_below_one(self, orders):
-        with pytest.raises(ValueError):
-            gauss_rules(orders)
+def _bits(a):
+    return a.view(np.uint64)
 
-    def test_sweep_budget_exhausted_raises(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_GAUSS_RULES", {})
+
+@settings(max_examples=25, deadline=None)
+@given(orders=st.lists(st.integers(1, 400), min_size=1, max_size=8))
+@example(orders=[400, 1, 2, 400])
+def test_batched_radau_rules_are_bit_identical_to_one_order_builds(orders):
+    # each order alone from an empty cache, then every distinct order in one
+    # batched sweep from an empty cache; order 1 has no interior node to sweep
+    alone = {}
+    for N in set(orders):
+        with mock.patch.dict(quadrature._RULES, clear=True):
+            alone[N] = radau_rule(N).nodes
+    with mock.patch.dict(quadrature._RULES, clear=True):
+        rules = radau_rules(orders)
+        assert [rule.order for rule in rules] == orders
+        for N, rule in zip(orders, rules):
+            np.testing.assert_array_equal(_bits(rule.nodes), _bits(alone[N]))
+            assert rule.weights is None
+            assert rule is radau_rule(N)
+            assert not rule.nodes.flags.writeable
+
+
+@pytest.mark.parametrize("build", [gauss_rules, radau_rules], ids=["gauss", "radau"])
+class TestBatchedRules:
+    @pytest.mark.parametrize("orders", [[], [0], [3, 0, 5], [-2]])
+    def test_rejects_an_empty_set_or_an_order_below_one(self, build, orders):
+        with pytest.raises(ValueError):
+            build(orders)
+
+    def test_sweep_budget_exhausted_raises(self, monkeypatch, build):
+        monkeypatch.setattr(quadrature, "_RULES", {})
         monkeypatch.setattr(quadrature, "ROOT_MAX_ITER", 1)
         with pytest.raises(IterationFailure):
-            gauss_rules([5, 40])
-        assert quadrature._GAUSS_RULES == {}
+            build([5, 40])
+        assert quadrature._RULES == {}
 
 
 def test_newton_step_leaving_the_interval_is_halved_back():
@@ -230,11 +256,11 @@ class TestRadauRule:
         assert rule.kind == "radau"
 
     def test_a_true_order_is_the_int_one(self):
-        # radau_rule caches by argument and True == 1: start from an empty cache
-        radau_rule.cache_clear()
-        for build in (gauss_rule, radau_rule):
-            order = build(True).order
-            assert type(order) is int and order == 1
+        # True == 1 as a cache key: start from an empty cache, so True builds the rule
+        with mock.patch.dict(quadrature._RULES, clear=True):
+            for build in (gauss_rule, radau_rule):
+                order = build(True).order
+                assert type(order) is int and order == 1
 
     @pytest.mark.parametrize("N", [2.5, np.float64(3.0)], ids=["float", "float64"])
     @pytest.mark.parametrize("build", [gauss_rule, radau_rule], ids=["gauss", "radau"])
@@ -252,6 +278,34 @@ class TestRadauRule:
         rule = radau_rule(N)
         residual = eval_jacobi(N - 1, 1, 0, rule.nodes[:-1])
         assert np.max(np.abs(residual)) <= 1e-12
+
+    @pytest.mark.parametrize("N", [2, 16, 64, 238])
+    def test_interior_nodes_match_40_digit_roots(self, N):
+        # Newton on r = q / (1 - t), q = P_{N-1} - P_N, in 40-digit arithmetic
+        # by the plain Legendre recurrence, with P_{k+1}' = P_{k-1}' + (2k+1) P_k,
+        # started from each node: within 1.1e-16 (at most 6.3e-17 so far)
+        def newton_step(t):
+            pm1, p, dpm1, dp = 1, t, 0, 1
+            for k in range(1, N):
+                pm1, p, dpm1, dp = (p, ((2 * k + 1) * t * p - k * pm1) / (k + 1),
+                                    dp, dpm1 + (2 * k + 1) * p)
+            q, dq = pm1 - p, dpm1 - dp
+            return q * (1 - t) / (dq * (1 - t) + q)     # r / r'
+
+        interior = radau_rule(N).nodes[:-1]
+        roots = []
+        with mpmath.workdps(40):
+            for x in interior:
+                t = mpmath.mpf(float(x))
+                for _ in range(20):
+                    step = newton_step(t)
+                    t -= step
+                    if abs(step) < mpmath.mpf(10) ** -38:
+                        break
+                assert abs(step) < mpmath.mpf(10) ** -38
+                roots.append(t)
+            assert all(a < b for a, b in zip(roots, roots[1:]))
+            assert max(abs(mpmath.mpf(float(x)) - r) for x, r in zip(interior, roots)) <= 1.1e-16
 
 
 class TestIntegrate:
