@@ -26,11 +26,11 @@ singular endpoint weights are only ever evaluated at interior points; sup
 norms additionally sample a uniform grid including both endpoints.  Both
 the interpolation study and the appendix1 sup evaluate their polynomials on
 a grid ``SUP_BLOCK`` rows at a time, into one buffer, so no grid-sized
-evaluation matrix is ever formed: the study copies each block into its
-derivative vector, and the sup reduces each block's rows to their absolute
-and signed sums and keeps the largest, so its memory stays bounded by that
-buffer and the (N+1) x N table whatever the order.  The suites need numpy
-alone.
+evaluation matrix is ever formed: the study sums each block's weighted
+squared error, a sum too short for OpenBLAS to split over threads, and the
+sup reduces each block's rows to their absolute and signed sums and keeps
+the largest, so memory stays bounded by that buffer and the (N+1) x N table
+whatever the order.  The suites need numpy alone.
 """
 from __future__ import annotations
 
@@ -41,12 +41,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diffmat import barycentric_matrix, differentiation_matrix
+from .diffmat import CollocationOperators, barycentric_matrix, differentiation_matrix
 from .quadrature import gauss_rule, legendre_table, radau_rule
 
 PANELS = 2048
 PANEL_ORDER = 8
-# grid rows evaluated at once: copied out by the interpolation study,
+# grid rows evaluated at once: summed by the interpolation study,
 # reduced to row sums by the appendix1 sup
 SUP_BLOCK = 512
 # dense-grid points per block of the appendix2 passes: 256 panels, so a
@@ -146,15 +146,14 @@ def interpolation_study(u, udot, orders):
     """
     pts, wts = _dense_grid()
     target = udot(pts)
-    dI = np.empty(pts.size)
     rows = []
     for N in orders:
         rule = gauss_rule(N)
         support = np.concatenate([[-1.0], rule.nodes])
         dsamp = differentiation_matrix(support) @ u(support)
-        for block, v in _grid_blocks(support, pts, dsamp):
-            dI[block] = v
-        rows.append((rule.order, float(np.sqrt(wts @ (target - dI) ** 2))))
+        square = sum(float(wts[block] @ (target[block] - v) ** 2)
+                     for block, v in _grid_blocks(support, pts, dsamp))
+        rows.append((rule.order, float(np.sqrt(square))))
     return rows
 
 
@@ -236,13 +235,13 @@ def _order_list(suite, orders, smallest, floor):
     return orders
 
 
-def _appendix1_table(support):
-    """The (N+1) x N appendix1 table on the support {-1, nodes}: a zero row over
-    X, the inverse of A = D[1:, 1:] (p(-1) = 0 drops D's first column, the free
-    p'(-1) its first row), refined once as X + X(I - A X), as its roundoff grows with N."""
-    A = differentiation_matrix(support)[1:, 1:]
-    X = np.linalg.inv(A)
-    return np.vstack([np.zeros(len(A)), X + X @ (np.eye(len(A)) - A @ X)])
+def _appendix1_table(rule):
+    """The (N+1) x N appendix1 table on {-1, nodes}: a zero row over X, the rule's
+    inverse of A = D[:, 1:] (p(-1) = 0 drops D's first column; D has no row at -1,
+    where p' is free), refined once as X + X(I - A X) as its roundoff grows with N."""
+    ops = CollocationOperators(rule)
+    A, X = ops.D[:, 1:], ops.D1N_inv
+    return np.vstack([np.zeros(len(X)), X + X @ (np.eye(len(X)) - A @ X)])
 
 
 def verify_appendix1(orders=APPENDIX1_ORDERS, kind="gauss"):
@@ -260,14 +259,15 @@ def verify_appendix1(orders=APPENDIX1_ORDERS, kind="gauss"):
     so does a `kind` other than "gauss" or "radau".
     """
     orders = _order_list("appendix1", orders, APPENDIX1_ORDERS[0], 1)
-    rule = {"gauss": gauss_rule, "radau": radau_rule}.get(kind)
-    if rule is None:
+    family = {"gauss": gauss_rule, "radau": radau_rule}.get(kind)
+    if family is None:
         raise ValueError(f"unknown node kind {kind!r}; expected 'gauss' or 'radau'")
     rows = []
     for N in orders:
-        support = np.concatenate([[-1.0], rule(N).nodes])
+        rule = family(N)
+        support = np.concatenate([[-1.0], rule.nodes])
         max_abs = extremal = 0.0
-        for _, v in _grid_blocks(support, _sup_grid(), _appendix1_table(support)):
+        for _, v in _grid_blocks(support, _sup_grid(), _appendix1_table(rule)):
             extremal = max(extremal, float(np.abs(v.sum(axis=1)).max()))
             max_abs = max(max_abs, float(np.abs(v).sum(axis=1).max()))
         rows.append(Appendix1Row(

@@ -30,7 +30,7 @@ from . import __version__
 from .analysis import (APPENDIX1_ORDERS, APPENDIX2_FUNCTIONS, APPENDIX2_ORDERS,
                        INTERP_FUNCTIONS, convergence_study, run_interp_suite,
                        verify_appendix1, verify_appendix2)
-from .diffmat import build_operators, check_P1, check_P2
+from .diffmat import CollocationOperators, check_P1, check_P2
 from .errors import GaussCollocError, UnknownProblem
 from .quadrature import gauss_rule, gauss_rules, radau_rule
 
@@ -114,7 +114,7 @@ def cmd_nodes(args):
 def cmd_props(args):
     lines = ["N,p1_norm,p1_pass,p2_max_row_norm,p2_pass,last_row_gap"]
     for rule in gauss_rules(range(1, args.n_max + 1)):
-        ops = build_operators(rule)
+        ops = CollocationOperators(rule)  # uncached: props leaves the solver's cache alone
         p1 = check_P1(ops)
         p2 = check_P2(ops)
         lines.append(",".join([

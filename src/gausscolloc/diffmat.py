@@ -9,13 +9,12 @@ Two rectangular operators are built from one Gauss rule:
   the algebraic identity D_ij = -(w_j / w_i) Ddag_ji with the last column
   fixed by the row-sum condition Ddag_{i,N+1} = -sum_j Ddag_ij.
 
-Both are built on first read and cached with the operators: the solver
-reads them, while ``props`` and the P1/P2 checks never build either.  The
-inverse of the trailing square block D[:, 1:] is formed with
-``np.linalg.inv`` from a temporary D and stored read-only: the P1 and P2
-certificates read it, and the solver's collocation Jacobian and costate
-solves multiply by it or by its transpose.
-``build_operators`` caches four orders per process.  The module needs numpy alone.
+``CollocationOperators`` holds both and the inverse of the trailing block
+D[:, 1:], each built once, on first read, and read-only.  The P1 and P2
+certificates and the appendix1 table read the inverse, and the solver
+multiplies by it or by its transpose.  ``build_operators`` caches the
+operators of four Gauss orders; ``props`` builds its own per order and never
+fills that cache.  The module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -90,32 +89,32 @@ def barycentric_matrix(nodes, t):
     return kernel
 
 
-def _support_matrix(rule):
-    """D: the rows at the nodes of the differentiation matrix on {-1, nodes}."""
-    return differentiation_matrix(np.concatenate(([-1.0], rule.nodes)))[1:, :]
-
-
 @dataclass(frozen=True)
 class CollocationOperators:
-    """Differentiation operators bound to one Gauss rule.
-
-    ``D``, and ``D_dagger`` from ``D`` and the weights, are built on first
-    read and cached with the operators, read-only like ``D1N_inv``;
-    ``props`` never reads either.
-    """
+    """The operators of one rule, each built on first read and kept read-only:
+    ``D``, the rows at the nodes of the differentiation matrix on {-1, nodes};
+    ``D1N_inv``, the inverse of its trailing block D[:, 1:]; and ``D_dagger``,
+    from ``D`` and the weights, which a rule without weights cannot build."""
 
     rule: QuadratureRule
-    D1N_inv: np.ndarray
 
     @cached_property
     def D(self):
-        D = _support_matrix(self.rule)
+        D = differentiation_matrix(np.concatenate(([-1.0], self.rule.nodes)))[1:, :]
         D.flags.writeable = False
         return D
 
     @cached_property
+    def D1N_inv(self):
+        inv = np.linalg.inv(self.D[:, 1:])
+        inv.flags.writeable = False
+        return inv
+
+    @cached_property
     def D_dagger(self):
         N, om = self.rule.order, self.rule.weights
+        if om is None:
+            raise ValueError(f"a {self.rule.kind} rule has no weights to build D_dagger")
         Ddag = np.empty((N, N + 1))
         Ddag[:, :N] = -(om[None, :] / om[:, None]) * self.D[:, 1:].T
         Ddag[:, N] = -np.sum(Ddag[:, :N], axis=1)
@@ -136,14 +135,11 @@ class P2Report(NamedTuple):
 
 @lru_cache(maxsize=4)
 def build_operators(rule):
-    """Build the inverse of D[:, 1:], read-only and cached for the last four
-    rules, which hash by identity (one per order); D and D_dagger wait for
-    their first read."""
+    """The operators of a Gauss rule, cached for the last four rules, which
+    hash by identity (one per order); each matrix waits for its first read."""
     if rule.kind != "gauss":
         raise ValueError("collocation operators require a Gauss rule")
-    inv = np.linalg.inv(_support_matrix(rule)[:, 1:])
-    inv.flags.writeable = False
-    return CollocationOperators(rule=rule, D1N_inv=inv)
+    return CollocationOperators(rule)
 
 
 def check_P1(ops):

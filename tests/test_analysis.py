@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre
 
-from gausscolloc import (builtin, convergence_study, fit_rate, gauss_rule,
+from gausscolloc import (build_operators, builtin, convergence_study, fit_rate, gauss_rule,
                          interpolation_study, radau_rule, run_interp_suite,
                          verify_appendix1, verify_appendix2)
 from gausscolloc import analysis
@@ -115,7 +115,10 @@ class TestInterpolationStudy:
             for part, v in _grid_blocks(support, pts, dsamp):
                 blocked[part] = v
             np.testing.assert_array_equal(blocked, full)
-            rows.append((N, float(np.sqrt(wts @ (fn.udot(pts) - full) ** 2))))
+            # the study sums the squared error a block at a time
+            square, step = (fn.udot(pts) - full) ** 2, analysis.SUP_BLOCK
+            rows.append((N, float(np.sqrt(sum(float(wts[i:i + step] @ square[i:i + step])
+                                              for i in range(0, pts.size, step))))))
         assert interpolation_study(fn.u, fn.udot, fn.orders) == rows
 
     @pytest.mark.parametrize("name", sorted(INTERP_FUNCTIONS))
@@ -184,16 +187,26 @@ class TestAppendix1:
         assert _sup_grid().size == 18433
         if block is not None:
             monkeypatch.setattr(analysis, "SUP_BLOCK", block)
-        nodes = (gauss_rule if kind == "gauss" else radau_rule)(N).nodes
         # the antiderivatives' values on {-1, nodes} by the suite's own table,
         # then one evaluation over the whole grid: this checks the blocking
-        support = np.concatenate([[-1.0], nodes])
-        full = barycentric_matrix(support, _sup_grid()) @ analysis._appendix1_table(support)
+        rule = (gauss_rule if kind == "gauss" else radau_rule)(N)
+        support = np.concatenate([[-1.0], rule.nodes])
+        full = barycentric_matrix(support, _sup_grid()) @ analysis._appendix1_table(rule)
         row, = verify_appendix1(orders=(N,), kind=kind).rows
         np.testing.assert_allclose(row.max_abs, np.abs(full).sum(axis=1).max(),
                                    rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(row.extremal_max, np.abs(full.sum(axis=1)).max(),
                                    rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("N", [2, 17, 64, 256])
+    def test_table_refines_the_solver_operators(self, N):
+        # the table's inverse is the one the solver multiplies by, bit for bit
+        ops = build_operators(gauss_rule(N))
+        A, X = ops.D[:, 1:], ops.D1N_inv
+        table = analysis._appendix1_table(gauss_rule(N))
+        assert not table[0].any()
+        np.testing.assert_array_equal(table[1:].view(np.int64),
+                                      (X + X @ (np.eye(N) - A @ X)).view(np.int64))
 
     @pytest.mark.parametrize("kind", ["gauss", "radau"])
     def test_bound_holds_at_high_orders(self, kind):

@@ -304,14 +304,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("args", [("appendix2", "--function", "all"),
                                       ("appendix1", "--kind", "gauss"),
-                                      ("appendix1", "--kind", "radau")],
-                             ids=["appendix2", "appendix1-gauss", "appendix1-radau"])
+                                      ("appendix1", "--kind", "radau"),
+                                      ("interp",)],
+                             ids=["appendix2", "appendix1-gauss", "appendix1-radau", "interp"])
     def test_verify_does_not_depend_on_blas_threads(self, args):
         # appendix2: every grid sum runs over one PSI_BLOCK block, below the
         # size at which OpenBLAS splits a dot product over threads, and the
         # norm table's Gram head is its own product.  appendix1, at its
         # orders up to 64, has printed the same bytes under either count,
-        # before the refinement of its table and after
+        # before the refinement of its table and after.  interp sums its
+        # error over SUP_BLOCK blocks, also below that size
         outs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,

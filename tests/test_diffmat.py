@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial import legendre
 
-from gausscolloc import (build_operators, builtin, check_P1, check_P2, gauss_rule,
-                         radau_rule, solve)
+from gausscolloc import (CollocationOperators, build_operators, builtin, check_P1,
+                         check_P2, diffmat, gauss_rule, radau_rule, solve)
 from gausscolloc.cli import main
 from gausscolloc.diffmat import (barycentric_matrix, barycentric_weights,
                                  differentiation_matrix)
@@ -244,27 +244,48 @@ class TestOperatorCache:
     @settings(max_examples=20, deadline=None)
     @given(N=st.integers(1, 64))
     def test_D_is_built_on_first_read(self, N):
+        # the first read of the inverse builds D, once, for both
         rule = gauss_rule(N)
         build_operators.cache_clear()
         ops = build_operators(rule)
-        check_P1(ops)
-        check_P2(ops)
-        assert "D" not in vars(ops)
+        assert not {"D", "D1N_inv", "D_dagger"} & set(vars(ops))
+        inv = ops.D1N_inv
+        first = vars(ops)["D"]
         want = differentiation_matrix(np.concatenate(([-1.0], rule.nodes)))[1:, :]
-        first = ops.D
         assert not first.flags.writeable
         np.testing.assert_array_equal(_bits(first), _bits(want))
-        assert ops.D is first and vars(ops)["D"] is first
+        np.testing.assert_array_equal(_bits(inv), _bits(np.linalg.inv(want[:, 1:])))
+        assert ops.D is first and ops.D1N_inv is inv
 
-    def test_props_never_builds_D_dagger(self, capsys):
+    def test_props_leaves_the_operator_cache_empty(self, capsys):
         build_operators.cache_clear()
         assert main(["props", "--n-max", "5"]) == 0
         capsys.readouterr()
-        # the sweep leaves its last four orders cached, with neither D nor
-        # D_dagger built
-        cached = [build_operators(gauss_rule(N)) for N in range(2, 6)]
-        assert build_operators.cache_info().hits == 4
-        assert not any({"D", "D_dagger"} & set(vars(ops)) for ops in cached)
+        info = build_operators.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_radau_operators_have_no_D_dagger(self):
+        # the appendix1 table reads D and its inverse on Radau nodes, which
+        # carry no weights
+        ops = CollocationOperators(radau_rule(8))
+        assert ops.D.shape == (8, 9) and ops.D1N_inv.shape == (8, 8)
+        np.testing.assert_allclose(ops.D[:, 1:] @ ops.D1N_inv, np.eye(8), atol=1e-12)
+        with pytest.raises(ValueError, match="weights"):
+            ops.D_dagger
+
+    @pytest.mark.parametrize("name", ["hager84-constrained", "hager84-unconstrained"])
+    def test_cold_solve_builds_D_once(self, monkeypatch, name):
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return differentiation_matrix(points)
+
+        problem = builtin(name)
+        build_operators.cache_clear()
+        monkeypatch.setattr(diffmat, "differentiation_matrix", counted)
+        assert solve(problem, 40).converged
+        assert calls == [41]
 
     @settings(max_examples=10, deadline=None)
     @given(N=st.integers(1, 64))

@@ -19,6 +19,11 @@ weights, so they share no code with ``solve``.
 The cases are four hand-picked problems, twelve seeded draws with n and m
 in 1..3, and the two-control problem xdot = u1 + 2 u2, each at N = 10 and 40,
 and a property over drawn problems with n, m in 1..3 and N in 3..40.
+
+``_stability`` measures the paper's stability constant on the same system,
+rescaled to the state, costate and control equations: the norm of its
+inverse, split by perturbation block as the paper's proof uses it, settles
+as N grows to 320.
 """
 
 import numpy as np
@@ -302,3 +307,65 @@ def test_an_inactive_box_gives_the_kkt_optimum(N):
     Xb, Ub = _box_oracle(A, B, x0, N, -10.0, 10.0)
     np.testing.assert_allclose(Ub, U, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(Xb, X, rtol=0.0, atol=1e-12)
+
+
+def _stability(A, B, N):
+    """The norms of the inverse of the scaled collocated LQ optimality
+    system at order N, into the sup norm of (X, U, Lambda) at the nodes:
+    (state, costate, control, unsplit).
+
+    The rows are the state equation D[:, 1:] X - X A^T - U B^T, the costate
+    equation divided by the weights, D_dagger[:, :N] Lambda + X + Lambda A
+    (Lambda_{N+1} = 0, as no cost reads x at +1), and the control equation
+    U + Lambda B: the oracle's KKT system with the costate Lambda = -nu / w.
+    A perturbation of the state or costate rows is measured in the
+    w-weighted 2-norm, so its block's norm is the largest
+    |row W^-1/2|_2; one of the control rows in the sup norm, the largest
+    absolute row sum.  The unsplit norm measures every row in the
+    w-weighted 2-norm."""
+    rule = gauss_rule(N)
+    ops, w = build_operators(rule), rule.weights
+    n, m = B.shape
+    eye = np.eye(N)
+    T = np.block([
+        [np.kron(ops.D[:, 1:], np.eye(n)) - np.kron(eye, A), -np.kron(eye, B),
+         np.zeros((N * n, N * n))],
+        [np.eye(N * n), np.zeros((N * n, N * m)),
+         np.kron(ops.D_dagger[:, :N], np.eye(n)) + np.kron(eye, A.T)],
+        [np.zeros((N * m, N * n)), np.eye(N * m), np.kron(eye, B.T)]])
+    inv = np.linalg.inv(T)
+    scaled = inv / np.sqrt(np.concatenate([np.repeat(w, n), np.repeat(w, n),
+                                           np.repeat(w, m)]))
+    state, costate = (np.sqrt(np.sum(scaled[:, k * N * n:(k + 1) * N * n] ** 2, axis=1)).max()
+                      for k in (0, 1))
+    control = np.abs(inv[:, 2 * N * n:]).sum(axis=1).max()
+    return state, costate, control, np.sqrt(np.sum(scaled ** 2, axis=1)).max()
+
+
+# Each block's constant at N = 320 and its growth from N = 160, measured
+# under one BLAS thread, with each case's test time on a two-core Xeon:
+#
+#   case         state   costate  control   growth x (state, costate, control)   time
+#   decay        0.5952  0.5952   1.3371    1.00007  1.00007  1.0049            0.14 s
+#   grow         0.9954  0.9954   2.1206    1.00004  1.00004  1.0003            0.12 s
+#   gain3        0.4500  1.3499   2.0937    1.00003  1.00003  1.0007            0.11 s
+#   oscillator   1.3183  1.2016   1.6562    1.00001  1.00002  1.0070            0.39 s
+#   two-control  0.4733  1.0560   2.1723    1.00024  1.00000  1.0004            0.23 s
+#
+# The windows the growths must stay in, per block:
+STABILITY_WINDOWS = ((0.999, 1.001), (0.999, 1.001), (0.999, 1.01))
+
+
+@pytest.mark.parametrize("name", ["decay", "grow", "gain3", "oscillator", "two-control"])
+def test_split_stability_constant_is_bounded(name):
+    # the paper's stability constant: split as its proof uses it, each
+    # block's norm settles as N grows; measured in one w-weighted 2-norm,
+    # the control rows' weights, about 1/N^2, make the norm grow like N
+    # (slope 0.991 from N = 20 to 320 on every case)
+    A, B, _ = _data(name)
+    coarse, mid, fine = (_stability(A, B, N) for N in (20, 160, 320))
+    for block, lo_hi in enumerate(STABILITY_WINDOWS):
+        growth = fine[block] / mid[block]
+        assert lo_hi[0] <= growth <= lo_hi[1], (block, growth)
+    slope = np.log(fine[3] / coarse[3]) / np.log(320 / 20)
+    assert 0.98 <= slope <= 1.0, slope
