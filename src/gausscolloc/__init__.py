@@ -20,21 +20,20 @@ from .errors import (DimensionMismatch, EvaluationFailure, GaussCollocError,
 
 __version__ = "0.1.0"
 
-# each lazily exported name, by the submodule that defines it
+# each lazily exported name, by the submodule that defines it; return records stay there
 _HOMES = {
-    "quadrature": ("QuadratureRule", "gauss_rule", "radau_rule"),
+    "quadrature": ("gauss_rule", "radau_rule"),
     "diffmat": ("CollocationOperators", "build_operators", "differentiation_matrix",
                 "check_P1", "check_P2"),
     "problem": ("ControlProblem", "ControlSet", "AnalyticSolution", "augment_bolza",
                 "map_domain", "audit_derivatives", "builtin", "BUILTIN_NAMES",
                 "hager_optimal_cost"),
-    "transcription": ("Trajectory", "Residual", "eval_residual", "full_grid",
+    "transcription": ("Trajectory", "eval_residual", "full_grid",
                       "costate_to_multipliers", "multipliers_to_costate",
                       "kkt_residuals", "interpolate_trajectory"),
-    "solver": ("SolverConfig", "SolveReport", "solve"),
-    "analysis": ("RateFit", "fit_rate", "interpolation_study", "run_interp_suite",
-                 "verify_appendix1", "verify_appendix2", "convergence_study",
-                 "ConvergenceRow", "Appendix1Report", "Appendix2Report"),
+    "solver": ("SolverConfig", "solve"),
+    "analysis": ("fit_rate", "interpolation_study", "run_interp_suite",
+                 "verify_appendix1", "verify_appendix2", "convergence_study"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

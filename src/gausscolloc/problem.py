@@ -43,22 +43,18 @@ class ControlSet:
 
     @staticmethod
     def unconstrained():
-        return ControlSet(lambda u: np.asarray(u, dtype=float).copy())
+        return ControlSet.box()
 
     @staticmethod
     def box(lower=None, upper=None):
-        lo = None if lower is None else np.asarray(lower, dtype=float)
-        hi = None if upper is None else np.asarray(upper, dtype=float)
-        if any(b is not None and np.isnan(b).any() for b in (lo, hi)):
+        lo = -np.inf if lower is None else np.asarray(lower, dtype=float)
+        hi = np.inf if upper is None else np.asarray(upper, dtype=float)
+        if np.isnan(lo).any() or np.isnan(hi).any():
             raise ValueError("box control set bound is NaN")
-        if lo is not None and hi is not None and not np.all(lo < hi):
+        if lower is not None and upper is not None and not np.all(lo < hi):
             raise ValueError("box control set needs lower < upper componentwise")
-        # one bound takes the ufunc np.clip would run, without its slower dispatch
-        if lo is None and hi is not None:
-            return ControlSet(lambda u: np.minimum(np.asarray(u, dtype=float), hi))
-        if hi is None and lo is not None:
-            return ControlSet(lambda u: np.maximum(np.asarray(u, dtype=float), lo))
-        return ControlSet(lambda u: np.clip(np.asarray(u, dtype=float), lo, hi))
+        # an absent bound is infinite, so it moves nothing; a tie gives the bound's bits
+        return ControlSet(lambda u: np.minimum(np.maximum(np.asarray(u, dtype=float), lo), hi))
 
     @staticmethod
     def custom(projector):

@@ -15,11 +15,12 @@ per accepted iterate.  Every state Newton step is one J solve, the costate
 one J^T solve and a product with H one of each, all by ``_jacobian_solve``;
 line-search trials run chord Newton on the accepted iterate's factors.  The
 state defect is measured in the residual's quadrature-weighted norm and
-driven a decade below ``tol_y`` (never below ``NEWTON_TOL``).  Nothing an
-order or an iterate fixes is computed twice: the operators are cached per
-order; ``solve_state`` returns an iterate's f, defect G and its norm beside
-its state, ``solve_costate`` its H_x beside its costate, and the residual
-reads them from there; one H_u and one P(U - H_u) serve step, residual and report.
+driven a decade below ``tol_y`` (never below ``NEWTON_TOL``), or by the last
+step to its roundoff.  Nothing an order or an iterate fixes is computed twice:
+the operators are cached per order; ``solve_state`` returns an iterate's f,
+defect G and its norm beside its state, ``solve_costate`` its H_x beside its
+costate, and the residual reads them; one H_u and one P(U - H_u) serve step,
+residual and report.
 
 A state that no dynamics read, such as the integrator of a running cost
 that ``augment_bolza`` appends, has a zero column of f_x at every node.
@@ -50,13 +51,14 @@ from .diffmat import build_operators
 from .errors import DimensionMismatch, EvaluationFailure, NewtonDivergence
 from .problem import _checked
 from .quadrature import gauss_rule
-from .transcription import Residual, Trajectory, _residual, _state_defect, full_grid
+from .transcription import Residual, Trajectory, _omega_norm, _residual, _state_defect, full_grid
 
 _EPS = float(np.finfo(float).eps)
 _NON_FINITE = "state Newton iteration produced non-finite values"
 
 NEWTON_TOL = 1e-12    # floor of the state Newton defect target
 NEWTON_MAX = 50       # state Newton steps per solve_state call
+FLOOR = 4             # roundoff floor of the last state defect, in eps * ||(|D| |X|)||
 ARMIJO_C = 1e-4       # sufficient-decrease fraction of the predicted decrease
 BACKTRACK = 0.5       # line-search step factor per rejected trial
 STEP_INIT = 1.0       # first trial step of every line search
@@ -197,15 +199,16 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
     Returns a ``StateSolve``: the state stack X (N+2, n) from the problem's
     initial state (initial point, collocation values, and the quadrature
     endpoint), with f, the defect G and its norm from the converged check.  Steps
-    use ``factors`` (by default taken at the first iterate) and refactor
-    whenever the defect fails to halve.  Convergence requires
-    the defect G = D X - F(X, U) to fall below max(NEWTON_TOL, 0.1 * tol_y)
-    in the norm sqrt(sum_i w_i |G_i|^2) that ``eval_residual`` reports for
-    ``state_defect``.  The guess's rows X_guess[1:N+1], x0 by default, seed the
-    iteration unchecked: ``solve`` passes an accepted iterate's X.  Raises
-    NewtonDivergence when the iteration exhausts its budget or produces non-finite
-    values, and DimensionMismatch when finite dynamics values are not an (N, n)
-    stack or x0 is not of shape (n,).
+    use ``factors`` (by default taken at the first iterate) and refactor whenever
+    the defect fails to halve.  Convergence requires the defect G = D X - F(X, U)
+    to fall below max(NEWTON_TOL, 0.1 * tol_y) in the norm sqrt(sum_i w_i |G_i|^2)
+    that ``eval_residual`` reports for ``state_defect``, or, at the last of the
+    NEWTON_MAX steps, below FLOOR * eps * ||(|D| |X|)||, the roundoff of D X.
+    The guess's rows X_guess[1:N+1], x0 by default, seed the iteration unchecked:
+    ``solve`` passes an accepted iterate's X.  Raises NewtonDivergence when the
+    iteration exhausts its budget or produces non-finite values, and
+    DimensionMismatch when finite dynamics values are not an (N, n) stack or x0
+    is not of shape (n,).
     """
     rule = ops.rule
     N, n = rule.order, problem.n
@@ -219,7 +222,7 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
 
     target = max(NEWTON_TOL, 0.1 * config.tol_y)
     prev = math.inf
-    for _ in range(NEWTON_MAX):
+    for step in range(NEWTON_MAX):
         F = problem.dynamics(Xc, U)
         if np.shape(F) != (N, n):
             # non-finite values are a divergence, whatever their shape
@@ -229,7 +232,8 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
         G, defect = _state_defect(ops, Xfull, F)
         if not math.isfinite(defect):
             raise NewtonDivergence(_NON_FINITE)
-        if defect <= target:
+        if defect <= target or step == NEWTON_MAX - 1 and defect <= FLOOR * _EPS \
+                * _omega_norm(rule.weights, np.abs(ops.D) @ np.abs(Xfull)):
             X[N + 1] = x0 + rule.weights @ F
             return StateSolve(X, F, G, defect)
         if factors is None or defect > 0.5 * prev:

@@ -226,6 +226,12 @@ class TestSolve:
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_state_solve_at_its_roundoff_floor_exits_zero(self, capsys):
+        code, out, _ = _run(capsys, "solve", "--problem", "hager84-unconstrained",
+                            "--N", "687")
+        assert code == 0
+        assert json.loads(out)["termination"] == "converged"
+
     def test_unknown_problem_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "solve", "--problem", "brachistochrone",
                             "--N", "8")

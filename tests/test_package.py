@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from importlib import import_module
 from pathlib import Path
 
 import gausscolloc
@@ -13,16 +14,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the whole public surface: a name comes or goes only with an edit here
 PUBLIC_NAMES = [
-    "AnalyticSolution", "Appendix1Report", "Appendix2Report", "BUILTIN_NAMES",
-    "CollocationOperators", "ControlProblem", "ControlSet", "ConvergenceRow",
-    "DimensionMismatch", "EvaluationFailure", "GaussCollocError", "IterationFailure",
-    "NewtonDivergence", "QuadratureRule", "RateFit", "Residual",
-    "SolveReport", "SolverConfig", "Trajectory", "UnknownProblem", "__version__",
-    "audit_derivatives", "augment_bolza", "build_operators", "builtin", "check_P1",
-    "check_P2", "convergence_study", "costate_to_multipliers", "differentiation_matrix",
-    "eval_residual", "fit_rate", "full_grid", "gauss_rule", "hager_optimal_cost",
-    "interpolate_trajectory", "interpolation_study", "kkt_residuals", "map_domain",
-    "multipliers_to_costate", "radau_rule", "run_interp_suite", "solve",
+    "AnalyticSolution", "BUILTIN_NAMES", "CollocationOperators", "ControlProblem",
+    "ControlSet", "DimensionMismatch", "EvaluationFailure", "GaussCollocError",
+    "IterationFailure", "NewtonDivergence", "SolverConfig", "Trajectory", "UnknownProblem",
+    "__version__", "audit_derivatives", "augment_bolza", "build_operators", "builtin",
+    "check_P1", "check_P2", "convergence_study", "costate_to_multipliers",
+    "differentiation_matrix", "eval_residual", "fit_rate", "full_grid", "gauss_rule",
+    "hager_optimal_cost", "interpolate_trajectory", "interpolation_study", "kkt_residuals",
+    "map_domain", "multipliers_to_costate", "radau_rule", "run_interp_suite", "solve",
     "verify_appendix1", "verify_appendix2",
 ]
 
@@ -38,6 +37,17 @@ def test_exports_have_no_duplicates():
 
 def test_exports_are_exactly_the_public_names():
     assert sorted(gausscolloc.__all__) == PUBLIC_NAMES
+
+
+def test_return_records_are_read_from_their_modules():
+    # what the entry points return is named where it is defined, not exported here
+    records = {"quadrature": ["QuadratureRule"], "transcription": ["Residual"],
+               "solver": ["SolveReport"],
+               "analysis": ["RateFit", "ConvergenceRow", "Appendix1Report", "Appendix2Report"]}
+    for module, names in records.items():
+        for name in names:
+            assert isinstance(getattr(import_module(f"gausscolloc.{module}"), name), type)
+            assert name not in gausscolloc.__all__ and not hasattr(gausscolloc, name), name
 
 
 def _run_fresh(script):
@@ -91,7 +101,7 @@ def test_solving_loads_neither_analysis_nor_numpy_random():
         loaded_by_solve = [m for m in ("gausscolloc.analysis", "numpy.random")
                            if m in sys.modules]
         verify = gausscolloc.verify_appendix1
-        from gausscolloc import RateFit
+        from gausscolloc import fit_rate
         certified = [verify(kind=kind).passed for kind in ("gauss", "radau")]
         for name in gausscolloc.__all__:
             getattr(gausscolloc, name)
@@ -100,7 +110,7 @@ def test_solving_loads_neither_analysis_nor_numpy_random():
             "missing": missing, "after_missing": after_missing,
             "submodules": submodules, "converged": converged,
             "loaded": loaded_by_solve,
-            "resolved": [verify.__module__, RateFit.__module__],
+            "resolved": [verify.__module__, fit_rate.__module__],
             "certified": certified,
             "random_after_verify": "numpy.random" in sys.modules,
             "unbound": sorted(set(gausscolloc.__all__) - set(vars(gausscolloc)))}))

@@ -258,6 +258,15 @@ class TestSolveState:
         with pytest.raises(NewtonDivergence):
             solve_state(nan, ops, np.ones((5, 1)))
 
+    @pytest.mark.parametrize("N", [687, 695, 698])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_last_step_accepts_the_roundoff_floor(self, name, N):
+        # at these orders the state defect stalls above its 1e-11 target, at
+        # the roundoff of D X, so the last step of the budget returns the state
+        report = solve(builtin(name), N)
+        assert report.termination == "converged", report.termination
+        assert report.outer_iters <= (2 if name == "hager84-unconstrained" else 14)
+
 
 class TestSolveCostate:
     @pytest.mark.parametrize("N", [10, 40])
