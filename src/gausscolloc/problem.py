@@ -43,18 +43,18 @@ class ControlSet:
 
     @staticmethod
     def unconstrained():
-        return ControlSet.box()
+        # not box(): ndarray.clip(None, None) raises before numpy 2.1
+        return ControlSet(lambda u: np.asarray(u, dtype=float).copy())
 
     @staticmethod
     def box(lower=None, upper=None):
-        lo = -np.inf if lower is None else np.asarray(lower, dtype=float)
-        hi = np.inf if upper is None else np.asarray(upper, dtype=float)
-        if np.isnan(lo).any() or np.isnan(hi).any():
+        lo, hi = (None if b is None else np.asarray(b, dtype=float) for b in (lower, upper))
+        if any(b is not None and np.isnan(b).any() for b in (lo, hi)):
             raise ValueError("box control set bound is NaN")
-        if lower is not None and upper is not None and not np.all(lo < hi):
+        if lo is not None and hi is not None and not np.all(lo < hi):
             raise ValueError("box control set needs lower < upper componentwise")
-        # an absent bound is infinite, so it moves nothing; a tie gives the bound's bits
-        return ControlSet(lambda u: np.minimum(np.maximum(np.asarray(u, dtype=float), lo), hi))
+        # clip itself runs np.maximum or np.minimum when one bound is None
+        return ControlSet(lambda u: np.asarray(u, dtype=float).clip(lo, hi))
 
     @staticmethod
     def custom(projector):
