@@ -4,7 +4,11 @@ exact state and costate elimination.
 Each outer iteration solves the collocated state equations for the current
 control and the collocated adjoint equations in one linear pass, then
 backtracks on P(U - t d) to an Armijo decrease, until the combined optimality
-residual drops below ``tol_y``.  With no control active, d solves the reduced
+residual drops below ``tol_y``.  A trial is also accepted when its predicted
+decrease is below the objective's roundoff, or below what the two state
+solves' defects can move the two objectives by: a defect G moves one by about
+<mu, G> for the multipliers mu = w (Lam_c - Lam_end), at most
+||Lam_c - Lam_end||_w ||G||_w.  With no control active, d solves the reduced
 Hessian system H d = w H_u by truncated Newton-CG, preconditioned by the
 control Hessian H_uu, differenced from f_u; else d is H_u scaled by H_uu.
 
@@ -18,9 +22,10 @@ state defect is measured in the residual's quadrature-weighted norm and
 driven a decade below ``tol_y`` (never below ``NEWTON_TOL``), or by the last
 step to its roundoff.  Nothing an order or an iterate fixes is computed twice:
 the operators are cached per order; ``solve_state`` returns an iterate's f,
-defect G and its norm beside its state, ``solve_costate`` its H_x beside its
-costate, and the residual reads them; one H_u and one P(U - H_u) serve step,
-residual and report.
+D X, defect G and its norm beside its state, ``solve_costate`` its H_x beside
+its costate, and the residual reads them; a trial starts from the accepted
+state's rows, so its first defect reads that state's D X; one H_u and one
+P(U - H_u) serve step, residual and report.
 
 A state that no dynamics read, such as the integrator of a running cost
 that ``augment_bolza`` appends, has a zero column of f_x at every node.
@@ -51,7 +56,7 @@ from .diffmat import build_operators
 from .errors import DimensionMismatch, EvaluationFailure, NewtonDivergence
 from .problem import _checked
 from .quadrature import gauss_rule
-from .transcription import Residual, Trajectory, _omega_norm, _residual, _state_defect, full_grid
+from .transcription import Residual, Trajectory, _omega_norm, _residual, full_grid
 
 _EPS = float(np.finfo(float).eps)
 _NON_FINITE = "state Newton iteration produced non-finite values"
@@ -112,10 +117,12 @@ class SolveReport:
 
 class StateSolve(NamedTuple):
     """One ``solve_state`` result: the state stack X (N+2, n), and f, the
-    defect G = D X - F and its norm ``defect`` from the converged check."""
+    product D X of its first N+1 rows, the defect G = D X - F and its norm
+    ``defect`` from the converged check."""
 
     X: np.ndarray
     F: np.ndarray
+    DX: np.ndarray
     G: np.ndarray
     defect: float
 
@@ -193,7 +200,8 @@ def _jacobian_solve(ops, factors, R, transposed=False):
     return Z
 
 
-def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=None):
+def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=None,
+                DX_guess=None):
     """Chord Newton solve of the collocated state equations for a fixed control.
 
     Returns a ``StateSolve``: the state stack X (N+2, n) from the problem's
@@ -205,10 +213,11 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
     that ``eval_residual`` reports for ``state_defect``, or, at the last of the
     NEWTON_MAX steps, below FLOOR * eps * ||(|D| |X|)||, the roundoff of D X.
     The guess's rows X_guess[1:N+1], x0 by default, seed the iteration unchecked:
-    ``solve`` passes an accepted iterate's X.  Raises NewtonDivergence when the
-    iteration exhausts its budget or produces non-finite values, and
-    DimensionMismatch when finite dynamics values are not an (N, n) stack or x0
-    is not of shape (n,).
+    ``solve`` passes an accepted iterate's X, and as ``DX_guess`` that state's
+    D X, which the first defect reads in place of the product.  Raises
+    NewtonDivergence when the iteration exhausts its budget or produces
+    non-finite values, and DimensionMismatch when finite dynamics values are
+    not an (N, n) stack or x0 is not of shape (n,).
     """
     rule = ops.rule
     N, n = rule.order, problem.n
@@ -229,13 +238,15 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
             if not np.all(np.isfinite(F)):
                 raise NewtonDivergence(_NON_FINITE)
             raise DimensionMismatch(f"dynamics gave {np.shape(F)}, expected {(N, n)}")
-        G, defect = _state_defect(ops, Xfull, F)
+        DX = ops.D @ Xfull if step or DX_guess is None else DX_guess
+        G = DX - F
+        defect = _omega_norm(rule.weights, G)
         if not math.isfinite(defect):
             raise NewtonDivergence(_NON_FINITE)
         if defect <= target or step == NEWTON_MAX - 1 and defect <= FLOOR * _EPS \
                 * _omega_norm(rule.weights, np.abs(ops.D) @ np.abs(Xfull)):
             X[N + 1] = x0 + rule.weights @ F
-            return StateSolve(X, F, G, defect)
+            return StateSolve(X, F, DX, G, defect)
         if factors is None or defect > 0.5 * prev:
             factors = newton_factors(problem, ops, Xc, U)
         prev = defect
@@ -363,6 +374,12 @@ def solve(problem, N, config=None):
     EvaluationFailure if its objective or residual norm, or the control
     Hessian a step uses, is not finite.
 
+    A line-search trial is accepted at an Armijo decrease, or when its
+    predicted decrease |pred| is at most 8 eps (1 + |obj|) or at most
+    ||Lam_c - Lam_end||_w (defect + defect_t), the most that the accepted and
+    the trial state's defects move the two objectives by.  Each trial's state
+    solve starts from the accepted state's rows and reuses its D X.
+
     The first projection of the control is checked: it must be a finite
     (N, m) stack (else DimensionMismatch or EvaluationFailure), and
     projecting it again must move it by at most ACTIVITY_TOL (else
@@ -423,14 +440,18 @@ def solve(problem, N, config=None):
             pred = float((grad * (U_t - U)).sum())
             try:
                 state_t = solve_state(problem, ops, U_t, X_guess=X, config=config,
-                                      factors=factors)
+                                      factors=factors, DX_guess=state.DX)
             except NewtonDivergence:
                 step *= BACKTRACK
                 continue
             obj_t = float(problem.cost(state_t.X[N + 1]))
-            # second test: expected decrease is below objective roundoff
+            # second test: expected decrease is below objective roundoff; third:
+            # below what the two state defects move the objectives by, at most
+            # |<mu, G>| <= ||Lam_c - Lam_end||_w ||G||_w for the multipliers mu
             if obj_t <= obj + ARMIJO_C * pred \
-                    or abs(pred) <= 8.0 * _EPS * (1.0 + abs(obj)):
+                    or abs(pred) <= 8.0 * _EPS * (1.0 + abs(obj)) \
+                    or abs(pred) <= _omega_norm(w, Lam[1:N + 1] - Lam[N + 1]) \
+                    * (state.defect + state_t.defect):
                 break
             step *= BACKTRACK
         else:

@@ -1,5 +1,6 @@
 """State solve, costate solve, and the outer control iteration."""
 
+import functools
 import inspect
 import re
 from dataclasses import replace
@@ -257,6 +258,26 @@ class TestSolveState:
         nan = replace(flat, dynamics=lambda X, U: np.full(1, np.nan))
         with pytest.raises(NewtonDivergence):
             solve_state(nan, ops, np.ones((5, 1)))
+
+    @pytest.mark.parametrize("N", [10, 320])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_reused_product_changes_no_bit(self, name, N):
+        # a line-search trial starts from the accepted state's rows, so its
+        # first defect may read that state's D X in place of the product:
+        # the trial returns the same bytes with it and without it
+        problem = builtin(name)
+        ops = build_operators(gauss_rule(N))
+        project = problem.control_set.project
+        U = project(np.zeros((N, 1)))
+        state = solve_state(problem, ops, U)
+        assert state.DX.tobytes() == (ops.D @ state.X[:N + 1]).tobytes()
+        factors = newton_factors(problem, ops, state.X[1:N + 1], U)
+        U_t = project(U + np.linspace(-0.5, 1.5, N)[:, None])
+        fresh = solve_state(problem, ops, U_t, X_guess=state.X, factors=factors)
+        reused = solve_state(problem, ops, U_t, X_guess=state.X, factors=factors,
+                             DX_guess=state.DX)
+        for a, b in zip(fresh, reused):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     @pytest.mark.parametrize("N", [687, 695, 698])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -664,6 +685,12 @@ class TestNewtonFactors:
         assert solve(problem, N).converged
 
 
+@functools.cache
+def _converged(name, N):
+    problem = builtin(name)
+    return problem, solve(problem, N)
+
+
 @pytest.fixture(scope="module")
 def benchmark_n20():
     return solve(builtin("hager84-constrained"), 20)
@@ -769,13 +796,14 @@ class TestSolve:
         assert report.converged
         assert len(calls) == report.outer_iters + 1
 
-    @pytest.mark.parametrize("N", [10, 80])
+    @pytest.mark.parametrize("N", [10, 39, 40, 80, 240, 320, 1000])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_state_and_costate_solved_once_per_iterate(self, name, N, monkeypatch):
         # solve reaches both solves through the module's attributes, so a
         # wrapper set there sees every call: one costate solve per evaluated
-        # iterate, and one state solve per iterate, since at these orders
-        # every line search accepts its first trial
+        # iterate, and one state solve per iterate, since every line search
+        # accepts its first trial, late ones once the predicted decrease is
+        # within what the two state defects move the objectives by
         calls = {"solve_state": 0, "solve_costate": 0}
 
         def counted(key):
@@ -791,7 +819,29 @@ class TestSolve:
         report = solve(builtin(name), N)
         assert report.converged
         k = report.outer_iters
+        assert k == (12 if name == "hager84-constrained" else 2)
         assert calls == {"solve_state": k, "solve_costate": k}
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(BUILTIN_NAMES), N=st.sampled_from([10, 40, 320]),
+           size=st.floats(-9.0, -4.0), seed=st.integers(0, 2**32 - 1))
+    def test_defect_moves_the_objective_at_most_its_dual_weighted_norm(self, name, N,
+                                                                        size, seed):
+        # the line search's third test: a state with defect G' moves the
+        # objective by about <mu, G'>, which Cauchy-Schwarz bounds by the
+        # omega norms of Lam_c - Lam_end and G'; the objective is read from
+        # the quadrature endpoint x0 + w f, as solve_state forms it
+        problem, report = _converged(name, N)
+        ops = build_operators(gauss_rule(N))
+        w = ops.rule.weights
+        X, U, Lam = report.traj.X, report.traj.U, report.traj.Lambda
+        dX = np.random.default_rng(seed).uniform(-1.0, 1.0, (N, problem.n))
+        Xp = X[:N + 1].copy()
+        Xp[1:] += 10.0 ** size / np.abs(dX).max() * dX
+        F = problem.dynamics(Xp[1:], U)
+        moved = abs(float(problem.cost(problem.x0 + w @ F)) - report.objective)
+        bound = _omega_norm(w, Lam[1:N + 1] - Lam[N + 1]) * _omega_norm(w, ops.D @ Xp - F)
+        assert moved <= bound
 
     @pytest.mark.parametrize("N", [10, 80])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
