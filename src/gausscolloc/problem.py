@@ -58,7 +58,7 @@ class ControlSet:
 
     @staticmethod
     def custom(projector):
-        return ControlSet(lambda u: np.asarray(projector(np.asarray(u, dtype=float)), dtype=float))
+        return ControlSet(lambda u: np.asarray(projector(np.array(u, dtype=float)), dtype=float))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ line-search trials run chord Newton on the accepted iterate's factors.  The
 state defect is measured in the residual's quadrature-weighted norm and
 driven a decade below ``tol_y`` (never below ``NEWTON_TOL``), or by the last
 step to its roundoff.  Nothing an order or an iterate fixes is computed twice:
-the operators are cached per order; ``solve_state`` returns an iterate's f,
-D X, defect G and its norm beside its state, ``solve_costate`` its H_x beside
-its costate, and the residual reads them; a trial starts from the accepted
-state's rows, so its first defect reads that state's D X; one H_u and one
-P(U - H_u) serve step, residual and report.
+the operators are cached per order; ``solve_state`` returns an iterate's
+``StateSolve`` and ``solve_costate`` its H_x beside its costate, and the
+residual reads them; each trial is seeded by the accepted record, so its
+first defect reads that state's D X; one H_u and one P(U - H_u) serve step,
+residual and report.
 
 A state that no dynamics read, such as the integrator of a running cost
 that ``augment_bolza`` appends, has a zero column of f_x at every node.
@@ -56,7 +56,7 @@ from .diffmat import build_operators
 from .errors import DimensionMismatch, EvaluationFailure, NewtonDivergence
 from .problem import _checked
 from .quadrature import gauss_rule
-from .transcription import Residual, Trajectory, _omega_norm, _residual, full_grid
+from .transcription import Residual, Trajectory, _omega_norm, _residual, _state_defect, full_grid
 
 _EPS = float(np.finfo(float).eps)
 _NON_FINITE = "state Newton iteration produced non-finite values"
@@ -113,18 +113,6 @@ class SolveReport:
     active_set: np.ndarray
     residual: Residual
     objective_history: list = field(default_factory=list)
-
-
-class StateSolve(NamedTuple):
-    """One ``solve_state`` result: the state stack X (N+2, n), and f, the
-    product D X of its first N+1 rows, the defect G = D X - F and its norm
-    ``defect`` from the converged check."""
-
-    X: np.ndarray
-    F: np.ndarray
-    DX: np.ndarray
-    G: np.ndarray
-    defect: float
 
 
 class NewtonFactors(NamedTuple):
@@ -200,24 +188,23 @@ def _jacobian_solve(ops, factors, R, transposed=False):
     return Z
 
 
-def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=None,
-                DX_guess=None):
+def solve_state(problem, ops, U, start=None, config=SolverConfig(), factors=None):
     """Chord Newton solve of the collocated state equations for a fixed control.
 
-    Returns a ``StateSolve``: the state stack X (N+2, n) from the problem's
-    initial state (initial point, collocation values, and the quadrature
-    endpoint), with f, the defect G and its norm from the converged check.  Steps
-    use ``factors`` (by default taken at the first iterate) and refactor whenever
+    Returns the ``StateSolve`` of the converged check: the state stack X (N+2, n)
+    from the problem's initial state (initial point, collocation values, and the
+    quadrature endpoint), with f, D X, the defect G and its norm.  Steps use
+    ``factors`` (by default taken at the first iterate) and refactor whenever
     the defect fails to halve.  Convergence requires the defect G = D X - F(X, U)
     to fall below max(NEWTON_TOL, 0.1 * tol_y) in the norm sqrt(sum_i w_i |G_i|^2)
     that ``eval_residual`` reports for ``state_defect``, or, at the last of the
     NEWTON_MAX steps, below FLOOR * eps * ||(|D| |X|)||, the roundoff of D X.
-    The guess's rows X_guess[1:N+1], x0 by default, seed the iteration unchecked:
-    ``solve`` passes an accepted iterate's X, and as ``DX_guess`` that state's
-    D X, which the first defect reads in place of the product.  Raises
-    NewtonDivergence when the iteration exhausts its budget or produces
-    non-finite values, and DimensionMismatch when finite dynamics values are
-    not an (N, n) stack or x0 is not of shape (n,).
+    The rows start.X[1:N+1] of a ``StateSolve`` ``start``, x0 by default, seed
+    the iteration unchecked, and the first defect reads start.DX in place of the
+    product, so start.X[0] must be x0: ``solve`` passes the accepted iterate's
+    record and factors.  Raises NewtonDivergence when the iteration exhausts its
+    budget or produces non-finite values, and DimensionMismatch when finite
+    dynamics values are not an (N, n) stack or x0 is not of shape (n,).
     """
     rule = ops.rule
     N, n = rule.order, problem.n
@@ -226,7 +213,7 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
         raise DimensionMismatch(f"x0 has shape {x0.shape}, expected {(n,)}")
     X = np.empty((N + 2, n))
     X[0] = x0
-    X[1:N + 1] = x0 if X_guess is None else np.asarray(X_guess)[1:N + 1]
+    X[1:N + 1] = x0 if start is None else start.X[1:N + 1]
     Xfull, Xc = X[:N + 1], X[1:N + 1]
 
     target = max(NEWTON_TOL, 0.1 * config.tol_y)
@@ -238,19 +225,17 @@ def solve_state(problem, ops, U, X_guess=None, config=SolverConfig(), factors=No
             if not np.all(np.isfinite(F)):
                 raise NewtonDivergence(_NON_FINITE)
             raise DimensionMismatch(f"dynamics gave {np.shape(F)}, expected {(N, n)}")
-        DX = ops.D @ Xfull if step or DX_guess is None else DX_guess
-        G = DX - F
-        defect = _omega_norm(rule.weights, G)
-        if not math.isfinite(defect):
+        state = _state_defect(ops, X, F, ops.D @ Xfull if step or start is None else start.DX)
+        if not math.isfinite(state.defect):
             raise NewtonDivergence(_NON_FINITE)
-        if defect <= target or step == NEWTON_MAX - 1 and defect <= FLOOR * _EPS \
+        if state.defect <= target or step == NEWTON_MAX - 1 and state.defect <= FLOOR * _EPS \
                 * _omega_norm(rule.weights, np.abs(ops.D) @ np.abs(Xfull)):
             X[N + 1] = x0 + rule.weights @ F
-            return StateSolve(X, F, DX, G, defect)
-        if factors is None or defect > 0.5 * prev:
+            return state
+        if factors is None or state.defect > 0.5 * prev:
             factors = newton_factors(problem, ops, Xc, U)
-        prev = defect
-        Xc += _jacobian_solve(ops, factors, -G)
+        prev = state.defect
+        Xc += _jacobian_solve(ops, factors, -state.G)
 
     raise NewtonDivergence(
         f"state Newton did not reach its defect target in {NEWTON_MAX} steps")
@@ -378,7 +363,7 @@ def solve(problem, N, config=None):
     predicted decrease |pred| is at most 8 eps (1 + |obj|) or at most
     ||Lam_c - Lam_end||_w (defect + defect_t), the most that the accepted and
     the trial state's defects move the two objectives by.  Each trial's state
-    solve starts from the accepted state's rows and reuses its D X.
+    solve is seeded by the accepted ``StateSolve``: its rows and its D X.
 
     The first projection of the control is checked: it must be a finite
     (N, m) stack (else DimensionMismatch or EvaluationFailure), and
@@ -420,7 +405,7 @@ def solve(problem, N, config=None):
         proj = project(pre)
         active = np.abs(pre - proj) > ACTIVITY_TOL
         traj = Trajectory(nodes=nodes, X=X, U=U, Lambda=Lam)
-        report = _residual(problem, ops, traj, state.F, state.G, state.defect, Hx, proj, g)
+        report = _residual(problem, ops, traj, state, Hx, proj, g)
         if not (math.isfinite(obj) and math.isfinite(report.y_norm)):
             raise EvaluationFailure(f"iterate {outer}: objective {obj}, y_norm {report.y_norm}")
         history.append(obj)
@@ -439,8 +424,7 @@ def solve(problem, N, config=None):
             U_t = project(U - step * d)
             pred = float((grad * (U_t - U)).sum())
             try:
-                state_t = solve_state(problem, ops, U_t, X_guess=X, config=config,
-                                      factors=factors, DX_guess=state.DX)
+                state_t = solve_state(problem, ops, U_t, state, config, factors)
             except NewtonDivergence:
                 step *= BACKTRACK
                 continue

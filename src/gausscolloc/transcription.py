@@ -7,6 +7,8 @@ triple is from satisfying the first-order optimality system; its combined
 norm is the quantity the solver drives to zero.  The two collocated blocks,
 the state and costate defects, are measured in one quadrature-weighted
 norm, ``_omega_norm``, which also sets the state solve's Newton target.
+A ``StateSolve`` records one state, its f, D X, defect G = D X - F and that
+norm; ``_state_defect``, the one place G is formed, builds every record.
 
 The costate used here is a scaled form of the raw equality multipliers of
 the underlying nonlinear program.  ``costate_to_multipliers`` and
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,10 +60,22 @@ def _omega_norm(w, Z):
     return math.sqrt(np.add.reduce(w * np.add.reduce(Z * Z, axis=1)))
 
 
-def _state_defect(ops, X, F):
-    """G = D X - F on the first N+1 rows X, and its omega norm."""
-    G = ops.D @ X - F
-    return G, _omega_norm(ops.rule.weights, G)
+class StateSolve(NamedTuple):
+    """One state and its defect: the stack X (N+2, n), f at its collocation
+    rows, the product D X of its first N+1 rows, G = D X - F and its omega
+    norm ``defect``."""
+
+    X: np.ndarray
+    F: np.ndarray
+    DX: np.ndarray
+    G: np.ndarray
+    defect: float
+
+
+def _state_defect(ops, X, F, DX):
+    """The ``StateSolve`` of X, f = F and D X[:N+1] = DX: G = DX - F and its omega norm."""
+    G = DX - F
+    return StateSolve(X, F, DX, G, _omega_norm(ops.rule.weights, G))
 
 
 @dataclass(frozen=True)
@@ -94,7 +109,7 @@ def _check_trajectory(problem, N, traj):
 
 def eval_residual(problem, ops, traj):
     """Measure optimality-system violation of a trajectory; the solver calls
-    ``_residual`` directly with the f, G, H_x, P(U - H_u) and C_x it already holds.
+    ``_residual`` directly with the state record, H_x, P(U - H_u) and C_x it already holds.
     Raises DimensionMismatch unless X and Lambda are (N+2, n) and U (N, m),
     and unless the callbacks give f (N, n), f_x (N, n, n), f_u (N, n, m) and C_x (n,)."""
     N = ops.rule.order
@@ -104,20 +119,19 @@ def eval_residual(problem, ops, traj):
     F = _checked("dynamics", problem.dynamics(Xc, U), (N, problem.n))
     Hx, Hu = problem.ham_x(Xc, U, Lc), problem.ham_u(Xc, U, Lc)
     g = _checked("cost_grad", problem.cost_grad(X[N + 1]), (problem.n,))
-    return _residual(problem, ops, traj, F, *_state_defect(ops, X[:N + 1], F), Hx,
+    return _residual(problem, ops, traj, _state_defect(ops, X, F, ops.D @ X[:N + 1]), Hx,
                      problem.control_set.project(U - Hu), g)
 
 
-def _residual(problem, ops, traj, F, G, defect, Hx, proj, g):
-    """Residual from f, G = D X - F with its ``defect`` norm, H_x, proj = P(U - H_u)
-    and C_x = g."""
+def _residual(problem, ops, traj, state, Hx, proj, g):
+    """Residual from the ``StateSolve`` of traj.X, H_x, proj = P(U - H_u) and C_x = g."""
     rule = ops.rule
     N = rule.order
     X, U, Lam = traj.X, traj.U, traj.Lambda
     w = rule.weights
 
     initial = X[0] - problem.x0
-    endpoint_defect = X[N + 1] - X[0] - w @ F
+    endpoint_defect = X[N + 1] - X[0] - w @ state.F
     costate_endpoint = Lam[N + 1] - Lam[0] + w @ Hx
     costate_defect = ops.D_dagger @ Lam[1:] + Hx
     transversality = Lam[N + 1] - g
@@ -129,7 +143,7 @@ def _residual(problem, ops, traj, F, G, defect, Hx, proj, g):
     # np.linalg.norm runs for that case
     norms = {
         "initial": math.sqrt(initial.dot(initial)),
-        "state_defect": defect,
+        "state_defect": state.defect,
         "endpoint_defect": math.sqrt(endpoint_defect.dot(endpoint_defect)),
         "costate_endpoint": math.sqrt(costate_endpoint.dot(costate_endpoint)),
         "costate_defect": _omega_norm(w, costate_defect),
@@ -138,7 +152,7 @@ def _residual(problem, ops, traj, F, G, defect, Hx, proj, g):
             control_residual * control_residual, axis=1)).max()),
     }
     return Residual(
-        initial=initial, state_defect=G,
+        initial=initial, state_defect=state.G,
         endpoint_defect=endpoint_defect, costate_endpoint=costate_endpoint,
         costate_defect=costate_defect, transversality=transversality,
         control_residual=control_residual,

@@ -119,6 +119,23 @@ class TestControlSet:
         assert seen[0].dtype == float and out.dtype == float
         np.testing.assert_array_equal(out, [1.0, 2.0])
 
+    def test_custom_projector_writing_into_its_argument(self):
+        # custom hands the projector a copy, so one that writes its result
+        # into its argument leaves the caller's array alone: solve's activity
+        # test still sees pre - P(pre), and the solve has the box's bytes
+        inplace = ControlSet.custom(lambda v: np.minimum(v, 1.0, out=v))
+        u = np.array([[0.5], [2.0]])
+        np.testing.assert_array_equal(inplace.project(u), [[0.5], [1.0]])
+        np.testing.assert_array_equal(u, [[0.5], [2.0]])
+        box = builtin("hager84-constrained")
+        got = solve(dataclasses.replace(box, control_set=inplace), 20)
+        want = solve(box, 20)
+        for a, b in ((got.traj.X, want.traj.X), (got.traj.U, want.traj.U),
+                     (got.traj.Lambda, want.traj.Lambda), (got.active_set, want.active_set)):
+            _assert_same_bits(a, b)
+        assert got.objective_history == want.objective_history
+        assert (got.termination, got.outer_iters) == ("converged", 12)
+
     def test_unconstrained_is_identity(self):
         cs = ControlSet.unconstrained()
         v = np.array([3.0, -7.0])

@@ -164,16 +164,20 @@ class TestSolveState:
     @pytest.mark.parametrize("problem", _input_returning_problems(), ids=lambda p: p.name)
     def test_callbacks_returning_their_input_change_no_bit(self, problem):
         # the iterates are updated in place in one buffer per call, which an
-        # f or f_x that aliases its input X must not see; solves from a
-        # distant guess and whole solves give the bits of copying callbacks
+        # f or f_x that aliases its input X must not see; solves seeded by a
+        # distant state and whole solves give the bits of copying callbacks.
+        # The seed's D X covers row 0, so that row holds x0
         N = 12
         ops = build_operators(gauss_rule(N))
         U = np.linspace(-0.5, 0.5, N)[:, None]
-        guess = np.full((N + 2, 1), 2.0)
-        for X_guess in (None, guess):
+        distant = np.full((N + 2, 1), 2.0)
+        distant[0] = problem.x0
+        seed = _state_defect(ops, distant, problem.dynamics(distant[1:N + 1], U),
+                             ops.D @ distant[:N + 1])
+        for start in (None, seed):
             np.testing.assert_array_equal(
-                solve_state(problem, ops, U, X_guess=X_guess).X,
-                solve_state(_copying(problem), ops, U, X_guess=X_guess).X)
+                solve_state(problem, ops, U, start).X,
+                solve_state(_copying(problem), ops, U, start).X)
         config = SolverConfig(max_outer=20)
         alias, copy = solve(problem, N, config=config), solve(_copying(problem), N, config=config)
         for a, b in ((alias.traj.X, copy.traj.X), (alias.traj.U, copy.traj.U),
@@ -181,15 +185,15 @@ class TestSolveState:
             np.testing.assert_array_equal(a, b)
         assert (alias.y_norm, alias.objective_history) == (copy.y_norm, copy.objective_history)
 
-    @pytest.mark.parametrize("x0,guess,message", [
-        ([0.4, -1.1, 2.0], None, "x0 has shape (3,), expected (2,)"),
-        ([0.4], None, "x0 has shape (1,), expected (2,)"),
+    @pytest.mark.parametrize("x0,message", [
+        ([0.4, -1.1, 2.0], "x0 has shape (3,), expected (2,)"),
+        ([0.4], "x0 has shape (1,), expected (2,)"),
     ], ids=["long-x0", "short-x0"])
-    def test_malformed_start_is_rejected(self, x0, guess, message):
+    def test_malformed_start_is_rejected(self, x0, message):
         problem = replace(_frozen_problem(), x0=np.array(x0))
         ops = build_operators(gauss_rule(5))
         with pytest.raises(DimensionMismatch, match=re.escape(message)):
-            solve_state(problem, ops, np.zeros((5, 1)), X_guess=guess)
+            solve_state(problem, ops, np.zeros((5, 1)))
 
     def test_zero_dynamics_keeps_initial_state(self):
         problem = _frozen_problem()
@@ -262,9 +266,9 @@ class TestSolveState:
     @pytest.mark.parametrize("N", [10, 320])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_reused_product_changes_no_bit(self, name, N):
-        # a line-search trial starts from the accepted state's rows, so its
-        # first defect may read that state's D X in place of the product:
-        # the trial returns the same bytes with it and without it
+        # a line-search trial is seeded by the accepted record, so its first
+        # defect reads that state's D X in place of the product: the trial
+        # returns the bytes of one seeded by the same rows and a fresh product
         problem = builtin(name)
         ops = build_operators(gauss_rule(N))
         project = problem.control_set.project
@@ -273,11 +277,34 @@ class TestSolveState:
         assert state.DX.tobytes() == (ops.D @ state.X[:N + 1]).tobytes()
         factors = newton_factors(problem, ops, state.X[1:N + 1], U)
         U_t = project(U + np.linspace(-0.5, 1.5, N)[:, None])
-        fresh = solve_state(problem, ops, U_t, X_guess=state.X, factors=factors)
-        reused = solve_state(problem, ops, U_t, X_guess=state.X, factors=factors,
-                             DX_guess=state.DX)
+        fresh = solve_state(problem, ops, U_t, state._replace(DX=ops.D @ state.X[:N + 1]),
+                            factors=factors)
+        reused = solve_state(problem, ops, U_t, state, factors=factors)
         for a, b in zip(fresh, reused):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 10, 40, 160])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + ("oscillator", "copying-cubic"))
+    def test_every_record_is_one_state(self, name, N):
+        # a cold solve and a trial seeded by its record and factors each
+        # return a StateSolve whose D X, G, f and quadrature endpoint have the
+        # bytes that its X gives afresh, and whose defect is G's omega norm
+        built = {"oscillator": _oscillator_problem,
+                 "copying-cubic": lambda: _copying(_cubic_problem())}
+        problem = built[name]() if name in built else builtin(name)
+        ops = build_operators(gauss_rule(N))
+        w, project = ops.rule.weights, problem.control_set.project
+        U = project(np.linspace(-0.5, 0.5, N)[:, None])
+        cold = solve_state(problem, ops, U)
+        factors = newton_factors(problem, ops, cold.X[1:N + 1], U)
+        U_t = project(U + np.linspace(-0.5, 1.5, N)[:, None])
+        for state, V in ((cold, U), (solve_state(problem, ops, U_t, cold, factors=factors), U_t)):
+            X = state.X
+            assert state.DX.tobytes() == (ops.D @ X[:N + 1]).tobytes()
+            assert state.G.tobytes() == (state.DX - state.F).tobytes()
+            assert state.F.tobytes() == problem.dynamics(X[1:N + 1], V).tobytes()
+            assert X[N + 1].tobytes() == (problem.x0 + w @ state.F).tobytes()
+            assert state.defect == _omega_norm(w, state.G)
 
     @pytest.mark.parametrize("N", [687, 695, 698])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -304,11 +331,10 @@ class TestSolveCostate:
         U = np.linspace(-0.5, 0.5, N)[:, None]
         state = solve_state(problem, ops, U)
         X, Xc = state.X, state.X[1:N + 1]
-        F = problem.dynamics(Xc, U)
-        G, defect = _state_defect(ops, X[:N + 1], F)
-        np.testing.assert_array_equal(state.F, F)
-        np.testing.assert_array_equal(state.G, G)
-        assert state.defect == defect
+        fresh = _state_defect(ops, X, problem.dynamics(Xc, U), ops.D @ X[:N + 1])
+        np.testing.assert_array_equal(state.F, fresh.F)
+        np.testing.assert_array_equal(state.G, fresh.G)
+        assert state.defect == fresh.defect
         Lam, Hx = solve_costate(problem, ops, X, U, problem.cost_grad(X[N + 1]))
         np.testing.assert_array_equal(Hx, problem.ham_x(Xc, U, Lam[1:N + 1]))
 
@@ -944,10 +970,10 @@ class TestSolve:
         # the cold start's state solve succeeds; every trial diverges
         real = solve_state
 
-        def diverging_trials(problem, ops, U, X_guess=None, **kwargs):
-            if X_guess is not None:
+        def diverging_trials(problem, ops, U, start=None, *args, **kwargs):
+            if start is not None:
                 raise NewtonDivergence("trial diverged")
-            return real(problem, ops, U, **kwargs)
+            return real(problem, ops, U, *args, **kwargs)
 
         monkeypatch.setattr(solver_module, "solve_state", diverging_trials)
         report = solve(builtin("hager84-constrained"), 10)

@@ -157,8 +157,8 @@ class TestEvalResidual:
         traj = Trajectory(nodes=full_grid(rule), X=draw((N + 2, n)), U=draw((N, m)),
                           Lambda=draw((N + 2, n)))
         F = draw((N, n))
-        res = _residual(problem, ops, traj, F, *_state_defect(ops, traj.X[:N + 1], F),
-                        draw((N, n)), draw((N, m)), draw(n))
+        state = _state_defect(ops, traj.X, F, ops.D @ traj.X[:N + 1])
+        res = _residual(problem, ops, traj, state, draw((N, n)), draw((N, m)), draw(n))
 
         def weighted(z):
             return float(np.sqrt(np.sum(rule.weights * np.sum(z * z, axis=1))))
