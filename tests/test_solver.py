@@ -268,7 +268,8 @@ class TestSolveState:
     def test_reused_product_changes_no_bit(self, name, N):
         # a line-search trial is seeded by the accepted record, so its first
         # defect reads that state's D X in place of the product: the trial
-        # returns the bytes of one seeded by the same rows and a fresh product
+        # returns the bytes of one seeded by a copy of the rows and the
+        # product taken on that copy's own buffer
         problem = builtin(name)
         ops = build_operators(gauss_rule(N))
         project = problem.control_set.project
@@ -277,34 +278,12 @@ class TestSolveState:
         assert state.DX.tobytes() == (ops.D @ state.X[:N + 1]).tobytes()
         factors = newton_factors(problem, ops, state.X[1:N + 1], U)
         U_t = project(U + np.linspace(-0.5, 1.5, N)[:, None])
-        fresh = solve_state(problem, ops, U_t, state._replace(DX=ops.D @ state.X[:N + 1]),
+        Xs = state.X.copy()
+        fresh = solve_state(problem, ops, U_t, _state_defect(ops, Xs, state.F, ops.D @ Xs[:N + 1]),
                             factors=factors)
         reused = solve_state(problem, ops, U_t, state, factors=factors)
         for a, b in zip(fresh, reused):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
-    @pytest.mark.parametrize("N", [1, 2, 5, 10, 40, 160])
-    @pytest.mark.parametrize("name", BUILTIN_NAMES + ("oscillator", "copying-cubic"))
-    def test_every_record_is_one_state(self, name, N):
-        # a cold solve and a trial seeded by its record and factors each
-        # return a StateSolve whose D X, G, f and quadrature endpoint have the
-        # bytes that its X gives afresh, and whose defect is G's omega norm
-        built = {"oscillator": _oscillator_problem,
-                 "copying-cubic": lambda: _copying(_cubic_problem())}
-        problem = built[name]() if name in built else builtin(name)
-        ops = build_operators(gauss_rule(N))
-        w, project = ops.rule.weights, problem.control_set.project
-        U = project(np.linspace(-0.5, 0.5, N)[:, None])
-        cold = solve_state(problem, ops, U)
-        factors = newton_factors(problem, ops, cold.X[1:N + 1], U)
-        U_t = project(U + np.linspace(-0.5, 1.5, N)[:, None])
-        for state, V in ((cold, U), (solve_state(problem, ops, U_t, cold, factors=factors), U_t)):
-            X = state.X
-            assert state.DX.tobytes() == (ops.D @ X[:N + 1]).tobytes()
-            assert state.G.tobytes() == (state.DX - state.F).tobytes()
-            assert state.F.tobytes() == problem.dynamics(X[1:N + 1], V).tobytes()
-            assert X[N + 1].tobytes() == (problem.x0 + w @ state.F).tobytes()
-            assert state.defect == _omega_norm(w, state.G)
 
     @pytest.mark.parametrize("N", [687, 695, 698])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -317,24 +296,36 @@ class TestSolveState:
 
 
 class TestSolveCostate:
-    @pytest.mark.parametrize("N", [10, 40])
+    @pytest.mark.parametrize("N", [1, 2, 5, 10, 40, 160])
     @pytest.mark.parametrize("name", BUILTIN_NAMES + ("oscillator", "copying-cubic"))
     def test_solves_return_what_the_residual_reads(self, name, N):
-        # f, G and its norm come back from the state solve's converged check,
-        # and H_x from the costate solve, with the bits that evaluating them
-        # afresh at the returned state and costate gives; the oscillator
-        # factors its live block with an LU, the cubic problem the whole M
+        # every StateSolve, cold or seeded by the accepted record and its
+        # factors, holds the f, D X, G, norm and quadrature endpoint that its
+        # X gives afresh; a trial at the accepted control returns at its first
+        # check on start.DX, which must give the product's bits on the trial's
+        # own buffer; H_x comes back from the costate solve with the bits that
+        # evaluating it afresh gives; the oscillator factors its live block
+        # with an LU, the cubic problem the whole M
         built = {"oscillator": _oscillator_problem,
                  "copying-cubic": lambda: _copying(_cubic_problem())}
         problem = built[name]() if name in built else builtin(name)
         ops = build_operators(gauss_rule(N))
+        w = ops.rule.weights
         U = np.linspace(-0.5, 0.5, N)[:, None]
-        state = solve_state(problem, ops, U)
-        X, Xc = state.X, state.X[1:N + 1]
-        fresh = _state_defect(ops, X, problem.dynamics(Xc, U), ops.D @ X[:N + 1])
-        np.testing.assert_array_equal(state.F, fresh.F)
-        np.testing.assert_array_equal(state.G, fresh.G)
-        assert state.defect == fresh.defect
+        cold = solve_state(problem, ops, U)
+        factors = newton_factors(problem, ops, cold.X[1:N + 1], U)
+        U_t = problem.control_set.project(U + np.linspace(-0.5, 1.5, N)[:, None])
+        same = solve_state(problem, ops, U, cold, factors=factors)
+        assert same.X.tobytes() == cold.X.tobytes()
+        for state, V in ((cold, U), (same, U),
+                         (solve_state(problem, ops, U_t, cold, factors=factors), U_t)):
+            X = state.X
+            assert state.DX.tobytes() == (ops.D @ X[:N + 1]).tobytes()
+            assert state.G.tobytes() == (state.DX - state.F).tobytes()
+            assert state.F.tobytes() == problem.dynamics(X[1:N + 1], V).tobytes()
+            assert X[N + 1].tobytes() == (problem.x0 + w @ state.F).tobytes()
+            assert state.defect == _omega_norm(w, state.G)
+        X, Xc = cold.X, cold.X[1:N + 1]
         Lam, Hx = solve_costate(problem, ops, X, U, problem.cost_grad(X[N + 1]))
         np.testing.assert_array_equal(Hx, problem.ham_x(Xc, U, Lam[1:N + 1]))
 
