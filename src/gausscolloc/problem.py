@@ -2,12 +2,13 @@
 
 Problems are kept in Mayer form on the reference interval [-1, 1]: minimize
 a terminal cost C(x(1)) subject to autonomous dynamics xdot = f(x, u), a
-fixed initial state, and a pointwise control constraint u(t) in U given by a
-``ControlSet``, the projection onto U.  Every problem, built-in or custom, is one
-``ControlProblem``.  Helpers convert the two common departures from that
-normal form: ``augment_bolza`` adds the integral of a running cost l(x, u) to
-a problem's terminal cost through an extra integrator state, which makes it a
-Bolza problem, and ``map_domain`` rescales a problem posed on [a, b].
+fixed initial state, and a pointwise control constraint u(t) in a box U: a
+``ControlSet``, given by its bounds, which owns the projection onto U.  Every
+problem, built-in or custom, is one ``ControlProblem``.  Helpers convert the
+two common departures from that normal form: ``augment_bolza`` adds the
+integral of a running cost l(x, u) to a problem's terminal cost through an
+extra integrator state, which makes it a Bolza problem, and ``map_domain``
+rescales a problem posed on [a, b].
 The built-ins are written in closed form: each callback allocates its result
 once and gives the bits of the same problem composed with those two helpers.
 
@@ -33,32 +34,40 @@ import numpy as np
 from .errors import DimensionMismatch, EvaluationFailure, UnknownProblem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlSet:
-    """Closed convex admissible set for the control, given by its Euclidean
-    projection: ``project`` takes (m,) or (N, m) and returns a new float array.
-    Box bounds may be one-sided (None means unbounded on that side)."""
+    """Box admissible set for the control, lower <= u <= upper componentwise.
 
-    project: Callable[[np.ndarray], np.ndarray]
+    Each bound is None (unbounded on that side), a scalar or an (m,) array,
+    kept as a read-only float copy.  A NaN bound, a bound of more than one
+    dimension or an empty box (lower < upper failing anywhere, a missing
+    bound taken as -inf or +inf) raises ValueError here, so every set is valid.
+    Sets compare and hash by identity: an array field has no one truth value."""
 
-    @staticmethod
-    def unconstrained():
-        # not box(): ndarray.clip(None, None) raises before numpy 2.1
-        return ControlSet(lambda u: np.asarray(u, dtype=float).copy())
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
 
-    @staticmethod
-    def box(lower=None, upper=None):
-        lo, hi = (None if b is None else np.asarray(b, dtype=float) for b in (lower, upper))
-        if any(b is not None and np.isnan(b).any() for b in (lo, hi)):
-            raise ValueError("box control set bound is NaN")
-        if lo is not None and hi is not None and not np.all(lo < hi):
+    def __post_init__(self):
+        for side in ("lower", "upper"):
+            if (b := getattr(self, side)) is not None:
+                b = np.array(b, dtype=float)
+                if np.isnan(b).any():
+                    raise ValueError("box control set bound is NaN")
+                if b.ndim > 1:
+                    raise ValueError(f"box control set {side} bound has shape {b.shape}, "
+                                     "expected a scalar or (m,)")
+                b.flags.writeable = False
+                object.__setattr__(self, side, b)
+        if not np.all((-np.inf if self.lower is None else self.lower)
+                      < (np.inf if self.upper is None else self.upper)):
             raise ValueError("box control set needs lower < upper componentwise")
-        # clip itself runs np.maximum or np.minimum when one bound is None
-        return ControlSet(lambda u: np.asarray(u, dtype=float).clip(lo, hi))
 
-    @staticmethod
-    def custom(projector):
-        return ControlSet(lambda u: np.asarray(projector(np.array(u, dtype=float)), dtype=float))
+    def project(self, u):
+        """Euclidean projection of (m,) or (N, m) ``u`` onto the box, a new float array."""
+        u = np.asarray(u, dtype=float)
+        if self.lower is None and self.upper is None:
+            return u.copy()  # ndarray.clip(None, None) raises before numpy 2.1
+        return u.clip(self.lower, self.upper)  # one bound: np.maximum or np.minimum
 
 
 @dataclass(frozen=True)
@@ -369,8 +378,7 @@ def _build_hager(name, constrained):
         name=name, n=2, m=1, dynamics=f, dynamics_x=f_x, dynamics_u=f_u,
         cost=lambda x: float(0.0 + x[1]), cost_grad=lambda x: np.array([0.0, 1.0]),
         x0=x0, analytic=_hager_analytic(constrained),
-        control_set=ControlSet.box(upper=np.array([1.0])) if constrained
-        else ControlSet.unconstrained())
+        control_set=ControlSet(upper=[1.0]) if constrained else ControlSet())
     audit_derivatives(prob)
     return prob
 

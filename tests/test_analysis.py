@@ -487,6 +487,6 @@ class TestConvergenceStudy:
             cost=lambda x: float(x[0] ** 2),
             cost_grad=lambda x: 2.0 * x,
             x0=np.array([1.0]),
-            control_set=ControlSet.unconstrained())
+            control_set=ControlSet())
         with pytest.raises(ValueError, match="analytic"):
             convergence_study(bare, [4, 8, 16, 32, 64])

@@ -516,7 +516,7 @@ def test_scipy_linalg_loads_only_to_factor():
             cost=lambda x: float(x[0] ** 2),
             cost_grad=lambda x: 2.0 * x,
             x0=np.array([1.0]),
-            control_set=ControlSet.box(-1.0, 1.0))
+            control_set=ControlSet(-1.0, 1.0))
         converged = [json.loads(outs[key])["converged"] for key in ("solve", "unconstrained")]
         converged.append(solve(decay, 8).converged)
         seen["self-reading"] = "scipy.linalg" in sys.modules

@@ -107,8 +107,8 @@ def _manufactured(upper, alpha=None):
         cost=lambda x: 0.5 * x[0],
         cost_grad=lambda x: np.array([0.5, 0.0]),
         x0=np.array([_x(-1.0)[0], -1.0]),
-        control_set=(ControlSet.unconstrained() if upper is None
-                     else ControlSet.box(upper=upper)))
+        control_set=(ControlSet() if upper is None
+                     else ControlSet(upper=upper)))
     return augment_bolza(
         base, name="manufactured",
         value=lambda X, U: 0.5 * (U[:, 0] ** 2 + gap(X)[0] ** 2),

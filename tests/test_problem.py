@@ -24,8 +24,7 @@ from gausscolloc.solver import _control_hessian
 # and map_domain onto [-1, 1].  The built-ins are this composition written out
 # in closed form, and these tests hold them to its bits.
 def _hager_base(constrained):
-    cset = ControlSet.box(upper=np.array([1.0])) if constrained \
-        else ControlSet.unconstrained()
+    cset = ControlSet(upper=np.array([1.0])) if constrained else ControlSet()
     return ControlProblem(
         name="", n=1, m=1,
         dynamics=lambda X, U: U[:, [0]],
@@ -79,7 +78,7 @@ def _linear_problem():
         cost=lambda x: 0.5 * float(x @ x),
         cost_grad=lambda x: x,
         x0=np.array([1.0, 0.0]),
-        control_set=ControlSet.unconstrained())
+        control_set=ControlSet())
 
 
 def _nonlinear_problem(x0):
@@ -104,58 +103,46 @@ def _nonlinear_problem(x0):
     return ControlProblem(
         name="nonlinear-2d", n=2, m=2, dynamics=f, dynamics_x=f_x, dynamics_u=f_u,
         cost=lambda x: float(x[0] * x[1]), cost_grad=lambda x: x[::-1].copy(),
-        x0=x0, control_set=ControlSet.unconstrained())
+        x0=x0, control_set=ControlSet())
 
 
 class TestControlSet:
-    def test_is_its_projection(self):
-        assert [f.name for f in dataclasses.fields(ControlSet)] == ["project"]
-        cs = ControlSet(lambda u: np.minimum(u, 0.0))
+    def test_is_its_bounds(self):
+        assert [f.name for f in dataclasses.fields(ControlSet)] == ["lower", "upper"]
+        assert [n for n in vars(ControlSet) if not n.startswith("_")] == ["lower", "upper", "project"]
+        cs = ControlSet(upper=0.0)
         np.testing.assert_array_equal(cs.project(np.array([-1.0, 2.0])), [-1.0, 0.0])
-
-    def test_custom_takes_and_gives_float_arrays(self):
-        seen = []
-        out = ControlSet.custom(lambda v: seen.append(v) or v.tolist()).project([1, 2])
-        assert seen[0].dtype == float and out.dtype == float
-        np.testing.assert_array_equal(out, [1.0, 2.0])
-
-    def test_custom_projector_writing_into_its_argument(self):
-        # custom hands the projector a copy, so one that writes its result
-        # into its argument leaves the caller's array alone: solve's activity
-        # test still sees pre - P(pre), and the solve has the box's bytes
-        inplace = ControlSet.custom(lambda v: np.minimum(v, 1.0, out=v))
-        u = np.array([[0.5], [2.0]])
-        np.testing.assert_array_equal(inplace.project(u), [[0.5], [1.0]])
-        np.testing.assert_array_equal(u, [[0.5], [2.0]])
-        box = builtin("hager84-constrained")
-        got = solve(dataclasses.replace(box, control_set=inplace), 20)
-        want = solve(box, 20)
-        for a, b in ((got.traj.X, want.traj.X), (got.traj.U, want.traj.U),
-                     (got.traj.Lambda, want.traj.Lambda), (got.active_set, want.active_set)):
-            _assert_same_bits(a, b)
-        assert got.objective_history == want.objective_history
-        assert (got.termination, got.outer_iters) == ("converged", 12)
+        two = ControlSet(upper=[0.0, 1.0])
+        assert two == two and two != ControlSet(upper=[0.0, 1.0]) and hash(two) == hash(two)
 
     def test_unconstrained_is_identity(self):
-        cs = ControlSet.unconstrained()
+        cs = ControlSet()
         v = np.array([3.0, -7.0])
-        np.testing.assert_array_equal(cs.project(v), v)
+        out = cs.project(v)
+        np.testing.assert_array_equal(out, v)
+        assert not np.shares_memory(out, v)
+        out = cs.project([1, 2])
+        assert out.dtype == float
+        np.testing.assert_array_equal(out, [1.0, 2.0])
 
     def test_box_clips(self):
-        cs = ControlSet.box(lower=[-1.0], upper=[1.0])
+        cs = ControlSet(lower=[-1.0], upper=[1.0])
         np.testing.assert_array_equal(cs.project(np.array([2.5])), [1.0])
         np.testing.assert_array_equal(cs.project(np.array([-3.0])), [-1.0])
         np.testing.assert_array_equal(cs.project(np.array([0.25])), [0.25])
 
     def test_box_one_sided(self):
-        cs = ControlSet.box(upper=[1.0])
+        cs = ControlSet(upper=[1.0])
         np.testing.assert_array_equal(cs.project(np.array([-9.0])), [-9.0])
         np.testing.assert_array_equal(cs.project(np.array([9.0])), [1.0])
 
     def test_box_stacked_rows(self):
-        cs = ControlSet.box(lower=[0.0], upper=[1.0])
+        cs = ControlSet(lower=[0.0], upper=[1.0])
         U = np.array([[-1.0], [0.5], [2.0]])
         np.testing.assert_array_equal(cs.project(U), [[0.0], [0.5], [1.0]])
+        out = cs.project([[-1], [2]])
+        assert out.dtype == float
+        np.testing.assert_array_equal(out, [[0.0], [1.0]])
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), m=st.integers(1, 3), sides=st.sampled_from(
@@ -171,7 +158,7 @@ class TestControlSet:
             lo = data.draw(arrays(float, m, elements=st.floats(-5.0, 0.0)))
         if sides in ("upper", "both"):
             hi = data.draw(arrays(float, m, elements=st.floats(0.0, 5.0, exclude_min=True)))
-        out = ControlSet.box(lower=lo, upper=hi).project(v)
+        out = ControlSet(lower=lo, upper=hi).project(v)
         ref = np.clip(v, lo, hi)
         assert out.shape == ref.shape and out.dtype == ref.dtype
         assert out.tobytes() == ref.tobytes()
@@ -186,21 +173,53 @@ class TestControlSet:
                              elements=entries))
         bound = data.draw(arrays(float, m, elements=st.sampled_from([0.0, -0.0, 1.5, -1.5])))
         if sides == "lower":
-            cs, ref = ControlSet.box(lower=bound), np.maximum(v, bound)
+            cs, ref = ControlSet(lower=bound), np.maximum(v, bound)
         elif sides == "upper":
-            cs, ref = ControlSet.box(upper=bound), np.minimum(v, bound)
+            cs, ref = ControlSet(upper=bound), np.minimum(v, bound)
         else:
-            cs, ref = ControlSet.unconstrained(), v
+            cs, ref = ControlSet(), v
         out = cs.project(v)
         assert out.shape == ref.shape and out.dtype == ref.dtype
         assert out.tobytes() == ref.tobytes()
         assert not np.shares_memory(out, v)
 
-    def test_box_rejects_empty_interior(self):
+    @pytest.mark.parametrize("bounds", [
+        {"lower": [1.0], "upper": [1.0]}, {"lower": [2.0], "upper": [-2.0]},
+        {"lower": [0.0, 1.0], "upper": 0.5}, {"lower": np.inf}, {"upper": -np.inf},
+    ], ids=["touching", "crossed", "one-component", "lower-inf", "upper-minus-inf"])
+    def test_box_rejects_empty_interior(self, bounds):
+        # a missing bound counts as -inf or +inf, so an infinite bound on the
+        # wrong side leaves nothing to project onto
+        with pytest.raises(ValueError, match="lower < upper"):
+            ControlSet(**bounds)
+
+    @pytest.mark.parametrize("bounds", [
+        {"lower": [[0.0]]}, {"upper": np.ones((2, 1))},
+        {"lower": [0.0, 0.0], "upper": [1.0, 1.0, 1.0]},
+    ], ids=["lower-2d", "upper-2d", "lengths-differ"])
+    def test_box_rejects_malformed_bounds(self, bounds):
+        # a 2-D bound would broadcast a control stack to another shape
         with pytest.raises(ValueError):
-            ControlSet.box(lower=[1.0], upper=[1.0])
+            ControlSet(**bounds)
+
+    def test_bounds_are_read_only_copies(self):
+        # the set keeps its own bounds: changing the caller's arrays after
+        # construction neither empties the box nor moves a solve's ceiling
+        lo, hi = np.array([-1.0]), np.array([1.0])
+        cs = ControlSet(lo, hi)
+        lo[0], hi[0] = 5.0, -2.0
+        np.testing.assert_array_equal(cs.lower, [-1.0])
+        np.testing.assert_array_equal(cs.upper, [1.0])
+        np.testing.assert_array_equal(cs.project([[0.0], [3.0], [-3.0]]), [[0.0], [1.0], [-1.0]])
         with pytest.raises(ValueError):
-            ControlSet.box(lower=[2.0], upper=[-2.0])
+            cs.upper[0] = 0.5
+        ceiling = np.array([1.0])
+        box = builtin("hager84-constrained")
+        moved = dataclasses.replace(box, control_set=ControlSet(upper=ceiling))
+        ceiling[0] = 0.5
+        got, want = solve(moved, 20), solve(box, 20)
+        for a, b in ((got.traj.U, want.traj.U), (got.active_set, want.active_set)):
+            _assert_same_bits(a, b)
 
     @pytest.mark.parametrize("bounds", [
         {"lower": np.nan}, {"upper": np.nan}, {"lower": [0.0, np.nan]},
@@ -209,12 +228,12 @@ class TestControlSet:
     def test_box_rejects_a_nan_bound(self, bounds):
         # a NaN bound would project every control to NaN, found only inside solve
         with pytest.raises(ValueError, match="NaN"):
-            ControlSet.box(**bounds)
+            ControlSet(**bounds)
 
     @pytest.mark.parametrize("cs", [
-        ControlSet.unconstrained(),
-        ControlSet.box(lower=[-1.0, 0.0], upper=[1.0, 2.0]),
-        ControlSet.custom(lambda v: np.clip(v, -0.5, None)),
+        ControlSet(),
+        ControlSet(lower=[-1.0, 0.0], upper=[1.0, 2.0]),
+        ControlSet(lower=[-0.5, -0.5]),
     ])
     def test_projection_idempotent_and_nonexpansive(self, cs):
         rng = np.random.default_rng(42)

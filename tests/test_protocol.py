@@ -52,9 +52,9 @@ def test_callbacks_return_stacks_equal_to_row_by_row(name, xul):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cs=st.sampled_from([ControlSet.unconstrained(),
-                           ControlSet.box(upper=np.array([1.0, 1.0])),
-                           ControlSet.box(lower=[-1.0, 0.0], upper=[1.0, 2.0])]),
+@given(cs=st.sampled_from([ControlSet(),
+                           ControlSet(upper=np.array([1.0, 1.0])),
+                           ControlSet(lower=[-1.0, 0.0], upper=[1.0, 2.0])]),
        ab=stacks((2, 2)))
 def test_projection_idempotent_and_nonexpansive_on_stacks(cs, ab):
     A, B = ab

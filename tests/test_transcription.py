@@ -45,7 +45,7 @@ def _frozen_problem():
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.array([1.0, 0.0]),
         x0=np.array([0.4, -1.1]),
-        control_set=ControlSet.box(lower=[-1.0], upper=[1.0]))
+        control_set=ControlSet(lower=[-1.0], upper=[1.0]))
 
 
 class TestTrajectory:
@@ -153,7 +153,7 @@ class TestEvalResidual:
             return data.draw(arrays(float, shape, elements=st.floats(-1e3, 1e3)))
 
         problem = replace(_frozen_problem(), n=n, m=m, x0=draw(n),
-                          control_set=ControlSet.box(upper=np.zeros(m)))
+                          control_set=ControlSet(upper=np.zeros(m)))
         traj = Trajectory(nodes=full_grid(rule), X=draw((N + 2, n)), U=draw((N, m)),
                           Lambda=draw((N + 2, n)))
         F = draw((N, n))
