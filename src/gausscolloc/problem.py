@@ -2,22 +2,20 @@
 
 Problems are kept in Mayer form on the reference interval [-1, 1]: minimize
 a terminal cost C(x(1)) subject to autonomous dynamics xdot = f(x, u), a
-fixed initial state, and a pointwise control constraint u(t) in a box U: a
+fixed initial state x0, and a pointwise control constraint u(t) in a box U: a
 ``ControlSet``, given by its bounds, which owns the projection onto U.  Every
-problem, built-in or custom, is one ``ControlProblem``.  Helpers convert the
-two common departures from that normal form: ``augment_bolza`` adds the
-integral of a running cost l(x, u) to a problem's terminal cost through an
-extra integrator state, which makes it a Bolza problem, and ``map_domain``
-rescales a problem posed on [a, b].
-The built-ins are written in closed form: each callback allocates its result
-once and gives the bits of the same problem composed with those two helpers.
+problem, built-in or custom, is one ``ControlProblem``, checked where it is
+built: x0 is (n,) and each bound a scalar or (m,).  ``augment_bolza`` folds
+the integral of a running cost l(x, u) into the terminal cost through an extra
+integrator state, and ``map_domain`` rescales a problem posed on [a, b].  The
+built-ins are written in closed form: each callback allocates its result once
+and gives the bits of the same problem composed with those two helpers.
 
 Every problem carries the five callbacks the solver reads: the dynamics, its
 Jacobians f_x and f_u, the terminal cost and its gradient; the solver
 differences f_u for the control Hessian.  ``audit_derivatives`` cross-checks
-the supplied derivatives against central finite differences at fixed points,
-taken over all points at once with two batched callback calls per perturbed
-coordinate, and is run for every built-in problem at construction.
+them against central finite differences at fixed points, two batched callback
+calls per perturbed coordinate, and is run for every built-in at construction.
 
 Dynamics callbacks are evaluated once per grid: they take stacks of K rows,
 X (K, n) and U (K, m), and return one result per row: f (K, n), f_x (K, n, n)
@@ -82,7 +80,9 @@ class AnalyticSolution:
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Mayer-form optimal control problem on a fixed interval."""
+    """Mayer-form optimal control problem on a fixed interval.  x0 is kept as a
+    read-only float copy, and DimensionMismatch is raised here unless it is (n,)
+    and each control-set bound a scalar or (m,); no callback is called."""
 
     name: str
     n: int
@@ -95,6 +95,16 @@ class ControlProblem:
     x0: np.ndarray
     control_set: ControlSet
     analytic: AnalyticSolution | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "x0", np.array(self.x0, dtype=float))
+        self.x0.flags.writeable = False
+        if self.x0.shape != (self.n,):
+            raise DimensionMismatch(f"x0 has shape {self.x0.shape}, expected {(self.n,)}")
+        for side in ("lower", "upper"):
+            if np.shape(b := getattr(self.control_set, side)) not in ((), (self.m,)):
+                raise DimensionMismatch(f"control_set {side} bound has shape {b.shape}, "
+                                        f"expected () or {(self.m,)}")
 
     def ham_x(self, X, U, Lam):
         """Gradient of H = lambda . f with respect to x, per row: (K, n);
@@ -166,13 +176,11 @@ def augment_bolza(base, *, value, grad_x, grad_u, name=""):
         g[n] = 1.0
         return g
 
-    x0 = np.concatenate([np.asarray(base.x0, dtype=float), [0.0]])
-    x0.flags.writeable = False
     return ControlProblem(
         name=name, n=n + 1, m=m,
         dynamics=f, dynamics_x=jac_x, dynamics_u=jac_u,
         cost=cost, cost_grad=cost_grad,
-        x0=x0, control_set=base.control_set)
+        x0=np.append(base.x0, 0.0), control_set=base.control_set)
 
 
 def map_domain(problem, a, b):
@@ -372,12 +380,10 @@ def _build_hager(name, constrained):
         B[:, 0, 0], B[:, 1, 0] = s, s * U[:, 0]
         return B
 
-    x0 = np.array([_HAGER_X0, 0.0])
-    x0.flags.writeable = False
     prob = ControlProblem(
         name=name, n=2, m=1, dynamics=f, dynamics_x=f_x, dynamics_u=f_u,
         cost=lambda x: float(0.0 + x[1]), cost_grad=lambda x: np.array([0.0, 1.0]),
-        x0=x0, analytic=_hager_analytic(constrained),
+        x0=[_HAGER_X0, 0.0], analytic=_hager_analytic(constrained),
         control_set=ControlSet(upper=[1.0]) if constrained else ControlSet())
     audit_derivatives(prob)
     return prob

@@ -204,13 +204,11 @@ def solve_state(problem, ops, U, start=None, config=SolverConfig(), factors=None
     product, so start.X[0] must be x0: ``solve`` passes the accepted iterate's
     record and factors.  Raises NewtonDivergence when the iteration exhausts its
     budget or produces non-finite values, and DimensionMismatch when finite
-    dynamics values are not an (N, n) stack or x0 is not of shape (n,).
+    dynamics values are not an (N, n) stack; x0 was checked where the problem was built.
     """
     rule = ops.rule
     N, n = rule.order, problem.n
-    x0 = np.asarray(problem.x0, dtype=float)
-    if x0.shape != (n,):
-        raise DimensionMismatch(f"x0 has shape {x0.shape}, expected {(n,)}")
+    x0 = problem.x0
     X = np.empty((N + 2, n))
     X[0] = x0
     X[1:N + 1] = x0 if start is None else start.X[1:N + 1]
@@ -241,23 +239,19 @@ def solve_state(problem, ops, U, start=None, config=SolverConfig(), factors=None
         f"state Newton did not reach its defect target in {NEWTON_MAX} steps")
 
 
-def solve_costate(problem, ops, X, U, terminal, factors=None):
-    """Solve the collocated adjoint system for a given trajectory.
+def solve_costate(problem, ops, factors, terminal):
+    """Solve the collocated adjoint system at the state whose Newton ``factors`` are given.
 
-    The Hamiltonian is linear in the costate, so after scaling each
-    collocation row by its quadrature weight the system is the transpose of
-    the state Newton system at X, whose ``factors`` are computed when
-    omitted.  Returns the costate stack Lam (N+2, n), whose first row
-    satisfies the left endpoint coupling identity and whose last row equals
-    ``terminal``, the terminal cost gradient, and H_x (N, n); raises
-    DimensionMismatch unless ``terminal`` has shape (n,).
+    The Hamiltonian is linear in the costate, so the weight-scaled system is the
+    transpose of the state Newton system: one J^T solve on ``factors``.  Returns
+    the costate stack Lam (N+2, n), whose first row satisfies the left endpoint
+    coupling identity and whose last row equals ``terminal``, the terminal cost
+    gradient, and H_x (N, n); raises DimensionMismatch unless ``terminal`` is (n,).
     """
     rule = ops.rule
     N, n = rule.order, problem.n
     w = rule.weights
     terminal = _checked("cost_grad", np.asarray(terminal, dtype=float), (n,))
-    if factors is None:
-        factors = newton_factors(problem, ops, X[1:N + 1], U)
 
     # row i of the weight-scaled adjoint system J^T Y = M^T (D1N^T x I) Y = rhs:
     #   (D1N^T Y)_i - A_i^T Y_i = w_i * Ddag[i, -1] * terminal,  Y_i = w_i Lam_i
@@ -357,8 +351,8 @@ def solve(problem, N, config=None):
     ``config.max_outer`` iterates, stopping at the first within ``tol_y``
     or when no step is accepted, and reports the last; raises
     EvaluationFailure if its objective or residual norm, or the control
-    Hessian a step uses, is not finite, and DimensionMismatch if the
-    control set's bounds widen the (N, m) control stack.
+    Hessian a step uses, is not finite, and DimensionMismatch if a callback
+    gives a stack of the wrong shape (x0 and the bounds are checked where built).
 
     A line-search trial is accepted at an Armijo decrease, or when its
     predicted decrease |pred| is at most 8 eps (1 + |obj|) or at most
@@ -376,7 +370,7 @@ def solve(problem, N, config=None):
     w = rule.weights
 
     project = problem.control_set.project
-    U = _checked("control_set.project", project(np.zeros((N, m))), (N, m))
+    U = project(np.zeros((N, m)))
 
     # both solves are read from the module at call time, so a wrapper set there sees each
     state = solve_state(problem, ops, U, config=config)
@@ -387,7 +381,7 @@ def solve(problem, N, config=None):
         X = state.X
         factors = newton_factors(problem, ops, X[1:N + 1], U)
         g = problem.cost_grad(X[N + 1])
-        Lam, Hx = solve_costate(problem, ops, X, U, g, factors)
+        Lam, Hx = solve_costate(problem, ops, factors, g)
         B = _checked("dynamics_u", problem.dynamics_u(X[1:N + 1], U), (N, problem.n, m))
         Hu = np.einsum("kij,ki->kj", B, Lam[1:N + 1])
         pre = U - Hu

@@ -18,7 +18,7 @@ from gausscolloc import (build_operators, builtin, check_P1, check_P2,
                          multipliers_to_costate, solve, verify_appendix1,
                          verify_appendix2)
 from gausscolloc.analysis import APPENDIX2_FUNCTIONS
-from gausscolloc.solver import solve_costate, solve_state
+from gausscolloc.solver import newton_factors, solve_costate, solve_state
 from gausscolloc.transcription import Trajectory
 
 N_SWEEP_MAX = 300
@@ -224,7 +224,8 @@ def test_criterion_9_gradient_audit(acceptance_log):
         ops = build_operators(rule)
         U = rng.uniform(-0.5, 1.0, size=(N, 1))
         X = solve_state(problem, ops, U).X
-        Lam, _ = solve_costate(problem, ops, X, U, problem.cost_grad(X[-1]))
+        Lam, _ = solve_costate(problem, ops, newton_factors(problem, ops, X[1:N + 1], U),
+                               problem.cost_grad(X[-1]))
         grad = rule.weights[:, None] * problem.ham_u(X[1:N + 1], U, Lam[1:N + 1])
         for i in rng.integers(0, N, size=5):
             shifted = []

@@ -13,7 +13,8 @@ from gausscolloc import (BUILTIN_NAMES, AnalyticSolution, ControlProblem, Contro
                          audit_derivatives, augment_bolza, builtin,
                          gauss_rule, hager_optimal_cost, map_domain, solve)
 from gausscolloc.diffmat import differentiation_matrix
-from gausscolloc.errors import DimensionMismatch, EvaluationFailure, UnknownProblem
+from gausscolloc.errors import (DimensionMismatch, EvaluationFailure, GaussCollocError,
+                               UnknownProblem)
 from gausscolloc.problem import (_HAGER_X0, _hager_lam, _hager_u, _hager_x, _hager_z,
                                  _uncon_u, _uncon_x, _uncon_z)
 from gausscolloc.solver import _control_hessian
@@ -243,6 +244,73 @@ class TestControlSet:
             pa, pb = cs.project(a), cs.project(b)
             assert np.max(np.abs(cs.project(pa) - pa)) <= 1e-12
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
+
+
+class TestControlProblem:
+    def test_x0_is_a_read_only_copy(self):
+        # the problem keeps its own x0: changing the caller's array after
+        # construction moves neither x0 nor a solve
+        x0 = np.array(builtin("hager84-constrained").x0)
+        problem = dataclasses.replace(builtin("hager84-constrained"), x0=x0)
+        want = solve(problem, 20)
+        x0[0] = 0.0
+        np.testing.assert_array_equal(problem.x0, [_HAGER_X0, 0.0])
+        got = solve(problem, 20)
+        for a, b in ((got.traj.X, want.traj.X), (got.traj.U, want.traj.U),
+                     (got.objective_history, want.objective_history)):
+            _assert_same_bits(np.asarray(a), np.asarray(b))
+        with pytest.raises(ValueError):
+            problem.x0[0] = 0.0
+        ints = dataclasses.replace(_linear_problem(), x0=[1, 0])
+        assert ints.x0.dtype == float and not ints.x0.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), m=st.integers(1, 3))
+    def test_constructs_exactly_when_x0_and_bounds_fit(self, data, n, m):
+        # x0 must be (n,) and each bound a scalar or (m,); the check calls no
+        # callback, and an accepted problem with zero dynamics solves or
+        # raises one of the package's errors
+        length = data.draw(st.integers(0, 4), label="x0 length")
+        k = data.draw(st.integers(0, 4).filter(lambda k: k != m), label="k")
+        shapes = [data.draw(st.sampled_from([None, (), (m,), (k,)]), label=side)
+                  for side in ("lower", "upper")]
+        lower, upper = (None if shape is None else
+                        data.draw(arrays(float, shape, elements=st.floats(lo, hi)))
+                        for shape, (lo, hi) in zip(shapes, ((-2.0, -0.5), (0.5, 2.0))))
+        x0 = data.draw(arrays(float, length, elements=st.floats(-2.0, 2.0)))
+        fits = length == n and all(shape in (None, (), (m,)) for shape in shapes)
+        try:
+            control_set = ControlSet(lower, upper)
+        except ValueError:
+            assert not fits  # (k,) against (m,) fails in numpy's broadcast
+            return
+        calls = []
+
+        def record(value):
+            return lambda *args: calls.append(args) or value(*args)
+
+        def build():
+            return ControlProblem(
+                name="still", n=n, m=m, x0=x0, control_set=control_set,
+                dynamics=record(lambda X, U: np.zeros((len(X), n))),
+                dynamics_x=record(lambda X, U: np.zeros((len(X), n, n))),
+                dynamics_u=record(lambda X, U: np.zeros((len(X), n, m))),
+                cost=record(lambda x: float(x.sum())), cost_grad=record(lambda x: np.ones(n)))
+
+        if not fits:
+            with pytest.raises(DimensionMismatch, match="x0 has shape|control_set .* bound"):
+                build()
+            assert not calls
+            return
+        problem = build()
+        assert not calls
+        assert not np.shares_memory(problem.x0, x0) and not problem.x0.flags.writeable
+        try:
+            report = solve(problem, 3)
+        except GaussCollocError:
+            return
+        U = report.traj.U
+        assert U.shape == (3, m) and np.array_equal(control_set.project(U), U)
 
 
 class TestAugmentBolza:

@@ -20,7 +20,7 @@ from gausscolloc.errors import DimensionMismatch, EvaluationFailure, NewtonDiver
 from gausscolloc.solver import newton_factors, solve_costate, solve_state
 from gausscolloc.transcription import _omega_norm, _state_defect
 from test_manufactured import _manufactured
-from test_oracle import LQ_CASES, _data, _lq_problem
+from test_oracle import LQ_CASES, _cubic_problem, _data, _lq_problem
 
 
 def _frozen_problem():
@@ -58,30 +58,6 @@ def _blowup_problem():
         cost=lambda x: float(x[0]),
         cost_grad=lambda x: np.ones(1),
         x0=np.array([10.0]),
-        control_set=ControlSet())
-
-
-def _cubic_problem():
-    """Two states with cubic decay and a sin(3 x1) gain: f_x varies strongly."""
-    def dynamics(X, U):
-        return np.stack([-X[:, 0] ** 3 + U[:, 0],
-                         np.sin(3 * X[:, 0]) * X[:, 1]], axis=1)
-
-    def dynamics_x(X, U):
-        A = np.zeros((len(X), 2, 2))
-        A[:, 0, 0] = -3 * X[:, 0] ** 2
-        A[:, 1, 0] = 3 * np.cos(3 * X[:, 0]) * X[:, 1]
-        A[:, 1, 1] = np.sin(3 * X[:, 0])
-        return A
-
-    return ControlProblem(
-        name="cubic", n=2, m=1,
-        dynamics=dynamics,
-        dynamics_x=dynamics_x,
-        dynamics_u=lambda X, U: np.tile([[[1.0], [0.0]]], (len(X), 1, 1)),
-        cost=lambda x: float(x[0]),
-        cost_grad=lambda x: np.array([1.0, 0.0]),
-        x0=np.array([2.0, 1.0]),
         control_set=ControlSet())
 
 
@@ -190,10 +166,9 @@ class TestSolveState:
         ([0.4], "x0 has shape (1,), expected (2,)"),
     ], ids=["long-x0", "short-x0"])
     def test_malformed_start_is_rejected(self, x0, message):
-        problem = replace(_frozen_problem(), x0=np.array(x0))
-        ops = build_operators(gauss_rule(5))
+        # where the problem is built, so no state solve reads a malformed x0
         with pytest.raises(DimensionMismatch, match=re.escape(message)):
-            solve_state(problem, ops, np.zeros((5, 1)))
+            replace(_frozen_problem(), x0=np.array(x0))
 
     def test_zero_dynamics_keeps_initial_state(self):
         problem = _frozen_problem()
@@ -326,25 +301,30 @@ class TestSolveCostate:
             assert X[N + 1].tobytes() == (problem.x0 + w @ state.F).tobytes()
             assert state.defect == _omega_norm(w, state.G)
         X, Xc = cold.X, cold.X[1:N + 1]
-        Lam, Hx = solve_costate(problem, ops, X, U, problem.cost_grad(X[N + 1]))
+        Lam, Hx = solve_costate(problem, ops, newton_factors(problem, ops, Xc, U),
+                                problem.cost_grad(X[N + 1]))
         np.testing.assert_array_equal(Hx, problem.ham_x(Xc, U, Lam[1:N + 1]))
 
     def test_state_independent_hamiltonian(self):
         problem = _frozen_problem()
-        ops = build_operators(gauss_rule(7))
-        X = np.tile(problem.x0, (9, 1))
+        N = 7
+        ops = build_operators(gauss_rule(N))
+        X, U = np.tile(problem.x0, (N + 2, 1)), np.zeros((N, 1))
         terminal = np.array([1.0, 0.0])
-        Lam, _ = solve_costate(problem, ops, X, np.zeros((7, 1)), terminal)
+        Lam, _ = solve_costate(problem, ops, newton_factors(problem, ops, X[1:N + 1], U),
+                               terminal)
         np.testing.assert_allclose(Lam, np.tile(terminal, (9, 1)), atol=1e-12)
 
     def test_terminal_row_is_exact(self):
         problem = builtin("hager84-constrained")
-        rule = gauss_rule(6)
+        N = 6
+        rule = gauss_rule(N)
         ops = build_operators(rule)
         U = problem.analytic.control(rule.nodes)
         X = solve_state(problem, ops, U).X
         terminal = problem.cost_grad(X[-1])
-        Lam, _ = solve_costate(problem, ops, X, U, terminal)
+        Lam, _ = solve_costate(problem, ops, newton_factors(problem, ops, X[1:N + 1], U),
+                               terminal)
         np.testing.assert_array_equal(Lam[-1], terminal)
 
     @settings(max_examples=40, deadline=None)
@@ -355,7 +335,8 @@ class TestSolveCostate:
         ops = build_operators(rule)
         U = data.draw(arrays(float, (N, 1), elements=st.floats(-2.0, 2.0)))
         X = solve_state(problem, ops, U).X
-        Lam, _ = solve_costate(problem, ops, X, U, problem.cost_grad(X[-1]))
+        Lam, _ = solve_costate(problem, ops, newton_factors(problem, ops, X[1:N + 1], U),
+                               problem.cost_grad(X[-1]))
         traj = Trajectory(nodes=full_grid(rule), X=X, U=U, Lambda=Lam)
         res = eval_residual(problem, ops, traj)
         for block in (res.costate_defect, res.costate_endpoint, res.transversality):
@@ -370,7 +351,8 @@ class TestSolveCostate:
             grid = full_grid(rule)
             U = problem.analytic.control(rule.nodes)
             X = solve_state(problem, ops, U).X
-            Lam, _ = solve_costate(problem, ops, X, U, problem.cost_grad(X[-1]))
+            Lam, _ = solve_costate(problem, ops, newton_factors(problem, ops, X[1:N + 1], U),
+                                   problem.cost_grad(X[-1]))
             errs[N] = np.max(np.abs(Lam - problem.analytic.costate(grid)))
         assert errs[16] < errs[8] < errs[4]
 
@@ -510,7 +492,8 @@ def _reduced_gradient(problem, ops, U):
     """(X, Lam, w H_u) at U, the state solved to the Newton floor."""
     N = ops.rule.order
     X = solve_state(problem, ops, U, config=SolverConfig(tol_y=1e-12)).X
-    Lam, _ = solve_costate(problem, ops, X, U, problem.cost_grad(X[N + 1]))
+    Lam, _ = solve_costate(problem, ops, newton_factors(problem, ops, X[1:N + 1], U),
+                           problem.cost_grad(X[N + 1]))
     return X, Lam, ops.rule.weights[:, None] * problem.ham_u(X[1:N + 1], U, Lam[1:N + 1])
 
 
@@ -611,7 +594,7 @@ class TestNewtonFactors:
         # a subnormal right-hand side has too few digits for a relative bound
         R = data.draw(arrays(float, (N, n),
                              elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
-        problem = replace(_frozen_problem(), n=n, dynamics_x=lambda X, U: A)
+        problem = replace(_frozen_problem(), n=n, dynamics_x=lambda X, U: A, x0=np.zeros(n))
         factors = newton_factors(problem, ops, np.zeros((N, n)), np.zeros((N, 1)))
 
         # every state is live or dead, and dead exactly when no state reads it;
@@ -635,7 +618,7 @@ class TestNewtonFactors:
             A[:, 0, 2], A[:, 1, 0], A[:, 2, 0] = 1.0, X[:, 0], -1.0
             return A
 
-        problem = replace(_frozen_problem(), n=3, dynamics_x=dynamics_x)
+        problem = replace(_frozen_problem(), n=3, dynamics_x=dynamics_x, x0=np.zeros(3))
         N = 9
         ops = build_operators(gauss_rule(N))
         Xc = np.linspace(-1.0, 1.0, 3 * N).reshape(N, 3)
@@ -666,7 +649,7 @@ class TestNewtonFactors:
         ops = build_operators(gauss_rule(5))
         factors = newton_factors(problem, ops, np.zeros((5, 1)), np.ones((5, 1)))
         assert factors.lu is None
-        Lam, _ = solve_costate(problem, ops, np.zeros((7, 1)), np.ones((5, 1)), np.ones(1))
+        Lam, _ = solve_costate(problem, ops, factors, np.ones(1))
         np.testing.assert_allclose(Lam, np.ones((7, 1)), atol=1e-12)
 
     def test_fully_coupled_problem_factors_all_of_M(self):
@@ -971,16 +954,22 @@ class TestSolve:
         assert (report.termination, report.converged, report.outer_iters) \
             == ("line_search_failed", False, 1)
 
-    @pytest.mark.parametrize("change,error,message", [
-        ({"x0": np.array([1.0, 0.0, 2.0])}, DimensionMismatch,
+    @pytest.mark.parametrize("build,change,message", [
+        (functools.partial(builtin, "hager84-constrained"), {"x0": np.array([1.0, 0.0, 2.0])},
          "x0 has shape (3,), expected (2,)"),
-        ({"control_set": ControlSet(upper=[1.0, 2.0])}, DimensionMismatch,
-         "control_set.project gave (10, 2), expected (10, 1)"),
-    ], ids=["x0-shape", "wide-box"])
-    def test_malformed_problem_is_rejected_where_first_read(self, change, error, message):
-        problem = replace(builtin("hager84-constrained"), **change)
-        with pytest.raises(error, match=re.escape(message)):
-            solve(problem, 10)
+        (functools.partial(builtin, "hager84-constrained"),
+         {"control_set": ControlSet(upper=[1.0, 2.0])},
+         "control_set upper bound has shape (2,), expected () or (1,)"),
+        (_two_control_problem, {"control_set": ControlSet(upper=[1.0, 2.0, 3.0])},
+         "control_set upper bound has shape (3,), expected () or (2,)"),
+        (_two_control_problem, {"control_set": ControlSet(lower=[-1.0], upper=[1.0, 2.0])},
+         "control_set lower bound has shape (1,), expected () or (2,)"),
+    ], ids=["x0-shape", "wide-box", "long-box", "one-component-lower"])
+    def test_malformed_problem_is_rejected_where_built(self, build, change, message):
+        # the constructor raises, so no solve reads a malformed problem; with
+        # m = 2 a bound of length 3 would not even broadcast against U (N, m)
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            replace(build(), **change)
 
     @pytest.mark.parametrize("callback,cut,shapes", [
         ("dynamics", lambda F: F[:, :1], "(6, 1), expected (6, 2)"),
