@@ -78,11 +78,12 @@ class AnalyticSolution:
     costate: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlProblem:
-    """Mayer-form optimal control problem on a fixed interval.  x0 is kept as a
-    read-only float copy, and DimensionMismatch is raised here unless it is (n,)
-    and each control-set bound a scalar or (m,); no callback is called."""
+    """Mayer-form optimal control problem on a fixed interval, compared and hashed
+    by identity.  x0 is kept as a read-only float copy, and DimensionMismatch is
+    raised here unless it is (n,) and each control-set bound a scalar or (m,); no
+    callback is called."""
 
     name: str
     n: int

@@ -15,33 +15,32 @@ control Hessian H_uu, differenced from f_u; else d is H_u scaled by H_uu.
 Both eliminations use one collocation Jacobian J = (D[:, 1:] x I) M, with
 M = I - (Dinv x I) blockdiag(f_x) preconditioned by the inverse Dinv of the
 trailing block D[:, 1:] (sup norm below 2 at every order) and factored once
-per accepted iterate.  Every state Newton step is one J solve, the costate
-one J^T solve and a product with H one of each, all by ``_jacobian_solve``;
-line-search trials run chord Newton on the accepted iterate's factors.  The
-state defect is measured in the residual's quadrature-weighted norm and
-driven a decade below ``tol_y`` (never below ``NEWTON_TOL``), or by the last
-step to its roundoff.  Nothing an order or an iterate fixes is computed twice:
-the operators are cached per order; ``solve_state`` returns an iterate's
-``StateSolve`` and ``solve_costate`` its H_x beside its costate, and the
-residual reads them; each trial is seeded by the accepted record, so its
-first defect reads that state's D X; one H_u and one P(U - H_u) serve step,
-residual and report.
+per accepted iterate.  Line-search trials run chord Newton on the accepted
+iterate's factors.  The state defect is measured in the residual's
+quadrature-weighted norm and driven a decade below ``tol_y`` (never below
+``NEWTON_TOL``), or by the last step to its roundoff.  Nothing an order or an
+iterate fixes is computed twice: the operators are cached per order;
+``solve_state`` returns an iterate's ``StateSolve`` and ``solve_costate`` its
+H_x beside its costate, and the residual reads them; each trial is seeded by
+the accepted record, so its first defect reads that state's D X; one H_u and
+one P(U - H_u) serve step, residual and report.
 
-A state that no dynamics read, such as the integrator of a running cost
-that ``augment_bolza`` appends, has a zero column of f_x at every node.
-Its block of M is the identity, so M is block lower triangular and only
-the block of the other ("live") states can need an LU; the rest of a
-solve is one product with Dinv.  When no live state reads a live state
-(the built-ins: x reads nothing), the live block is the identity too, so
-nothing is factored and ``scipy.linalg`` is never loaded.
+A state that no dynamics read ("dead"), such as the integrator of a running
+cost that ``augment_bolza`` appends, has a zero column of f_x at every node, so
+J is block lower triangular over the other ("live") states and the dead ones,
+and ``_jacobian_solve`` solves the live block alone.  As in the integral form
+of Gauss collocation, a dead state is x0 + Dinv f and its costate the terminal
+row, since Dinv^T (w Ddag[:, -1]) = w.  When no live state reads a live one
+(the built-ins: x reads nothing), the live block is the identity: a Newton
+step is one product with Dinv, and nothing is factored or loads ``scipy.linalg``.
 
 Each ``solve_state`` call writes into one (N+2, n) buffer: the initial
 point, the collocation iterates, which each Newton step updates in place,
 and at convergence the quadrature endpoint.  The defect reads the first N+1
 rows through a view, so no step stacks or copies the state.  A callback
 result that is a view of the iterate (f handing back its input, f_x a view
-of it) is read only before the update: the chord steps use the coupling
-block and the LU factors, which are copies.
+of it) is read only before the update: a step gathers the live columns of G,
+the fill the dead columns of f, and the LU factors are copies.
 """
 from __future__ import annotations
 
@@ -116,16 +115,16 @@ class SolveReport:
 
 
 class NewtonFactors(NamedTuple):
-    """f_x (N, n, n) at one state and M factored by blocks.
+    """f_x (N, n, n) at one state and the live block of M factored.
 
     ``live`` indexes the states whose column of f_x is nonzero at some
     node and ``dead`` those whose column is zero at every node.  ``lu``
     holds the LU factors of the live block M_LL, or None when that block
     is the identity (no live state reads a live one).  ``coupling`` is
-    f_x[:, dead][:, :, live], through which the dead states follow the live
-    ones: over the live and dead columns, the dead rows of M are
-    [-(Dinv x I) blockdiag(coupling), I].  Every J and J^T solve of the
-    iterate runs on these factors.
+    f_x[:, dead][:, :, live], through which the dead states read the live
+    ones.  Every J solve of the iterate runs on the live block alone: the
+    state solve fills the dead columns from f, and the costate solve takes
+    them from the terminal row.
     """
 
     A: np.ndarray
@@ -164,28 +163,29 @@ def newton_factors(problem, ops, Xc, U):
 
 
 def _jacobian_solve(ops, factors, R, transposed=False):
-    """Solve J Z = R, or J^T Z = R, for a right-hand side R (N, n), where
-    J = (D[:, 1:] x I) M is the collocation Jacobian at the factored iterate.
-
-    Forward, Z = M^-1 (Dinv R): Z_L = M_LL^-1 (Dinv R)_L and then
-    Z_D = (Dinv R)_D + Dinv (coupling Z_L).  Transposed, Z = Dinv^T (M^-T R),
-    where (M^-T R)_D = R_D and (M^-T R)_L = M_LL^-T (R_L + coupling^T (Dinv^T R_D)).
-    Live and dead columns are gathers, whose column-major layout the product bits depend on.
+    """Solve J_LL Z = R, or J_LL^T Z = R, for R (N, L) over the live columns,
+    where J_LL = (D[:, 1:] x I) M_LL is the live block of the collocation
+    Jacobian at the factored iterate: Z = M_LL^-1 (Dinv R), or Z = Dinv^T (M_LL^-T R),
+    one product with Dinv either way.  J is block lower triangular over the live
+    and dead columns, so this is the live part of every forward J solve.
     """
-    live, dead, C, inv = factors.live, factors.dead, factors.coupling, ops.D1N_inv
-    Z = np.array(R, dtype=float) if transposed else inv @ R
-    if transposed and dead.size:
-        Z[:, live] += np.einsum("jkl,jk->jl", C, inv.T @ Z[:, dead])
+    inv = ops.D1N_inv
+    Z = R if transposed else inv @ R
     if factors.lu is not None:
         from scipy.linalg import lu_solve
 
-        Z[:, live] = lu_solve(factors.lu, Z[:, live].ravel(), trans=int(transposed),
-                              check_finite=False).reshape(len(Z), live.size)
-    if transposed:
-        return inv.T @ Z
-    if dead.size:
-        Z[:, dead] += inv @ np.einsum("jkl,jl->jk", C, Z[:, live])
-    return Z
+        Z = lu_solve(factors.lu, Z.ravel(), trans=int(transposed),
+                     check_finite=False).reshape(Z.shape)
+    return inv.T @ Z if transposed else Z
+
+
+def _dynamics(problem, Xc, U):
+    """f at the collocation rows Xc, checked to be (N, n): a result of another shape
+    raises NewtonDivergence if a value is not finite, DimensionMismatch otherwise."""
+    F = problem.dynamics(Xc, U)
+    if np.shape(F) != Xc.shape and not np.all(np.isfinite(F)):
+        raise NewtonDivergence(_NON_FINITE)
+    return _checked("dynamics", F, Xc.shape)
 
 
 def solve_state(problem, ops, U, start=None, config=SolverConfig(), factors=None):
@@ -195,9 +195,12 @@ def solve_state(problem, ops, U, start=None, config=SolverConfig(), factors=None
     from the problem's initial state (initial point, collocation values, and the
     quadrature endpoint), with f, D X, the defect G and its norm.  Steps use
     ``factors`` (by default taken at the first iterate) and refactor whenever
-    the defect fails to halve.  Convergence requires the defect G = D X - F(X, U)
-    to fall below max(NEWTON_TOL, 0.1 * tol_y) in the norm sqrt(sum_i w_i |G_i|^2)
-    that ``eval_residual`` reports for ``state_defect``, or, at the last of the
+    the defect fails to halve.  A step solves the live columns of J Z = -G and
+    sets the dead ones to x0 + Dinv f at the new live values; the next f and D X
+    measure the defect there, honest if a trial reads a state dead at ``factors``.
+    Convergence requires the defect G = D X - F(X, U) to fall below
+    max(NEWTON_TOL, 0.1 * tol_y) in the norm sqrt(sum_i w_i |G_i|^2) that
+    ``eval_residual`` reports for ``state_defect``, or, at the last of the
     NEWTON_MAX steps, below FLOOR * eps * ||(|D| |X|)||, the roundoff of D X.
     The rows start.X[1:N+1] of a ``StateSolve`` ``start``, x0 by default, seed
     the iteration unchecked, and the first defect reads start.DX in place of the
@@ -217,12 +220,7 @@ def solve_state(problem, ops, U, start=None, config=SolverConfig(), factors=None
     target = max(NEWTON_TOL, 0.1 * config.tol_y)
     prev = math.inf
     for step in range(NEWTON_MAX):
-        F = problem.dynamics(Xc, U)
-        if np.shape(F) != (N, n):
-            # non-finite values are a divergence, whatever their shape
-            if not np.all(np.isfinite(F)):
-                raise NewtonDivergence(_NON_FINITE)
-            raise DimensionMismatch(f"dynamics gave {np.shape(F)}, expected {(N, n)}")
+        F = _dynamics(problem, Xc, U)
         state = _state_defect(ops, X, F, ops.D @ Xfull if step or start is None else start.DX)
         if not math.isfinite(state.defect):
             raise NewtonDivergence(_NON_FINITE)
@@ -233,7 +231,10 @@ def solve_state(problem, ops, U, start=None, config=SolverConfig(), factors=None
         if factors is None or state.defect > 0.5 * prev:
             factors = newton_factors(problem, ops, Xc, U)
         prev = state.defect
-        Xc += _jacobian_solve(ops, factors, -state.G)
+        live, dead = factors.live, factors.dead
+        Xc[:, live] -= _jacobian_solve(ops, factors, state.G[:, live])
+        if dead.size:
+            Xc[:, dead] = x0[dead] + ops.D1N_inv @ _dynamics(problem, Xc, U)[:, dead]
 
     raise NewtonDivergence(
         f"state Newton did not reach its defect target in {NEWTON_MAX} steps")
@@ -243,7 +244,8 @@ def solve_costate(problem, ops, factors, terminal):
     """Solve the collocated adjoint system at the state whose Newton ``factors`` are given.
 
     The Hamiltonian is linear in the costate, so the weight-scaled system is the
-    transpose of the state Newton system: one J^T solve on ``factors``.  Returns
+    transpose of the state Newton system: one J_LL^T solve on ``factors``, the
+    dead columns being the terminal row (see ``NewtonFactors``).  Returns
     the costate stack Lam (N+2, n), whose first row satisfies the left endpoint
     coupling identity and whose last row equals ``terminal``, the terminal cost
     gradient, and H_x (N, n); raises DimensionMismatch unless ``terminal`` is (n,).
@@ -254,10 +256,14 @@ def solve_costate(problem, ops, factors, terminal):
     terminal = _checked("cost_grad", np.asarray(terminal, dtype=float), (n,))
 
     # row i of the weight-scaled adjoint system J^T Y = M^T (D1N^T x I) Y = rhs:
-    #   (D1N^T Y)_i - A_i^T Y_i = w_i * Ddag[i, -1] * terminal,  Y_i = w_i Lam_i
-    rhs = (w * ops.D_dagger[:, -1])[:, None] * terminal[None, :]
+    #   (D1N^T Y)_i - A_i^T Y_i = w_i * Ddag[i, -1] * terminal,  Y_i = w_i Lam_i;
+    # a dead column's Y is Dinv^T (w Ddag[:, -1]) terminal = w terminal, read by live rows
+    live, dead = factors.live, factors.dead
+    rhs = (w * ops.D_dagger[:, -1])[:, None] * terminal[live] \
+        + w[:, None] * np.einsum("jkl,k->jl", factors.coupling, terminal[dead])
     Lam = np.empty((N + 2, n))
-    Lam[1:N + 1] = _jacobian_solve(ops, factors, rhs, transposed=True) / w[:, None]
+    Lam[1:N + 1, live] = _jacobian_solve(ops, factors, rhs, transposed=True) / w[:, None]
+    Lam[1:N + 1, dead] = terminal[dead]
     Lam[N + 1] = terminal
     Hx = np.einsum("kij,ki->kj", factors.A, Lam[1:N + 1])
     Lam[0] = terminal + w @ Hx
@@ -305,19 +311,31 @@ def _hessian_product(problem, ops, factors, X, U, Lam, B, V):
     with ``factors`` and f_u = B (N, n, m): w (H_ux dX + H_uu V + f_u^T dLam), with
     dX a J solve of f_u V and dLam a J^T solve of the terminal row at C_xx dx_end
     plus w (H_xx dX + H_xu V).  Second-order terms are central differences of H_x,
-    H_u and C_x along (dX, V), with Lam fixed, over a sup-norm step FD_HVP."""
-    w, Xc, Lc = ops.rule.weights, X[1:-1], Lam[1:-1]
+    H_u and C_x along (dX, V), with Lam fixed, over a sup-norm step FD_HVP.  dX is
+    solved over the live columns and dLam's dead columns are C_xx's, unless H_x
+    differs on a dead column, read off the iterate: then one Dinv product fills dX's
+    dead ones before the differences are taken again, and one Dinv^T product dLam's."""
+    w, Xc, Lc, inv = ops.rule.weights, X[1:-1], Lam[1:-1], ops.D1N_inv
+    live, dead, C = factors.live, factors.dead, factors.coupling
     dF = np.einsum("kij,kj->ki", B, V)
-    dX = _jacobian_solve(ops, factors, dF)
+    dX = np.zeros_like(Xc)
+    dX[:, live] = _jacobian_solve(ops, factors, dF[:, live])
     dx_end = w @ (np.einsum("kij,kj->ki", factors.A, dX) + dF)
-    h = FD_HVP / max(np.abs(dX).max(), np.abs(V).max())
-    Hx, Hu = ((fn(Xc + h * dX, U + h * V, Lc) - fn(Xc - h * dX, U - h * V, Lc)) / (2.0 * h)
-              for fn in (problem.ham_x, problem.ham_u))
-    Cxx = (np.asarray(problem.cost_grad(X[-1] + h * dx_end))
-           - np.asarray(problem.cost_grad(X[-1] - h * dx_end))) / (2.0 * h)
+    for reread in (False, True):
+        h = FD_HVP / max(np.abs(dX).max(), np.abs(V).max())
+        Hx, Hu = ((fn(Xc + h * dX, U + h * V, Lc) - fn(Xc - h * dX, U - h * V, Lc)) / (2.0 * h)
+                  for fn in (problem.ham_x, problem.ham_u))
+        Cxx = (np.asarray(problem.cost_grad(X[-1] + h * dx_end))
+               - np.asarray(problem.cost_grad(X[-1] - h * dx_end))) / (2.0 * h)
+        if reread or not Hx[:, dead].any():
+            break
+        dX[:, dead] = inv @ (dF[:, dead] + np.einsum("jkl,jl->jk", C, dX[:, live]))
     rhs = (w * ops.D_dagger[:, -1])[:, None] * Cxx + w[:, None] * Hx
-    dLam = _jacobian_solve(ops, factors, rhs, transposed=True) / w[:, None]
-    return w[:, None] * (Hu + np.einsum("kij,ki->kj", B, dLam))
+    Y = np.empty_like(rhs)
+    Y[:, dead] = inv.T @ rhs[:, dead] if reread else w[:, None] * Cxx[dead]
+    rhs[:, live] += np.einsum("jkl,jk->jl", C, Y[:, dead])
+    Y[:, live] = _jacobian_solve(ops, factors, rhs[:, live], transposed=True)
+    return w[:, None] * (Hu + np.einsum("kij,ki->kj", B, Y / w[:, None]))
 
 
 def _newton_cg(hessian, precondition, b):

@@ -54,11 +54,13 @@ ROUNDING = 1e-12
 STALLS = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="an iterate with an active control takes the H_uu-scaled projected-"
-           "gradient step, which stalls: 200 iterates end at y = 5.9e-6 (N = 10) "
-           "and 1.6e-6 (N = 40), up from 1.2e-7 and 3.9e-8 since a line-search "
-           "trial is also accepted when its predicted decrease lies within the state "
-           "defects' reach, which here accepts almost every trial; the active-set "
-           "half of semismooth Newton (ROADMAP item 1) should fix it")
+           "gradient step, which stalls: 200 iterates end at y = 1.3e-7 (N = 10) "
+           "and 9.6e-8 (N = 40), the objective rising by at most 4.6e-15 and "
+           "2.1e-14 on a step, since a line-search trial is also accepted when its "
+           "predicted decrease lies within the state defects' reach (with the "
+           "running-cost integrator updated by its linearization, not filled from "
+           "f, y = 5.9e-6 and 1.6e-6, rises up to 4.6e-12); the active-set half of "
+           "semismooth Newton (ROADMAP item 1) should fix it")
 
 
 def _seeded_cases():

@@ -264,6 +264,15 @@ class TestControlProblem:
         ints = dataclasses.replace(_linear_problem(), x0=[1, 0])
         assert ints.x0.dtype == float and not ints.x0.flags.writeable
 
+    def test_compares_and_hashes_by_identity(self):
+        # x0 is an array, so field-wise equality has no one truth value: a
+        # problem equals itself alone, and hashes
+        problem = builtin("hager84-constrained")
+        twin = dataclasses.replace(problem)
+        assert problem == problem and problem != twin
+        assert problem != builtin("hager84-constrained")
+        assert hash(problem) == hash(problem) and len({problem, twin, problem}) == 2
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 3), m=st.integers(1, 3))
     def test_constructs_exactly_when_x0_and_bounds_fit(self, data, n, m):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gausscolloc.solver as solver_module
-from gausscolloc import (BUILTIN_NAMES, ControlProblem, ControlSet,
+from gausscolloc import (BUILTIN_NAMES, CollocationOperators, ControlProblem, ControlSet,
                          SolverConfig, Trajectory, augment_bolza,
                          build_operators, builtin, eval_residual, full_grid,
                          gauss_rule, hager_optimal_cost, map_domain, solve)
@@ -103,6 +103,27 @@ def _oscillator_problem():
         grad_x=lambda X, U: X * [1.0, 0.0],
         grad_u=lambda X, U: U.copy())
     return map_domain(bolza, 0.0, 1.0)
+
+
+def _bilinear_problem():
+    """x1' = u x2, x2' = u from x = (0, 0.5), with C = (x1 - 1)^2 / 2 + x2^2 / 10:
+    at u = 0 no dynamics read either state, elsewhere x1 reads x2."""
+    def dynamics_x(X, U):
+        A = np.zeros((len(X), 2, 2))
+        A[:, 0, 1] = U[:, 0]
+        return A
+
+    def dynamics_u(X, U):
+        return np.stack([X[:, 1], np.ones(len(X))], axis=1)[:, :, None]
+
+    return ControlProblem(
+        name="bilinear", n=2, m=1,
+        dynamics=lambda X, U: np.stack([U[:, 0] * X[:, 1], U[:, 0]], axis=1),
+        dynamics_x=dynamics_x, dynamics_u=dynamics_u,
+        cost=lambda x: float(0.5 * (x[0] - 1.0) ** 2 + 0.1 * x[1] ** 2),
+        cost_grad=lambda x: np.array([x[0] - 1.0, 0.2 * x[1]]),
+        x0=np.array([0.0, 0.5]),
+        control_set=ControlSet())
 
 
 def _copying(problem):
@@ -238,6 +259,25 @@ class TestSolveState:
         with pytest.raises(NewtonDivergence):
             solve_state(nan, ops, np.ones((5, 1)))
 
+    @pytest.mark.parametrize("N", [5, 20])
+    def test_trial_defect_is_honest_where_a_dead_state_is_read(self, N):
+        # at u = 0 no dynamics read either bilinear state, so both are dead
+        # at the factors and a step fills them from f; at the trial control
+        # 0.7, x1 reads x2, and the defect the trial reports is the one its
+        # own X gives afresh
+        problem = _bilinear_problem()
+        ops = build_operators(gauss_rule(N))
+        U, U_t = np.zeros((N, 1)), np.full((N, 1), 0.7)
+        state = solve_state(problem, ops, U)
+        factors = newton_factors(problem, ops, state.X[1:N + 1], U)
+        np.testing.assert_array_equal(factors.dead, [0, 1])
+        trial = solve_state(problem, ops, U_t, state, factors=factors)
+        X = trial.X
+        assert newton_factors(problem, ops, X[1:N + 1], U_t).live.tolist() == [1]
+        G = ops.D @ X[:N + 1] - problem.dynamics(X[1:N + 1], U_t)
+        assert trial.defect == _omega_norm(ops.rule.weights, G)
+        assert trial.defect <= 0.1 * SolverConfig().tol_y
+
     @pytest.mark.parametrize("N", [10, 320])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_reused_product_changes_no_bit(self, name, N):
@@ -304,6 +344,25 @@ class TestSolveCostate:
         Lam, Hx = solve_costate(problem, ops, newton_factors(problem, ops, Xc, U),
                                 problem.cost_grad(X[N + 1]))
         np.testing.assert_array_equal(Hx, problem.ham_x(Xc, U, Lam[1:N + 1]))
+
+    def test_dead_costate_identity(self):
+        # a dead state's weight-scaled costate is Dinv^T (w Ddag[:, -1]) times
+        # its terminal row, which solve_costate takes as w times it: the two
+        # agree within 4 eps (read: 2.5 eps at N = 11 over N = 1..1000, which
+        # CI's every-order step checks; orders up to 64 and five larger here)
+        eps = np.finfo(float).eps
+        for N in (*range(1, 65), 100, 225, 320, 640, 1000):
+            ops = CollocationOperators(gauss_rule(N))
+            w = ops.rule.weights
+            assert np.abs(ops.D1N_inv.T @ (w * ops.D_dagger[:, -1]) - w).max() <= 4.0 * eps, N
+
+    @pytest.mark.parametrize("N", [1, 10, 80, 320])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_dead_costate_is_the_terminal_row(self, name, N):
+        # the running-cost integrator is dead, so every row of its costate,
+        # both endpoints too, has the bits of the terminal one
+        Lam = _converged(name, N)[1].traj.Lambda
+        assert Lam[:, -1].tobytes() == np.full(N + 2, Lam[-1, -1]).tobytes()
 
     def test_state_independent_hamiltonian(self):
         problem = _frozen_problem()
@@ -528,6 +587,25 @@ class TestHessianProduct:
         assert gap <= 1e-11 * np.linalg.norm(W) * np.linalg.norm(HV)
 
 
+    @pytest.mark.parametrize("N", [5, 20])
+    def test_carries_a_dead_state_read_off_the_iterate(self, N):
+        # at u = 0 no dynamics read x2, but H_u = lam1 x2 + lam2 reads it
+        # off that control, so H V must carry x2's step: without it the
+        # product is off by about 6 times its size
+        problem = _bilinear_problem()
+        rule = gauss_rule(N)
+        ops, U, V = build_operators(rule), np.zeros((N, 1)), np.cos(3.0 * rule.nodes)[:, None]
+        X, Lam, _ = _reduced_gradient(problem, ops, U)
+        factors = newton_factors(problem, ops, X[1:N + 1], U)
+        np.testing.assert_array_equal(factors.dead, [0, 1])
+        HV = solver_module._hessian_product(problem, ops, factors, X, U, Lam,
+                                            problem.dynamics_u(X[1:N + 1], U), V)
+        h = 1e-4
+        fd = (_reduced_gradient(problem, ops, U + h * V)[2]
+              - _reduced_gradient(problem, ops, U - h * V)[2]) / (2.0 * h)
+        assert np.abs(HV - fd).max() <= 1e-8 * np.abs(fd).max()
+
+
 class TestNewtonCG:
     def test_solves_a_positive_definite_system(self):
         # Jacobi-preconditioned CG solves a 3x3 system to its stopping tolerance
@@ -575,11 +653,27 @@ def _dense_jacobian(ops, A):
 
 
 def _assert_solves_like_dense(ops, factors, J, R):
-    """_jacobian_solve of R, forward and transposed, against dense solves with J and J^T."""
-    for transposed, dense in ((False, J), (True, J.T)):
-        Z = solver_module._jacobian_solve(ops, factors, R, transposed=transposed)
-        ref = np.linalg.solve(dense, R.ravel()).reshape(R.shape)
+    """_jacobian_solve of R's live columns, forward and transposed, against dense
+    solves with the live block J_LL of J and with J_LL^T.  No state reads a dead
+    one, so J is block lower triangular over the live and dead columns, and a
+    dense J solve's live columns are the live solve's."""
+    N, n = R.shape
+    live = factors.live
+    rows = (np.arange(N)[:, None] * n + live).ravel()
+    dead_rows = np.setdiff1d(np.arange(N * n), rows)
+    assert not J[np.ix_(rows, dead_rows)].any()
+    if not live.size:
+        return
+    J_LL, R_L = J[np.ix_(rows, rows)], R[:, live]
+    R_L0 = R_L.copy()
+    full = np.linalg.solve(J, R.ravel()).reshape(N, n)[:, live]
+    for transposed, dense in ((False, J_LL), (True, J_LL.T)):
+        Z = solver_module._jacobian_solve(ops, factors, R_L, transposed=transposed)
+        assert R_L.tobytes() == R_L0.tobytes()  # the right-hand side is left as it was
+        ref = np.linalg.solve(dense, R_L.ravel()).reshape(R_L.shape)
         assert np.max(np.abs(Z - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if not transposed:
+            assert np.max(np.abs(Z - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 class TestNewtonFactors:
