@@ -312,27 +312,24 @@ def _hessian_product(problem, ops, factors, X, U, Lam, B, V):
     dX a J solve of f_u V and dLam a J^T solve of the terminal row at C_xx dx_end
     plus w (H_xx dX + H_xu V).  Second-order terms are central differences of H_x,
     H_u and C_x along (dX, V), with Lam fixed, over a sup-norm step FD_HVP.  dX is
-    solved over the live columns and dLam's dead columns are C_xx's, unless H_x
-    differs on a dead column, read off the iterate: then one Dinv product fills dX's
-    dead ones before the differences are taken again, and one Dinv^T product dLam's."""
+    solved over the live columns and its dead ones filled with Dinv (f_u V + f_x dX),
+    as a state dead at the iterate can be read by the differences; dLam's dead
+    columns are w C_xx, or one Dinv^T product where H_x differs on a dead column."""
     w, Xc, Lc, inv = ops.rule.weights, X[1:-1], Lam[1:-1], ops.D1N_inv
     live, dead, C = factors.live, factors.dead, factors.coupling
     dF = np.einsum("kij,kj->ki", B, V)
-    dX = np.zeros_like(Xc)
+    dX = np.empty_like(Xc)
     dX[:, live] = _jacobian_solve(ops, factors, dF[:, live])
+    dX[:, dead] = inv @ (dF[:, dead] + np.einsum("jkl,jl->jk", C, dX[:, live]))
     dx_end = w @ (np.einsum("kij,kj->ki", factors.A, dX) + dF)
-    for reread in (False, True):
-        h = FD_HVP / max(np.abs(dX).max(), np.abs(V).max())
-        Hx, Hu = ((fn(Xc + h * dX, U + h * V, Lc) - fn(Xc - h * dX, U - h * V, Lc)) / (2.0 * h)
-                  for fn in (problem.ham_x, problem.ham_u))
-        Cxx = (np.asarray(problem.cost_grad(X[-1] + h * dx_end))
-               - np.asarray(problem.cost_grad(X[-1] - h * dx_end))) / (2.0 * h)
-        if reread or not Hx[:, dead].any():
-            break
-        dX[:, dead] = inv @ (dF[:, dead] + np.einsum("jkl,jl->jk", C, dX[:, live]))
+    h = FD_HVP / max(np.abs(dX).max(), np.abs(V).max())
+    Hx, Hu = ((fn(Xc + h * dX, U + h * V, Lc) - fn(Xc - h * dX, U - h * V, Lc)) / (2.0 * h)
+              for fn in (problem.ham_x, problem.ham_u))
+    Cxx = (np.asarray(problem.cost_grad(X[-1] + h * dx_end))
+           - np.asarray(problem.cost_grad(X[-1] - h * dx_end))) / (2.0 * h)
     rhs = (w * ops.D_dagger[:, -1])[:, None] * Cxx + w[:, None] * Hx
     Y = np.empty_like(rhs)
-    Y[:, dead] = inv.T @ rhs[:, dead] if reread else w[:, None] * Cxx[dead]
+    Y[:, dead] = inv.T @ rhs[:, dead] if Hx[:, dead].any() else w[:, None] * Cxx[dead]
     rhs[:, live] += np.einsum("jkl,jk->jl", C, Y[:, dead])
     Y[:, live] = _jacobian_solve(ops, factors, rhs[:, live], transposed=True)
     return w[:, None] * (Hu + np.einsum("kij,ki->kj", B, Y / w[:, None]))

@@ -57,10 +57,8 @@ STALLS = pytest.mark.xfail(
            "gradient step, which stalls: 200 iterates end at y = 1.3e-7 (N = 10) "
            "and 9.6e-8 (N = 40), the objective rising by at most 4.6e-15 and "
            "2.1e-14 on a step, since a line-search trial is also accepted when its "
-           "predicted decrease lies within the state defects' reach (with the "
-           "running-cost integrator updated by its linearization, not filled from "
-           "f, y = 5.9e-6 and 1.6e-6, rises up to 4.6e-12); the active-set half of "
-           "semismooth Newton (ROADMAP item 1) should fix it")
+           "predicted decrease lies within the state defects' reach; the "
+           "active-set half of semismooth Newton (ROADMAP item 1) should fix it")
 
 
 def _seeded_cases():

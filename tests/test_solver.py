@@ -126,6 +126,25 @@ def _bilinear_problem():
         control_set=ControlSet())
 
 
+def _square_read_problem():
+    """x1' = x2^2, x2' = u from x = 0, with C = x1 + x2: at u = 0 x2 = 0, so no
+    dynamics read either state, yet x1's second derivative in x2 is 2."""
+    def dynamics_x(X, U):
+        A = np.zeros((len(X), 2, 2))
+        A[:, 0, 1] = 2.0 * X[:, 1]
+        return A
+
+    return ControlProblem(
+        name="square-read", n=2, m=1,
+        dynamics=lambda X, U: np.stack([X[:, 1] ** 2, U[:, 0]], axis=1),
+        dynamics_x=dynamics_x,
+        dynamics_u=lambda X, U: np.broadcast_to([[[0.0], [1.0]]], (len(X), 2, 1)),
+        cost=lambda x: float(x[0] + x[1]),
+        cost_grad=lambda x: np.array([1.0, 1.0]),
+        x0=np.zeros(2),
+        control_set=ControlSet())
+
+
 def _copying(problem):
     """The problem with the output of every stacked callback copied."""
     def copied(fn):
@@ -588,11 +607,15 @@ class TestHessianProduct:
 
 
     @pytest.mark.parametrize("N", [5, 20])
-    def test_carries_a_dead_state_read_off_the_iterate(self, N):
-        # at u = 0 no dynamics read x2, but H_u = lam1 x2 + lam2 reads it
-        # off that control, so H V must carry x2's step: without it the
-        # product is off by about 6 times its size
-        problem = _bilinear_problem()
+    @pytest.mark.parametrize("name", ["bilinear", "square-read"])
+    def test_carries_a_dead_state_read_off_the_iterate(self, name, N):
+        # at u = 0 no dynamics read x2, so the state and costate solves leave
+        # it out, but H V must carry x2's step.  "bilinear": H_u = lam1 x2 +
+        # lam2 reads x2 off that control; without its step the product is off
+        # by about 6 times its size.  "square-read": H_x = (0, 2 lam1 x2) reads
+        # x2 alone, so the differences along a zero step of x2 vanish and the
+        # product would read 0 where it is 2 int((int V)^2) along V
+        problem = _bilinear_problem() if name == "bilinear" else _square_read_problem()
         rule = gauss_rule(N)
         ops, U, V = build_operators(rule), np.zeros((N, 1)), np.cos(3.0 * rule.nodes)[:, None]
         X, Lam, _ = _reduced_gradient(problem, ops, U)
